@@ -8,18 +8,27 @@ BENCH_N ?= 2000
 BENCH_TOLERANCE ?= 1.0
 SOAK ?= 60s
 
-.PHONY: build test race vet lint analyze crash stress soak bench bench-diff all
+.PHONY: build test race race-procs vet lint analyze crash stress soak bench bench-diff all
 
 all: build vet test
 
 build:
 	$(GO) build ./...
 
+# The root package's yardstick smoke test builds and runs ./benchmark
+# (up to 120s on a cold build cache), hence the longer package timeout.
 test:
-	$(GO) test -timeout 120s ./...
+	$(GO) test -timeout 240s ./...
 
 race:
-	$(GO) test -race -timeout 120s ./...
+	$(GO) test -race -timeout 240s ./...
+
+# race-procs re-runs the lock manager and the rule engine under the race
+# detector at GOMAXPROCS 1, 2 and 4: their interleavings (lock hand-off,
+# parallel sibling rules, the short-cut equivalence hammer) differ with
+# the number of running threads.
+race-procs:
+	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca
 
 vet:
 	$(GO) vet ./...

@@ -327,11 +327,11 @@ func (e *Engine) handleCompletions(cm *compositeMgr, completions []*event.Instan
 		if comp.Seq == 0 {
 			comp.Seq = e.seq.Add(1)
 		}
-		e.record(cm.mgr, comp)
 		trigger := e.trigger(comp)
+		e.record(cm.mgr, comp, trigger)
 		// Errors from (unsafe) immediate composite rules have no
 		// transaction to veto here; they surface on the rule txn.
-		e.fireRules(cm.mgr, comp, trigger)
+		e.fireRules(cm.mgr, comp, trigger, e.clk.Now())
 		e.propagate(cm.mgr, comp)
 	}
 }

@@ -13,12 +13,17 @@ import (
 	"repro/internal/txn"
 )
 
-// deferredKey keys the per-top-transaction deferred queue.
-type deferredKey struct{}
-
-type deferredQueue struct {
-	mu      sync.Mutex
-	entries []deferredEntry
+// txnState is what the engine keeps on a top-level transaction
+// (txn.SlotRules): the deferred firings waiting for its EOT and the
+// occurrences raised in its tree, waiting for the hand-off to the
+// global history when it ends.
+type txnState struct {
+	mu       sync.Mutex
+	deferred []deferredEntry
+	hist     []HistoryEntry
+	// histClosed is set by the hand-off: an occurrence recorded later
+	// (an asynchronous completion racing the commit) stays local.
+	histClosed bool
 }
 
 type deferredEntry struct {
@@ -28,34 +33,31 @@ type deferredEntry struct {
 	actionOnly bool      // condition already evaluated (imm/def split)
 }
 
-func (e *Engine) deferredQueue(top *txn.Txn) *deferredQueue {
-	if q, ok := top.Value(deferredKey{}).(*deferredQueue); ok {
-		return q
+// txnStateOf returns the engine's state on top, nil when the
+// transaction has raised nothing and queued nothing.
+func txnStateOf(top *txn.Txn) *txnState {
+	st, _ := top.Attachment(txn.SlotRules).(*txnState)
+	return st
+}
+
+// ensureTxnState returns the engine's state on top, creating it on
+// first use.
+func ensureTxnState(top *txn.Txn) *txnState {
+	if st := txnStateOf(top); st != nil {
+		return st
 	}
-	q := &deferredQueue{}
-	top.SetValue(deferredKey{}, q)
-	return q
+	return top.Attach(txn.SlotRules, &txnState{}).(*txnState)
 }
 
-// enqueueDeferred queues a whole rule for execution at the top-level
-// transaction's EOT.
-func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance) {
+// enqueueDeferred queues a rule — the whole rule, or only its action
+// when the condition was evaluated immediately and held — for
+// execution at the top-level transaction's EOT.
+func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance, at time.Time, actionOnly bool) {
 	in.Retain() // read again at EOT, after the raiser's Recycle
-	q := e.deferredQueue(top)
-	q.mu.Lock()
-	q.entries = append(q.entries, deferredEntry{rule: r, in: in, at: e.clk.Now()})
-	q.mu.Unlock()
-	e.met.deferredDepth.Add(1)
-}
-
-// enqueueDeferredAction queues only the action part (the condition was
-// evaluated immediately and held).
-func (e *Engine) enqueueDeferredAction(top *txn.Txn, r *Rule, in *event.Instance) {
-	in.Retain() // read again at EOT, after the raiser's Recycle
-	q := e.deferredQueue(top)
-	q.mu.Lock()
-	q.entries = append(q.entries, deferredEntry{rule: r, in: in, at: e.clk.Now(), actionOnly: true})
-	q.mu.Unlock()
+	st := ensureTxnState(top)
+	st.mu.Lock()
+	st.deferred = append(st.deferred, deferredEntry{rule: r, in: in, at: at, actionOnly: actionOnly})
+	st.mu.Unlock()
 	e.met.deferredDepth.Add(1)
 }
 
@@ -65,8 +67,8 @@ func (e *Engine) enqueueDeferredAction(top *txn.Txn, r *Rule, in *event.Instance
 // fire ahead of rules triggered by composite events (§6.4). Rules may
 // enqueue further deferred work; rounds are bounded.
 func (e *Engine) runDeferred(top *txn.Txn) error {
-	q, ok := top.Value(deferredKey{}).(*deferredQueue)
-	if !ok {
+	st := txnStateOf(top)
+	if st == nil {
 		return nil
 	}
 	for round := 0; ; round++ {
@@ -74,10 +76,10 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 			return fmt.Errorf("eca: deferred rule cascade exceeded %d rounds in txn %d",
 				e.opts.MaxDeferredRounds, top.ID())
 		}
-		q.mu.Lock()
-		batch := q.entries
-		q.entries = nil
-		q.mu.Unlock()
+		st.mu.Lock()
+		batch := st.deferred
+		st.deferred = nil
+		st.mu.Unlock()
 		if len(batch) == 0 {
 			return nil
 		}
@@ -122,23 +124,25 @@ func (e *Engine) orderDeferred(batch []deferredEntry) {
 }
 
 func (e *Engine) runDeferredBatch(top *txn.Txn, batch []deferredEntry) error {
-	run := func(entry deferredEntry) error {
+	run := func(entry deferredEntry, mark *time.Time) error {
 		// The queue-wait span: enqueue (during the transaction) to
-		// dequeue (EOT processing).
-		e.met.deferredDwell.Observe(e.clk.Now().Sub(entry.at))
-		e.span(entry.in.Trace, "enqueue-deferred", entry.rule.Name, entry.at)
+		// dequeue (EOT processing) — the end of the firing before it.
+		start := *mark
+		dwell := start.Sub(entry.at)
+		e.met.deferredDwell.Observe(dwell)
+		e.tracer.Span(entry.in.Trace, "enqueue-deferred", entry.rule.Name, entry.at, dwell)
 		child, err := top.BeginChild()
 		if err != nil {
 			return fmt.Errorf("eca: deferred rule %s: %w", entry.rule.Name, err)
 		}
 		e.met.firedDeferred.Inc()
-		start := e.clk.Now()
-		defer func() { e.met.latDeferred.Observe(e.clk.Now().Sub(start)) }()
+		defer func() { e.met.latDeferred.Observe(mark.Sub(start)) }()
 		if entry.actionOnly {
-			return e.runActionOnly(child, entry.rule, entry.in)
+			return e.runActionOnly(child, entry.rule, entry.in, mark)
 		}
-		return e.runRuleGuarded(context.Background(), child, entry.rule, entry.in)
+		return e.runRuleGuarded(context.Background(), child, entry.rule, entry.in, mark)
 	}
+	mark := e.clk.Now()
 	if e.opts.Exec == ParallelExec && len(batch) > 1 {
 		// The batch runs on its own bounded goroutine set, not the
 		// detached pool: detached rules may block on locks held by the
@@ -147,13 +151,13 @@ func (e *Engine) runDeferredBatch(top *txn.Txn, batch []deferredEntry) error {
 		// the batch worker and surface as that entry's error.
 		fns := make([]func() error, len(batch))
 		for i, entry := range batch {
-			entry := entry
-			fns[i] = func() error { return run(entry) }
+			entry, begun := entry, mark
+			fns[i] = func() error { return run(entry, &begun) }
 		}
 		return errors.Join(runBatch(fns)...)
 	}
 	for _, entry := range batch {
-		if err := run(entry); err != nil {
+		if err := run(entry, &mark); err != nil {
 			return err
 		}
 	}
@@ -164,14 +168,14 @@ func (e *Engine) runDeferredBatch(top *txn.Txn, batch []deferredEntry) error {
 // work — the firings die with their trigger — and releases the
 // governor's depth accounting for them.
 func (e *Engine) dropDeferred(top *txn.Txn) {
-	q, ok := top.Value(deferredKey{}).(*deferredQueue)
-	if !ok {
+	st := txnStateOf(top)
+	if st == nil {
 		return
 	}
-	q.mu.Lock()
-	n := len(q.entries)
-	q.entries = nil
-	q.mu.Unlock()
+	st.mu.Lock()
+	n := len(st.deferred)
+	st.deferred = nil
+	st.mu.Unlock()
 	if n > 0 {
 		e.met.deferredDepth.Add(-int64(n))
 	}
@@ -180,24 +184,15 @@ func (e *Engine) dropDeferred(top *txn.Txn) {
 // runActionOnly executes just the action part of a rule whose
 // condition was already evaluated immediately (imm/def split), with
 // the same panic containment as a full rule body.
-func (e *Engine) runActionOnly(t *txn.Txn, r *Rule, in *event.Instance) (err error) {
+func (e *Engine) runActionOnly(t *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = e.recoverRulePanic(t, r, in, p)
 		}
 	}()
-	t.SetTrace(in.Trace)
-	t.SetValue(cascadeKey{}, in.Depth+1)
-	rc := &RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: context.Background()}
-	as := e.clk.Now()
-	aerr := r.Action(rc)
-	e.met.phaseAction.Observe(e.clk.Now().Sub(as))
-	e.span(in.Trace, "action-exec", r.Name, as)
-	if aerr != nil {
-		e.abortRuleTxn(t, r, in, aerr)
-		return fmt.Errorf("eca: deferred rule %s action: %w", r.Name, aerr)
-	}
-	return e.commitRuleTxn(t, r, in)
+	f, rc := e.beginFiring(context.Background(), t, r, in, *mark)
+	defer f.finish(mark)
+	return f.action(t, r, rc)
 }
 
 // Detached firings are routed to the supervised executor; see

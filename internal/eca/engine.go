@@ -337,8 +337,7 @@ type Engine struct {
 	resolvedTxns  map[uint64]txn.Status
 	resolvedOrder []uint64
 
-	cascadeMu    sync.Mutex
-	cascadeBound int // static bound from rule-set analysis; 0 = none
+	cascadeBound atomic.Int64 // static bound from rule-set analysis; 0 = none
 
 	hist *shardedHistory
 
@@ -451,13 +450,58 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // SlowLog exposes the slow-transaction log attached to the tracer.
 func (e *Engine) SlowLog() *obs.SlowLog { return e.slowLog }
 
-// span records one lifecycle stage on a trace; a zero trace ID is a
-// no-op so untraced paths stay free.
+// span records one lifecycle stage, ending now, on a trace; a zero
+// trace ID is a no-op so untraced paths stay free.
 func (e *Engine) span(traceID uint64, stage, key string, start time.Time) {
 	if traceID == 0 {
 		return
 	}
 	e.tracer.Span(traceID, stage, key, start, e.clk.Now().Sub(start))
+}
+
+// firing times one rule execution. The clock is read once per phase
+// boundary — the end of the condition is the start of the action, the
+// end of one firing the start of the next in its sequence, so a firing's
+// first phase includes setting its subtransaction up — and the phases
+// reach the tracer in one call when the firing resolves.
+type firing struct {
+	e     *Engine
+	rule  string
+	trace uint64
+	last  time.Time   // the latest boundary
+	spans [3]obs.Span // condition, action, commit or abort
+	n     int
+}
+
+// phase closes the phase that began at the previous boundary.
+func (f *firing) phase(stage string, h *obs.Histogram) {
+	now := f.e.clk.Now()
+	d := now.Sub(f.last)
+	h.Observe(d)
+	f.spans[f.n] = obs.Span{Stage: stage, Key: f.rule, Start: f.last, Dur: d}
+	f.n++
+	f.last = now
+}
+
+// commit commits the rule transaction as the firing's last phase.
+func (f *firing) commit(t *txn.Txn) error {
+	err := t.Commit()
+	f.phase("commit", f.e.met.phaseCommit)
+	return err
+}
+
+// abort aborts the rule transaction with cause as the firing's last
+// phase.
+func (f *firing) abort(t *txn.Txn, cause error) {
+	_ = t.AbortWith(cause) // cause is already the reported failure
+	f.phase("abort", f.e.met.phaseAbort)
+}
+
+// finish records the firing's phases on the triggering event's trace
+// and moves mark, the boundary the firing started at, to its end.
+func (f *firing) finish(mark *time.Time) {
+	*mark = f.last
+	f.e.tracer.Spans(f.trace, f.spans[:f.n]...)
 }
 
 // Dispatcher exposes the sentry dispatcher (for overhead stats and
@@ -731,42 +775,23 @@ func (e *Engine) RemoveRule(eventKey, name string) bool {
 // spawns transactions (detached) until the process dies.
 var ErrCascadeDepth = errors.New("eca: rule cascade depth bound reached")
 
-// cascadeKey tags rule transactions with the depth of events their
-// bodies raise: the triggering event's depth plus one. Consume reads
-// it back off the raising transaction.
-type cascadeKey struct{}
-
 // SetCascadeBound installs the static cascade-depth bound computed by
 // whole-ruleset analysis: the longest rule chain a single external
 // event can fire. The effective guard limit is the lower of this bound
 // and Options.MaxCascadeDepth. n <= 0 clears the static bound, leaving
 // only the configured ceiling.
 func (e *Engine) SetCascadeBound(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.cascadeMu.Lock()
-	e.cascadeBound = n
-	e.cascadeMu.Unlock()
+	e.cascadeBound.Store(int64(max(n, 0)))
 }
 
 // CascadeBound returns the installed static bound (0 when none).
-func (e *Engine) CascadeBound() int {
-	e.cascadeMu.Lock()
-	defer e.cascadeMu.Unlock()
-	return e.cascadeBound
-}
+func (e *Engine) CascadeBound() int { return int(e.cascadeBound.Load()) }
 
 // cascadeLimit resolves the effective depth limit: the lower of the
 // static bound and the configured ceiling; 0 disables the guard.
 func (e *Engine) cascadeLimit() int {
-	e.cascadeMu.Lock()
-	bound := e.cascadeBound
-	e.cascadeMu.Unlock()
-	ceiling := e.opts.MaxCascadeDepth
-	if ceiling < 0 {
-		ceiling = 0
-	}
+	bound := e.CascadeBound()
+	ceiling := max(e.opts.MaxCascadeDepth, 0)
 	if bound > 0 && (ceiling == 0 || bound < ceiling) {
 		return bound
 	}
@@ -804,6 +829,18 @@ func (e *Engine) txnOutcome(id uint64) (live *txn.Txn, st txn.Status, known bool
 // value is the go-ahead signal: an error from an immediate rule vetoes
 // the operation.
 func (e *Engine) Consume(in *event.Instance) error {
+	e.stamp(in)
+	m := e.lookupManager(in.SpecKey)
+	if m == nil {
+		return nil
+	}
+	t := e.trigger(in)
+	return e.dispatch(m, in, t, t)
+}
+
+// stamp counts an arriving occurrence and gives it its place in the
+// global occurrence order.
+func (e *Engine) stamp(in *event.Instance) {
 	e.met.events.Inc()
 	if in.Seq == 0 {
 		in.Seq = e.seq.Add(1)
@@ -811,41 +848,58 @@ func (e *Engine) Consume(in *event.Instance) error {
 	if in.Time.IsZero() {
 		in.Time = e.clk.Now()
 	}
-	m := e.lookupManager(in.SpecKey)
-	if m == nil {
-		return nil
-	}
+}
+
+// dispatch runs the Figure-2 path for a stamped occurrence. trigger
+// is the live transaction its rules couple to; owner the transaction
+// whose history takes it — the same, except for commit and abort
+// events, which are raised once their transaction has resolved.
+func (e *Engine) dispatch(m *Manager, in *event.Instance, trigger, owner *txn.Txn) error {
+	start := e.clk.Now()
 	if in.Trace == 0 && !e.shedTraces() {
 		// Flow-control and temporal events enter here without passing
 		// the sentry dispatcher; mint their trace at the engine door.
 		// Under overload, minting is skipped — same policy as the
 		// sentry's shed probe: observability is shed before work is.
-		in.Trace = e.tracer.Begin(in.SpecKey, e.clk.Now())
+		in.Trace = e.tracer.Begin(in.SpecKey, start)
 	}
-	start := e.clk.Now()
-	e.record(m, in)
-	trigger := e.trigger(in)
+	e.record(m, in, owner)
 	if in.Depth == 0 && trigger != nil {
 		// Events raised inside a rule transaction inherit the depth the
 		// executing rule stamped on it; application events stay at 0.
-		if d, ok := trigger.Value(cascadeKey{}).(int); ok {
-			in.Depth = d
-		}
+		in.Depth = int(trigger.Tag())
 	}
-	err := e.fireRules(m, in, trigger)
+	err := e.fireRules(m, in, trigger, start)
 	e.propagate(m, in)
 	e.span(in.Trace, "detect", in.SpecKey, start)
 	return err
 }
 
-// record appends the occurrence to the appropriate history (§6.3).
-func (e *Engine) record(m *Manager, in *event.Instance) {
+// record appends the occurrence to the appropriate history (§6.3): in
+// distributed mode the manager's local ring and, for the hand-off at
+// the end of the transaction, the list on owner's top-level.
+func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	entry := HistoryEntry{Seq: in.Seq, Txn: in.Txn, Key: in.SpecKey, Time: in.Time}
 	if e.opts.History == CentralHistory {
 		e.hist.append(entry)
 		return
 	}
 	m.local.append(entry)
+	if owner == nil {
+		return
+	}
+	st := ensureTxnState(owner.Top())
+	st.mu.Lock()
+	if !st.histClosed {
+		// Only the newest GlobalHistorySize occurrences can survive the
+		// hand-off; a transaction raising more keeps memory bounded by
+		// shedding the older half now.
+		if keep := max(e.opts.GlobalHistorySize, 1); len(st.hist) >= 2*keep {
+			st.hist = st.hist[:copy(st.hist, st.hist[len(st.hist)-keep:])]
+		}
+		st.hist = append(st.hist, entry)
+	}
+	st.mu.Unlock()
 }
 
 // fireRules runs the manager's rules for one occurrence, routing each
@@ -853,7 +907,7 @@ func (e *Engine) record(m *Manager, in *event.Instance) {
 // stalled — this is exactly why composite events may not couple
 // immediately); deferred rules are queued on the triggering top-level
 // transaction; detached rules spawn.
-func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn) error {
+func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn, start time.Time) error {
 	rs := m.fires.Load()
 	if rs == nil || rs.enabled == 0 {
 		return nil
@@ -873,7 +927,7 @@ func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn) err
 		if trigger == nil {
 			return fmt.Errorf("eca: rule %s: deferred coupling but no active transaction", r.Name)
 		}
-		e.enqueueDeferred(trigger.Top(), r, in)
+		e.enqueueDeferred(trigger.Top(), r, in, start, false)
 	}
 	for _, r := range rs.detached {
 		e.spawnDetached(r, in)
@@ -882,15 +936,16 @@ func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn) err
 		return nil
 	}
 	e.met.firedImmediate.Add(uint64(len(rs.immediate)))
-	start := e.clk.Now()
-	err := e.runRuleSet(rs.immediate, in, trigger)
-	e.met.latImmediate.Observe(e.clk.Now().Sub(start))
+	mark := start
+	err := e.runRuleSet(rs.immediate, in, trigger, &mark)
+	e.met.latImmediate.Observe(mark.Sub(start))
 	return err
 }
 
 // runRuleSet executes rules triggered by the same event, sequentially
-// or as parallel sibling subtransactions (§6.4).
-func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn) error {
+// or as parallel sibling subtransactions (§6.4). mark is the instant
+// the set starts at; it is moved to the instant the set is done.
+func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn, mark *time.Time) error {
 	if e.opts.Exec == ParallelExec && len(rules) > 1 && trigger != nil {
 		// Even conceptually-parallel rules need a lower-level ordering
 		// for child creation (§6.4); they are started in firing order.
@@ -904,15 +959,17 @@ func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn)
 				errs[i] = err
 				continue
 			}
-			r, child := r, child
+			r, child, begun := r, child, *mark
 			fns[i] = func() error {
-				return e.runRuleGuarded(context.Background(), child, r, in)
+				return e.runRuleGuarded(context.Background(), child, r, in, &begun)
 			}
 		}
-		return errors.Join(append(errs, runBatch(fns)...)...)
+		errs = append(errs, runBatch(fns)...)
+		*mark = e.clk.Now()
+		return errors.Join(errs...)
 	}
 	for _, r := range rules {
-		if err := e.runRuleAsChild(trigger, r, in); err != nil {
+		if err := e.runRuleAsChild(trigger, r, in, mark); err != nil {
 			return err
 		}
 	}
@@ -922,7 +979,7 @@ func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn)
 // runRuleAsChild runs one rule as a subtransaction of trigger; with a
 // nil trigger (e.g. rules on commit/abort events) it runs in a fresh
 // top-level transaction.
-func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance) error {
+func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) error {
 	var t *txn.Txn
 	var err error
 	if trigger != nil {
@@ -933,90 +990,79 @@ func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance) e
 	} else {
 		t = e.beginRuleTxn()
 	}
-	return e.runRuleIn(t, r, in)
+	return e.runRuleCtx(context.Background(), t, r, in, mark)
 }
 
-// ruleTxnKey tags transactions the engine itself creates to execute
-// rules. They are full transactions, but they do not raise
+// ruleTxnTag marks the top-level transactions the engine itself
+// creates to execute rules, until the rule run stamps its cascade
+// depth: a transaction's tag is 0 when the application began it, and
+// otherwise the depth of the events its rule body raises. Rule
+// transactions are full transactions, but they do not raise
 // flow-control events — otherwise a rule on txn:commit would re-fire
 // on its own rule transaction's commit, forever.
-type ruleTxnKey struct{}
+const ruleTxnTag = 1
 
 // beginRuleTxn starts a top-level transaction for detached rule
 // execution.
 func (e *Engine) beginRuleTxn() *txn.Txn {
-	return e.db.TxnManager().BeginTagged(ruleTxnKey{}, true)
+	return e.db.TxnManager().BeginTagged(ruleTxnTag)
 }
 
 // isRuleTxn reports whether t was created by the engine.
-func isRuleTxn(t *txn.Txn) bool { return t.Value(ruleTxnKey{}) != nil }
+func isRuleTxn(t *txn.Txn) bool { return t.Tag() != 0 }
 
-// runRuleIn evaluates the rule's condition and action inside t and
-// commits or aborts it.
-func (e *Engine) runRuleIn(t *txn.Txn, r *Rule, in *event.Instance) error {
-	return e.runRuleCtx(context.Background(), t, r, in)
-}
-
-// runRuleCtx is runRuleIn with an execution context: the supervised
-// executor threads its deadline cancellation through to the rule body
-// via RuleCtx.Context.
-func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance) error {
-	// Tag the rule transaction with the triggering event's trace so the
-	// lock manager and commit path attribute their waits to it, and with
-	// the cascade depth events raised by the rule body will carry.
-	t.SetTrace(in.Trace)
-	t.SetValue(cascadeKey{}, in.Depth+1)
-	rc := &RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx}
+// runRuleCtx evaluates the rule's condition and action inside t and
+// commits or aborts it. The supervised executor threads its deadline
+// cancellation through ctx to the rule body via RuleCtx.Context; mark
+// is the instant the firing starts at, moved to the instant it ends at
+// so the next firing in a sequence starts there (see firing).
+func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) error {
+	f, rc := e.beginFiring(ctx, t, r, in, *mark)
+	defer f.finish(mark)
 	ok := true
-	var err error
 	if r.Cond != nil {
-		cs := e.clk.Now()
+		var err error
 		ok, err = r.Cond(rc)
-		e.met.phaseCond.Observe(e.clk.Now().Sub(cs))
-		e.span(in.Trace, "condition-eval", r.Name, cs)
+		f.phase("condition-eval", e.met.phaseCond)
 		if err != nil {
-			e.abortRuleTxn(t, r, in, err)
+			f.abort(t, err)
 			return fmt.Errorf("eca: rule %s condition: %w", r.Name, err)
 		}
 	}
 	if !ok {
-		return e.commitRuleTxn(t, r, in) // condition false: nothing to do
+		return f.commit(t) // condition false: nothing to do
 	}
 	if r.condMode() == Immediate && r.ActionMode == Deferred {
 		// E-C immediate, C-A deferred: the action is queued for EOT.
 		top := t.Top()
-		if err := e.commitRuleTxn(t, r, in); err != nil {
+		if err := f.commit(t); err != nil {
 			return err
 		}
-		e.enqueueDeferredAction(top, r, in)
+		e.enqueueDeferred(top, r, in, f.last, true)
 		return nil
 	}
-	as := e.clk.Now()
-	err = r.Action(rc)
-	e.met.phaseAction.Observe(e.clk.Now().Sub(as))
-	e.span(in.Trace, "action-exec", r.Name, as)
+	return f.action(t, r, rc)
+}
+
+// beginFiring prepares t to run r for the occurrence in: the rule
+// transaction carries the triggering event's trace, so the lock manager
+// and commit path attribute their waits to it, and the cascade depth
+// the events raised by the rule body will carry.
+func (e *Engine) beginFiring(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, start time.Time) (firing, *RuleCtx) {
+	t.SetTrace(in.Trace)
+	t.SetTag(int32(in.Depth + 1))
+	return firing{e: e, rule: r.Name, trace: in.Trace, last: start},
+		&RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx}
+}
+
+// action runs the rule's action and resolves the rule transaction on
+// its outcome.
+func (f *firing) action(t *txn.Txn, r *Rule, rc *RuleCtx) error {
+	err := r.Action(rc)
+	f.phase("action-exec", f.e.met.phaseAction)
 	if err != nil {
-		e.abortRuleTxn(t, r, in, err)
+		f.abort(t, err)
 		return fmt.Errorf("eca: rule %s action: %w", r.Name, err)
 	}
-	return e.commitRuleTxn(t, r, in)
-}
-
-// commitRuleTxn commits a rule transaction, recording the commit
-// stage on the triggering event's trace.
-func (e *Engine) commitRuleTxn(t *txn.Txn, r *Rule, in *event.Instance) error {
-	start := e.clk.Now()
-	err := t.Commit()
-	e.met.phaseCommit.Observe(e.clk.Now().Sub(start))
-	e.span(in.Trace, "commit", r.Name, start)
-	return err
-}
-
-// abortRuleTxn aborts a rule transaction with cause, recording the
-// abort stage on the triggering event's trace.
-func (e *Engine) abortRuleTxn(t *txn.Txn, r *Rule, in *event.Instance, cause error) {
-	start := e.clk.Now()
-	_ = t.AbortWith(cause) // cause is already the reported failure
-	e.met.phaseAbort.Observe(e.clk.Now().Sub(start))
-	e.span(in.Trace, "abort", r.Name, start)
+	return f.commit(t)
 }

@@ -1,12 +1,15 @@
 package eca
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic" //lint:allow rawatomics history shard round-robin counter, not metrics
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/txn"
 )
 
 // HistoryEntry is one recorded event occurrence.
@@ -61,18 +64,6 @@ func (r *historyRing) entries() []HistoryEntry {
 	out := make([]HistoryEntry, 0, r.n)
 	for i := 0; i < r.n; i++ {
 		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
-}
-
-// forTxn returns the ring's entries belonging to one transaction.
-func (r *historyRing) forTxn(id uint64) []HistoryEntry {
-	var out []HistoryEntry
-	for i := 0; i < r.n; i++ {
-		e := r.buf[(r.start+i)%len(r.buf)]
-		if e.Txn == id {
-			out = append(out, e)
-		}
 	}
 	return out
 }
@@ -147,44 +138,27 @@ func (h *shardedHistory) entries() []HistoryEntry {
 	return out
 }
 
-// forTxn consolidates the shards' entries belonging to one
-// transaction, Seq-ordered.
-func (h *shardedHistory) forTxn(id uint64) []HistoryEntry {
-	var out []HistoryEntry
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		out = append(out, s.ring.forTxn(id)...)
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // GlobalHistory returns the consolidated event history, oldest first.
 func (e *Engine) GlobalHistory() []HistoryEntry {
 	return e.hist.entries()
 }
 
-// consolidateHistory moves a finished transaction's occurrences from
-// the managers' local histories into the global history, in occurrence
-// order. In distributed mode this runs after the transaction ends —
-// off the detection fast path.
-func (e *Engine) consolidateHistory(txnID uint64) {
-	if e.opts.History == CentralHistory {
-		return // already centralized at detection time
+// handOffHistory moves a finished transaction's occurrences — the list
+// record kept on it — into the global history, in occurrence order.
+// In distributed mode this runs after the transaction ends, off the
+// detection fast path, and costs the transaction's own events only: one
+// that raised nothing touches no history lock.
+func (e *Engine) handOffHistory(top *txn.Txn) {
+	st := txnStateOf(top)
+	if st == nil {
+		return
 	}
-	e.mu.RLock()
-	managers := make([]*Manager, 0, len(e.managers))
-	for _, m := range e.managers {
-		managers = append(managers, m)
-	}
-	e.mu.RUnlock()
-	var entries []HistoryEntry
-	for _, m := range managers {
-		entries = append(entries, m.local.forTxn(txnID)...)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Seq < entries[j].Seq })
+	st.mu.Lock()
+	entries := st.hist
+	st.hist, st.histClosed = nil, true
+	st.mu.Unlock()
+	// Parallel sibling rules append in arrival order, not Seq order.
+	slices.SortFunc(entries, func(a, b HistoryEntry) int { return cmp.Compare(a.Seq, b.Seq) })
 	for _, en := range entries {
 		e.hist.append(en)
 	}

@@ -1,0 +1,203 @@
+package eca
+
+import (
+	"testing"
+
+	"repro/internal/oodb"
+	"repro/internal/txn"
+)
+
+// historyEngine is an engine with one inert immediate rule on ping, so
+// every ping is recorded.
+func historyEngine(t *testing.T, opts Options) (*Engine, *oodb.DB, *oodb.Object) {
+	t.Helper()
+	e, db, _ := newTestEngine(t, opts)
+	obj := newSensor(t, db)
+	if err := e.AddRule(&Rule{
+		Name: "r", EventKey: pingKey(), ActionMode: Immediate,
+		Action: func(*RuleCtx) error { return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return e, db, obj
+}
+
+func ping(t *testing.T, db *oodb.DB, tx *txn.Txn, obj *oodb.Object, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// globalOf returns the Seqs the global history holds for a transaction,
+// failing when they are not in occurrence order.
+func globalOf(t *testing.T, e *Engine, id uint64) []uint64 {
+	t.Helper()
+	var seqs []uint64
+	var last uint64
+	for _, en := range e.GlobalHistory() {
+		if en.Seq <= last {
+			t.Fatalf("global history out of Seq order: %d after %d", en.Seq, last)
+		}
+		last = en.Seq
+		if en.Txn == id {
+			seqs = append(seqs, en.Seq)
+		}
+	}
+	return seqs
+}
+
+// A transaction's occurrences reach the global history even when they
+// outnumber the local ring it used to be read back from.
+func TestGlobalHistoryKeepsMoreThanLocalRing(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{})
+	tx := db.Begin()
+	ping(t, db, tx, obj, 300)
+	if n := len(e.GlobalHistory()); n != 0 {
+		t.Fatalf("global history before commit = %d entries, want 0", n)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(globalOf(t, e, tx.ID())); got != 300 {
+		t.Fatalf("global history holds %d of the transaction's 300 occurrences", got)
+	}
+	if got := len(e.lookupManager(pingKey()).LocalHistory()); got != 256 {
+		t.Fatalf("local ring = %d entries, want its capacity 256", got)
+	}
+}
+
+// A neighbour wrapping the shared local ring first costs a transaction
+// nothing.
+func TestGlobalHistoryInterleavedTxnsOnHotKey(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{LocalHistorySize: 16})
+	other := newSensor(t, db)
+	a, b := db.Begin(), db.Begin()
+	for i := 0; i < 40; i++ {
+		ping(t, db, a, obj, 1)
+		ping(t, db, b, other, 1)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(globalOf(t, e, a.ID())); got != 40 {
+		t.Fatalf("first transaction: %d of 40 occurrences in the global history", got)
+	}
+	if got := len(globalOf(t, e, b.ID())); got != 0 {
+		t.Fatalf("uncommitted transaction already has %d global entries", got)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(globalOf(t, e, b.ID())); got != 40 {
+		t.Fatalf("second transaction: %d of 40 occurrences in the global history", got)
+	}
+}
+
+func TestGlobalHistoryTakesAbortedTxn(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{})
+	tx := db.Begin()
+	ping(t, db, tx, obj, 5)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(globalOf(t, e, tx.ID())); got != 5 {
+		t.Fatalf("aborted transaction: %d of 5 occurrences in the global history", got)
+	}
+}
+
+// The global ring keeps exactly the newest GlobalHistorySize
+// occurrences handed to it, oldest evicted first — also when one
+// transaction hands over more than the ring holds.
+func TestGlobalHistoryEvictionOrder(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{GlobalHistorySize: 8})
+	var want []uint64
+	for _, n := range []int{3, 4, 5} {
+		tx := db.Begin()
+		ping(t, db, tx, obj, n)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, globalOf(t, e, tx.ID())...)
+		want = want[max(0, len(want)-8):]
+		got := e.GlobalHistory()
+		if len(got) != len(want) {
+			t.Fatalf("global history = %d entries, want %d", len(got), len(want))
+		}
+		for i, en := range got {
+			if en.Seq != want[i] {
+				t.Fatalf("global history[%d].Seq = %d, want %d (newest 8 in order)", i, en.Seq, want[i])
+			}
+		}
+	}
+	big := db.Begin()
+	ping(t, db, big, obj, 40) // sheds its own oldest occurrences while it runs
+	if err := big.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	local := e.lookupManager(pingKey()).LocalHistory()
+	got := e.GlobalHistory()
+	if len(got) != 8 {
+		t.Fatalf("global history = %d entries, want 8", len(got))
+	}
+	for i, en := range got {
+		if w := local[len(local)-8+i]; en.Seq != w.Seq || en.Txn != big.ID() {
+			t.Fatalf("global history[%d] = %+v, want the transaction's occurrence %d", i, en, w.Seq)
+		}
+	}
+}
+
+// The governor's history gauge is the footprint of what the rings hold.
+func TestHistoryBytesMatchesRings(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{LocalHistorySize: 16, GlobalHistorySize: 32})
+	check := func(when string) {
+		t.Helper()
+		var want int64
+		for _, en := range e.GlobalHistory() {
+			want += entrySize(en)
+		}
+		e.mu.RLock()
+		for _, m := range e.managers {
+			for _, en := range m.LocalHistory() {
+				want += entrySize(en)
+			}
+		}
+		e.mu.RUnlock()
+		if got := e.HistoryBytes(); got != want {
+			t.Fatalf("%s: HistoryBytes() = %d, rings hold %d", when, got, want)
+		}
+	}
+	check("empty")
+	for i, n := range []int{5, 20, 50} {
+		tx := db.Begin()
+		ping(t, db, tx, obj, n)
+		check("mid-transaction")
+		if i == 1 {
+			_ = tx.Abort()
+		} else if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		check("after hand-off")
+	}
+}
+
+// A transaction that raised nothing leaves no engine state behind and
+// hands nothing over.
+func TestCommitWithoutEventsTouchesNoHistory(t *testing.T) {
+	e, db, obj := historyEngine(t, Options{})
+	tx := db.Begin()
+	if _, err := db.Get(tx, obj, "val"); err != nil {
+		t.Fatal(err)
+	}
+	if txnStateOf(tx) != nil {
+		t.Fatal("read-only transaction carries engine state")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(e.GlobalHistory()); n != 0 {
+		t.Fatalf("global history = %d entries, want 0", n)
+	}
+}

@@ -51,7 +51,7 @@ func (l *txnListener) AfterCommit(t *txn.Txn) {
 	}
 	e.resolveTxn(t, txn.Committed)
 	e.emitTxnEvent(event.Commit, t)
-	e.consolidateHistory(t.ID())
+	e.handOffHistory(t)
 }
 
 // AfterAbort discards the transaction's semi-composed events (their
@@ -66,7 +66,7 @@ func (l *txnListener) AfterAbort(t *txn.Txn) {
 	e.dropDeferred(t)
 	e.resolveTxn(t, txn.Aborted)
 	e.emitTxnEvent(event.Abort, t)
-	e.consolidateHistory(t.ID())
+	e.handOffHistory(t)
 }
 
 // emitTxnEvent raises a flow-control event for t. Rule transactions
@@ -78,19 +78,18 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 	key := event.TxnSpec{Phase: phase}.Key()
 	// Skip the whole path when nobody listens — same useless-overhead
 	// discipline as the sentry.
-	if e.lookupManager(key) == nil {
+	m := e.lookupManager(key)
+	if m == nil {
 		return nil
 	}
-	in := &event.Instance{
-		SpecKey: key,
-		Kind:    event.KindTxn,
-		Time:    e.clk.Now(),
-		Txn:     t.ID(),
-	}
+	in := &event.Instance{SpecKey: key, Kind: event.KindTxn, Txn: t.ID()}
+	e.stamp(in)
+	var trigger *txn.Txn
 	if phase == event.BOT || phase == event.EOT {
-		in.Origin = t // still active: immediate/deferred rules may couple
+		trigger = t // still active: immediate/deferred rules may couple
+		in.Origin = t
 	}
-	return e.Consume(in)
+	return e.dispatch(m, in, trigger, t)
 }
 
 // endTxnComposition ends the life-span of every per-transaction

@@ -132,8 +132,22 @@ type TxnSpec struct {
 	Phase TxnPhase
 }
 
-// Key implements Spec.
-func (s TxnSpec) Key() string { return fmt.Sprintf("txn:%s", s.Phase) }
+// Key implements Spec. The four phases have constant keys: the
+// transaction manager's listener asks for them on every top-level
+// transaction, before it knows whether anyone listens.
+func (s TxnSpec) Key() string {
+	switch s.Phase {
+	case BOT:
+		return "txn:BOT"
+	case EOT:
+		return "txn:EOT"
+	case Commit:
+		return "txn:commit"
+	case Abort:
+		return "txn:abort"
+	}
+	return "txn:" + s.Phase.String()
+}
 
 // Kind implements Spec.
 func (TxnSpec) Kind() Kind { return KindTxn }

@@ -38,13 +38,16 @@ const traceStripes = 16
 
 // Tracer mints trace IDs and records spans into a bounded ring: slot
 // i holds the most recent trace with ID ≡ i (mod capacity), so memory
-// is fixed and old traces are overwritten by new ones. Stripes keep
-// concurrent recorders off each other's locks.
+// is fixed and old traces are overwritten by new ones — a slot keeps
+// its span array for the next occupant when the last one filled more
+// than half of it, so steady-state tracing allocates nothing and holds
+// no more than the traces in the ring need. An unused slot has ID 0. Stripes keep concurrent recorders
+// off each other's locks.
 type Tracer struct {
 	next    atomic.Uint64
 	cap     uint64
 	stripes [traceStripes]sync.Mutex
-	slots   []*Trace
+	slots   []Trace
 
 	// slow, when set, receives traces whose end-to-end duration
 	// crosses the slow log's threshold. Stored atomically so SetSlowLog
@@ -58,7 +61,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Tracer{cap: uint64(capacity), slots: make([]*Trace, capacity)}
+	return &Tracer{cap: uint64(capacity), slots: make([]Trace, capacity)}
 }
 
 func (tr *Tracer) lock(slot uint64) *sync.Mutex {
@@ -71,7 +74,12 @@ func (tr *Tracer) Begin(root string, now time.Time) uint64 {
 	slot := id % tr.cap
 	mu := tr.lock(slot)
 	mu.Lock()
-	tr.slots[slot] = &Trace{ID: id, Root: root, Start: now}
+	t := &tr.slots[slot]
+	spans := t.Spans[:0]
+	if 2*len(t.Spans) <= cap(t.Spans) {
+		spans = nil // grown for an earlier, longer trace: do not pin it
+	}
+	*t = Trace{ID: id, Root: root, Start: now, Spans: spans}
 	mu.Unlock()
 	return id
 }
@@ -83,28 +91,32 @@ func (tr *Tracer) SetSlowLog(sl *SlowLog) { tr.slow.Store(sl) }
 // SlowLog returns the attached slow log, nil if none.
 func (tr *Tracer) SlowLog() *SlowLog { return tr.slow.Load() }
 
-// Span records one stage on trace id. Spans for traces already
-// evicted from the ring are dropped silently. When the recorded span
-// pushes the trace's end-to-end duration past the attached slow log's
-// threshold, the trace is promoted out of the eviction ring into the
-// slow log.
+// Span records one stage on trace id.
 func (tr *Tracer) Span(id uint64, stage, key string, start time.Time, dur time.Duration) {
-	if id == 0 {
+	tr.Spans(id, Span{Stage: stage, Key: key, Start: start, Dur: dur})
+}
+
+// Spans records stages on trace id under one stripe lock — a rule
+// firing reports its condition, action and commit together. Spans for
+// traces already evicted from the ring are dropped silently. When the
+// recorded spans push the trace's end-to-end duration past the
+// attached slow log's threshold, the trace is promoted out of the
+// eviction ring into the slow log.
+func (tr *Tracer) Spans(id uint64, spans ...Span) {
+	if id == 0 || len(spans) == 0 {
 		return
 	}
 	sl := tr.slow.Load()
 	slot := id % tr.cap
 	mu := tr.lock(slot)
 	mu.Lock()
-	t := tr.slots[slot]
+	t := &tr.slots[slot]
 	var promoted Trace
 	var total time.Duration
-	if t != nil && t.ID == id {
-		if len(t.Spans) < maxSpansPerTrace {
-			t.Spans = append(t.Spans, Span{Stage: stage, Key: key, Start: start, Dur: dur})
-		} else {
-			t.Dropped++
-		}
+	if t.ID == id {
+		room := min(maxSpansPerTrace-len(t.Spans), len(spans))
+		t.Spans = append(t.Spans, spans[:room]...)
+		t.Dropped += len(spans) - room
 		if sl != nil {
 			if th := sl.Threshold(); th > 0 {
 				if end := traceEnd(t); end >= th {
@@ -142,8 +154,8 @@ func (tr *Tracer) Get(id uint64) (Trace, bool) {
 	mu := tr.lock(slot)
 	mu.Lock()
 	defer mu.Unlock()
-	t := tr.slots[slot]
-	if t == nil || t.ID != id {
+	t := &tr.slots[slot]
+	if t.ID != id {
 		return Trace{}, false
 	}
 	return t.copy(), true
@@ -165,7 +177,7 @@ func (tr *Tracer) Recent(n int) []Trace {
 	for i := range tr.slots {
 		mu := tr.lock(uint64(i))
 		mu.Lock()
-		if t := tr.slots[i]; t != nil {
+		if t := &tr.slots[i]; t.ID != 0 {
 			out = append(out, t.copy())
 		}
 		mu.Unlock()
@@ -187,7 +199,7 @@ func (tr *Tracer) Len() int {
 	for i := range tr.slots {
 		mu := tr.lock(uint64(i))
 		mu.Lock()
-		if tr.slots[i] != nil {
+		if tr.slots[i].ID != 0 {
 			n++
 		}
 		mu.Unlock()

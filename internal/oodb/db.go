@@ -493,9 +493,8 @@ func (db *DB) Extent(className string, fn func(OID)) {
 	}
 }
 
-// writeSetKey keys the per-top-transaction write set.
-type writeSetKey struct{}
-
+// writeSet is the per-top-transaction write set, attached to the
+// transaction's objects slot.
 type writeSet struct {
 	mu         sync.Mutex
 	dirty      map[OID]*Object
@@ -507,12 +506,11 @@ type writeSet struct {
 // transaction.
 func (db *DB) writeSet(t *txn.Txn) *writeSet {
 	top := t.Top()
-	if ws, ok := top.Value(writeSetKey{}).(*writeSet); ok {
+	if ws, ok := top.Attachment(txn.SlotObjects).(*writeSet); ok {
 		return ws
 	}
 	ws := &writeSet{dirty: make(map[OID]*Object), deleted: make(map[OID]*Object)}
-	top.SetValue(writeSetKey{}, ws)
-	return ws
+	return top.Attach(txn.SlotObjects, ws).(*writeSet)
 }
 
 func (db *DB) markDirty(t *txn.Txn, obj *Object) {
@@ -526,7 +524,7 @@ func (db *DB) markDirty(t *txn.Txn, obj *Object) {
 // transaction's dirty persistent objects into storage records inside
 // one storage transaction and commits it.
 func (db *DB) flushCommit(t *txn.Txn) error {
-	ws, ok := t.Value(writeSetKey{}).(*writeSet)
+	ws, ok := t.Attachment(txn.SlotObjects).(*writeSet)
 	if !ok {
 		return nil // read-only transaction
 	}

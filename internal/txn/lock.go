@@ -39,7 +39,9 @@ const lockStripes = 64
 // requests record edges in one waits-for graph guarded by wfMu, and
 // the cycle check (DFS) runs under wfMu alone, so grant/release on
 // other stripes never queue behind it. The requester that would close
-// a cycle receives ErrDeadlock.
+// a cycle receives ErrDeadlock. Only a transaction that has queued
+// (Txn.queued) can be named in that graph, so grants, inheritance and
+// release of one that never waited leave wfMu alone.
 //
 // Lock order: a stripe mutex may be held when wfMu is taken; wfMu is
 // never held while a stripe mutex is taken, and no two stripe mutexes
@@ -59,6 +61,11 @@ type lockTable struct {
 	// contention counts stripe-mutex acquisitions that found the stripe
 	// already locked. Standalone by default; rebound by Instrument.
 	contention *obs.Counter
+
+	// bypass, set by the equivalence tests only, routes every request
+	// past the short-cuts (held-lock re-entry, the queued flag) so their
+	// outcomes can be compared with the full path's.
+	bypass bool
 }
 
 type lockStripe struct {
@@ -185,6 +192,7 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 		st.mu.Unlock()
 		return fmt.Errorf("%w: txn %d requesting %v on %d", ErrDeadlock, t.id, mode, res)
 	}
+	t.queued.Store(true)
 	qr := lt.waitingOn[t]
 	if qr == nil {
 		qr = make(map[uint64]bool)
@@ -213,15 +221,81 @@ func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMod
 		ls.holders[t] = mode
 	}
 	t.heldMu.Lock()
-	if t.held == nil {
-		t.held = make(map[uint64]LockMode)
-	}
-	if cur, ok := t.held[res]; !ok || mode > cur {
-		t.held[res] = mode
-	}
+	t.held.raise(res, mode)
 	t.heldMu.Unlock()
-	lt.clearWait(t, res)
+	if lt.mayWait(t) {
+		lt.clearWait(t, res)
+	}
 }
+
+// holds reports whether t already holds res at mode or stronger.
+func (t *Txn) holds(res uint64, mode LockMode) bool {
+	t.heldMu.Lock()
+	defer t.heldMu.Unlock()
+	return t.held.mode(res) >= mode
+}
+
+// heldSet is the locks a transaction holds: resource → strongest mode
+// granted. The first few live in the transaction itself — a rule
+// subtransaction rarely takes more — the rest in a map.
+type heldSet struct {
+	n   int
+	few [2]struct {
+		res  uint64
+		mode LockMode
+	}
+	more map[uint64]LockMode
+}
+
+func (h *heldSet) mode(res uint64) LockMode {
+	for _, l := range h.few[:h.n] {
+		if l.res == res {
+			return l.mode
+		}
+	}
+	return h.more[res]
+}
+
+// raise records res as held at mode, unless it is held more strongly.
+func (h *heldSet) raise(res uint64, mode LockMode) {
+	for i := range h.few[:h.n] {
+		if l := &h.few[i]; l.res == res {
+			l.mode = max(l.mode, mode)
+			return
+		}
+	}
+	if cur, ok := h.more[res]; ok || h.n == len(h.few) {
+		if h.more == nil {
+			h.more = make(map[uint64]LockMode)
+		}
+		h.more[res] = max(cur, mode)
+		return
+	}
+	h.few[h.n].res, h.few[h.n].mode = res, mode
+	h.n++
+}
+
+func (h *heldSet) each(fn func(res uint64, mode LockMode)) {
+	for _, l := range h.few[:h.n] {
+		fn(l.res, l.mode)
+	}
+	for res, mode := range h.more {
+		fn(res, mode)
+	}
+}
+
+// takeHeld empties t's held set and returns what it held.
+func (t *Txn) takeHeld() heldSet {
+	t.heldMu.Lock()
+	defer t.heldMu.Unlock()
+	held := t.held
+	t.held = heldSet{}
+	return held
+}
+
+// mayWait reports whether the waits-for graph or the queued-on index
+// can hold an entry for t.
+func (lt *lockTable) mayWait(t *Txn) bool { return t.queued.Load() || lt.bypass }
 
 // clearWait removes t's waits-for edges and queued-on entry for res.
 func (lt *lockTable) clearWait(t *Txn, res uint64) {
@@ -233,6 +307,22 @@ func (lt *lockTable) clearWait(t *Txn, res uint64) {
 			delete(lt.waitingOn, t)
 		}
 	}
+	if lt.waitingOn[t] == nil {
+		t.queued.Store(false)
+	}
+	lt.wfMu.Unlock()
+}
+
+// forgetWaits drops every waits-for edge and queued-on entry of the
+// resolved transaction t.
+func (lt *lockTable) forgetWaits(t *Txn) {
+	if !lt.mayWait(t) {
+		return
+	}
+	lt.wfMu.Lock()
+	delete(lt.waitsFor, t)
+	delete(lt.waitingOn, t)
+	t.queued.Store(false)
 	lt.wfMu.Unlock()
 }
 
@@ -270,12 +360,14 @@ func (lt *lockTable) releaseAll(t *Txn) {
 	// Remove t from every wait queue it is parked on: a transaction
 	// resolved by another goroutine must not be granted locks later.
 	// The queued-on index names the stripes to visit.
-	lt.wfMu.Lock()
 	var queued []uint64
-	for res := range lt.waitingOn[t] {
-		queued = append(queued, res)
+	if lt.mayWait(t) {
+		lt.wfMu.Lock()
+		for res := range lt.waitingOn[t] {
+			queued = append(queued, res)
+		}
+		lt.wfMu.Unlock()
 	}
-	lt.wfMu.Unlock()
 	for _, res := range queued {
 		st := lt.stripe(res)
 		lt.lockStripe(st)
@@ -297,65 +389,49 @@ func (lt *lockTable) releaseAll(t *Txn) {
 		st.mu.Unlock()
 	}
 
-	t.heldMu.Lock()
-	held := t.held
-	t.held = nil
-	t.heldMu.Unlock()
-	for res := range held {
+	held := t.takeHeld()
+	held.each(func(res uint64, _ LockMode) {
 		st := lt.stripe(res)
 		lt.lockStripe(st)
+		defer st.mu.Unlock()
 		ls := st.locks[res]
 		if ls == nil {
-			st.mu.Unlock()
-			continue
+			return
 		}
 		delete(ls.holders, t)
 		lt.wakeLocked(st, ls, res)
 		if len(ls.holders) == 0 && len(ls.queue) == 0 {
 			delete(st.locks, res)
 		}
-		st.mu.Unlock()
-	}
-	lt.wfMu.Lock()
-	delete(lt.waitsFor, t)
-	delete(lt.waitingOn, t)
-	lt.wfMu.Unlock()
+	})
+	lt.forgetWaits(t)
 }
 
 // inherit transfers all locks held by child to parent (Moss rule on
 // subtransaction commit).
 func (lt *lockTable) inherit(child, parent *Txn) {
-	child.heldMu.Lock()
-	held := child.held
-	child.held = nil
-	child.heldMu.Unlock()
-	for res, mode := range held {
+	held := child.takeHeld()
+	held.each(func(res uint64, mode LockMode) {
 		st := lt.stripe(res)
 		lt.lockStripe(st)
+		defer st.mu.Unlock()
 		ls := st.locks[res]
 		if ls == nil {
-			st.mu.Unlock()
-			continue
+			return
 		}
 		delete(ls.holders, child)
-		if cur, ok := ls.holders[parent]; !ok || mode > cur {
+		// A parent that already holds the lock at least as strongly —
+		// the child got it through the ancestor rule — gains nothing:
+		// only the child's entry goes.
+		if ls.holders[parent] < mode {
 			ls.holders[parent] = mode
+			parent.heldMu.Lock()
+			parent.held.raise(res, mode)
+			parent.heldMu.Unlock()
 		}
-		parent.heldMu.Lock()
-		if parent.held == nil {
-			parent.held = make(map[uint64]LockMode)
-		}
-		if cur, ok := parent.held[res]; !ok || mode > cur {
-			parent.held[res] = mode
-		}
-		parent.heldMu.Unlock()
 		lt.wakeLocked(st, ls, res)
-		st.mu.Unlock()
-	}
-	lt.wfMu.Lock()
-	delete(lt.waitsFor, child)
-	delete(lt.waitingOn, child)
-	lt.wfMu.Unlock()
+	})
+	lt.forgetWaits(child)
 }
 
 // wakeLocked grants queued requests that are now compatible, in FIFO
@@ -382,10 +458,8 @@ func (lt *lockTable) wakeLocked(st *lockStripe, ls *lockState, res uint64) {
 func (lt *lockTable) heldModes(t *Txn) map[uint64]LockMode {
 	t.heldMu.Lock()
 	defer t.heldMu.Unlock()
-	out := make(map[uint64]LockMode, len(t.held))
-	for r, m := range t.held {
-		out[r] = m
-	}
+	out := make(map[uint64]LockMode)
+	t.held.each(func(res uint64, mode LockMode) { out[res] = mode })
 	return out
 }
 

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic" //lint:allow rawatomics transaction-id allocator and lock-free status/tag/attachment reads, not metrics
 	"time"
 
 	"repro/internal/clock"
@@ -84,8 +85,7 @@ type Listener interface {
 
 // Manager creates and tracks transactions.
 type Manager struct {
-	mu       sync.Mutex
-	nextID   uint64
+	nextID   atomic.Uint64
 	locks    *lockTable
 	listener Listener
 
@@ -128,7 +128,6 @@ type Manager struct {
 // NewManager returns a transaction manager.
 func NewManager() *Manager {
 	m := &Manager{
-		nextID:     1,
 		commits:    new(obs.Counter),
 		aborts:     new(obs.Counter),
 		durs:       new(obs.Histogram),
@@ -215,6 +214,19 @@ func (m *Manager) SetDurability(commit, abort func(t *Txn) error) {
 	m.abortFunc = abort
 }
 
+// Slot names a fixed attachment point on a transaction: one per layer
+// that hangs state on every transaction it touches, so those layers
+// reach it with one atomic load — no mutex, map or boxing. Everything
+// else goes through SetValue/Value.
+type Slot int
+
+// Attachment slots.
+const (
+	SlotObjects Slot = iota // oodb: the top-level write set
+	SlotRules               // eca: deferred queue and occurrence list of the top-level transaction
+	numSlots
+)
+
 // Txn is a transaction: top-level when Parent is nil, otherwise a
 // closed nested subtransaction whose effects become permanent only if
 // every ancestor commits.
@@ -222,33 +234,46 @@ type Txn struct {
 	m       *Manager
 	id      uint64
 	parent  *Txn
-	started time.Time
+	started time.Time // top-level only: feeds the lifetime histogram
 
-	mu       sync.Mutex
-	status   Status
-	children map[*Txn]bool
-	undo     []func() // LIFO compensations run on abort
-	done     chan struct{}
-	err      error
+	// status is written under mu and read without it (Status, the lock
+	// table's wake path).
+	status atomic.Int32
+	// tag is the owner-defined mark of BeginTagged/SetTag.
+	tag atomic.Int32
+	// trace is the event-trace ID this transaction's lock-wait and
+	// commit latency attribute to (0 when untraced).
+	trace atomic.Uint64
+	// queued is set while the lock table's waits-for graph may name t;
+	// a transaction that never queued skips that graph's global mutex.
+	queued atomic.Bool
+
+	mu sync.Mutex
+	// kids heads the list of active children, linked through their
+	// sibNext/sibPrev under this mutex. A child unlinks itself when it
+	// resolves, so a long transaction firing N rules tracks only the
+	// ones still running.
+	kids             *Txn
+	sibNext, sibPrev *Txn
+	undo             []func() // LIFO compensations run on abort
+	done             chan struct{}
+	err              error
 
 	// deps are commit-time dependencies: this transaction may commit
 	// only once each dep.on reaches the outcome dep.want.
 	deps []dependency
 
-	// trace is the event-trace ID this transaction's lock-wait and
-	// commit latency attribute to (0 when untraced).
-	trace uint64
+	// vals are the SetValue attachments; slots the fixed ones.
+	vals  map[any]any
+	slots [numSlots]atomic.Value
 
-	// Values attached by higher layers (e.g. the object cache).
-	vals map[any]any
-
-	// held maps resources to the strongest lock mode this transaction
-	// holds, guarded by heldMu — its own mutex, not mu, because the
+	// held is the set of locks this transaction holds, guarded by
+	// heldMu — its own mutex, not mu, because the
 	// lock table updates it while holding a stripe and must never
 	// entangle stripe order with transaction-state order. heldMu is a
 	// leaf: nothing is acquired while it is held.
 	heldMu sync.Mutex
-	held   map[uint64]LockMode
+	held   heldSet
 }
 
 type dependency struct {
@@ -264,7 +289,7 @@ func (m *Manager) SetAdmission(f func() error) { m.admission = f }
 func (m *Manager) ActiveTopLevel() int64 { return m.activeTop.Value() }
 
 // Begin starts a new top-level transaction.
-func (m *Manager) Begin() *Txn { return m.BeginTagged(nil, nil) }
+func (m *Manager) Begin() *Txn { return m.BeginTagged(0) }
 
 // BeginAdmitted starts a top-level transaction after consulting the
 // admission gate: under overload it blocks up to the governor's
@@ -280,25 +305,13 @@ func (m *Manager) BeginAdmitted() (*Txn, error) {
 	return m.Begin(), nil
 }
 
-// BeginTagged starts a top-level transaction with a value attached
-// before lifecycle listeners observe it. The rule engine uses it to
+// BeginTagged starts a top-level transaction whose Tag is set before
+// lifecycle listeners observe it. The rule engine uses it to
 // distinguish rule transactions from user-submitted ones.
-func (m *Manager) BeginTagged(key, val any) *Txn {
-	m.mu.Lock()
-	id := m.nextID
-	m.nextID++
-	m.mu.Unlock()
-	t := &Txn{
-		m:        m,
-		id:       id,
-		started:  m.clk.Now(),
-		status:   Active,
-		children: make(map[*Txn]bool),
-		done:     make(chan struct{}),
-	}
-	if key != nil {
-		t.vals = map[any]any{key: val}
-	}
+func (m *Manager) BeginTagged(tag int32) *Txn {
+	t := &Txn{m: m, id: m.nextID.Add(1), started: m.clk.Now()}
+	t.status.Store(int32(Active))
+	t.tag.Store(tag)
 	m.activeTop.Add(1)
 	if m.listener != nil {
 		m.listener.AfterBegin(t)
@@ -308,30 +321,40 @@ func (m *Manager) BeginTagged(key, val any) *Txn {
 
 // BeginChild starts a nested subtransaction of t.
 func (t *Txn) BeginChild() (*Txn, error) {
+	c := &Txn{m: t.m, parent: t}
+	c.status.Store(int32(Active))
 	t.mu.Lock()
-	if t.status != Active {
+	if t.Status() != Active {
 		t.mu.Unlock()
 		return nil, ErrNotActive
 	}
-	t.m.mu.Lock()
-	id := t.m.nextID
-	t.m.nextID++
-	t.m.mu.Unlock()
-	c := &Txn{
-		m:        t.m,
-		id:       id,
-		parent:   t,
-		started:  t.m.clk.Now(),
-		status:   Active,
-		children: make(map[*Txn]bool),
-		done:     make(chan struct{}),
+	c.id = t.m.nextID.Add(1)
+	if c.sibNext = t.kids; c.sibNext != nil {
+		c.sibNext.sibPrev = c
 	}
-	t.children[c] = true
+	t.kids = c
 	t.mu.Unlock()
 	if t.m.listener != nil {
 		t.m.listener.AfterBegin(c)
 	}
 	return c, nil
+}
+
+// unlinkChild removes the resolved child c from t's active list and
+// hands t the undo obligations c leaves behind.
+func (t *Txn) unlinkChild(c *Txn, undo []func()) {
+	t.mu.Lock()
+	if c.sibPrev != nil {
+		c.sibPrev.sibNext = c.sibNext
+	} else if t.kids == c {
+		t.kids = c.sibNext
+	}
+	if c.sibNext != nil {
+		c.sibNext.sibPrev = c.sibPrev
+	}
+	c.sibNext, c.sibPrev = nil, nil
+	t.undo = append(t.undo, undo...)
+	t.mu.Unlock()
 }
 
 // ID returns the transaction identifier.
@@ -361,14 +384,31 @@ func (t *Txn) Depth() int {
 }
 
 // Status reports the current lifecycle state.
-func (t *Txn) Status() Status {
+func (t *Txn) Status() Status { return Status(t.status.Load()) }
+
+// Done returns a channel closed when the transaction resolves. The
+// channel is created on first use: most subtransactions are never
+// waited on.
+func (t *Txn) Done() <-chan struct{} {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.status
+	if t.done == nil {
+		t.done = make(chan struct{})
+		if t.Status() != Active {
+			close(t.done)
+		}
+	}
+	return t.done
 }
 
-// Done returns a channel closed when the transaction resolves.
-func (t *Txn) Done() <-chan struct{} { return t.done }
+// resolveLocked records the outcome and wakes Done waiters; the caller
+// holds t.mu.
+func (t *Txn) resolveLocked(st Status) {
+	t.status.Store(int32(st))
+	if t.done != nil {
+		close(t.done)
+	}
+}
 
 // Err reports why the transaction aborted, nil otherwise.
 func (t *Txn) Err() error {
@@ -379,7 +419,7 @@ func (t *Txn) Err() error {
 
 // Wait blocks until the transaction resolves and returns its outcome.
 func (t *Txn) Wait() Status {
-	<-t.done
+	<-t.Done()
 	return t.Status()
 }
 
@@ -408,22 +448,34 @@ func (t *Txn) Value(key any) any {
 	return t.vals[key]
 }
 
+// Attachment returns the value in slot s, nil when nothing is attached.
+func (t *Txn) Attachment(s Slot) any { return t.slots[s].Load() }
+
+// Attach stores v (a pointer: every store to a slot must have the same
+// type) in slot s unless a value is already there, and returns the
+// slot's value either way — concurrent first users agree on one.
+func (t *Txn) Attach(s Slot, v any) any {
+	if t.slots[s].CompareAndSwap(nil, v) {
+		return v
+	}
+	return t.slots[s].Load()
+}
+
+// Tag reports the transaction's mark: 0 unless BeginTagged or SetTag
+// set one. Its meaning belongs to whoever set it.
+func (t *Txn) Tag() int32 { return t.tag.Load() }
+
+// SetTag sets the transaction's mark.
+func (t *Txn) SetTag(tag int32) { t.tag.Store(tag) }
+
 // SetTrace associates an event-trace ID with this transaction; the
 // manager then attributes lock waits and durable-commit latency to
 // that trace as spans. The rule engine tags rule transactions with the
 // triggering event's trace.
-func (t *Txn) SetTrace(id uint64) {
-	t.mu.Lock()
-	t.trace = id
-	t.mu.Unlock()
-}
+func (t *Txn) SetTrace(id uint64) { t.trace.Store(id) }
 
 // TraceID reports the associated event-trace ID, 0 when untraced.
-func (t *Txn) TraceID() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.trace
-}
+func (t *Txn) TraceID() uint64 { return t.trace.Load() }
 
 // isAncestorOf reports whether t is a proper ancestor of other.
 func (t *Txn) isAncestorOf(other *Txn) bool {
@@ -459,7 +511,11 @@ func (t *Txn) Lock(res uint64, mode LockMode) error {
 	if t.Status() != Active {
 		return ErrNotActive
 	}
-	return t.m.locks.acquire(t, res, mode)
+	lt := t.m.locks
+	if !lt.bypass && t.holds(res, mode) {
+		return nil // what acquire would decide from the stripe's holder entry
+	}
+	return lt.acquire(t, res, mode)
 }
 
 // Commit completes the transaction successfully.
@@ -469,53 +525,44 @@ func (t *Txn) Lock(res uint64, mode LockMode) error {
 // callback, state change, lock release, commit listener. For a
 // subtransaction: state change and lock inheritance by the parent.
 func (t *Txn) Commit() error {
-	t.mu.Lock()
-	if t.status != Active {
-		t.mu.Unlock()
+	if t.Status() != Active {
 		return ErrNotActive
 	}
-	t.mu.Unlock()
-
-	if t.parent == nil {
-		if l := t.m.listener; l != nil {
-			if err := l.BeforeCommit(t); err != nil {
-				_ = t.Abort() // secondary to the EOT error returned below
-				return fmt.Errorf("txn %d: EOT processing: %w", t.id, err)
-			}
+	top := t.parent == nil
+	if l := t.m.listener; top && l != nil {
+		if err := l.BeforeCommit(t); err != nil {
+			_ = t.Abort() // secondary to the EOT error returned below
+			return fmt.Errorf("txn %d: EOT processing: %w", t.id, err)
 		}
 	}
 
 	t.mu.Lock()
-	if t.status != Active { // aborted during EOT processing
-		st := t.status
+	if st := t.Status(); st != Active { // resolved during EOT processing
 		t.mu.Unlock()
 		if st == Aborted {
 			return ErrNotActive
 		}
 		return nil
 	}
-	for c := range t.children {
-		if c.Status() == Active {
-			t.mu.Unlock()
-			return ErrChildrenActive
-		}
+	if t.kids != nil {
+		t.mu.Unlock()
+		return ErrChildrenActive
 	}
-	deps := append([]dependency(nil), t.deps...)
-	t.mu.Unlock()
+	if cf := t.m.commitFunc; len(t.deps) > 0 || top && cf != nil {
+		deps := t.deps
+		t.mu.Unlock()
 
-	// Wait for causal dependencies (outside t.mu: the trigger may take
-	// arbitrarily long to resolve).
-	for _, d := range deps {
-		if got := d.on.Wait(); got != d.want {
-			err := fmt.Errorf("%w: txn %d requires txn %d %v, got %v",
-				ErrDependencyFailed, t.id, d.on.id, d.want, got)
-			_ = t.Abort() // secondary to the dependency error returned below
-			return err
+		// Wait for causal dependencies (outside t.mu: the trigger may
+		// take arbitrarily long to resolve).
+		for _, d := range deps {
+			if got := d.on.Wait(); got != d.want {
+				err := fmt.Errorf("%w: txn %d requires txn %d %v, got %v",
+					ErrDependencyFailed, t.id, d.on.id, d.want, got)
+				_ = t.Abort() // secondary to the dependency error returned below
+				return err
+			}
 		}
-	}
-
-	if t.parent == nil {
-		if cf := t.m.commitFunc; cf != nil {
+		if top && cf != nil {
 			start := t.m.clk.Now()
 			err := cf(t)
 			dur := t.m.clk.Now().Sub(start)
@@ -526,20 +573,19 @@ func (t *Txn) Commit() error {
 				return fmt.Errorf("txn %d: durable commit: %w", t.id, err)
 			}
 		}
-	}
 
-	t.mu.Lock()
-	if t.status != Active {
-		t.mu.Unlock()
-		return ErrNotActive
+		t.mu.Lock()
+		if t.Status() != Active {
+			t.mu.Unlock()
+			return ErrNotActive
+		}
 	}
-	t.status = Committed
+	t.resolveLocked(Committed)
 	undo := t.undo
 	t.undo = nil
-	close(t.done)
 	t.mu.Unlock()
 
-	if t.parent == nil {
+	if top {
 		t.m.commits.Inc()
 		t.m.activeTop.Add(-1)
 		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
@@ -547,13 +593,10 @@ func (t *Txn) Commit() error {
 	} else {
 		// Closed nesting: the parent inherits the child's locks and
 		// its undo obligations — the child's effects become permanent
-		// only if every ancestor commits.
+		// only if every ancestor commits. The child leaves the active
+		// list last, so the parent cannot commit past a half-merged one.
 		t.m.locks.inherit(t, t.parent)
-		if len(undo) > 0 {
-			t.parent.mu.Lock()
-			t.parent.undo = append(t.parent.undo, undo...)
-			t.parent.mu.Unlock()
-		}
+		t.parent.unlinkChild(t, undo)
 	}
 	if l := t.m.listener; l != nil {
 		l.AfterCommit(t)
@@ -575,20 +618,18 @@ func (t *Txn) AbortWith(cause error) error {
 
 func (t *Txn) abort(cause error) error {
 	t.mu.Lock()
-	if t.status != Active {
+	if t.Status() != Active {
 		t.mu.Unlock()
 		return ErrNotActive
 	}
-	children := make([]*Txn, 0, len(t.children))
-	for c := range t.children {
+	var children []*Txn
+	for c := t.kids; c != nil; c = c.sibNext {
 		children = append(children, c)
 	}
 	t.mu.Unlock()
 
 	for _, c := range children {
-		if c.Status() == Active {
-			_ = c.abort(fmt.Errorf("txn: parent %d aborted", t.id)) // cascade: child may already be resolved
-		}
+		_ = c.abort(fmt.Errorf("txn: parent %d aborted", t.id)) // cascade: child may already be resolved
 	}
 
 	t.mu.Lock()
@@ -610,15 +651,16 @@ func (t *Txn) abort(cause error) error {
 	}
 
 	t.mu.Lock()
-	t.status = Aborted
 	t.err = cause
-	close(t.done)
+	t.resolveLocked(Aborted)
 	t.mu.Unlock()
 
 	if t.parent == nil {
 		t.m.aborts.Inc()
 		t.m.activeTop.Add(-1)
 		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
+	} else {
+		t.parent.unlinkChild(t, nil)
 	}
 	t.m.locks.releaseAll(t)
 	if l := t.m.listener; l != nil {

@@ -364,3 +364,117 @@ func TestCommittedTopDropsUndo(t *testing.T) {
 		t.Fatal("inherited undo ran despite top-level commit")
 	}
 }
+
+// activeChildren counts the children t still tracks.
+func activeChildren(t *Txn) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	n := 0
+	for c := t.kids; c != nil; c = c.sibNext {
+		n++
+	}
+	return n
+}
+
+// A long transaction firing many rules tracks only the subtransactions
+// still running: resolved children leave the list, whether they
+// committed or aborted.
+func TestResolvedChildrenAreNotRetained(t *testing.T) {
+	m := NewManager()
+	top := m.Begin()
+	for i := 0; i < 10000; i++ {
+		c, err := top.BeginChild()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := c.BeginChild()
+		if i%3 == 0 {
+			_ = g.Abort()
+			_ = c.Abort()
+		} else if g.Commit() != nil || c.Commit() != nil {
+			t.Fatal("child commit failed")
+		}
+		if n := activeChildren(top) + activeChildren(c); n != 0 {
+			t.Fatalf("after %d firings the tree still tracks %d resolved children", i+1, n)
+		}
+	}
+	// Abort still reaches every active child, in any list position.
+	var live []*Txn
+	for i := 0; i < 5; i++ {
+		c, _ := top.BeginChild()
+		live = append(live, c)
+	}
+	_ = live[2].Commit()
+	_ = live[4].Abort()
+	if n := activeChildren(top); n != 3 {
+		t.Fatalf("tracking %d children, want the 3 still active", n)
+	}
+	if err := top.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []Status{Aborted, Aborted, Committed, Aborted, Aborted} {
+		if got := live[i].Status(); got != want {
+			t.Fatalf("child %d is %v after the parent's abort, want %v", i, got, want)
+		}
+	}
+	if n := activeChildren(top); n != 0 {
+		t.Fatalf("aborted parent still tracks %d children", n)
+	}
+}
+
+func TestDoneAfterResolutionIsClosed(t *testing.T) {
+	m := NewManager()
+	for _, resolve := range []func(*Txn) error{(*Txn).Commit, (*Txn).Abort} {
+		tx := m.Begin()
+		if err := resolve(tx); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-tx.Done(): // first asked for after the fact
+		default:
+			t.Fatal("Done() of a resolved transaction is not closed")
+		}
+	}
+}
+
+func TestAttachmentsAndTag(t *testing.T) {
+	m := NewManager()
+	tx := m.BeginTagged(7)
+	if tx.Tag() != 7 || m.Begin().Tag() != 0 {
+		t.Fatal("BeginTagged did not set the tag, or Begin set one")
+	}
+	if tx.Attachment(SlotRules) != nil {
+		t.Fatal("fresh transaction has an attachment")
+	}
+	first, second := new(int), new(int)
+	if got := tx.Attach(SlotRules, first); got != first {
+		t.Fatal("Attach to an empty slot did not return the attached value")
+	}
+	if got := tx.Attach(SlotRules, second); got != first {
+		t.Fatal("second Attach replaced the slot's value")
+	}
+	if tx.Attachment(SlotRules) != first || tx.Attachment(SlotObjects) != nil {
+		t.Fatal("slots are not independent")
+	}
+}
+
+// The subtransaction a rule runs in costs one allocation — the Txn —
+// including a lock its parent already holds and its inheritance.
+func TestChildAllocationCeiling(t *testing.T) {
+	m := NewManager()
+	top := m.Begin()
+	if err := top.Lock(7, LockExclusive); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		c, _ := top.BeginChild()
+		_ = c.Lock(7, LockExclusive)
+		_ = c.Lock(8, LockShared) // new to the tree: the parent inherits it
+		if err := c.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("child begin + lock + commit + inherit = %.0f allocations, ceiling 2", allocs)
+	}
+}
