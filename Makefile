@@ -8,7 +8,7 @@ BENCH_N ?= 2000
 BENCH_TOLERANCE ?= 1.0
 SOAK ?= 60s
 
-.PHONY: build test race race-procs vet lint analyze crash stress soak bench bench-diff all
+.PHONY: build test race race-procs repeat vet lint analyze crash stress soak bench bench-diff all
 
 all: build vet test
 
@@ -23,12 +23,18 @@ test:
 race:
 	$(GO) test -race -timeout 240s ./...
 
-# race-procs re-runs the lock manager and the rule engine under the race
-# detector at GOMAXPROCS 1, 2 and 4: their interleavings (lock hand-off,
-# parallel sibling rules, the short-cut equivalence hammer) differ with
-# the number of running threads.
+# race-procs re-runs the lock manager, the rule engine, the storage
+# manager and the object layer under the race detector at GOMAXPROCS 1,
+# 2 and 4: their interleavings (lock hand-off, parallel sibling rules,
+# the short-cut equivalence hammer, buffer-frame recycling, group commit
+# beside the fuzzy checkpoint) differ with the number of running threads.
 race-procs:
-	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca
+	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca ./internal/storage ./internal/oodb
+
+# repeat runs order-sensitive tests many times over: a nested composite's
+# detection must not depend on which composer EOT happens to flush first.
+repeat:
+	$(GO) test -timeout 240s -count=300 -run 'TestCompositeOfComposite$$' ./internal/eca
 
 vet:
 	$(GO) vet ./...

@@ -3,6 +3,7 @@ package eca
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -74,6 +75,7 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 		cm.global = cp
 	}
 	e.composites[key] = cm
+	e.txnComposites = innerFirst(e.composites)
 	// Wire each constituent's manager to propagate to this composite.
 	// Sentry subscriptions happen after e.mu is released: the
 	// dispatcher takes its own lock and must never nest inside ours
@@ -99,6 +101,38 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 		go cm.loop()
 	}
 	return nil
+}
+
+// innerFirst lists the transaction-scoped composites so that each
+// comes after every composite among its constituents (a depth-first
+// walk of the constituent graph, keys visited in sorted order so the
+// result does not depend on map iteration).
+func innerFirst(comps map[string]*compositeMgr) []*compositeMgr {
+	keys := make([]string, 0, len(comps))
+	for k := range comps {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []*compositeMgr
+	seen := make(map[string]bool, len(comps))
+	var visit func(key string)
+	visit = func(key string) {
+		cm := comps[key]
+		if cm == nil || seen[key] {
+			return
+		}
+		seen[key] = true
+		for _, prim := range algebra.PrimitiveKeys(cm.decl.Expr) {
+			visit(prim)
+		}
+		if cm.decl.Scope == algebra.ScopeTransaction {
+			out = append(out, cm)
+		}
+	}
+	for _, k := range keys {
+		visit(k)
+	}
+	return out
 }
 
 // Composites reports the number of defined composite events.

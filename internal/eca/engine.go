@@ -323,7 +323,11 @@ type Engine struct {
 	mu         sync.RWMutex
 	managers   map[string]*Manager
 	composites map[string]*compositeMgr
-	ruleSeq    uint64
+	// txnComposites lists the transaction-scoped composites, each after
+	// every composite it is built from: EOT flushes them in this order.
+	// Replaced, never mutated, under mu.
+	txnComposites []*compositeMgr
+	ruleSeq       uint64
 
 	// mgrSnap is a copy-on-write snapshot of managers, republished
 	// under e.mu on every registration, so the per-event lookup on the

@@ -1,7 +1,6 @@
 package eca
 
 import (
-	"repro/internal/algebra"
 	"repro/internal/event"
 	"repro/internal/txn"
 )
@@ -98,15 +97,13 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 // transaction-scoped composites participate — global composites have
 // no per-transaction composer, and making EOT wait on their
 // asynchronous queues would reintroduce exactly the stall the
-// asynchronous design avoids.
+// asynchronous design avoids. Composites flush inner before outer: an
+// inner composite's flush hands its completions to the outer
+// composer's queue before the outer flush is queued behind them, so a
+// composite-of-composites sees every constituent completed at EOT.
 func (e *Engine) endTxnComposition(id uint64, discard bool) {
 	e.mu.RLock()
-	cms := make([]*compositeMgr, 0, len(e.composites))
-	for _, cm := range e.composites {
-		if cm.decl.Scope == algebra.ScopeTransaction {
-			cms = append(cms, cm)
-		}
-	}
+	cms := e.txnComposites
 	e.mu.RUnlock()
 	for _, cm := range cms {
 		cm.flushTxn(id, discard)

@@ -37,9 +37,9 @@ const (
 
 var errCorruptRecord = errors.New("oodb: corrupt record")
 
-// encodeObject translates an object snapshot into a storage record.
-func encodeObject(oid OID, class string, values []any) ([]byte, error) {
-	buf := make([]byte, 0, 64)
+// appendObject translates an object's state into a storage record
+// appended to buf.
+func appendObject(buf []byte, oid OID, class string, values []any) ([]byte, error) {
 	buf = append(buf, recObject)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(oid))
 	buf = appendString(buf, class)

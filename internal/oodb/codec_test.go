@@ -22,7 +22,7 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 		nil,
 		[]any{int64(1), "two", float64(3)},
 	}
-	rec, err := encodeObject(5, "Mixed", values)
+	rec, err := appendObject(nil, 5, "Mixed", values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestCodecRoundTripAllTypes(t *testing.T) {
 
 func TestCodecFloatSpecials(t *testing.T) {
 	values := []any{math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64}
-	rec, err := encodeObject(1, "F", values)
+	rec, err := appendObject(nil, 1, "F", values)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestCodecFloatSpecials(t *testing.T) {
 }
 
 func TestCodecUnsupportedType(t *testing.T) {
-	if _, err := encodeObject(1, "X", []any{struct{}{}}); err == nil {
+	if _, err := appendObject(nil, 1, "X", []any{struct{}{}}); err == nil {
 		t.Fatal("encoding unsupported type succeeded")
 	}
 }
 
 func TestCodecCorruptRecords(t *testing.T) {
-	rec, _ := encodeObject(9, "C", []any{int64(1), "abc"})
+	rec, _ := appendObject(nil, 9, "C", []any{int64(1), "abc"})
 	for cut := 0; cut < len(rec); cut++ {
 		if _, _, _, err := decodeObject(rec[:cut]); err == nil {
 			t.Fatalf("decoding truncation at %d succeeded", cut)
@@ -108,7 +108,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 			fl = 0 // NaN != NaN; normalize
 		}
 		values := []any{i, s, append([]byte(nil), b...), fl, ok}
-		rec, err := encodeObject(OID(1), "P", values)
+		rec, err := appendObject(nil, OID(1), "P", values)
 		if err != nil {
 			return false
 		}

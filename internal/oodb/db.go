@@ -72,6 +72,10 @@ type DB struct {
 	nextOID  uint64
 }
 
+// rootsLock is the lock-manager resource of the roots directory; no
+// object has OID 0.
+const rootsLock = 0
+
 // Errors returned by database operations.
 var (
 	ErrNoSuchObject = errors.New("oodb: no such object")
@@ -350,8 +354,13 @@ func (db *DB) Persist(t *txn.Txn, obj *Object) error {
 }
 
 // SetRoot names obj in the persistent roots directory and persists it.
+// Writers of the directory serialize on its lock, so each commit's
+// roots record is written over the last committed one.
 func (db *DB) SetRoot(t *txn.Txn, name string, obj *Object) error {
 	if err := db.Persist(t, obj); err != nil {
+		return err
+	}
+	if err := t.Lock(rootsLock, txn.LockExclusive); err != nil {
 		return err
 	}
 	db.mu.Lock()
@@ -522,18 +531,23 @@ func (db *DB) markDirty(t *txn.Txn, obj *Object) {
 
 // flushCommit is the durability callback: it translates the top-level
 // transaction's dirty persistent objects into storage records inside
-// one storage transaction and commits it.
+// one storage transaction and commits it. Each object is encoded into
+// one scratch buffer reused across the flush (the store copies the
+// bytes into the page and the log). The catalog — object table,
+// transient address space, extents, roots RID — changes only after
+// the storage commit succeeds: a failed flush leaves it exactly as
+// Txn.Abort leaves the objects themselves.
 func (db *DB) flushCommit(t *txn.Txn) error {
 	ws, ok := t.Attachment(txn.SlotObjects).(*writeSet)
 	if !ok {
 		return nil // read-only transaction
 	}
-	if db.store == nil {
-		db.applyInMemory(ws)
-		return nil
-	}
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
+	if db.store == nil {
+		db.publish(ws, nil)
+		return nil
+	}
 	tid := t.ID()
 	begun := false
 	begin := func() error {
@@ -548,7 +562,7 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		db.persistReachableLocked(ws)
 	}
 
-	for oid, obj := range ws.deleted {
+	for oid := range ws.deleted {
 		db.mu.Lock()
 		rid, had := db.ridOf[oid]
 		db.mu.Unlock()
@@ -560,21 +574,16 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 				return err
 			}
 		}
-		db.mu.Lock()
-		delete(db.ridOf, oid)
-		delete(db.cache, oid)
-		if ext := db.extents[obj.class.Name]; ext != nil {
-			delete(ext, oid)
-		}
-		db.mu.Unlock()
 	}
 
+	var moved []placed
+	var rec []byte
 	for oid, obj := range ws.dirty {
 		if !obj.Persistent() || obj.Deleted() {
 			continue
 		}
-		rec, err := encodeObject(oid, obj.class.Name, obj.snapshotValues())
-		if err != nil {
+		var err error
+		if rec, err = obj.appendRecord(rec[:0]); err != nil {
 			return err
 		}
 		if err := begin(); err != nil {
@@ -583,72 +592,81 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		db.mu.Lock()
 		rid, had := db.ridOf[oid]
 		db.mu.Unlock()
-		if had {
-			newRID, err := db.store.Update(tid, rid, rec) //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
-			if err != nil {
-				return err
-			}
-			if newRID != rid {
-				db.mu.Lock()
-				db.ridOf[oid] = newRID
-				db.mu.Unlock()
-			}
-		} else {
-			rid, err := db.store.Insert(tid, rec) //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
-			if err != nil {
-				return err
-			}
-			db.mu.Lock()
-			db.ridOf[oid] = rid
-			db.mu.Unlock()
+		newRID, err := db.put(tid, rid, had, rec)
+		if err != nil {
+			return err
+		}
+		if !had || newRID != rid {
+			moved = append(moved, placed{oid, newRID})
 		}
 	}
 
+	rootsRID := storage.InvalidRID
 	if ws.rootsDirty {
 		if err := begin(); err != nil {
 			return err
 		}
 		db.mu.Lock()
-		rec := encodeRoots(db.roots)
-		rootsRID := db.rootsRID
+		rec = encodeRoots(db.roots)
+		rid := db.rootsRID
 		db.mu.Unlock()
-		if rootsRID.Valid() {
-			newRID, err := db.store.Update(tid, rootsRID, rec) //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
-			if err != nil {
-				return err
-			}
-			db.mu.Lock()
-			db.rootsRID = newRID
-			db.mu.Unlock()
-		} else {
-			rid, err := db.store.Insert(tid, rec) //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
-			if err != nil {
-				return err
-			}
-			db.mu.Lock()
-			db.rootsRID = rid
-			db.mu.Unlock()
+		var err error
+		if rootsRID, err = db.put(tid, rid, rid.Valid(), rec); err != nil {
+			return err
 		}
 	}
 
 	if begun {
-		return db.store.Commit(tid) //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
+		if err := db.store.Commit(tid); err != nil { //lint:allow lockdiscipline ws is txn-private during the durability callback and storage never re-enters oodb
+			return err
+		}
 	}
+	if rootsRID.Valid() {
+		db.mu.Lock()
+		db.rootsRID = rootsRID
+		db.mu.Unlock()
+	}
+	db.publish(ws, moved)
 	return nil
 }
 
-// applyInMemory performs the cache-side effects of a commit for a
-// database without a store.
-func (db *DB) applyInMemory(ws *writeSet) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
+// placed is a record's RID that a flush created or moved.
+type placed struct {
+	oid OID
+	rid storage.RID
+}
+
+// put writes rec as a new record, or over the one at rid when had,
+// returning where it now lives.
+func (db *DB) put(tid uint64, rid storage.RID, had bool, rec []byte) (storage.RID, error) {
+	if had {
+		return db.store.Update(tid, rid, rec)
+	}
+	return db.store.Insert(tid, rec)
+}
+
+// publish applies a committed write set to the catalog: deleted
+// objects leave the object table, the transient address space and
+// their extent and release their values; created and relocated
+// records are entered under their new RIDs.
+func (db *DB) publish(ws *writeSet, moved []placed) {
+	if len(ws.deleted) == 0 && len(moved) == 0 {
+		return
+	}
+	db.mu.Lock()
 	for oid, obj := range ws.deleted {
-		db.mu.Lock()
+		delete(db.ridOf, oid)
 		delete(db.cache, oid)
 		if ext := db.extents[obj.class.Name]; ext != nil {
 			delete(ext, oid)
 		}
-		db.mu.Unlock()
+	}
+	for _, m := range moved {
+		db.ridOf[m.oid] = m.rid
+	}
+	db.mu.Unlock()
+	for _, obj := range ws.deleted {
+		obj.release()
 	}
 }
 
@@ -658,7 +676,7 @@ func (db *DB) applyInMemory(ws *writeSet) {
 func (db *DB) persistReachableLocked(ws *writeSet) {
 	queue := make([]*Object, 0, len(ws.dirty))
 	for _, obj := range ws.dirty {
-		if obj.Persistent() {
+		if obj.Persistent() && !obj.Deleted() {
 			queue = append(queue, obj)
 		}
 	}

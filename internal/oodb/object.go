@@ -57,11 +57,23 @@ func (o *Object) set(idx int, v any) {
 	o.values[idx] = v
 }
 
-// snapshotValues copies the attribute slots (for translation).
-func (o *Object) snapshotValues() []any {
+// appendRecord translates the object into a storage record appended
+// to buf, reading the attribute slots under the read lock instead of
+// copying them first.
+func (o *Object) appendRecord(buf []byte) ([]byte, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	return append([]any(nil), o.values...)
+	return appendObject(buf, o.oid, o.class.Name, o.values)
+}
+
+// release drops the attribute values of an object whose delete has
+// committed: handles held elsewhere (event arguments, user code) no
+// longer keep them alive. Get and Invoke already refuse a deleted
+// object, so nothing reads the slots again.
+func (o *Object) release() {
+	o.mu.Lock()
+	o.values = nil
+	o.mu.Unlock()
 }
 
 // String implements fmt.Stringer.

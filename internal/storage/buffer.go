@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 
@@ -16,19 +15,19 @@ import (
 // evicted. When every frame is pinned or steal-protected, the pool
 // grows past its nominal capacity rather than failing, and shrinks
 // back as frames become evictable.
+//
+// A miss at capacity reuses the evicted victim's frame for the
+// incoming page, so steady-state paging allocates nothing.
 type BufferPool struct {
 	pager    *Pager
 	capacity int
 
 	mu     sync.Mutex
 	frames map[PageID]*frame
-	lru    *list.List // of PageID; front = most recently used
-
-	// lsnSrc reports the LSN the next WAL record will get; a frame
-	// crossing clean->dirty captures it as its recLSN (the earliest log
-	// record whose effect might not be on disk). The fuzzy checkpoint
-	// takes the min over dirty frames as a redoLSN bound.
-	lsnSrc func() uint64
+	// ring is the sentinel of the circular recency list threaded
+	// through the frames: ring.older is the most recently used frame,
+	// ring.newer the least.
+	ring frame
 
 	// hits/misses are standalone by default and rebound into the
 	// shared registry when the store is opened with Metrics.
@@ -41,11 +40,16 @@ type BufferPool struct {
 	evictStall *obs.Histogram
 }
 
+// frame is one resident page. The page bytes are a separate,
+// pointer-free allocation that the garbage collector never scans and
+// that survives the frame's reuse for another page.
 type frame struct {
-	page    Page
-	pins    int
-	dirty   bool
-	noSteal bool // dirtied by an in-flight transaction
+	newer, older *frame // recency list links
+	page         *Page
+	id           PageID
+	pins         int
+	dirty        bool
+	noSteal      bool // dirtied by an in-flight transaction
 	// flushing marks a frame whose snapshot a fuzzy checkpoint is
 	// writing back off-lock; eviction must not write a newer version
 	// underneath it (the checkpoint's stale copy would then clobber
@@ -53,15 +57,6 @@ type frame struct {
 	flushing bool
 	recLSN   uint64 // first LSN that dirtied the frame since it was last clean
 	version  uint64 // bumped on every dirtying Unpin; detects redirty during flush
-	lruElem  *list.Element
-}
-
-// SetRecLSNSource installs the next-LSN callback consulted when a
-// frame goes dirty. Call before the pool sees traffic.
-func (bp *BufferPool) SetRecLSNSource(fn func() uint64) {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	bp.lsnSrc = fn
 }
 
 // NewBufferPool returns a pool of the given nominal capacity over the
@@ -70,16 +65,17 @@ func NewBufferPool(pager *Pager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		pager:      pager,
 		capacity:   capacity,
 		frames:     make(map[PageID]*frame),
-		lru:        list.New(),
 		hits:       new(obs.Counter),
 		misses:     new(obs.Counter),
 		evictions:  new(obs.Counter),
 		evictStall: new(obs.Histogram),
 	}
+	bp.ring.newer, bp.ring.older = &bp.ring, &bp.ring
+	return bp
 }
 
 // Instrument rebinds the pool's hit/miss counters into reg. Call it
@@ -107,20 +103,23 @@ func (bp *BufferPool) Pin(id PageID) (*Page, error) {
 	if fr, ok := bp.frames[id]; ok {
 		bp.hits.Inc()
 		fr.pins++
-		bp.lru.MoveToFront(fr.lruElem)
-		return &fr.page, nil
+		if bp.ring.older != fr {
+			bp.unlinkLocked(fr)
+			bp.pushLocked(fr)
+		}
+		return fr.page, nil
 	}
 	bp.misses.Inc()
-	if err := bp.evictLocked(); err != nil {
+	fr, err := bp.victimLocked()
+	if err != nil {
 		return nil, err
 	}
-	fr := &frame{pins: 1}
-	if err := bp.pager.Read(id, &fr.page); err != nil {
+	// The read overwrites every byte of a recycled frame's page.
+	if err := bp.pager.Read(id, fr.page); err != nil {
 		return nil, err
 	}
-	fr.lruElem = bp.lru.PushFront(id)
-	bp.frames[id] = fr
-	return &fr.page, nil
+	bp.installLocked(fr, id)
+	return fr.page, nil
 }
 
 // PinNew allocates a fresh page, pins it, and returns its ID.
@@ -131,18 +130,27 @@ func (bp *BufferPool) PinNew() (PageID, *Page, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if err := bp.evictLocked(); err != nil {
+	fr, err := bp.victimLocked()
+	if err != nil {
 		return InvalidPageID, nil, err
 	}
-	fr := &frame{pins: 1}
 	fr.page.InitPage()
-	fr.lruElem = bp.lru.PushFront(id)
+	bp.installLocked(fr, id)
+	return id, fr.page, nil
+}
+
+// installLocked makes fr the resident, once-pinned, most recently used
+// frame of page id, resetting everything but its page bytes.
+func (bp *BufferPool) installLocked(fr *frame, id PageID) {
+	*fr = frame{page: fr.page, id: id, pins: 1}
 	bp.frames[id] = fr
-	return id, &fr.page, nil
+	bp.pushLocked(fr)
 }
 
 // Unpin releases one pin on page id. dirty marks the frame modified;
 // noSteal additionally marks it modified by an in-flight transaction.
+// A frame going from clean to dirty takes the page LSN as its recLSN:
+// callers stamp the LSN of the record they applied before unpinning.
 func (bp *BufferPool) Unpin(id PageID, dirty, noSteal bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
@@ -154,9 +162,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty, noSteal bool) {
 	if dirty {
 		if !fr.dirty {
 			fr.dirty = true
-			if bp.lsnSrc != nil {
-				fr.recLSN = bp.lsnSrc()
-			}
+			fr.recLSN = fr.page.LSN()
 		}
 		fr.version++
 	}
@@ -176,53 +182,46 @@ func (bp *BufferPool) ReleaseSteal(id PageID) {
 	}
 }
 
-// evictLocked makes room for one more frame if the pool is at or over
-// capacity. Pinned and no-steal frames are skipped; if none is
-// evictable the pool simply grows.
-func (bp *BufferPool) evictLocked() error {
-	if len(bp.frames) < bp.capacity {
-		return nil
-	}
-	for e := bp.lru.Back(); e != nil; e = e.Prev() {
-		id := e.Value.(PageID)
-		fr := bp.frames[id]
-		if fr.pins > 0 || fr.noSteal || fr.flushing {
-			continue
-		}
-		if fr.dirty {
-			if fp := fault.Hit(fault.SiteBufferEvict); fp != nil {
-				return fmt.Errorf("storage: evict page %d: %w", id, fp.Err)
+// victimLocked returns a frame for one more resident page. Below
+// capacity that is a new frame; at capacity it is the least recently
+// used evictable frame, written back if dirty and evicted. Pinned,
+// no-steal and flushing frames are skipped; if none is evictable the
+// pool grows by a new frame.
+func (bp *BufferPool) victimLocked() (*frame, error) {
+	if len(bp.frames) >= bp.capacity {
+		for fr := bp.ring.newer; fr != &bp.ring; fr = fr.newer {
+			if fr.pins > 0 || fr.noSteal || fr.flushing {
+				continue
 			}
-			stop := bp.evictStall.Time()
-			err := bp.pager.Write(id, &fr.page)
-			stop()
-			if err != nil {
-				return err
+			if fr.dirty {
+				if fp := fault.Hit(fault.SiteBufferEvict); fp != nil {
+					return nil, fmt.Errorf("storage: evict page %d: %w", fr.id, fp.Err)
+				}
+				stop := bp.evictStall.Time()
+				err := bp.pager.Write(fr.id, fr.page)
+				stop()
+				if err != nil {
+					return nil, err
+				}
 			}
+			bp.unlinkLocked(fr)
+			delete(bp.frames, fr.id)
+			bp.evictions.Inc()
+			return fr, nil
 		}
-		bp.lru.Remove(e)
-		delete(bp.frames, id)
-		bp.evictions.Inc()
-		return nil
 	}
-	return nil // everything pinned or protected: grow
+	return &frame{page: new(Page)}, nil
 }
 
-// FlushAll writes every dirty, steal-safe frame back to the pager.
-// Frames still protected by in-flight transactions are skipped.
-func (bp *BufferPool) FlushAll() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	for id, fr := range bp.frames {
-		if fr.dirty && !fr.noSteal {
-			if err := bp.pager.Write(id, &fr.page); err != nil {
-				return err
-			}
-			fr.dirty = false
-			fr.recLSN = 0
-		}
-	}
-	return nil
+// pushLocked links fr in as the most recently used frame.
+func (bp *BufferPool) pushLocked(fr *frame) {
+	fr.newer, fr.older = &bp.ring, bp.ring.older
+	fr.older.newer, bp.ring.older = fr, fr
+}
+
+// unlinkLocked removes fr from the recency list.
+func (bp *BufferPool) unlinkLocked(fr *frame) {
+	fr.newer.older, fr.older.newer = fr.older, fr.newer
 }
 
 // DirtyIDs snapshots the IDs of dirty, steal-safe frames — the fuzzy
@@ -252,7 +251,7 @@ func (bp *BufferPool) SnapshotFrame(id PageID, dst *Page) (uint64, bool) {
 	if !ok || !fr.dirty || fr.noSteal || fr.flushing {
 		return 0, false
 	}
-	*dst = fr.page
+	*dst = *fr.page
 	fr.flushing = true
 	return fr.version, true
 }

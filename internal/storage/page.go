@@ -1,7 +1,7 @@
 // Package storage implements the REACH storage manager, the stand-in
 // for the EXODUS storage manager used by Open OODB: slotted pages, a
 // pinning buffer pool with LRU eviction, a write-ahead log, and
-// redo-based crash recovery under a no-steal/no-force policy.
+// redo-only crash recovery under a no-steal/no-force policy.
 //
 // The unit of storage is an uninterpreted record addressed by a RID
 // (page, slot). The object layer above encodes object identity and
@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -182,6 +183,15 @@ func (p *Page) InsertAt(slot uint16, data []byte) error {
 
 // Get returns a copy of the record in the given slot.
 func (p *Page) Get(slot uint16) ([]byte, error) {
+	rec, err := p.record(slot)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(rec), nil
+}
+
+// record returns the record in the given slot, aliasing the page.
+func (p *Page) record(slot uint16) ([]byte, error) {
 	if slot >= p.numSlots() {
 		return nil, ErrNoSuchRecord
 	}
@@ -189,9 +199,7 @@ func (p *Page) Get(slot uint16) ([]byte, error) {
 	if off == deadSlotOffset {
 		return nil, ErrNoSuchRecord
 	}
-	out := make([]byte, length)
-	copy(out, p.buf[off:off+length])
-	return out, nil
+	return p.buf[off : off+length], nil
 }
 
 // Update replaces the record in slot with data, in place when it
@@ -216,11 +224,14 @@ func (p *Page) Update(slot uint16, data []byte) error {
 	// Mark dead, then try to place the larger image.
 	p.setSlot(slot, deadSlotOffset, 0)
 	if int(p.freeHigh())-int(p.freeLow()) < len(data) {
-		if !p.compact() || int(p.freeHigh())-int(p.freeLow()) < len(data) {
-			// Restore the old record so the caller can relocate it.
+		if PageSize-int(p.freeLow())-p.liveBytes() < len(data) {
+			// Even compaction cannot make room. Restore the old record,
+			// before compaction could reclaim its bytes, so the caller
+			// can read and relocate it.
 			p.setSlot(slot, off, length)
 			return ErrPageFull
 		}
+		p.compact()
 	}
 	newOff := p.freeHigh() - uint16(len(data))
 	copy(p.buf[newOff:], data)
@@ -241,6 +252,17 @@ func (p *Page) Delete(slot uint16) error {
 	}
 	p.setSlot(slot, deadSlotOffset, 0)
 	return nil
+}
+
+// liveBytes sums the lengths of the live records.
+func (p *Page) liveBytes() int {
+	n := 0
+	for i := uint16(0); i < p.numSlots(); i++ {
+		if off, length := p.slot(i); off != deadSlotOffset {
+			n += int(length)
+		}
+	}
+	return n
 }
 
 // NumRecords reports the number of live records in the page.

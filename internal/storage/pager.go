@@ -97,9 +97,14 @@ func (pg *Pager) Read(id PageID, p *Page) error {
 	if fp := fault.Hit(fault.SitePagerRead); fp != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, fp.Err)
 	}
-	if _, err := pg.f.ReadAt(p.Bytes(), int64(id)*PageSize); err != nil && err != io.EOF {
+	b := p.Bytes()
+	got, err := pg.f.ReadAt(b, int64(id)*PageSize)
+	if err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
+	// p may be a recycled frame: a short read must not leave the
+	// previous page's bytes behind.
+	clear(b[got:])
 	return nil
 }
 

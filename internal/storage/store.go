@@ -55,7 +55,14 @@ func Bool(v bool) *bool { return &v }
 
 // Store is a durable record store: uninterpreted byte records addressed
 // by RID, with transactional insert/update/delete under write-ahead
-// logging (no-steal, no-force) and redo-based crash recovery.
+// logging (no-steal, no-force) and redo-only crash recovery.
+//
+// The log carries after-images only. No-steal keeps every page a live
+// transaction dirtied in memory, and the forcing set extends that
+// protection until the commit record is durable, so no uncommitted
+// byte ever reaches the data file and restart has nothing to undo.
+// An in-flight abort undoes from the before-images the transaction
+// keeps in memory.
 //
 // The Store does not assign transaction identifiers; the transaction
 // manager above passes them in. Concurrency control is likewise the
@@ -119,7 +126,10 @@ type Store struct {
 }
 
 type txnState struct {
-	ops      []undoOp
+	ops []undoOp
+	// before holds the before-images of every update and delete, back
+	// to back; an undoOp addresses its image by offset.
+	before   []byte
 	pages    map[PageID]bool
 	firstLSN uint64 // LSN of the BEGIN record; pins a fuzzy checkpoint's redoLSN
 }
@@ -127,7 +137,15 @@ type txnState struct {
 type undoOp struct {
 	kind   LogKind
 	rid    RID
-	before []byte
+	off, n int // before-image: before[off:off+n]
+}
+
+// saveBefore appends rec to the transaction's before-images and
+// returns the undo record of a kind change to rid.
+func (st *txnState) saveBefore(kind LogKind, rid RID, rec []byte) undoOp {
+	off := len(st.before)
+	st.before = append(st.before, rec...)
+	return undoOp{kind: kind, rid: rid, off: off, n: len(rec)}
 }
 
 // Errors returned by Store operations.
@@ -158,7 +176,16 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal, err := OpenWALSegmented(fs, filepath.Join(dir, "wal.log"), opts.WALSegmentBytes)
+	// The log's open-time tail scan also finds what recovery needs to
+	// know before redo: which transactions committed.
+	committed := map[uint64]bool{sysTxn: true} // system records always replay
+	scanned := 0
+	wal, err := openWAL(fs, filepath.Join(dir, "wal.log"), opts.WALSegmentBytes, func(rec *LogRecord) {
+		scanned++
+		if rec.Kind == LogCommit {
+			committed[rec.Txn] = true
+		}
+	})
 	if err != nil {
 		_ = pager.Close() // opening the WAL failed; the close is best-effort cleanup
 		return nil, err
@@ -178,16 +205,13 @@ func Open(dir string, opts Options) (*Store, error) {
 		ckptDur:      new(obs.Histogram),
 		recoverDur:   new(obs.Histogram),
 	}
-	// Frames capture the upcoming record's LSN when they go dirty; the
-	// fuzzy checkpoint folds the minimum over dirty frames into redoLSN.
-	s.pool.SetRecLSNSource(wal.NextLSN)
 	if opts.Metrics != nil {
 		s.pool.Instrument(opts.Metrics)
 		wal.Instrument(opts.Metrics)
 		s.instrument(opts.Metrics)
 	}
 	stopRecover := s.recoverDur.Time()
-	err = s.recover()
+	err = s.recover(committed, scanned)
 	stopRecover()
 	if err != nil {
 		_ = wal.Close()   // recovery failed; the closes are best-effort cleanup
@@ -260,69 +284,64 @@ func (s *Store) Insert(txn uint64, data []byte) (RID, error) {
 	if err != nil {
 		return InvalidRID, err
 	}
-	rid, err := s.placeLocked(data)
+	return s.insertLocked(st, txn, data)
+}
+
+func (s *Store) insertLocked(st *txnState, txn uint64, data []byte) (RID, error) {
+	rid, p, err := s.placeLocked(data)
 	if err != nil {
 		return InvalidRID, err
 	}
-	lsn, err := s.wal.Append(&LogRecord{Txn: txn, Kind: LogInsert, RID: rid, After: data})
-	if err != nil {
-		return InvalidRID, err
-	}
-	s.stampLocked(rid.Page, lsn)
 	st.ops = append(st.ops, undoOp{kind: LogInsert, rid: rid})
-	st.pages[rid.Page] = true
+	if err := s.logLocked(st, p, &LogRecord{Txn: txn, Kind: LogInsert, RID: rid, After: data}); err != nil {
+		return InvalidRID, err
+	}
 	return rid, nil
 }
 
-// placeLocked finds a page with room and inserts data.
-func (s *Store) placeLocked(data []byte) (RID, error) {
-	try := func(id PageID) (RID, bool, error) {
+// placeLocked finds a page with room and inserts data, returning the
+// record's RID with its page still pinned.
+func (s *Store) placeLocked(data []byte) (RID, *Page, error) {
+	if id := s.insertHint; id != InvalidPageID && id < s.pager.NumPages() {
 		p, err := s.pool.Pin(id)
 		if err != nil {
-			return InvalidRID, false, err
+			return InvalidRID, nil, err
 		}
 		slot, err := p.Insert(data)
-		if err != nil {
-			s.pool.Unpin(id, false, false)
-			if errors.Is(err, ErrPageFull) {
-				return InvalidRID, false, nil
-			}
-			return InvalidRID, false, err
+		if err == nil {
+			return RID{Page: id, Slot: slot}, p, nil
 		}
-		s.pool.Unpin(id, true, true)
-		return RID{Page: id, Slot: slot}, true, nil
-	}
-	if s.insertHint != InvalidPageID && s.insertHint < s.pager.NumPages() {
-		rid, ok, err := try(s.insertHint)
-		if err != nil {
-			return InvalidRID, err
-		}
-		if ok {
-			return rid, nil
+		s.pool.Unpin(id, false, false)
+		if !errors.Is(err, ErrPageFull) {
+			return InvalidRID, nil, err
 		}
 	}
 	id, p, err := s.pool.PinNew()
 	if err != nil {
-		return InvalidRID, err
+		return InvalidRID, nil, err
 	}
 	slot, err := p.Insert(data)
 	if err != nil {
 		s.pool.Unpin(id, false, false)
-		return InvalidRID, err
+		return InvalidRID, nil, err
 	}
-	s.pool.Unpin(id, true, true)
 	s.insertHint = id
-	return RID{Page: id, Slot: slot}, nil
+	return RID{Page: id, Slot: slot}, p, nil
 }
 
-// stampLocked records lsn as the page LSN of page id.
-func (s *Store) stampLocked(id PageID, lsn uint64) {
-	p, err := s.pool.Pin(id)
-	if err != nil {
-		return
+// logLocked appends rec, which describes a change just applied to the
+// pinned page p, stamps the page with the record's LSN while it is
+// still pinned, and unpins it dirty and steal-protected until st
+// resolves. When the append fails the change stays applied in memory
+// and the undo the caller recorded still covers it.
+func (s *Store) logLocked(st *txnState, p *Page, rec *LogRecord) error {
+	st.pages[rec.RID.Page] = true
+	lsn, err := s.wal.Append(rec)
+	if err == nil {
+		p.SetLSN(lsn)
 	}
-	p.SetLSN(lsn)
-	s.pool.Unpin(id, true, true)
+	s.pool.Unpin(rec.RID.Page, true, true)
+	return err
 }
 
 // Get returns a copy of the record at rid.
@@ -354,43 +373,29 @@ func (s *Store) Update(txn uint64, rid RID, data []byte) (RID, error) {
 	if err != nil {
 		return InvalidRID, err
 	}
-	before, err := p.Get(rid.Slot)
+	old, err := p.record(rid.Slot)
 	if err != nil {
 		s.pool.Unpin(rid.Page, false, false)
 		return InvalidRID, err
 	}
-	err = p.Update(rid.Slot, data)
-	if err == nil {
-		s.pool.Unpin(rid.Page, true, true)
-		lsn, werr := s.wal.Append(&LogRecord{Txn: txn, Kind: LogUpdate, RID: rid, Before: before, After: data})
-		if werr != nil {
-			return InvalidRID, werr
+	undo := st.saveBefore(LogUpdate, rid, old)
+	if err := p.Update(rid.Slot, data); err != nil {
+		st.before = st.before[:undo.off]
+		s.pool.Unpin(rid.Page, false, false)
+		if !errors.Is(err, ErrPageFull) {
+			return InvalidRID, err
 		}
-		s.stampLocked(rid.Page, lsn)
-		st.ops = append(st.ops, undoOp{kind: LogUpdate, rid: rid, before: before})
-		st.pages[rid.Page] = true
-		return rid, nil
+		// Relocate: delete here, insert elsewhere.
+		if err := s.deleteLocked(st, txn, rid); err != nil {
+			return InvalidRID, err
+		}
+		return s.insertLocked(st, txn, data)
 	}
-	s.pool.Unpin(rid.Page, false, false)
-	if !errors.Is(err, ErrPageFull) {
+	st.ops = append(st.ops, undo)
+	if err := s.logLocked(st, p, &LogRecord{Txn: txn, Kind: LogUpdate, RID: rid, After: data}); err != nil {
 		return InvalidRID, err
 	}
-	// Relocate: delete here, insert elsewhere.
-	if err := s.deleteLocked(st, txn, rid, before); err != nil {
-		return InvalidRID, err
-	}
-	newRID, err := s.placeLocked(data)
-	if err != nil {
-		return InvalidRID, err
-	}
-	lsn, err := s.wal.Append(&LogRecord{Txn: txn, Kind: LogInsert, RID: newRID, After: data})
-	if err != nil {
-		return InvalidRID, err
-	}
-	s.stampLocked(newRID.Page, lsn)
-	st.ops = append(st.ops, undoOp{kind: LogInsert, rid: newRID})
-	st.pages[newRID.Page] = true
-	return newRID, nil
+	return rid, nil
 }
 
 // Delete removes the record at rid under txn.
@@ -401,37 +406,27 @@ func (s *Store) Delete(txn uint64, rid RID) error {
 	if err != nil {
 		return err
 	}
-	p, err := s.pool.Pin(rid.Page)
-	if err != nil {
-		return err
-	}
-	before, err := p.Get(rid.Slot)
-	if err != nil {
-		s.pool.Unpin(rid.Page, false, false)
-		return err
-	}
-	s.pool.Unpin(rid.Page, false, false)
-	return s.deleteLocked(st, txn, rid, before)
+	return s.deleteLocked(st, txn, rid)
 }
 
-func (s *Store) deleteLocked(st *txnState, txn uint64, rid RID, before []byte) error {
+func (s *Store) deleteLocked(st *txnState, txn uint64, rid RID) error {
 	p, err := s.pool.Pin(rid.Page)
 	if err != nil {
 		return err
 	}
-	if err := p.Delete(rid.Slot); err != nil {
+	old, err := p.record(rid.Slot)
+	if err != nil {
 		s.pool.Unpin(rid.Page, false, false)
 		return err
 	}
-	s.pool.Unpin(rid.Page, true, true)
-	lsn, err := s.wal.Append(&LogRecord{Txn: txn, Kind: LogDelete, RID: rid, Before: before})
-	if err != nil {
+	undo := st.saveBefore(LogDelete, rid, old)
+	if err := p.Delete(rid.Slot); err != nil {
+		st.before = st.before[:undo.off]
+		s.pool.Unpin(rid.Page, false, false)
 		return err
 	}
-	s.stampLocked(rid.Page, lsn)
-	st.ops = append(st.ops, undoOp{kind: LogDelete, rid: rid, before: before})
-	st.pages[rid.Page] = true
-	return nil
+	st.ops = append(st.ops, undo)
+	return s.logLocked(st, p, &LogRecord{Txn: txn, Kind: LogDelete, RID: rid})
 }
 
 // Commit makes txn's effects durable: a commit record is appended and
@@ -513,26 +508,22 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 		if nr, ok := reloc[rid]; ok {
 			rid = nr
 		}
+		before := st.before[op.off : op.off+op.n]
 		switch op.kind {
 		case LogInsert:
 			p, err := s.pool.Pin(rid.Page)
 			if err != nil {
 				return reloc, err
 			}
-			perr := p.Delete(rid.Slot)
-			s.pool.Unpin(rid.Page, perr == nil, perr == nil)
-			if perr != nil {
-				return reloc, perr
-			}
-			if err := s.logSysLocked(LogDelete, rid, nil); err != nil {
+			if err := p.Delete(rid.Slot); err != nil {
+				s.pool.Unpin(rid.Page, false, false)
 				return reloc, err
 			}
-		case LogUpdate:
-			if err := s.restoreLocked(rid, op.rid, op.before, reloc, true); err != nil {
+			if err := s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: LogDelete, RID: rid}); err != nil {
 				return reloc, err
 			}
-		case LogDelete:
-			if err := s.restoreLocked(rid, op.rid, op.before, reloc, false); err != nil {
+		case LogUpdate, LogDelete:
+			if err := s.restoreLocked(st, rid, op.rid, before, reloc, op.kind == LogUpdate); err != nil {
 				return reloc, err
 			}
 		}
@@ -557,23 +548,12 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 	return reloc, nil
 }
 
-// logSysLocked appends a system (compensation) record describing an
-// undo action and stamps the affected page. Recovery always replays
-// system records, tolerantly, so the on-disk replay converges to the
-// in-memory post-abort state.
-func (s *Store) logSysLocked(kind LogKind, rid RID, after []byte) error {
-	lsn, err := s.wal.Append(&LogRecord{Txn: sysTxn, Kind: kind, RID: rid, After: after})
-	if err != nil {
-		return err
-	}
-	s.stampLocked(rid.Page, lsn)
-	return nil
-}
-
 // sysTxn is the reserved transaction id for system-generated log
-// records. Recovery always replays them: they describe abort-time
-// relocations of committed record images, which must survive a crash
-// because callers have already been handed the new RIDs.
+// records. Recovery always replays them, tolerantly, so the on-disk
+// replay converges to the in-memory post-abort state: they describe
+// the undo of aborted changes and abort-time relocations of committed
+// record images, which must survive a crash because callers have
+// already been handed the new RIDs.
 const sysTxn = 0
 
 // restoreLocked puts before back at rid; update=true means the slot is
@@ -582,50 +562,42 @@ const sysTxn = 0
 // the move recorded in reloc keyed by the original RID, and — because
 // the moved image belongs to committed history — logged under sysTxn
 // so redo reproduces the relocation after a crash.
-func (s *Store) restoreLocked(rid, origRID RID, before []byte, reloc map[RID]RID, update bool) error {
+func (s *Store) restoreLocked(st *txnState, rid, origRID RID, before []byte, reloc map[RID]RID, update bool) error {
 	p, err := s.pool.Pin(rid.Page)
 	if err != nil {
 		return err
 	}
+	kind := LogInsert
 	if update {
+		kind = LogUpdate
 		err = p.Update(rid.Slot, before)
 	} else {
 		err = p.InsertAt(rid.Slot, before)
 	}
 	if err == nil {
-		s.pool.Unpin(rid.Page, true, true)
-		kind := LogInsert
-		if update {
-			kind = LogUpdate
-		}
-		return s.logSysLocked(kind, rid, before)
+		return s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: kind, RID: rid, After: before})
 	}
-	s.pool.Unpin(rid.Page, false, false)
 	if !errors.Is(err, ErrPageFull) {
+		s.pool.Unpin(rid.Page, false, false)
 		return err
 	}
 	if update {
 		// Free the stale image before relocating.
-		p, err := s.pool.Pin(rid.Page)
-		if err != nil {
+		if err := p.Delete(rid.Slot); err != nil {
+			s.pool.Unpin(rid.Page, false, false)
 			return err
 		}
-		perr := p.Delete(rid.Slot)
-		s.pool.Unpin(rid.Page, perr == nil, perr == nil)
-		if perr != nil {
-			return perr
-		}
-	}
-	newRID, err := s.placeLocked(before)
-	if err != nil {
-		return err
 	}
 	// Log the relocation: the committed image leaves rid and lands at
 	// newRID.
-	if err := s.logSysLocked(LogDelete, rid, nil); err != nil {
+	if err := s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: LogDelete, RID: rid}); err != nil {
 		return err
 	}
-	if err := s.logSysLocked(LogInsert, newRID, before); err != nil {
+	newRID, np, err := s.placeLocked(before)
+	if err != nil {
+		return err
+	}
+	if err := s.logLocked(st, np, &LogRecord{Txn: sysTxn, Kind: LogInsert, RID: newRID, After: before}); err != nil {
 		return err
 	}
 	reloc[origRID] = newRID
@@ -795,10 +767,13 @@ func (s *Store) Stats() Stats {
 
 // recover replays the write-ahead log: effects of committed
 // transactions are redone against the data file; uncommitted effects
-// never reached it (no-steal) and are simply discarded. The scan is
-// bounded: the WAL open already skipped every segment the master
-// record covers, and redo skips records below the last completed
-// checkpoint's redoLSN (their effects are certified durable).
+// never reached it (no-steal) and are simply discarded, so there is
+// no undo pass. committed and scanned come from the log's open-time
+// tail scan, which leaves this one redo pass as the second and last
+// read of the window. The scan is bounded: the WAL open already
+// skipped every segment the master record covers, and redo skips
+// records below the last completed checkpoint's redoLSN (their
+// effects are certified durable).
 //
 // Recovery deliberately appends nothing and takes no checkpoint: its
 // write cost must stay constant so that a crash during recovery,
@@ -806,21 +781,11 @@ func (s *Store) Stats() Stats {
 // no new durable debris for the next one to clean up). The first
 // regular checkpoint after open — background, manual, or the one
 // Close takes — seals the replayed window instead.
-func (s *Store) recover() error {
+func (s *Store) recover(committed map[uint64]bool, scanned int) error {
 	info, haveCkpt := s.wal.LastCheckpoint()
-	committed := map[uint64]bool{sysTxn: true} // system records always replay
-	scanned := 0
-	if err := s.wal.Records(func(rec LogRecord) {
-		scanned++
-		if rec.Kind == LogCommit {
-			committed[rec.Txn] = true
-		}
-	}); err != nil {
-		return err
-	}
 	replayed := 0
 	var applyErr error
-	err := s.wal.Records(func(rec LogRecord) {
+	err := s.wal.replay(func(rec *LogRecord) {
 		if applyErr != nil || !committed[rec.Txn] {
 			return
 		}
@@ -849,7 +814,9 @@ func (s *Store) recover() error {
 	return nil
 }
 
-func (s *Store) redo(rec LogRecord) error {
+// redo applies one committed record to its page unless the page LSN
+// shows the page already reflects it.
+func (s *Store) redo(rec *LogRecord) error {
 	if err := s.pager.EnsureAllocated(rec.RID.Page); err != nil {
 		return err
 	}
@@ -857,10 +824,19 @@ func (s *Store) redo(rec LogRecord) error {
 	if err != nil {
 		return err
 	}
-	defer func() { s.pool.Unpin(rec.RID.Page, true, false) }()
 	if p.LSN() >= rec.LSN {
+		s.pool.Unpin(rec.RID.Page, false, false)
 		return nil // page already reflects this record
 	}
+	err = applyRedo(p, rec)
+	if err == nil {
+		p.SetLSN(rec.LSN)
+	}
+	s.pool.Unpin(rec.RID.Page, err == nil, false)
+	return err
+}
+
+func applyRedo(p *Page, rec *LogRecord) error {
 	if rec.Txn == sysTxn {
 		// System (compensation) records describe the post-abort state
 		// of a slot; the pre-state at replay time may or may not carry
@@ -881,7 +857,6 @@ func (s *Store) redo(rec LogRecord) error {
 				}
 			}
 		}
-		p.SetLSN(rec.LSN)
 		return nil
 	}
 	switch rec.Kind {
@@ -898,6 +873,5 @@ func (s *Store) redo(rec LogRecord) error {
 			return fmt.Errorf("storage: redo delete %v lsn=%d: %w", rec.RID, rec.LSN, err)
 		}
 	}
-	p.SetLSN(rec.LSN)
 	return nil
 }

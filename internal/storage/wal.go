@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,10 +64,11 @@ func (k LogKind) String() string {
 
 // LogRecord is one entry in the write-ahead log.
 //
-// Insert carries After; Delete carries Before; Update carries both.
-// Commit/Abort/Begin carry no images. CkptBegin carries the active-
-// transaction table in After; CkptEnd carries redoLSN+beginLSN in
-// After.
+// The store logs redo information only: Insert and Update carry
+// After; Delete, Commit, Abort and Begin carry no image. CkptBegin
+// carries the active-transaction table in After; CkptEnd carries
+// redoLSN+beginLSN in After. Before is still framed (older logs carry
+// it on Update and Delete) but recovery never reads it.
 type LogRecord struct {
 	LSN    uint64
 	Txn    uint64
@@ -134,6 +137,9 @@ type WAL struct {
 	// anything after it could interleave a fresh frame with the torn
 	// one; the log refuses further traffic instead.
 	ioErr error
+	// Append's framing scratch, under mu.
+	head     [recHeadLen]byte
+	afterLen [4]byte
 
 	// Group-commit state, guarded by gmu — a separate mutex so joining
 	// a batch never waits behind the leader's I/O. Lock order: gmu is
@@ -141,9 +147,7 @@ type WAL struct {
 	// gmu (Sync, rotation) because nobody waits for w.mu while holding
 	// gmu.
 	gmu     sync.Mutex
-	nextLSN uint64 // LSN the next append will assign; under gmu so
-	// NextLSN works from Records callbacks that already hold w.mu
-	// (recovery redo consults it as the buffer pool's recLSN source)
+	nextLSN uint64     // LSN the next append will assign (under gmu: see NextLSN)
 	durable uint64     // highest LSN known forced to stable storage
 	leading bool       // a SyncTo leader is performing fsync rounds
 	pending *syncBatch // followers parked for the leader's next round
@@ -232,6 +236,14 @@ func listSegments(fs fault.FS, base string) ([]uint64, error) {
 // completed checkpoint are skipped (and removed by the next
 // checkpoint), bounding the scan.
 func OpenWALSegmented(fs fault.FS, path string, segBytes int64) (*WAL, error) {
+	return openWAL(fs, path, segBytes, nil)
+}
+
+// openWAL is OpenWALSegmented where visit, when non-nil, sees every
+// valid record of the replay window during the open-time tail scan
+// (images alias the scan buffer): the store collects its committed
+// set there, so restart reads the window twice, not three times.
+func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (*WAL, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
@@ -300,7 +312,7 @@ func OpenWALSegmented(fs fault.FS, path string, segBytes int64) (*WAL, error) {
 	for i := 0; i < len(w.segs); i++ {
 		s := w.segs[i]
 		validEnd := int64(0)
-		err := scanFile(s.f, func(rec LogRecord, end int64) {
+		err := scanFile(s.f, func(rec *LogRecord, end int64) {
 			if s.firstLSN == 0 {
 				s.firstLSN = rec.LSN
 			}
@@ -312,6 +324,9 @@ func OpenWALSegmented(fs fault.FS, path string, segBytes int64) (*WAL, error) {
 					info.EndLSN = rec.LSN
 					w.lastCkpt, w.haveCkpt = info, true
 				}
+			}
+			if visit != nil {
+				visit(rec)
 			}
 		})
 		if err != nil {
@@ -391,7 +406,9 @@ func (w *WAL) updateSegMetricsLocked() {
 // Append writes rec to the log, assigning and returning its LSN. The
 // record is buffered; call Sync to force it to stable storage. When
 // the active segment is over the rotation threshold it is sealed
-// (flushed + fsynced) and a successor created before the append.
+// (flushed + fsynced) and a successor created before the append. The
+// frame goes into the buffered writer piece by piece: the images are
+// copied once and nothing is allocated.
 func (w *WAL) Append(rec *LogRecord) (uint64, error) {
 	defer w.appendDur.Time()()
 	w.mu.Lock()
@@ -408,9 +425,8 @@ func (w *WAL) Append(rec *LogRecord) (uint64, error) {
 	rec.LSN = w.nextLSN
 	w.nextLSN++
 	w.gmu.Unlock()
-	frame := encodeRecord(rec)
 	if fp := fault.Hit(fault.SiteWALAppend); fp != nil {
-		if fp.Torn >= 0 && fp.Torn < len(frame) {
+		if frame := encodeRecord(rec); fp.Torn >= 0 && fp.Torn < len(frame) {
 			// A torn append leaves a partial frame in the stream; the
 			// log is damaged from here on.
 			_, _ = w.w.Write(frame[:fp.Torn])
@@ -418,17 +434,21 @@ func (w *WAL) Append(rec *LogRecord) (uint64, error) {
 		w.ioErr = fp.Err
 		return 0, fmt.Errorf("storage: wal append: %w", fp.Err)
 	}
-	if _, err := w.w.Write(frame); err != nil {
-		w.ioErr = err
-		return 0, fmt.Errorf("storage: wal append: %w", err)
+	frameHead(rec, &w.head, &w.afterLen)
+	for _, piece := range [...][]byte{w.head[:], rec.Before, w.afterLen[:], rec.After} {
+		if _, err := w.w.Write(piece); err != nil {
+			w.ioErr = err
+			return 0, fmt.Errorf("storage: wal append: %w", err)
+		}
 	}
+	n := int64(frameLen(rec))
 	act := w.active()
 	if act.firstLSN == 0 {
 		act.firstLSN = rec.LSN
 	}
 	act.lastLSN = rec.LSN
-	act.size += int64(len(frame))
-	w.appended += uint64(len(frame))
+	act.size += n
+	w.appended += uint64(n)
 	return rec.LSN, nil
 }
 
@@ -659,9 +679,8 @@ func (w *WAL) GroupCommitStats() (requests, batches uint64, highwater int64) {
 }
 
 // NextLSN reports the LSN the next appended record will receive. It
-// takes only gmu, never w.mu: the buffer pool consults it as the
-// recLSN source from paths that already hold w.mu (recovery redo
-// inside a Records scan).
+// takes only gmu, never w.mu, so paths that already hold w.mu (Sync,
+// a group-commit round) can read it.
 func (w *WAL) NextLSN() uint64 {
 	w.gmu.Lock()
 	defer w.gmu.Unlock()
@@ -705,8 +724,18 @@ func (w *WAL) RecoveryWindow() (scanned, skipped int) {
 
 // Records calls fn for every valid record in the replay window (the
 // segments at or after the last completed checkpoint's start), in LSN
-// order.
+// order. Each record's images are fn's own copies.
 func (w *WAL) Records(fn func(LogRecord)) error {
+	return w.replay(func(rec *LogRecord) {
+		r := *rec
+		r.Before, r.After = bytes.Clone(rec.Before), bytes.Clone(rec.After)
+		fn(r)
+	})
+}
+
+// replay is Records without the copies: the record and its images
+// alias the scan buffer and are valid only for the duration of fn.
+func (w *WAL) replay(fn func(*LogRecord)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.w != nil {
@@ -715,7 +744,7 @@ func (w *WAL) Records(fn func(LogRecord)) error {
 		}
 	}
 	for i := w.replayFrom; i < len(w.segs); i++ {
-		if err := scanFile(w.segs[i].f, func(rec LogRecord, _ int64) { fn(rec) }); err != nil {
+		if err := scanFile(w.segs[i].f, func(rec *LogRecord, _ int64) { fn(rec) }); err != nil {
 			return err
 		}
 	}
@@ -876,11 +905,14 @@ func (w *WAL) Close() error {
 // valid record and the offset just past it. A torn or corrupt record
 // ends the scan without error (it is the crash frontier). The scan
 // reads through ReadAt so the handle's write position is untouched.
-func scanFile(f fault.File, fn func(rec LogRecord, end int64)) error {
-	r := bufio.NewReaderSize(io.NewSectionReader(f, 0, 1<<62), 1<<16)
+// Every record is decoded into the same LogRecord and buffer, so fn
+// must copy whatever it keeps.
+func scanFile(f fault.File, fn func(rec *LogRecord, end int64)) error {
+	d := recordReader{r: bufio.NewReaderSize(io.NewSectionReader(f, 0, 1<<62), 1<<16)}
+	var rec LogRecord
 	var off int64
 	for {
-		rec, n, err := readRecord(r)
+		n, err := d.next(&rec)
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errBadChecksum) {
 				return nil
@@ -888,7 +920,7 @@ func scanFile(f fault.File, fn func(rec LogRecord, end int64)) error {
 			return err
 		}
 		off += n
-		fn(rec, off)
+		fn(&rec, off)
 	}
 }
 
@@ -946,10 +978,13 @@ func decodeCkptEnd(b []byte) (CheckpointInfo, bool) {
 
 // recFixedLen is the fixed part of a record payload: u64 lsn, u64
 // txn, u8 kind, u32 page, u16 slot. The minimum structurally valid
-// payload adds the two u32 image lengths.
+// payload adds the two u32 image lengths. recHeadLen is everything a
+// frame carries before its before-image: the u32 payload length, the
+// u32 CRC, the fixed fields and the u32 before-image length.
 const (
 	recFixedLen   = 23
 	recMinPayload = recFixedLen + 4 + 4
+	recHeadLen    = 8 + recFixedLen + 4
 )
 
 // On-disk record framing:
@@ -959,66 +994,98 @@ const (
 // payload: u64 lsn | u64 txn | u8 kind | u32 page | u16 slot |
 //
 //	u32 beforeLen | before | u32 afterLen | after
-func encodeRecord(rec *LogRecord) []byte {
-	frame := make([]byte, 8, 8+recMinPayload+len(rec.Before)+len(rec.After))
-	frame = binary.LittleEndian.AppendUint64(frame, rec.LSN)
-	frame = binary.LittleEndian.AppendUint64(frame, rec.Txn)
-	frame = append(frame, byte(rec.Kind))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(rec.RID.Page))
-	frame = binary.LittleEndian.AppendUint16(frame, rec.RID.Slot)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(rec.Before)))
-	frame = append(frame, rec.Before...)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(rec.After)))
-	frame = append(frame, rec.After...)
-	payload := frame[8:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	return frame
+//
+// frameHead fills head with rec's frame up to its before-image and
+// afterLen with the after-image length field; the frame is head,
+// rec.Before, afterLen, rec.After. The CRC is accumulated over those
+// pieces in payload order, so no contiguous payload is ever built.
+func frameHead(rec *LogRecord, head *[recHeadLen]byte, afterLen *[4]byte) {
+	le := binary.LittleEndian
+	le.PutUint64(head[8:], rec.LSN)
+	le.PutUint64(head[16:], rec.Txn)
+	head[24] = byte(rec.Kind)
+	le.PutUint32(head[25:], uint32(rec.RID.Page))
+	le.PutUint16(head[29:], rec.RID.Slot)
+	le.PutUint32(head[31:], uint32(len(rec.Before)))
+	le.PutUint32(afterLen[:], uint32(len(rec.After)))
+	crc := crc32.Update(0, crc32.IEEETable, head[8:])
+	crc = crc32.Update(crc, crc32.IEEETable, rec.Before)
+	crc = crc32.Update(crc, crc32.IEEETable, afterLen[:])
+	crc = crc32.Update(crc, crc32.IEEETable, rec.After)
+	le.PutUint32(head[0:], uint32(recMinPayload+len(rec.Before)+len(rec.After)))
+	le.PutUint32(head[4:], crc)
 }
 
-// readRecord decodes one frame. Structural corruption — a payload too
-// short for the fixed header, or image lengths overrunning the
-// payload — is reported as errBadChecksum so the scan treats it as
-// the crash frontier rather than panicking on a slice bound.
-func readRecord(r io.Reader) (LogRecord, int64, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return LogRecord{}, 0, err
+// frameLen is the on-disk size of rec's frame.
+func frameLen(rec *LogRecord) int { return 8 + recMinPayload + len(rec.Before) + len(rec.After) }
+
+// encodeRecord assembles rec's whole frame in one new slice. Append
+// never does; only a torn-append failpoint needs the frame as bytes.
+func encodeRecord(rec *LogRecord) []byte {
+	var head [recHeadLen]byte
+	var afterLen [4]byte
+	frameHead(rec, &head, &afterLen)
+	return slices.Concat(head[:], rec.Before, afterLen[:], rec.After)
+}
+
+// recordReader decodes consecutive frames from r into one reused
+// buffer, which grows to the largest frame seen: a decoded record's
+// images alias it until the next call.
+type recordReader struct {
+	r   io.Reader
+	hdr [8]byte
+	buf []byte
+}
+
+// next decodes one frame into rec and returns the frame's length.
+// Structural corruption — a payload too short for the fixed header,
+// or image lengths overrunning the payload — is reported as
+// errBadChecksum so the scan treats it as the crash frontier rather
+// than panicking on a slice bound.
+func (d *recordReader) next(rec *LogRecord) (int64, error) {
+	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
+		return 0, err
 	}
-	payloadLen := binary.LittleEndian.Uint32(hdr[0:4])
-	crc := binary.LittleEndian.Uint32(hdr[4:8])
+	payloadLen := binary.LittleEndian.Uint32(d.hdr[0:4])
+	crc := binary.LittleEndian.Uint32(d.hdr[4:8])
 	if payloadLen > 16*PageSize || payloadLen < recMinPayload {
-		return LogRecord{}, 0, errBadChecksum
+		return 0, errBadChecksum
 	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return LogRecord{}, 0, err
+	if uint32(cap(d.buf)) < payloadLen {
+		d.buf = make([]byte, payloadLen)
+	}
+	payload := d.buf[:payloadLen]
+	if _, err := io.ReadFull(d.r, payload); err != nil {
+		return 0, err
 	}
 	if crc32.ChecksumIEEE(payload) != crc {
-		return LogRecord{}, 0, errBadChecksum
+		return 0, errBadChecksum
 	}
 	// Validate the image lengths before slicing; uint64 arithmetic
 	// keeps a 4 GiB length field from overflowing the bounds checks.
 	n := uint64(payloadLen)
 	bl := uint64(binary.LittleEndian.Uint32(payload[recFixedLen : recFixedLen+4]))
 	if recMinPayload+bl > n {
-		return LogRecord{}, 0, errBadChecksum
+		return 0, errBadChecksum
 	}
 	al := uint64(binary.LittleEndian.Uint32(payload[recFixedLen+4+bl : recFixedLen+8+bl]))
 	if recMinPayload+bl+al != n {
-		return LogRecord{}, 0, errBadChecksum
+		return 0, errBadChecksum
 	}
-	var rec LogRecord
-	rec.LSN = binary.LittleEndian.Uint64(payload[0:8])
-	rec.Txn = binary.LittleEndian.Uint64(payload[8:16])
-	rec.Kind = LogKind(payload[16])
-	rec.RID.Page = PageID(binary.LittleEndian.Uint32(payload[17:21]))
-	rec.RID.Slot = binary.LittleEndian.Uint16(payload[21:23])
+	*rec = LogRecord{
+		LSN:  binary.LittleEndian.Uint64(payload[0:8]),
+		Txn:  binary.LittleEndian.Uint64(payload[8:16]),
+		Kind: LogKind(payload[16]),
+		RID: RID{
+			Page: PageID(binary.LittleEndian.Uint32(payload[17:21])),
+			Slot: binary.LittleEndian.Uint16(payload[21:23]),
+		},
+	}
 	if bl > 0 {
-		rec.Before = append([]byte(nil), payload[recFixedLen+4:recFixedLen+4+bl]...)
+		rec.Before = payload[recFixedLen+4 : recFixedLen+4+bl : recFixedLen+4+bl]
 	}
 	if al > 0 {
-		rec.After = append([]byte(nil), payload[recFixedLen+8+bl:]...)
+		rec.After = payload[recFixedLen+8+bl:]
 	}
-	return rec, int64(8 + payloadLen), nil
+	return int64(8 + payloadLen), nil
 }

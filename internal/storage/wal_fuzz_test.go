@@ -63,9 +63,11 @@ func TestReadRecordRejectsStructuralCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := readRecord(bytes.NewReader(tc.data))
+			d := recordReader{r: bytes.NewReader(tc.data)}
+			var rec LogRecord
+			_, err := d.next(&rec)
 			if err == nil {
-				t.Fatal("readRecord accepted structurally corrupt frame")
+				t.Fatal("decoder accepted structurally corrupt frame")
 			}
 			if !errors.Is(err, errBadChecksum) && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
 				t.Fatalf("err = %v; want errBadChecksum or EOF so the scan treats it as the crash frontier", err)
@@ -160,7 +162,9 @@ func FuzzReadRecord(f *testing.F) {
 	f.Add(walFrame(make([]byte, recMinPayload-1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rec, n, err := readRecord(bytes.NewReader(data))
+		d := recordReader{r: bytes.NewReader(data)}
+		var rec LogRecord
+		n, err := d.next(&rec)
 		if err != nil {
 			return
 		}

@@ -173,7 +173,24 @@ rule Sample {
 	}
 	defer loaded.Stop()
 	vc.Advance(time.Minute)
-	sys.Engine.WaitDetached()
+	// The four firings read and then write the same river, so two of
+	// them can deadlock on the lock upgrade; the victim retries after a
+	// backoff on the engine's clock, which is virtual here. Keep that
+	// clock moving, short of the next 15 s tick, until all have run.
+	done := make(chan struct{})
+	go func() { sys.Engine.WaitDetached(); close(done) }()
+	for step := 0; ; step++ {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Millisecond):
+			if step == 100 {
+				t.Fatal("detached firings still running after 10 s of virtual retry time")
+			}
+			vc.Advance(100 * time.Millisecond)
+			continue
+		}
+		break
+	}
 	tx2 := sys.Begin()
 	if v, _ := sys.DB.Get(tx2, river, "level"); v != int64(4) {
 		t.Fatalf("level = %v, want 4", v)
