@@ -57,20 +57,27 @@ func benchEngine(tb testing.TB, rules int, fire bool) (*Engine, *oodb.DB, *oodb.
 	return e, db, obj
 }
 
-// BenchmarkFireImmediate8 is the plant-rules shape: one transaction, one
+// fireImmediate8 is the plant-rules shape: one transaction, one
 // monitored call, eight immediate rules each in its own subtransaction.
+func fireImmediate8(tb testing.TB) func(i int) {
+	_, db, obj := benchEngine(tb, 8, true)
+	return func(i int) {
+		tx := db.Begin()
+		if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+			tb.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFireImmediate8(b *testing.B) {
-	_, db, obj := benchEngine(b, 8, true)
+	fire := fireImmediate8(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := db.Begin()
-		if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		fire(i)
 	}
 }
 
@@ -143,7 +150,7 @@ func TestRaisePathAllocationCeilings(t *testing.T) {
 	}
 
 	// One immediate rule whose condition is false: the subtransaction and
-	// the rule context, nothing per phase.
+	// the set's rule-context array, nothing per phase.
 	in := &event.Instance{SpecKey: pingKey(), Kind: event.KindMethod, Txn: tx.ID(),
 		OID: uint64(obj.OID()), Origin: tx}
 	fire := func() {
@@ -155,10 +162,18 @@ func TestRaisePathAllocationCeilings(t *testing.T) {
 	for i := 0; i < 2*256; i++ {
 		fire() // every slot of the trace ring has its span array
 	}
-	if n := testing.AllocsPerRun(100, fire); n > 3 {
-		t.Errorf("one immediate rule, condition false: %.0f allocations, ceiling 3", n)
+	if n := testing.AllocsPerRun(100, fire); n > 2 {
+		t.Errorf("one immediate rule, condition false: %.0f allocations, ceiling 2", n)
 	}
 	if tx.Status() != txn.Active {
 		t.Fatal("triggering transaction did not survive")
+	}
+
+	// Eight immediate rules that fire, each loading the trigger's object:
+	// one rule-context array for the set, no per-firing context.
+	fire8 := fireImmediate8(t)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { fire8(i); i++ }); n > 27 {
+		t.Errorf("BenchmarkFireImmediate8 body: %.0f allocations, ceiling 27", n)
 	}
 }

@@ -28,11 +28,6 @@ type compositeMgr struct {
 
 	in     chan compMsg
 	closed chan struct{}
-
-	// hasImmediate caches whether any (unsafe-mode) immediate rule is
-	// attached; it forces synchronous acknowledgement — the stall the
-	// paper's design avoids.
-	hasImmediate bool
 }
 
 type compMsg struct {
@@ -53,27 +48,29 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 	if err := decl.Validate(); err != nil {
 		return err
 	}
-	key := decl.Key()
-	e.mu.Lock()
-	if _, dup := e.composites[key]; dup {
-		e.mu.Unlock()
-		return fmt.Errorf("eca: composite %q already defined", decl.Name)
-	}
 	cm := &compositeMgr{
 		engine: e,
 		decl:   decl,
-		mgr:    e.managerLocked(key, event.KindComposite),
 		perTxn: make(map[uint64]*algebra.Composer),
 		closed: make(chan struct{}),
 	}
 	if decl.Scope == algebra.ScopeGlobal {
 		cp, err := algebra.NewComposer(decl)
 		if err != nil {
-			e.mu.Unlock()
 			return err
 		}
 		cm.global = cp
 	}
+	if !e.opts.SyncComposition {
+		cm.in = make(chan compMsg, e.opts.ComposerBuffer)
+	}
+	key := decl.Key()
+	e.mu.Lock()
+	if _, dup := e.composites[key]; dup {
+		e.mu.Unlock()
+		return fmt.Errorf("eca: composite %q already defined", decl.Name)
+	}
+	cm.mgr = e.managerLocked(key)
 	e.composites[key] = cm
 	e.txnComposites = innerFirst(e.composites)
 	// Wire each constituent's manager to propagate to this composite.
@@ -82,23 +79,19 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 	// (lockdiscipline).
 	var subscribe []string
 	for _, prim := range algebra.PrimitiveKeys(decl.Expr) {
-		pm := e.managerLocked(prim, kindOfKey(prim))
-		pm.mu.Lock()
+		pm := e.managerLocked(prim)
 		pm.composers = append(pm.composers, cm)
-		pm.refreshComposersLocked()
-		pm.mu.Unlock()
 		if k := kindOfKey(prim); k == event.KindMethod || k == event.KindState {
 			subscribe = append(subscribe, prim)
 		}
 	}
+	e.republishLocked(key)
 	e.mu.Unlock()
+	if cm.in != nil {
+		go cm.loop()
+	}
 	for _, prim := range subscribe {
 		e.disp.Subscribe(prim)
-	}
-
-	if !e.opts.SyncComposition {
-		cm.in = make(chan compMsg, e.opts.ComposerBuffer)
-		go cm.loop()
 	}
 	return nil
 }
@@ -142,49 +135,30 @@ func (e *Engine) Composites() int {
 	return len(e.composites)
 }
 
-// refreshImmediateFlag recomputes whether unsafe immediate rules are
-// attached to the composite.
-func (cm *compositeMgr) refreshImmediateFlag() {
-	has := false
-	for _, r := range cm.mgr.Rules() {
-		if !r.Disabled && r.condMode() == Immediate {
-			has = true
-			break
-		}
-	}
-	cm.mu.Lock()
-	cm.hasImmediate = has
-	cm.mu.Unlock()
-}
-
 // propagate hands a primitive occurrence to every composite manager
 // containing it. In asynchronous mode this is a channel send; the
 // caller proceeds without waiting — unless a composite has an
 // (unsafe) immediate rule, in which case the caller must stall for
 // the acknowledgement, which is precisely the cost Table 1's "(N)"
 // refuses.
-func (e *Engine) propagate(m *Manager, in *event.Instance) {
-	cs := m.comps.Load()
-	if cs == nil || len(*cs) == 0 {
+func (e *Engine) propagate(p *plan, in *event.Instance) {
+	if len(p.feeds) == 0 {
 		return
 	}
 	// Composers may hold the instance past this call (channel delivery,
 	// semi-composed state); pin it so a pooled instance is not recycled
 	// under them.
 	in.Retain()
-	for _, cm := range *cs {
-		cm.deliver(in)
+	for _, f := range p.feeds {
+		f.cm.deliver(in, f.stall)
 	}
 }
 
-func (cm *compositeMgr) deliver(in *event.Instance) {
+func (cm *compositeMgr) deliver(in *event.Instance, stall bool) {
 	if cm.in == nil { // synchronous composition
 		cm.process(compMsg{in: in})
 		return
 	}
-	cm.mu.Lock()
-	stall := cm.hasImmediate
-	cm.mu.Unlock()
 	if stall {
 		msg := compMsg{in: in, ack: make(chan struct{})}
 		if cm.send(msg) {
@@ -362,11 +336,12 @@ func (e *Engine) handleCompletions(cm *compositeMgr, completions []*event.Instan
 			comp.Seq = e.seq.Add(1)
 		}
 		trigger := e.trigger(comp)
-		e.record(cm.mgr, comp, trigger)
+		p := e.planFor(cm.mgr.key)
+		e.record(p.m, comp, trigger)
 		// Errors from (unsafe) immediate composite rules have no
 		// transaction to veto here; they surface on the rule txn.
-		e.fireRules(cm.mgr, comp, trigger, e.clk.Now())
-		e.propagate(cm.mgr, comp)
+		e.fireRules(p, comp, trigger, e.clk.Now())
+		e.propagate(p, comp)
 	}
 }
 
@@ -374,15 +349,9 @@ func (e *Engine) handleCompletions(cm *compositeMgr, completions []*event.Instan
 // interval has lapsed across all global composers, returning the
 // total dropped (§3.3, §6.3).
 func (e *Engine) GCExpired() int {
-	e.mu.RLock()
-	cms := make([]*compositeMgr, 0, len(e.composites))
-	for _, cm := range e.composites {
-		cms = append(cms, cm)
-	}
-	e.mu.RUnlock()
 	now := e.clk.Now()
 	total := 0
-	for _, cm := range cms {
+	for _, cm := range e.compositeMgrs() {
 		cm.mu.Lock()
 		if cm.global != nil {
 			total += cm.global.Expire(now)
@@ -396,14 +365,8 @@ func (e *Engine) GCExpired() int {
 // SemiComposed reports the number of buffered semi-composed
 // occurrences across all composers (for the life-span experiments).
 func (e *Engine) SemiComposed() int {
-	e.mu.RLock()
-	cms := make([]*compositeMgr, 0, len(e.composites))
-	for _, cm := range e.composites {
-		cms = append(cms, cm)
-	}
-	e.mu.RUnlock()
 	total := 0
-	for _, cm := range cms {
+	for _, cm := range e.compositeMgrs() {
 		cm.mu.Lock()
 		if cm.global != nil {
 			total += cm.global.Pending()
@@ -419,13 +382,7 @@ func (e *Engine) SemiComposed() int {
 // DrainComposers blocks until every asynchronous composer has
 // processed all events delivered so far.
 func (e *Engine) DrainComposers() {
-	e.mu.RLock()
-	cms := make([]*compositeMgr, 0, len(e.composites))
-	for _, cm := range e.composites {
-		cms = append(cms, cm)
-	}
-	e.mu.RUnlock()
-	for _, cm := range cms {
+	for _, cm := range e.compositeMgrs() {
 		if cm.in == nil {
 			continue
 		}
@@ -436,6 +393,17 @@ func (e *Engine) DrainComposers() {
 		case <-cm.closed:
 		}
 	}
+}
+
+// compositeMgrs lists the defined composites' managers.
+func (e *Engine) compositeMgrs() []*compositeMgr {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	cms := make([]*compositeMgr, 0, len(e.composites))
+	for _, cm := range e.composites {
+		cms = append(cms, cm)
+	}
+	return cms
 }
 
 // Close shuts down the engine: temporal sources are disarmed, the

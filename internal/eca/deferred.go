@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/event"
 	"repro/internal/governor"
+	"repro/internal/obs"
 	"repro/internal/txn"
 )
 
@@ -110,38 +111,24 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 func (e *Engine) orderDeferred(batch []deferredEntry) {
 	tb := e.opts.TieBreak
 	sbc := e.opts.SimpleBeforeComplex
-	sort.SliceStable(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
+	slices.SortStableFunc(batch, func(a, b deferredEntry) int {
 		if sbc {
-			as := a.in.Kind != event.KindComposite
-			bs := b.in.Kind != event.KindComposite
-			if as != bs {
-				return as
+			// Rules on simple events first.
+			if ac, bc := a.in.Kind == event.KindComposite, b.in.Kind == event.KindComposite; ac != bc {
+				if ac {
+					return 1
+				}
+				return -1
 			}
 		}
-		return ruleLess(a.rule, b.rule, tb)
+		return ruleCompare(a.rule, b.rule, tb)
 	})
 }
 
+// runDeferredBatch runs one round's deferred firings, each with its
+// element of one backing array of rule contexts.
 func (e *Engine) runDeferredBatch(top *txn.Txn, batch []deferredEntry) error {
-	run := func(entry deferredEntry, mark *time.Time) error {
-		// The queue-wait span: enqueue (during the transaction) to
-		// dequeue (EOT processing) — the end of the firing before it.
-		start := *mark
-		dwell := start.Sub(entry.at)
-		e.met.deferredDwell.Observe(dwell)
-		e.tracer.Span(entry.in.Trace, "enqueue-deferred", entry.rule.Name, entry.at, dwell)
-		child, err := top.BeginChild()
-		if err != nil {
-			return fmt.Errorf("eca: deferred rule %s: %w", entry.rule.Name, err)
-		}
-		e.met.firedDeferred.Inc()
-		defer func() { e.met.latDeferred.Observe(mark.Sub(start)) }()
-		if entry.actionOnly {
-			return e.runActionOnly(child, entry.rule, entry.in, mark)
-		}
-		return e.runRuleGuarded(context.Background(), child, entry.rule, entry.in, mark)
-	}
+	rcs := make([]RuleCtx, len(batch))
 	mark := e.clk.Now()
 	if e.opts.Exec == ParallelExec && len(batch) > 1 {
 		// The batch runs on its own bounded goroutine set, not the
@@ -151,17 +138,43 @@ func (e *Engine) runDeferredBatch(top *txn.Txn, batch []deferredEntry) error {
 		// the batch worker and surface as that entry's error.
 		fns := make([]func() error, len(batch))
 		for i, entry := range batch {
-			entry, begun := entry, mark
-			fns[i] = func() error { return run(entry, &begun) }
+			rc, begun := &rcs[i], mark
+			fns[i] = func() error {
+				sb := spanBuf{tr: e.tracer}
+				defer sb.flush()
+				return e.runDeferredEntry(top, entry, rc, &sb, &begun)
+			}
 		}
 		return errors.Join(runBatch(fns)...)
 	}
-	for _, entry := range batch {
-		if err := run(entry, &mark); err != nil {
+	sb := spanBuf{tr: e.tracer}
+	defer sb.flush()
+	for i, entry := range batch {
+		if err := e.runDeferredEntry(top, entry, &rcs[i], &sb, &mark); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// runDeferredEntry runs one deferred firing as a subtransaction of top.
+func (e *Engine) runDeferredEntry(top *txn.Txn, entry deferredEntry, rc *RuleCtx, sb *spanBuf, mark *time.Time) error {
+	// The queue-wait span: enqueue (during the transaction) to dequeue
+	// (EOT processing) — the end of the firing before it.
+	start := *mark
+	dwell := start.Sub(entry.at)
+	e.met.deferredDwell.Observe(dwell)
+	sb.add(entry.in.Trace, obs.Span{Stage: "enqueue-deferred", Key: entry.rule.Name, Start: entry.at, Dur: dwell})
+	child, err := top.BeginChild()
+	if err != nil {
+		return fmt.Errorf("eca: deferred rule %s: %w", entry.rule.Name, err)
+	}
+	e.met.firedDeferred.Inc()
+	defer func() { e.met.latDeferred.Observe(mark.Sub(start)) }()
+	if entry.actionOnly {
+		return e.runActionOnly(child, entry.rule, entry.in, rc, sb, mark)
+	}
+	return e.runRuleGuarded(context.Background(), child, entry.rule, entry.in, rc, sb, mark)
 }
 
 // dropDeferred discards an aborting transaction's queued deferred
@@ -184,14 +197,14 @@ func (e *Engine) dropDeferred(top *txn.Txn) {
 // runActionOnly executes just the action part of a rule whose
 // condition was already evaluated immediately (imm/def split), with
 // the same panic containment as a full rule body.
-func (e *Engine) runActionOnly(t *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) (err error) {
+func (e *Engine) runActionOnly(t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = e.recoverRulePanic(t, r, in, p)
 		}
 	}()
-	f, rc := e.beginFiring(context.Background(), t, r, in, *mark)
-	defer f.finish(mark)
+	f := e.beginFiring(context.Background(), t, r, in, rc, *mark)
+	defer f.finish(mark, sb)
 	return f.action(t, r, rc)
 }
 

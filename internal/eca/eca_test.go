@@ -878,7 +878,7 @@ func TestDistributedHistoryConsolidatedAfterCommit(t *testing.T) {
 	tx := db.Begin()
 	db.Invoke(tx, obj, "ping", int64(1))
 	// Before commit: local history has it, global does not.
-	m := e.lookupManager(pingKey())
+	m := e.planFor(pingKey()).m
 	if len(m.LocalHistory()) != 1 {
 		t.Fatalf("local history = %d entries, want 1", len(m.LocalHistory()))
 	}

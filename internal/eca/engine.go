@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic" //lint:allow rawatomics event sequence allocator and shutdown flag, not metrics
 	"time"
@@ -320,6 +321,8 @@ type Engine struct {
 	clk  clock.Clock
 	opts Options
 
+	// mu is the registration lock: it guards managers, composites and
+	// every manager's rules and composers.
 	mu         sync.RWMutex
 	managers   map[string]*Manager
 	composites map[string]*compositeMgr
@@ -329,10 +332,10 @@ type Engine struct {
 	txnComposites []*compositeMgr
 	ruleSeq       uint64
 
-	// mgrSnap is a copy-on-write snapshot of managers, republished
-	// under e.mu on every registration, so the per-event lookup on the
-	// raise path is one atomic load instead of an RLock.
-	mgrSnap atomic.Pointer[map[string]*Manager]
+	// plans is the published dispatch table, one plan per key with a
+	// manager, replaced (copy-on-write) under mu by every registration
+	// change, so a raise does one atomic load and one map read.
+	plans atomic.Pointer[map[string]*plan]
 
 	seq atomic.Uint64
 
@@ -392,6 +395,7 @@ func New(db *oodb.DB, opts Options) *Engine {
 	// Every history (global and per-manager local) shares one byte
 	// gauge so the governor sees total history footprint in one read.
 	e.hist.bytes = e.met.historyBytes
+	e.plans.Store(&map[string]*plan{})
 	e.slowLog = obs.NewSlowLog(opts.SlowLogCapacity, opts.SlowLogThreshold)
 	e.slowLog.Instrument(reg)
 	tracer.SetSlowLog(e.slowLog)
@@ -463,11 +467,37 @@ func (e *Engine) span(traceID uint64, stage, key string, start time.Time) {
 	e.tracer.Span(traceID, stage, key, start, e.clk.Now().Sub(start))
 }
 
+// spanBuf gathers the spans of a rule set's firings so that they reach
+// the tracer in one call per trace: one stripe lock per raise, not one
+// per firing. It lives on the stack of the goroutine running the set.
+type spanBuf struct {
+	tr    *obs.Tracer
+	trace uint64
+	n     int
+	buf   [24]obs.Span
+}
+
+// add queues spans for trace, handing the queued ones over first when
+// the trace changes or the buffer is full.
+func (b *spanBuf) add(trace uint64, spans ...obs.Span) {
+	if trace != b.trace || b.n+len(spans) > len(b.buf) {
+		b.flush()
+		b.trace = trace
+	}
+	b.n += copy(b.buf[b.n:], spans)
+}
+
+// flush hands the queued spans to the tracer.
+func (b *spanBuf) flush() {
+	b.tr.Spans(b.trace, b.buf[:b.n]...)
+	b.n = 0
+}
+
 // firing times one rule execution. The clock is read once per phase
 // boundary — the end of the condition is the start of the action, the
 // end of one firing the start of the next in its sequence, so a firing's
 // first phase includes setting its subtransaction up — and the phases
-// reach the tracer in one call when the firing resolves.
+// go to the set's span buffer when the firing resolves.
 type firing struct {
 	e     *Engine
 	rule  string
@@ -501,11 +531,11 @@ func (f *firing) abort(t *txn.Txn, cause error) {
 	f.phase("abort", f.e.met.phaseAbort)
 }
 
-// finish records the firing's phases on the triggering event's trace
+// finish queues the firing's phases for the triggering event's trace
 // and moves mark, the boundary the firing started at, to its end.
-func (f *firing) finish(mark *time.Time) {
+func (f *firing) finish(mark *time.Time, sb *spanBuf) {
 	*mark = f.last
-	f.e.tracer.Spans(f.trace, f.spans[:f.n]...)
+	sb.add(f.trace, f.spans[:f.n]...)
 }
 
 // Dispatcher exposes the sentry dispatcher (for overhead stats and
@@ -545,68 +575,12 @@ func (e *Engine) ResetStats() {
 // event participates in, and keeps a local history of occurrences
 // (§6.3, Figure 2).
 type Manager struct {
-	key  string
-	kind event.Kind
-
-	mu        sync.Mutex
+	key   string
+	local *shardedHistory
+	// rules, in firing order, and composers are what the key's plan is
+	// built from; Engine.mu guards them.
 	rules     []*Rule
 	composers []*compositeMgr
-	local     *shardedHistory
-
-	// fires is the pre-resolved firing partition: the enabled rules
-	// split by coupling mode, rebuilt under mu whenever the rule list
-	// or an enabled flag changes, so the per-event dispatch is one
-	// atomic load with no copying. comps is the equivalent snapshot of
-	// the composite managers this event propagates to.
-	fires atomic.Pointer[ruleSet]
-	comps atomic.Pointer[[]*compositeMgr]
-}
-
-// ruleSet is an immutable partition of a manager's enabled rules by
-// condition-coupling mode, each slice in firing order.
-type ruleSet struct {
-	enabled   int
-	immediate []*Rule
-	deferred  []*Rule
-	detached  []*Rule
-}
-
-// refreshFiresLocked rebuilds the pre-resolved firing partition; the
-// caller holds m.mu.
-func (m *Manager) refreshFiresLocked() {
-	rs := &ruleSet{}
-	for _, r := range m.rules {
-		if r.Disabled {
-			continue
-		}
-		rs.enabled++
-		switch r.condMode() {
-		case Immediate:
-			rs.immediate = append(rs.immediate, r)
-		case Deferred:
-			rs.deferred = append(rs.deferred, r)
-		default:
-			rs.detached = append(rs.detached, r)
-		}
-	}
-	m.fires.Store(rs)
-}
-
-// refreshComposersLocked republishes the composite-manager snapshot;
-// the caller holds m.mu.
-func (m *Manager) refreshComposersLocked() {
-	snap := append([]*compositeMgr(nil), m.composers...)
-	m.comps.Store(&snap)
-}
-
-// Key returns the spec key the manager is dedicated to.
-func (m *Manager) Key() string { return m.key }
-
-// Rules returns the manager's rules in firing order.
-func (m *Manager) Rules() []*Rule {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*Rule(nil), m.rules...)
 }
 
 // LocalHistory returns the manager's local event history, oldest
@@ -615,39 +589,83 @@ func (m *Manager) LocalHistory() []HistoryEntry {
 	return m.local.entries()
 }
 
+// plan is the dispatch plan of one event key: everything a raise needs
+// that changes only when a rule or composite is registered, resolved
+// then rather than on every raise. Plans are immutable.
+type plan struct {
+	m *Manager
+	// The enabled rules by condition coupling, each in firing order.
+	immediate, deferred, detached []*Rule
+	// feeds are the composite managers the event propagates to.
+	feeds []feed
+}
+
+// feed is one composite manager a plan propagates to. stall is set when
+// the composite has an enabled immediate rule (admitted only under
+// AllowUnsafeImmediateComposite): the raiser then waits until the
+// composer has processed the occurrence — the stall Table 1's "(N)"
+// refuses.
+type feed struct {
+	cm    *compositeMgr
+	stall bool
+}
+
+// planFor returns the published plan for key, nil when no rule or
+// composite involves the key.
+func (e *Engine) planFor(key string) *plan { return (*e.plans.Load())[key] }
+
 // managerLocked returns (creating if needed) the ECA-manager for a
-// key; the caller holds e.mu. A new manager republishes the
-// copy-on-write lookup snapshot.
-func (e *Engine) managerLocked(key string, kind event.Kind) *Manager {
+// key; the caller holds e.mu and republishes the key's plan.
+func (e *Engine) managerLocked(key string) *Manager {
 	if m, ok := e.managers[key]; ok {
 		return m
 	}
-	m := &Manager{key: key, kind: kind, local: newShardedHistory(e.opts.LocalHistorySize)}
+	m := &Manager{key: key, local: newShardedHistory(e.opts.LocalHistorySize)}
 	m.local.bytes = e.met.historyBytes
 	e.managers[key] = m
-	snap := make(map[string]*Manager, len(e.managers))
-	for k, v := range e.managers {
-		snap[k] = v
-	}
-	e.mgrSnap.Store(&snap)
 	return m
 }
 
-// lookupManager returns the manager for key, or nil. It reads the
-// copy-on-write snapshot: one atomic load on the raise path.
-func (e *Engine) lookupManager(key string) *Manager {
-	snap := e.mgrSnap.Load()
-	if snap == nil {
-		return nil
+// republishLocked rebuilds the plan of key and, when key is a composite,
+// the plans of its constituents, whose stall flags follow its immediate
+// rules; then it publishes the new table. The caller holds e.mu.
+func (e *Engine) republishLocked(key string) {
+	keys := []string{key}
+	if cm := e.composites[key]; cm != nil {
+		keys = append(keys, algebra.PrimitiveKeys(cm.decl.Expr)...)
 	}
-	return (*snap)[key]
+	plans := maps.Clone(*e.plans.Load())
+	for _, k := range keys {
+		if m := e.managers[k]; m != nil {
+			plans[k] = e.planLocked(m)
+		}
+	}
+	e.plans.Store(&plans)
 }
 
-// Managers reports the number of registered ECA-managers.
-func (e *Engine) Managers() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return len(e.managers)
+// planLocked builds m's plan; the caller holds e.mu.
+func (e *Engine) planLocked(m *Manager) *plan {
+	p := &plan{m: m}
+	for _, r := range m.rules {
+		if r.Disabled {
+			continue
+		}
+		switch r.condMode() {
+		case Immediate:
+			p.immediate = append(p.immediate, r)
+		case Deferred:
+			p.deferred = append(p.deferred, r)
+		default:
+			p.detached = append(p.detached, r)
+		}
+	}
+	for _, cm := range m.composers {
+		stall := slices.ContainsFunc(cm.mgr.rules, func(r *Rule) bool {
+			return !r.Disabled && r.condMode() == Immediate
+		})
+		p.feeds = append(p.feeds, feed{cm: cm, stall: stall})
+	}
+	return p
 }
 
 // kindOfKey derives the event kind from a spec key prefix.
@@ -706,50 +724,35 @@ func (e *Engine) AddRule(r *Rule) error {
 	e.ruleSeq++
 	r.regSeq = e.ruleSeq
 	r.regTime = e.clk.Now()
-	m := e.managerLocked(r.EventKey, kindOfKey(r.EventKey))
-	e.mu.Unlock()
-
-	m.mu.Lock()
+	m := e.managerLocked(r.EventKey)
 	m.rules = append(m.rules, r)
 	tb := e.opts.TieBreak
-	sort.SliceStable(m.rules, func(i, j int) bool { return ruleLess(m.rules[i], m.rules[j], tb) })
-	m.refreshFiresLocked()
-	m.mu.Unlock()
+	slices.SortStableFunc(m.rules, func(a, b *Rule) int { return ruleCompare(a, b, tb) })
+	e.republishLocked(r.EventKey)
+	e.mu.Unlock()
 
 	// Subscribe the sentry so the database starts delivering.
 	if k := kindOfKey(r.EventKey); k == event.KindMethod || k == event.KindState {
 		e.disp.Subscribe(r.EventKey)
-	} else if k == event.KindComposite {
-		e.mu.RLock()
-		cm := e.composites[r.EventKey]
-		e.mu.RUnlock()
-		if cm != nil {
-			cm.refreshImmediateFlag()
-		}
 	}
 	return nil
 }
 
-// RemoveRule unregisters a rule by name from its event's manager. The
-// sentry unsubscription and the composite flag refresh run after the
-// manager lock is released: both take other subsystems' locks and
-// must not nest inside ours (lockdiscipline).
+// RemoveRule unregisters a rule by name from its event's manager. Once
+// it returns, no raise fires the rule. The sentry unsubscription runs
+// after the registration lock is released: the dispatcher takes its
+// own lock, which must not nest inside ours (lockdiscipline).
 func (e *Engine) RemoveRule(eventKey, name string) bool {
-	m := e.lookupManager(eventKey)
-	if m == nil {
-		return false
-	}
-	m.mu.Lock()
+	e.mu.Lock()
 	found := false
-	for i, r := range m.rules {
-		if r.Name == name {
-			m.rules = append(m.rules[:i], m.rules[i+1:]...)
+	if m := e.managers[eventKey]; m != nil {
+		if i := slices.IndexFunc(m.rules, func(r *Rule) bool { return r.Name == name }); i >= 0 {
+			m.rules = slices.Delete(m.rules, i, i+1)
+			e.republishLocked(eventKey)
 			found = true
-			break
 		}
 	}
-	m.refreshFiresLocked()
-	m.mu.Unlock()
+	e.mu.Unlock()
 	if !found {
 		return false
 	}
@@ -759,16 +762,8 @@ func (e *Engine) RemoveRule(eventKey, name string) bool {
 	// registered under the same name must not inherit its
 	// predecessor's failure streak.
 	e.exec.evictRule(name)
-	switch kindOfKey(eventKey) {
-	case event.KindMethod, event.KindState:
+	if k := kindOfKey(eventKey); k == event.KindMethod || k == event.KindState {
 		e.disp.Unsubscribe(eventKey)
-	case event.KindComposite:
-		e.mu.RLock()
-		cm := e.composites[eventKey]
-		e.mu.RUnlock()
-		if cm != nil {
-			cm.refreshImmediateFlag()
-		}
 	}
 	return true
 }
@@ -834,12 +829,12 @@ func (e *Engine) txnOutcome(id uint64) (live *txn.Txn, st txn.Status, known bool
 // the operation.
 func (e *Engine) Consume(in *event.Instance) error {
 	e.stamp(in)
-	m := e.lookupManager(in.SpecKey)
-	if m == nil {
+	p := e.planFor(in.SpecKey)
+	if p == nil {
 		return nil
 	}
 	t := e.trigger(in)
-	return e.dispatch(m, in, t, t)
+	return e.dispatch(p, in, t, t)
 }
 
 // stamp counts an arriving occurrence and gives it its place in the
@@ -858,7 +853,7 @@ func (e *Engine) stamp(in *event.Instance) {
 // is the live transaction its rules couple to; owner the transaction
 // whose history takes it — the same, except for commit and abort
 // events, which are raised once their transaction has resolved.
-func (e *Engine) dispatch(m *Manager, in *event.Instance, trigger, owner *txn.Txn) error {
+func (e *Engine) dispatch(p *plan, in *event.Instance, trigger, owner *txn.Txn) error {
 	start := e.clk.Now()
 	if in.Trace == 0 && !e.shedTraces() {
 		// Flow-control and temporal events enter here without passing
@@ -867,14 +862,14 @@ func (e *Engine) dispatch(m *Manager, in *event.Instance, trigger, owner *txn.Tx
 		// sentry's shed probe: observability is shed before work is.
 		in.Trace = e.tracer.Begin(in.SpecKey, start)
 	}
-	e.record(m, in, owner)
+	e.record(p.m, in, owner)
 	if in.Depth == 0 && trigger != nil {
 		// Events raised inside a rule transaction inherit the depth the
 		// executing rule stamped on it; application events stay at 0.
 		in.Depth = int(trigger.Tag())
 	}
-	err := e.fireRules(m, in, trigger, start)
-	e.propagate(m, in)
+	err := e.fireRules(p, in, trigger, start)
+	e.propagate(p, in)
 	e.span(in.Trace, "detect", in.SpecKey, start)
 	return err
 }
@@ -906,14 +901,14 @@ func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	st.mu.Unlock()
 }
 
-// fireRules runs the manager's rules for one occurrence, routing each
+// fireRules runs the plan's rules for one occurrence, routing each
 // to its coupling mode. Immediate rules run inline (the caller is
 // stalled — this is exactly why composite events may not couple
 // immediately); deferred rules are queued on the triggering top-level
 // transaction; detached rules spawn.
-func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn, start time.Time) error {
-	rs := m.fires.Load()
-	if rs == nil || rs.enabled == 0 {
+func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start time.Time) error {
+	enabled := len(p.immediate) + len(p.deferred) + len(p.detached)
+	if enabled == 0 {
 		return nil
 	}
 	// The cascade-depth guard: an event this deep may not fire further
@@ -924,24 +919,24 @@ func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn, sta
 		e.met.cascadeTrips.Inc()
 		e.span(in.Trace, "cascade-depth", in.SpecKey, e.clk.Now())
 		return fmt.Errorf("eca: event %s at cascade depth %d would fire %d rule(s) past the bound %d: %w",
-			in.SpecKey, in.Depth, rs.enabled, limit, ErrCascadeDepth)
+			in.SpecKey, in.Depth, enabled, limit, ErrCascadeDepth)
 	}
 	e.met.cascadeHigh.SetMax(int64(in.Depth))
-	for _, r := range rs.deferred {
+	for _, r := range p.deferred {
 		if trigger == nil {
 			return fmt.Errorf("eca: rule %s: deferred coupling but no active transaction", r.Name)
 		}
 		e.enqueueDeferred(trigger.Top(), r, in, start, false)
 	}
-	for _, r := range rs.detached {
+	for _, r := range p.detached {
 		e.spawnDetached(r, in)
 	}
-	if len(rs.immediate) == 0 {
+	if len(p.immediate) == 0 {
 		return nil
 	}
-	e.met.firedImmediate.Add(uint64(len(rs.immediate)))
+	e.met.firedImmediate.Add(uint64(len(p.immediate)))
 	mark := start
-	err := e.runRuleSet(rs.immediate, in, trigger, &mark)
+	err := e.runRuleSet(p.immediate, in, trigger, &mark)
 	e.met.latImmediate.Observe(mark.Sub(start))
 	return err
 }
@@ -950,6 +945,8 @@ func (e *Engine) fireRules(m *Manager, in *event.Instance, trigger *txn.Txn, sta
 // or as parallel sibling subtransactions (§6.4). mark is the instant
 // the set starts at; it is moved to the instant the set is done.
 func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn, mark *time.Time) error {
+	// One context per firing, all in one backing array.
+	rcs := make([]RuleCtx, len(rules))
 	if e.opts.Exec == ParallelExec && len(rules) > 1 && trigger != nil {
 		// Even conceptually-parallel rules need a lower-level ordering
 		// for child creation (§6.4); they are started in firing order.
@@ -963,17 +960,21 @@ func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn,
 				errs[i] = err
 				continue
 			}
-			r, child, begun := r, child, *mark
+			rc, begun := &rcs[i], *mark
 			fns[i] = func() error {
-				return e.runRuleGuarded(context.Background(), child, r, in, &begun)
+				sb := spanBuf{tr: e.tracer}
+				defer sb.flush()
+				return e.runRuleGuarded(context.Background(), child, r, in, rc, &sb, &begun)
 			}
 		}
 		errs = append(errs, runBatch(fns)...)
 		*mark = e.clk.Now()
 		return errors.Join(errs...)
 	}
-	for _, r := range rules {
-		if err := e.runRuleAsChild(trigger, r, in, mark); err != nil {
+	sb := spanBuf{tr: e.tracer}
+	defer sb.flush()
+	for i, r := range rules {
+		if err := e.runRuleAsChild(trigger, r, in, &rcs[i], &sb, mark); err != nil {
 			return err
 		}
 	}
@@ -983,7 +984,7 @@ func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn,
 // runRuleAsChild runs one rule as a subtransaction of trigger; with a
 // nil trigger (e.g. rules on commit/abort events) it runs in a fresh
 // top-level transaction.
-func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) error {
+func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) error {
 	var t *txn.Txn
 	var err error
 	if trigger != nil {
@@ -994,7 +995,7 @@ func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance, m
 	} else {
 		t = e.beginRuleTxn()
 	}
-	return e.runRuleCtx(context.Background(), t, r, in, mark)
+	return e.runRuleCtx(context.Background(), t, r, in, rc, sb, mark)
 }
 
 // ruleTxnTag marks the top-level transactions the engine itself
@@ -1015,14 +1016,15 @@ func (e *Engine) beginRuleTxn() *txn.Txn {
 // isRuleTxn reports whether t was created by the engine.
 func isRuleTxn(t *txn.Txn) bool { return t.Tag() != 0 }
 
-// runRuleCtx evaluates the rule's condition and action inside t and
-// commits or aborts it. The supervised executor threads its deadline
-// cancellation through ctx to the rule body via RuleCtx.Context; mark
-// is the instant the firing starts at, moved to the instant it ends at
-// so the next firing in a sequence starts there (see firing).
-func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) error {
-	f, rc := e.beginFiring(ctx, t, r, in, *mark)
-	defer f.finish(mark)
+// runRuleCtx evaluates the rule's condition and action inside t, with
+// rc as their context, and commits or aborts it. The supervised executor
+// threads its deadline cancellation through ctx to the rule body via
+// RuleCtx.Context; mark is the instant the firing starts at, moved to
+// the instant it ends at so the next firing in a sequence starts there
+// (see firing); the phases go to sb.
+func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) error {
+	f := e.beginFiring(ctx, t, r, in, rc, *mark)
+	defer f.finish(mark, sb)
 	ok := true
 	if r.Cond != nil {
 		var err error
@@ -1048,15 +1050,15 @@ func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.
 	return f.action(t, r, rc)
 }
 
-// beginFiring prepares t to run r for the occurrence in: the rule
-// transaction carries the triggering event's trace, so the lock manager
-// and commit path attribute their waits to it, and the cascade depth
-// the events raised by the rule body will carry.
-func (e *Engine) beginFiring(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, start time.Time) (firing, *RuleCtx) {
+// beginFiring prepares t to run r for the occurrence in, and fills rc:
+// the rule transaction carries the triggering event's trace, so the
+// lock manager and commit path attribute their waits to it, and the
+// cascade depth the events raised by the rule body will carry.
+func (e *Engine) beginFiring(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, start time.Time) firing {
 	t.SetTrace(in.Trace)
 	t.SetTag(int32(in.Depth + 1))
-	return firing{e: e, rule: r.Name, trace: in.Trace, last: start},
-		&RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx}
+	*rc = RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx, ctx: oodb.Ctx{DB: e.db, Txn: t}}
+	return firing{e: e, rule: r.Name, trace: in.Trace, last: start}
 }
 
 // action runs the rule's action and resolves the rule transaction on

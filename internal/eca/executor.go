@@ -455,7 +455,9 @@ func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 		defer timer.Stop()
 	}
 	mark := e.clk.Now()
-	err := e.runRuleGuarded(ctx, t, r, in, &mark)
+	sb := spanBuf{tr: e.tracer}
+	err := e.runRuleGuarded(ctx, t, r, in, new(RuleCtx), &sb, &mark)
+	sb.flush()
 	if err != nil && expired != nil && expired.get() {
 		// The watchdog abort surfaces as whatever operation the rule
 		// body was in (ErrNotActive, a cancelled lock wait, ...);
@@ -739,13 +741,13 @@ func (e *Engine) RearmRule(name string) bool {
 // runRuleGuarded executes the rule body with panic containment: a
 // panicking condition or action aborts the rule transaction, captures
 // the stack into the trace ring, and surfaces as an error.
-func (e *Engine) runRuleGuarded(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, mark *time.Time) (err error) {
+func (e *Engine) runRuleGuarded(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = e.recoverRulePanic(t, r, in, p)
 		}
 	}()
-	return e.runRuleCtx(ctx, t, r, in, mark)
+	return e.runRuleCtx(ctx, t, r, in, rc, sb, mark)
 }
 
 // recoverRulePanic converts a recovered rule-body panic into a

@@ -64,7 +64,7 @@ func TestGlobalHistoryKeepsMoreThanLocalRing(t *testing.T) {
 	if got := len(globalOf(t, e, tx.ID())); got != 300 {
 		t.Fatalf("global history holds %d of the transaction's 300 occurrences", got)
 	}
-	if got := len(e.lookupManager(pingKey()).LocalHistory()); got != 256 {
+	if got := len(e.planFor(pingKey()).m.LocalHistory()); got != 256 {
 		t.Fatalf("local ring = %d entries, want its capacity 256", got)
 	}
 }
@@ -137,7 +137,7 @@ func TestGlobalHistoryEvictionOrder(t *testing.T) {
 	if err := big.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	local := e.lookupManager(pingKey()).LocalHistory()
+	local := e.planFor(pingKey()).m.LocalHistory()
 	got := e.GlobalHistory()
 	if len(got) != 8 {
 		t.Fatalf("global history = %d entries, want 8", len(got))

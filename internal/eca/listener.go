@@ -77,8 +77,8 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 	key := event.TxnSpec{Phase: phase}.Key()
 	// Skip the whole path when nobody listens — same useless-overhead
 	// discipline as the sentry.
-	m := e.lookupManager(key)
-	if m == nil {
+	p := e.planFor(key)
+	if p == nil {
 		return nil
 	}
 	in := &event.Instance{SpecKey: key, Kind: event.KindTxn, Txn: t.ID()}
@@ -88,7 +88,7 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 		trigger = t // still active: immediate/deferred rules may couple
 		in.Origin = t
 	}
-	return e.dispatch(m, in, trigger, t)
+	return e.dispatch(p, in, trigger, t)
 }
 
 // endTxnComposition ends the life-span of every per-transaction

@@ -5,11 +5,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/event"
 )
-
-// eventKindComposite avoids importing event in every call site below.
-const eventKindComposite = event.KindComposite
 
 // RuleInfo describes a registered rule for management interfaces
 // (the paper's planned GUI for rule definition and management, §7).
@@ -27,15 +23,15 @@ type RuleInfo struct {
 // ordered by firing order within each group.
 func (e *Engine) ListRules() []RuleInfo {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	managers := make([]*Manager, 0, len(e.managers))
 	for _, m := range e.managers {
 		managers = append(managers, m)
 	}
-	e.mu.RUnlock()
 	sort.Slice(managers, func(i, j int) bool { return managers[i].key < managers[j].key })
 	var out []RuleInfo
 	for _, m := range managers {
-		for _, r := range m.Rules() {
+		for _, r := range m.rules {
 			out = append(out, RuleInfo{
 				Name:       r.Name,
 				EventKey:   r.EventKey,
@@ -51,13 +47,15 @@ func (e *Engine) ListRules() []RuleInfo {
 }
 
 // SetRuleEnabled enables or disables a rule at run time without
-// unregistering it. It reports whether the rule was found.
+// unregistering it. It reports whether the rule was found. Once it
+// returns, every raise sees the new state.
 func (e *Engine) SetRuleEnabled(eventKey, name string, enabled bool) bool {
-	m := e.lookupManager(eventKey)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	m := e.managers[eventKey]
 	if m == nil {
 		return false
 	}
-	m.mu.Lock()
 	found := false
 	for _, r := range m.rules {
 		if r.Name == name {
@@ -65,15 +63,8 @@ func (e *Engine) SetRuleEnabled(eventKey, name string, enabled bool) bool {
 			found = true
 		}
 	}
-	m.refreshFiresLocked()
-	m.mu.Unlock()
-	if found && kindOfKey(eventKey) == eventKindComposite {
-		e.mu.RLock()
-		cm := e.composites[eventKey]
-		e.mu.RUnlock()
-		if cm != nil {
-			cm.refreshImmediateFlag()
-		}
+	if found {
+		e.republishLocked(eventKey)
 	}
 	return found
 }

@@ -1,6 +1,7 @@
 package eca
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -53,6 +54,48 @@ func TestSetRuleEnabled(t *testing.T) {
 	}
 	if e.SetRuleEnabled(pingKey(), "missing", true) {
 		t.Fatal("SetRuleEnabled = true for missing rule")
+	}
+}
+
+// ListRules reads every rule's enabled state while SetRuleEnabled flips
+// it; under the race detector this fails unless the read happens under
+// the registration lock.
+func TestSetRuleEnabledConcurrentWithListRules(t *testing.T) {
+	e, _, _ := newTestEngine(t, Options{AllowUnsafeImmediateComposite: true})
+	if err := e.DefineComposite(seqComposite("flip", algebra.ScopeTransaction)); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Rule{
+		{Name: "p", EventKey: pingKey(), ActionMode: Immediate},
+		{Name: "c", EventKey: "composite:flip", ActionMode: Immediate},
+	} {
+		r.Action = func(*RuleCtx) error { return nil }
+		if err := e.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			e.SetRuleEnabled(pingKey(), "p", i%2 == 1)
+			e.SetRuleEnabled("composite:flip", "c", i%2 == 1)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			for _, info := range e.ListRules() {
+				_ = info.Disabled
+			}
+		}
+	}()
+	wg.Wait()
+	for _, info := range e.ListRules() {
+		if info.Disabled {
+			t.Errorf("rule %s still disabled after the last SetRuleEnabled(true)", info.Name)
+		}
 	}
 }
 

@@ -172,7 +172,7 @@ func TestHistoryRingBounded(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		db.Invoke(tx, obj, "ping", int64(i))
 	}
-	m := e.lookupManager(pingKey())
+	m := e.planFor(pingKey()).m
 	hist := m.LocalHistory()
 	if len(hist) != 8 {
 		t.Fatalf("local history = %d entries, want 8 (ring capacity)", len(hist))

@@ -1,6 +1,7 @@
 package eca
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
@@ -16,6 +17,11 @@ import (
 // transaction for the detached modes). Trigger is the event instance
 // that fired the rule; for composite events its Parts carry the
 // constituents and their parameters.
+//
+// A context is valid only for the call it is passed to: the engine
+// hands each firing its own element of a per-set backing array, and a
+// rule must not keep the pointer, or the *oodb.Ctx from Ctx, after
+// its condition or action returns.
 type RuleCtx struct {
 	Engine  *Engine
 	DB      *oodb.DB
@@ -26,11 +32,21 @@ type RuleCtx struct {
 	// actions can observe it and return early. Elsewhere it is
 	// context.Background().
 	Context context.Context
+
+	// ctx is the object-invocation context Ctx returns, filled by the
+	// engine with the firing so that Ctx allocates nothing.
+	ctx oodb.Ctx
 }
 
 // Ctx returns an object-invocation context bound to the rule's
-// transaction.
-func (rc *RuleCtx) Ctx() *oodb.Ctx { return &oodb.Ctx{DB: rc.DB, Txn: rc.Txn} }
+// transaction. A context built outside the engine, or whose DB or Txn
+// was changed, gets its object context brought up to date on the call.
+func (rc *RuleCtx) Ctx() *oodb.Ctx {
+	if rc.ctx.DB != rc.DB || rc.ctx.Txn != rc.Txn {
+		rc.ctx = oodb.Ctx{DB: rc.DB, Txn: rc.Txn}
+	}
+	return &rc.ctx
+}
 
 // CondFunc evaluates a rule condition.
 type CondFunc func(rc *RuleCtx) (bool, error)
@@ -142,13 +158,13 @@ const (
 	NewestFirst
 )
 
-// ruleLess orders rules: priority descending, then the tie-break.
-func ruleLess(a, b *Rule, tb TieBreak) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+// ruleCompare orders rules: priority descending, then the tie-break.
+func ruleCompare(a, b *Rule, tb TieBreak) int {
+	if c := cmp.Compare(b.Priority, a.Priority); c != 0 {
+		return c
 	}
 	if tb == NewestFirst {
-		return a.regSeq > b.regSeq
+		return cmp.Compare(b.regSeq, a.regSeq)
 	}
-	return a.regSeq < b.regSeq
+	return cmp.Compare(a.regSeq, b.regSeq)
 }

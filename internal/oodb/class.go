@@ -31,50 +31,23 @@ type Class struct {
 
 	attrs     []Attr
 	attrIndex map[string]int
-	methods   map[string]MethodImpl
-
-	keyMu sync.RWMutex
-	keys  map[string]string // cached event spec keys
+	methods   map[string]method
+	// stateKeys holds each attribute's state-change spec key, by slot;
+	// createKey and deleteKey are the constructor and destructor events'.
+	stateKeys            []string
+	createKey, deleteKey string
 }
 
-// methodKey returns the cached spec key for a method event, avoiding
-// per-invocation formatting on the sentry fast path.
-func (c *Class) methodKey(method string, when event.When) string {
-	ck := "m:" + method + ":" + when.String()
-	c.keyMu.RLock()
-	if k, ok := c.keys[ck]; ok {
-		c.keyMu.RUnlock()
-		return k
-	}
-	c.keyMu.RUnlock()
-	k := event.MethodSpec{Class: c.Name, Method: method, When: when}.Key()
-	c.keyMu.Lock()
-	if c.keys == nil {
-		c.keys = make(map[string]string)
-	}
-	c.keys[ck] = k
-	c.keyMu.Unlock()
-	return k
+// method is a registered method body with the spec keys of its before
+// and after events, resolved when the method is registered so that a
+// monitored invocation formats nothing.
+type method struct {
+	impl MethodImpl
+	keys [2]string // indexed by event.When - 1
 }
 
-// stateKey returns the cached spec key for a state-change event.
-func (c *Class) stateKey(attr string) string {
-	ck := "s:" + attr
-	c.keyMu.RLock()
-	if k, ok := c.keys[ck]; ok {
-		c.keyMu.RUnlock()
-		return k
-	}
-	c.keyMu.RUnlock()
-	k := event.StateSpec{Class: c.Name, Attr: attr}.Key()
-	c.keyMu.Lock()
-	if c.keys == nil {
-		c.keys = make(map[string]string)
-	}
-	c.keys[ck] = k
-	c.keyMu.Unlock()
-	return k
-}
+// key returns the spec key of the method's when event.
+func (m method) key(when event.When) string { return m.keys[when-1] }
 
 // NewClass creates a class descriptor with the given attributes.
 func NewClass(name string, attrs ...Attr) *Class {
@@ -82,12 +55,34 @@ func NewClass(name string, attrs ...Attr) *Class {
 		Name:      name,
 		attrs:     attrs,
 		attrIndex: make(map[string]int, len(attrs)),
-		methods:   make(map[string]MethodImpl),
+		methods:   make(map[string]method),
 	}
 	for i, a := range attrs {
 		c.attrIndex[a.Name] = i
 	}
+	c.resolveKeys()
 	return c
+}
+
+// resolveKeys (re)computes every spec key the class's events carry from
+// its current name, attributes and methods.
+func (c *Class) resolveKeys() {
+	c.stateKeys = make([]string, len(c.attrs))
+	for i, a := range c.attrs {
+		c.stateKeys[i] = event.StateSpec{Class: c.Name, Attr: a.Name}.Key()
+	}
+	c.createKey = event.MethodSpec{Class: c.Name, Method: MethodCreate, When: event.After}.Key()
+	c.deleteKey = event.MethodSpec{Class: c.Name, Method: MethodDelete, When: event.Before}.Key()
+	for name, m := range c.methods {
+		c.methods[name] = c.newMethod(name, m.impl)
+	}
+}
+
+func (c *Class) newMethod(name string, impl MethodImpl) method {
+	return method{impl: impl, keys: [2]string{
+		event.MethodSpec{Class: c.Name, Method: name, When: event.Before}.Key(),
+		event.MethodSpec{Class: c.Name, Method: name, When: event.After}.Key(),
+	}}
 }
 
 // Attrs returns the declared attributes in declaration order,
@@ -105,7 +100,7 @@ func (c *Class) AttrIndex(name string) int {
 // Method registers (or overrides) a method body and returns the class
 // for chaining.
 func (c *Class) Method(name string, impl MethodImpl) *Class {
-	c.methods[name] = impl
+	c.methods[name] = c.newMethod(name, impl)
 	return c
 }
 
@@ -120,7 +115,7 @@ func (c *Class) MethodNames() []string {
 }
 
 // lookupMethod resolves a method by name.
-func (c *Class) lookupMethod(name string) (MethodImpl, bool) {
+func (c *Class) lookupMethod(name string) (method, bool) {
 	m, ok := c.methods[name]
 	return m, ok
 }
@@ -166,12 +161,13 @@ func (d *Dictionary) Register(c *Class) error {
 		for i, a := range merged {
 			c.attrIndex[a.Name] = i
 		}
-		for name, impl := range super.methods {
+		for name, m := range super.methods {
 			if _, overridden := c.methods[name]; !overridden {
-				c.methods[name] = impl
+				c.methods[name] = m
 			}
 		}
 	}
+	c.resolveKeys()
 	d.classes[c.Name] = c
 	return nil
 }

@@ -208,7 +208,7 @@ func (db *DB) NewObject(t *txn.Txn, className string) (*Object, error) {
 		db.mu.Unlock()
 	})
 	if class.Monitored {
-		if err := db.emitMethod(t, obj, MethodCreate, nil, nil, event.After); err != nil {
+		if err := db.emitMethod(t, obj, MethodCreate, class.createKey, nil, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -254,7 +254,7 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 	if obj.class.Monitored {
 		sink := db.currentSink()
 		if sink != nil {
-			key := obj.class.stateKey(attr)
+			key := obj.class.stateKeys[idx]
 			if !sink.Wants(key) {
 				return nil
 			}
@@ -281,34 +281,33 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 // the sentry raises before/after method events; the before event's
 // return is the go-ahead (an error vetoes the call).
 func (db *DB) Invoke(t *txn.Txn, obj *Object, method string, args ...any) (any, error) {
-	impl, ok := obj.class.lookupMethod(method)
+	m, ok := obj.class.lookupMethod(method)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, obj.class.Name, method)
 	}
 	monitored := obj.class.Monitored
 	if monitored {
-		if err := db.emitMethod(t, obj, method, args, nil, event.Before); err != nil {
+		if err := db.emitMethod(t, obj, method, m.key(event.Before), args, nil); err != nil {
 			return nil, err
 		}
 	}
-	res, err := impl(&Ctx{DB: db, Txn: t}, obj, args)
+	res, err := m.impl(&Ctx{DB: db, Txn: t}, obj, args)
 	if err != nil {
 		return nil, err
 	}
 	if monitored {
-		if err := db.emitMethod(t, obj, method, args, res, event.After); err != nil {
+		if err := db.emitMethod(t, obj, method, m.key(event.After), args, res); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
 }
 
-func (db *DB) emitMethod(t *txn.Txn, obj *Object, method string, args []any, result any, when event.When) error {
+func (db *DB) emitMethod(t *txn.Txn, obj *Object, method, key string, args []any, result any) error {
 	sink := db.currentSink()
 	if sink == nil {
 		return nil
 	}
-	key := obj.class.methodKey(method, when)
 	if !sink.Wants(key) {
 		return nil
 	}
@@ -460,7 +459,7 @@ func (db *DB) Load(t *txn.Txn, oid OID) (*Object, error) {
 // deletion so deletion-triggered rules can see the dying object.
 func (db *DB) Delete(t *txn.Txn, obj *Object) error {
 	if obj.class.Monitored {
-		if err := db.emitMethod(t, obj, MethodDelete, nil, nil, event.Before); err != nil {
+		if err := db.emitMethod(t, obj, MethodDelete, obj.class.deleteKey, nil, nil); err != nil {
 			return err
 		}
 	}

@@ -596,3 +596,84 @@ func TestSinkWantsFilterSuppressesEmit(t *testing.T) {
 		t.Fatalf("Wants=false still delivered %d events", len(sink.events))
 	}
 }
+
+// A monitored class resolves its events' spec keys when its methods and
+// attributes are registered: raising an Invoke or a Set that no one
+// listens to allocates exactly what the unmonitored call does.
+func TestMonitoredKeyResolutionAllocatesNothing(t *testing.T) {
+	var asked string
+	costs := func(monitored bool) (invoke, set float64) {
+		db := openMem(t)
+		registerRiver(t, db, monitored)
+		db.SetSink(&captureSink{wants: func(key string) bool { asked = key; return false }})
+		tx := db.Begin()
+		defer tx.Abort()
+		obj, _ := db.NewObject(tx, "River")
+		invoke = testing.AllocsPerRun(200, func() {
+			if _, err := db.Invoke(tx, obj, "updateWaterLevel", int64(30)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		set = testing.AllocsPerRun(200, func() {
+			if err := db.Set(tx, obj, "temp", 21.5); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return invoke, set
+	}
+	plainInvoke, plainSet := costs(false)
+	invoke, set := costs(true)
+	if want := (event.StateSpec{Class: "River", Attr: "temp"}).Key(); asked != want {
+		t.Fatalf("sentry asked for %q, want %q", asked, want)
+	}
+	if invoke != plainInvoke {
+		t.Errorf("monitored Invoke: %.0f allocations, unmonitored %.0f: key resolution must allocate nothing", invoke, plainInvoke)
+	}
+	if set != plainSet {
+		t.Errorf("monitored Set: %.0f allocations, unmonitored %.0f: key resolution must allocate nothing", set, plainSet)
+	}
+}
+
+// An inherited method raises its events under the subclass's name.
+func TestInheritedMethodEventKeys(t *testing.T) {
+	db := openMem(t)
+	base := NewClass("Vehicle", Attr{Name: "speed", Type: TInt})
+	base.Monitored = true
+	base.Method("honk", func(*Ctx, *Object, []any) (any, error) { return nil, nil })
+	car := NewClass("Car")
+	car.Super = "Vehicle"
+	car.Monitored = true
+	for _, c := range []*Class{base, car} {
+		if err := db.Dictionary().Register(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := &captureSink{}
+	db.SetSink(sink)
+	tx := db.Begin()
+	obj, _ := db.NewObject(tx, "Car")
+	if _, err := db.Invoke(tx, obj, "honk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Set(tx, obj, "speed", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Delete(tx, obj); err != nil {
+		t.Fatal(err)
+	}
+	tx.Commit()
+	var got []string
+	for _, in := range sink.events {
+		got = append(got, in.SpecKey)
+	}
+	want := []string{
+		event.MethodSpec{Class: "Car", Method: MethodCreate, When: event.After}.Key(),
+		event.MethodSpec{Class: "Car", Method: "honk", When: event.Before}.Key(),
+		event.MethodSpec{Class: "Car", Method: "honk", When: event.After}.Key(),
+		event.StateSpec{Class: "Car", Attr: "speed"}.Key(),
+		event.MethodSpec{Class: "Car", Method: MethodDelete, When: event.Before}.Key(),
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("event keys = %v, want %v", got, want)
+	}
+}

@@ -66,15 +66,18 @@ func Load(e *eca.Engine, src string) (*Loaded, error) {
 // the composite declarations it needs, and the temporal specs to arm.
 // The rule is not registered; Load does that.
 func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []event.TemporalSpec, error) {
-	classOf := make(map[string]string, len(d.Decls))
-	for _, v := range d.Decls {
-		if _, dup := classOf[v.Name]; dup {
+	c := &compiler{decl: d, slotOf: make(map[string]int, len(d.Decls)), prog: &program{name: d.Name}}
+	for i, v := range d.Decls {
+		if _, dup := c.slotOf[v.Name]; dup {
 			return nil, nil, nil, fmt.Errorf("rules: rule %s: variable %q declared twice", d.Name, v.Name)
 		}
-		classOf[v.Name] = v.Class
+		c.slotOf[v.Name] = i
+		c.prog.vars = append(c.prog.vars, v.Name)
+		if v.Named != "" {
+			c.prog.roots = append(c.prog.roots, root{slot: i, name: v.Named})
+		}
 	}
 
-	c := &compiler{decl: d, classOf: classOf}
 	expr, err := c.compileEvent(d.Event)
 	if err != nil {
 		return nil, nil, nil, err
@@ -124,12 +127,11 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 			r.Breaker = -1
 		}
 	}
+	prog := c.prog
 	if d.Cond != nil {
 		cond := d.Cond
-		decl := d
-		bindings := c.bindings
 		r.Cond = func(rc *eca.RuleCtx) (bool, error) {
-			ev, err := bindEnv(rc, decl, bindings)
+			ev, err := bindEnv(rc, prog)
 			if err != nil {
 				return false, err
 			}
@@ -139,16 +141,14 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 			}
 			b, ok := v.(bool)
 			if !ok {
-				return false, fmt.Errorf("rules: rule %s: condition evaluated to %T, want bool", decl.Name, v)
+				return false, fmt.Errorf("rules: rule %s: condition evaluated to %T, want bool", prog.name, v)
 			}
 			return b, nil
 		}
 	}
 	actions := d.Actions
-	decl := d
-	bindings := c.bindings
 	r.Action = func(rc *eca.RuleCtx) error {
-		ev, err := bindEnv(rc, decl, bindings)
+		ev, err := bindEnv(rc, prog)
 		if err != nil {
 			return err
 		}
@@ -162,17 +162,38 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	return r, comps, c.temporal, nil
 }
 
-// binding maps a primitive spec key to the variables it populates.
+// program is what a compiled rule binds on every firing. Compile gives
+// each declared variable a slot; a firing fills the slots from the
+// named roots, then from the trigger's constituents, so a variable
+// bound twice keeps the later value.
+type program struct {
+	name     string   // the rule's, for errors
+	vars     []string // variable name by slot
+	roots    []root
+	bindings []binding
+}
+
+// root is a variable bound to a named root. Roots are fetched on every
+// firing: a root can be re-pointed between firings.
+type root struct {
+	slot int
+	name string
+}
+
+// binding fills variables from one primitive constituent of the
+// trigger: the occ-th occurrence of key among its flattened parts,
+// occ being the number of earlier bindings on the same key.
 type binding struct {
 	key    string
-	recv   string   // object variable bound to the event's receiver
-	params []string // scalar variables bound positionally to arguments
+	occ    int
+	recv   int   // slot of the object variable bound to the receiver
+	params []int // slots of the scalar variables bound to the arguments
 }
 
 type compiler struct {
 	decl      *RuleDecl
-	classOf   map[string]string
-	bindings  []binding
+	slotOf    map[string]int
+	prog      *program
 	temporal  []event.TemporalSpec
 	composite bool
 }
@@ -182,7 +203,7 @@ type compiler struct {
 func (c *compiler) compileEvent(ev EventExpr) (algebra.Expr, error) {
 	switch x := ev.(type) {
 	case MethodEvent:
-		class, ok := c.classOf[x.Recv]
+		recv, ok := c.slotOf[x.Recv]
 		if !ok {
 			return nil, fmt.Errorf("rules: rule %s: receiver %q not declared", c.decl.Name, x.Recv)
 		}
@@ -190,13 +211,19 @@ func (c *compiler) compileEvent(ev EventExpr) (algebra.Expr, error) {
 		if x.After {
 			when = event.After
 		}
-		key := event.MethodSpec{Class: class, Method: x.Method, When: when}.Key()
-		for _, p := range x.Params {
-			if _, ok := c.classOf[p]; !ok {
+		key := event.MethodSpec{Class: c.decl.Decls[recv].Class, Method: x.Method, When: when}.Key()
+		b := binding{key: key, recv: recv, params: make([]int, len(x.Params))}
+		for i, p := range x.Params {
+			if b.params[i], ok = c.slotOf[p]; !ok {
 				return nil, fmt.Errorf("rules: rule %s: event parameter %q not declared", c.decl.Name, p)
 			}
 		}
-		c.bindings = append(c.bindings, binding{key: key, recv: x.Recv, params: x.Params})
+		for _, prev := range c.prog.bindings {
+			if prev.key == key {
+				b.occ++
+			}
+		}
+		c.prog.bindings = append(c.prog.bindings, b)
 		return algebra.Prim{Key: key}, nil
 	case StateEvent:
 		key := event.StateSpec{Class: x.Class, Attr: x.Attr}.Key()
@@ -285,48 +312,62 @@ func (c *compiler) compileAll(subs []EventExpr) ([]algebra.Expr, error) {
 }
 
 // bindEnv builds the evaluation environment for one firing: named
-// roots are fetched, the event's receiver and parameters are bound
-// from the trigger instance (matching composite constituents by spec
-// key, in order).
-func bindEnv(rc *eca.RuleCtx, d *RuleDecl, bindings []binding) (*env, error) {
-	ev := &env{ctx: rc.Ctx(), vars: make(map[string]any, len(d.Decls))}
-	for _, v := range d.Decls {
-		if v.Named != "" {
-			obj, err := ev.ctx.Root(v.Named)
-			if err != nil {
-				return nil, fmt.Errorf("rules: rule %s: %w", d.Name, err)
-			}
-			ev.vars[v.Name] = obj
-		}
+// roots are fetched, the event's receivers and parameters are bound
+// from the trigger's constituents. It allocates the slots and nothing
+// else; a primitive trigger is its own only constituent.
+func bindEnv(rc *eca.RuleCtx, p *program) (env, error) {
+	ev := env{ctx: rc.Ctx(), names: p.vars}
+	if len(p.vars) > 0 {
+		ev.vals = make([]slot, len(p.vars))
 	}
-	parts := rc.Trigger.Flatten()
-	used := make([]bool, len(parts))
-	for _, b := range bindings {
-		var part *event.Instance
-		for i, p := range parts {
-			if !used[i] && p.SpecKey == b.key {
-				part = p
-				used[i] = true
-				break
-			}
+	for _, r := range p.roots {
+		obj, err := ev.ctx.Root(r.name)
+		if err != nil {
+			return env{}, fmt.Errorf("rules: rule %s: %w", p.name, err)
 		}
+		ev.vals[r.slot] = slot{obj, true}
+	}
+	for _, b := range p.bindings {
+		part, _ := nthPart(rc.Trigger, b.key, b.occ)
 		if part == nil {
 			continue // constituent absent (e.g. disjunction branch)
 		}
-		if b.recv != "" && part.OID != 0 {
+		if part.OID != 0 {
 			obj, err := ev.ctx.Load(oodb.OID(part.OID))
 			if err != nil {
-				return nil, fmt.Errorf("rules: rule %s: bind %s: %w", d.Name, b.recv, err)
+				return env{}, fmt.Errorf("rules: rule %s: bind %s: %w", p.name, p.vars[b.recv], err)
 			}
-			ev.vars[b.recv] = obj
+			ev.vals[b.recv] = slot{obj, true}
 		}
-		for i, p := range b.params {
+		for i, s := range b.params {
 			if i < len(part.Args) {
-				ev.vars[p] = part.Args[i]
+				ev.vals[s] = slot{part.Args[i], true}
 			}
 		}
 	}
 	return ev, nil
+}
+
+// nthPart returns the n-th (from 0) primitive constituent of in with
+// spec key key, in Instance.Flatten's order. When in holds fewer, it
+// returns nil and how many of the n matches are still to be skipped.
+func nthPart(in *event.Instance, key string, n int) (*event.Instance, int) {
+	if len(in.Parts) == 0 {
+		switch {
+		case in.SpecKey != key:
+			return nil, n
+		case n == 0:
+			return in, 0
+		}
+		return nil, n - 1
+	}
+	for _, p := range in.Parts {
+		var part *event.Instance
+		if part, n = nthPart(p, key, n); part != nil {
+			return part, 0
+		}
+	}
+	return nil, n
 }
 
 // Modes resolves the declaration's effective coupling modes, applying

@@ -6,18 +6,28 @@ import (
 	"repro/internal/oodb"
 )
 
-// env is the variable scope a rule's condition and action evaluate in.
+// env is the variable scope a rule's condition and action evaluate in:
+// one slot per declared variable, found by name. A rule declares a
+// handful of variables, so a scan beats a map.
 type env struct {
-	ctx  *oodb.Ctx
-	vars map[string]any
+	ctx   *oodb.Ctx
+	names []string
+	vals  []slot
+}
+
+// slot is one variable's value; set is false until a firing binds it.
+type slot struct {
+	v   any
+	set bool
 }
 
 func (ev *env) lookup(name string) (any, error) {
-	v, ok := ev.vars[name]
-	if !ok {
-		return nil, fmt.Errorf("rules: variable %q not bound", name)
+	for i, n := range ev.names {
+		if n == name && ev.vals[i].set {
+			return ev.vals[i].v, nil
+		}
 	}
-	return v, nil
+	return nil, fmt.Errorf("rules: variable %q not bound", name)
 }
 
 func (ev *env) object(name string) (*oodb.Object, error) {

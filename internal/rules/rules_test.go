@@ -26,7 +26,7 @@ rule WaterLevel {
 `
 
 // newPlant builds the power-plant schema of §6.1.
-func newPlant(t *testing.T) (*eca.Engine, *oodb.DB, *clock.Virtual) {
+func newPlant(t testing.TB) (*eca.Engine, *oodb.DB, *clock.Virtual) {
 	t.Helper()
 	vc := clock.NewVirtual(epoch)
 	db, err := oodb.Open(oodb.Options{Clock: vc})
@@ -415,7 +415,24 @@ rule Sample {
 	}
 	defer loaded.Stop()
 	vc.Advance(35 * time.Second)
-	e.WaitDetached()
+	// The three firings read and then write the same river, so two of
+	// them can deadlock on the lock upgrade; the victim retries after a
+	// backoff on the engine's clock, which is virtual here. Keep that
+	// clock moving, short of the next 10 s tick, until all have run.
+	done := make(chan struct{})
+	go func() { e.WaitDetached(); close(done) }()
+	for moved := time.Duration(0); ; moved += 10 * time.Millisecond {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Millisecond):
+			if moved >= 4*time.Second {
+				t.Fatalf("detached firings still running after %v of virtual retry time", moved)
+			}
+			vc.Advance(10 * time.Millisecond)
+			continue
+		}
+		break
+	}
 	tx2 := db.Begin()
 	if v, _ := db.Get(tx2, riverObj, "level"); v != int64(3) {
 		t.Fatalf("level = %v, want 3 (three periods)", v)
@@ -500,7 +517,7 @@ func TestExpressionEvaluation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
-		ev := &env{vars: map[string]any{}}
+		ev := &env{}
 		got, err := ev.eval(decls[0].Cond)
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
@@ -526,7 +543,7 @@ func TestExpressionErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s did not parse: %v", expr, err)
 		}
-		ev := &env{vars: map[string]any{}}
+		ev := &env{}
 		if _, err := ev.eval(decls[0].Cond); err == nil {
 			t.Errorf("%s evaluated without error", expr)
 		}
