@@ -1,14 +1,7 @@
 GO ?= go
-
-# BENCH is the committed perf-trajectory baseline: the highest-numbered
-# BENCH_*.json in the repo, so a PR that commits a new baseline is
-# automatically diffed against it (no stale pin to hand-bump).
-BENCH ?= $(shell ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)
-BENCH_N ?= 2000
-BENCH_TOLERANCE ?= 1.0
 SOAK ?= 60s
 
-.PHONY: build test race race-procs repeat vet lint analyze crash stress soak bench bench-diff all
+.PHONY: build test race race-procs repeat vet lint analyze crash stress soak all
 
 all: build vet test
 
@@ -56,18 +49,6 @@ lint:
 analyze:
 	$(GO) run ./cmd/rulec -analyze examples/*/rules/*.rules
 	$(GO) run ./cmd/rulec -analyze cmd/rulec/testdata/cycle_suppressed.rules
-
-# bench regenerates the perf-trajectory baseline in place. bench-diff
-# re-measures into a scratch file and compares it against the committed
-# baseline, failing on ns/op regressions beyond BENCH_TOLERANCE (the CI
-# default is generous — shared runners are noisy; tighten locally).
-bench:
-	$(GO) run ./cmd/reachbench -n $(BENCH_N) -json $(BENCH) > /dev/null
-
-bench-diff:
-	mkdir -p $(CURDIR)/.bench
-	$(GO) run ./cmd/reachbench -n $(BENCH_N) -json $(CURDIR)/.bench/bench-current.json > /dev/null
-	$(GO) run ./cmd/reachbench -diff -tolerance $(BENCH_TOLERANCE) $(BENCH) $(CURDIR)/.bench/bench-current.json
 
 # crash runs the crash-consistency matrix (every workload — including
 # the fuzzy-checkpoint and rotation scripts — crashed at every

@@ -7,8 +7,6 @@
 //	reachbench -figure1 -figure2
 //	reachbench -run E1,E4,E10         # selected experiments
 //	reachbench -n 20000               # events per configuration
-//	reachbench -json BENCH_6.json     # also emit machine-readable results
-//	reachbench -diff old.json new.json  # exit non-zero on regression
 package main
 
 import (
@@ -24,20 +22,13 @@ import (
 
 func main() {
 	var (
-		table1    = flag.Bool("table1", false, "regenerate Table 1 only")
-		figure1   = flag.Bool("figure1", false, "trace the Open OODB architecture (Figure 1)")
-		figure2   = flag.Bool("figure2", false, "trace the ECA message flow (Figure 2)")
-		run       = flag.String("run", "", "comma-separated experiment ids (E1..E14); empty = all")
-		n         = flag.Int("n", 5000, "events per measured configuration")
-		jsonOut   = flag.String("json", "", "write results to this BENCH_*.json perf-trajectory file")
-		diff      = flag.Bool("diff", false, "compare two BENCH_*.json files: reachbench -diff old.json new.json")
-		tolerance = flag.Float64("tolerance", 0.25, "allowed ns/op slowdown ratio in -diff mode (0.25 = 25%)")
+		table1  = flag.Bool("table1", false, "regenerate Table 1 only")
+		figure1 = flag.Bool("figure1", false, "trace the Open OODB architecture (Figure 1)")
+		figure2 = flag.Bool("figure2", false, "trace the ECA message flow (Figure 2)")
+		run     = flag.String("run", "", "comma-separated experiment ids (E1..E14); empty = all")
+		n       = flag.Int("n", 5000, "events per measured configuration")
 	)
 	flag.Parse()
-
-	if *diff {
-		os.Exit(runDiff(flag.Args(), *tolerance))
-	}
 
 	specific := *table1 || *figure1 || *figure2 || *run != ""
 	want := map[string]bool{}
@@ -111,23 +102,12 @@ func main() {
 			strings.Join(bad, ", "), strings.Join(ids, ", "))
 		os.Exit(2)
 	}
-	var results []bench.Row
 	for _, e := range experiments {
 		if !wantExp(e.id) {
 			continue
 		}
 		fmt.Printf("\n=== %s: %s ===\n", e.id, e.desc)
-		rows := e.run()
-		printRows(rows)
-		results = append(results, rows...)
-	}
-	if *jsonOut != "" {
-		f := &bench.File{Meta: bench.NewMeta(*n), Results: results}
-		if err := bench.WriteJSON(*jsonOut, f); err != nil {
-			fmt.Fprintf(os.Stderr, "reachbench: write %s: %v\n", *jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d results to %s\n", len(results), *jsonOut)
+		printRows(e.run())
 	}
 }
 
@@ -147,37 +127,6 @@ func unknownExperiments(want map[string]bool, known []string) []string {
 	}
 	sort.Strings(bad)
 	return bad
-}
-
-// runDiff compares two perf-trajectory files and returns the process
-// exit code: 0 when every baseline row is within tolerance, 1 on any
-// regression, 2 on usage or read errors.
-func runDiff(args []string, tolerance float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: reachbench -diff [-tolerance 0.25] old.json new.json")
-		return 2
-	}
-	old, err := bench.ReadJSON(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reachbench:", err)
-		return 2
-	}
-	cur, err := bench.ReadJSON(args[1])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reachbench:", err)
-		return 2
-	}
-	regs := bench.Diff(old, cur, tolerance)
-	if len(regs) == 0 {
-		fmt.Printf("no regressions: %d baseline rows within %.0f%% of %s\n",
-			len(old.Results), tolerance*100, args[0])
-		return 0
-	}
-	fmt.Fprintf(os.Stderr, "%d regression(s) beyond %.0f%% tolerance:\n", len(regs), tolerance*100)
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "  "+r.String())
-	}
-	return 1
 }
 
 func printTable1() {

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 func TestUnknownExperiments(t *testing.T) {
@@ -23,41 +20,5 @@ func TestUnknownExperiments(t *testing.T) {
 		if got := unknownExperiments(c.want, known); !reflect.DeepEqual(got, c.bad) {
 			t.Errorf("unknownExperiments(%v) = %v, want %v", c.want, got, c.bad)
 		}
-	}
-}
-
-func TestRunDiffExitCodes(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "old.json")
-	same := filepath.Join(dir, "same.json")
-	slow := filepath.Join(dir, "slow.json")
-
-	f := &bench.File{Meta: bench.NewMeta(100), Results: []bench.Row{
-		{Experiment: "E1", Config: "a", Ops: 100, NsPerOp: 1000},
-	}}
-	if err := bench.WriteJSON(base, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := bench.WriteJSON(same, f); err != nil {
-		t.Fatal(err)
-	}
-	g := &bench.File{Meta: f.Meta, Results: []bench.Row{
-		{Experiment: "E1", Config: "a", Ops: 100, NsPerOp: 2000},
-	}}
-	if err := bench.WriteJSON(slow, g); err != nil {
-		t.Fatal(err)
-	}
-
-	if code := runDiff([]string{base, same}, 0.25); code != 0 {
-		t.Fatalf("self-diff exit = %d, want 0", code)
-	}
-	if code := runDiff([]string{base, slow}, 0.25); code != 1 {
-		t.Fatalf("regression exit = %d, want 1", code)
-	}
-	if code := runDiff([]string{base}, 0.25); code != 2 {
-		t.Fatalf("usage error exit = %d, want 2", code)
-	}
-	if code := runDiff([]string{base, filepath.Join(dir, "absent.json")}, 0.25); code != 2 {
-		t.Fatalf("missing file exit = %d, want 2", code)
 	}
 }

@@ -45,9 +45,8 @@ import (
 func main() {
 	dir := flag.String("dir", "", "storage directory (empty = in-memory)")
 	admin := flag.String("admin", "", "observability HTTP listen address, e.g. localhost:7047 (empty = disabled)")
-	workers := flag.Int("workers", 0, "detached-rule executor worker pool size (0 = default 8)")
-	queue := flag.Int("queue", 0, "detached-rule executor queue capacity (0 = default 256)")
-	shed := flag.Bool("shed", false, "shed detached rule work when the executor queue is full instead of blocking")
+	workers := flag.Int("workers", 0, "detached-rule executor worker pool size (<= 0 = default 8)")
+	queue := flag.Int("queue", 0, "detached-rule executor queue capacity (<= 0 = default 256)")
 	ruleTimeout := flag.Duration("rule-timeout", 0, "default per-attempt deadline for detached rules (0 = none)")
 	ruleRetries := flag.Int("rule-retries", 0, "default retry budget for retriable rule aborts (0 = default 3, negative disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures before a rule's circuit breaker trips (0 = default 5, negative disables)")
@@ -66,9 +65,6 @@ func main() {
 		BreakerThreshold: *breakerThreshold,
 		SlowLogThreshold: *slowThreshold,
 		SlowLogCapacity:  *slowCap,
-	}
-	if *shed {
-		engineOpts.Overload = reach.OverloadShed
 	}
 	opts := reach.Options{Dir: *dir, Engine: engineOpts}
 	opts.DB.Storage.DisableGroupCommit = *noGroupCommit

@@ -1,7 +1,6 @@
 // Package bench builds the workloads and fixtures for the experiment
-// suite in DESIGN.md (T1, F1, F2, E1–E12). The same setups back both
-// the testing.B benchmarks in the repository root and the
-// cmd/reachbench harness that regenerates every table and figure.
+// suite in DESIGN.md (T1, F1, F2, E1–E14) that cmd/reachbench runs to
+// regenerate every table and figure of EXPERIMENTS.md.
 package bench
 
 import (
@@ -229,16 +228,6 @@ func NewLayeredFixture() *LayeredFixture {
 
 // Close shuts the baseline down.
 func (lf *LayeredFixture) Close() { lf.Closed.Close() }
-
-// Ping drives one wrapped invocation in its own flat transaction.
-func (lf *LayeredFixture) Ping(v int64) error {
-	ft := lf.Closed.Begin()
-	if _, err := lf.Layer.Invoke(ft, lf.Sensor, "ping", v); err != nil {
-		ft.Abort()
-		return err
-	}
-	return ft.Commit()
-}
 
 // Table1Rows regenerates the paper's Table 1 from the engine's
 // admission predicate, formatted exactly like the paper's rows.

@@ -21,16 +21,15 @@ import (
 	"repro/internal/storage"
 )
 
-// Row is one measured configuration of one experiment. The JSON tags
-// are the BENCH_*.json perf-trajectory schema (see benchjson.go).
+// Row is one measured configuration of one experiment.
 type Row struct {
-	Experiment  string  `json:"experiment"`
-	Config      string  `json:"config"`
-	Ops         int     `json:"ops"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	Extra       string  `json:"extra,omitempty"`
+	Experiment  string
+	Config      string
+	Ops         int
+	NsPerOp     float64
+	AllocsPerOp float64
+	BytesPerOp  float64
+	Extra       string
 }
 
 func measure(experiment, config string, ops int, fn func()) Row {
@@ -197,23 +196,29 @@ func RunE3(ruleCounts []int, works []int, events int) []Row {
 	for _, k := range ruleCounts {
 		for _, work := range works {
 			for _, strategy := range []eca.ExecStrategy{eca.SequentialExec, eca.ParallelExec} {
-				name := "sequential"
-				if strategy == eca.ParallelExec {
-					name = "parallel"
-				}
-				f := NewFixture(true, eca.Options{Exec: strategy})
-				f.AddBusyRules(k, work)
-				cfg := fmt.Sprintf("%d rules × work %d, %s", k, work, name)
-				rows = append(rows, measure("E3-rule-exec", cfg, events, func() {
-					for i := 0; i < events; i++ {
-						f.Ping(int64(i))
-					}
-				}))
-				f.Close()
+				rows = append(rows, runE3Arm(strategy, k, work, events))
 			}
 		}
 	}
 	return rows
+}
+
+// runE3Arm measures one E3 configuration: k busy rules of the given
+// work, fired by events pings under one execution strategy.
+func runE3Arm(strategy eca.ExecStrategy, k, work, events int) Row {
+	name := "sequential"
+	if strategy == eca.ParallelExec {
+		name = "parallel"
+	}
+	f := NewFixture(true, eca.Options{Exec: strategy})
+	defer f.Close()
+	f.AddBusyRules(k, work)
+	cfg := fmt.Sprintf("%d rules × work %d, %s", k, work, name)
+	return measure("E3-rule-exec", cfg, events, func() {
+		for i := 0; i < events; i++ {
+			f.Ping(int64(i))
+		}
+	})
 }
 
 // RunE4 compares synchronous and asynchronous event composition: the
@@ -741,7 +746,7 @@ func RunE13(g, commits int) []Row {
 //
 // Rows report goodput, refusals, sheds, and commit p99 in Extra and
 // carry NsPerOp 0: an overload experiment measures refusal policy
-// under saturation, not a per-op time the trajectory gate should pin.
+// under saturation, not a per-op time.
 func RunE14(baseClients int, window time.Duration) []Row {
 	run := func(disabled bool, mult int) Row {
 		sys, err := core.Open(core.Options{

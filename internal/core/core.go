@@ -135,10 +135,7 @@ func newGovernor(opts Options, db *oodb.DB, engine *eca.Engine, reg *obs.Registr
 	govOpts.Metrics = reg
 	gov := governor.New(govOpts)
 
-	queue := int64(opts.Engine.Queue)
-	if queue <= 0 {
-		queue = 256 // the engine's Queue default
-	}
+	queue := engine.DetachedQueue()
 	tm := db.TxnManager()
 	// Visibility-only resources (zero watermarks): accounted in
 	// /health but never driving the state. Dead-letter depth is

@@ -131,6 +131,35 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestPoolSizeDefaultsDecidedOnce opens systems with negative, zero and
+// explicit detached pool sizes. Each must start and run a detached rule
+// (negative means the default, as zero does), and the detached-backlog
+// watermarks must be scaled by the queue the engine actually built, so
+// the queue default is decided in one place.
+func TestPoolSizeDefaultsDecidedOnce(t *testing.T) {
+	for _, c := range []struct{ size, want int }{{-1, 256}, {0, 256}, {7, 7}} {
+		sys := newOverloadSystem(t, 0, governor.Options{}, eca.Options{Workers: c.size, Queue: c.size})
+		if err := fire(sys, mkTank(t, sys)); err != nil {
+			t.Fatalf("size %d: %v", c.size, err)
+		}
+		sys.Engine.WaitDetached()
+		if st := sys.Engine.Stats(); st.DetachedFired != 1 {
+			t.Errorf("size %d: %d detached firings, want 1", c.size, st.DetachedFired)
+		}
+		q := sys.Engine.DetachedQueue()
+		if q != int64(c.want) {
+			t.Errorf("size %d: engine queue = %d, want %d", c.size, q, c.want)
+		}
+		levels := map[string]governor.Levels{}
+		for _, r := range sys.Governor.Snapshot().Resources {
+			levels[r.Name] = r.Levels
+		}
+		if got, want := levels["detached-backlog"], (governor.Levels{Degraded: q, Shedding: 2 * q}); got != want {
+			t.Errorf("size %d: detached-backlog levels = %+v, want %+v", c.size, got, want)
+		}
+	}
+}
+
 // TestOverloadLadderShedsInPriorityOrder walks the governor through
 // its states with a synthetic resource and verifies the enforcement
 // ladder exactly: Degraded sheds only detached firings; Shedding also

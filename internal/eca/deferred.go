@@ -92,10 +92,9 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		// is the rule work itself — which is exactly what the record in
 		// the dead-letter queue preserves for replay. Immediate rules
 		// are untouched: they already ran inline, inside the trigger.
-		if g := e.gov; g != nil && g.ShouldShed(governor.ClassDeferred) {
+		if e.gov.ShouldShed(governor.ClassDeferred) {
 			for _, entry := range batch {
-				g.NoteShed(governor.ClassDeferred)
-				e.exec.addDeadLetter(entry.rule, entry.in, 0, governor.ErrOverloaded, "governor-shed")
+				e.shed(governor.ClassDeferred, entry.rule, entry.in)
 			}
 			continue
 		}

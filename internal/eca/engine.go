@@ -88,13 +88,13 @@ type Options struct {
 	// acknowledged that no immediately-coupled composite completed.
 	// It exists so the cost the paper refuses to pay can be measured.
 	AllowUnsafeImmediateComposite bool
-	// Workers bounds the detached-rule worker pool (default 8).
+	// Workers bounds the detached-rule worker pool (default 8 when
+	// <= 0).
 	Workers int
-	// Queue bounds the pending detached-rule queue (default 256).
+	// Queue bounds the pending detached-rule queue (default 256 when
+	// <= 0). A full queue parks the raiser until a slot frees or, with
+	// a governor installed, until the governor sheds the spawn.
 	Queue int
-	// Overload selects what a full queue does to new detached work:
-	// block the raising goroutine (default) or shed with ErrOverload.
-	Overload OverloadPolicy
 	// RuleTimeout bounds each detached rule attempt; the watchdog
 	// aborts the rule transaction on expiry. 0 means no deadline.
 	RuleTimeout time.Duration
@@ -111,16 +111,9 @@ type Options struct {
 	// consecutive permanent failures, parking the rule until it is
 	// re-armed. 0 means the default of 5; negative disables breakers.
 	BreakerThreshold int
-	// DeadLetterCapacity bounds the dead-letter ring (default 128).
-	DeadLetterCapacity int
 	// Metrics is the shared observability registry the engine binds
 	// its counters into; nil creates a private registry.
 	Metrics *obs.Registry
-	// Tracer records event-lifecycle traces; nil creates a private
-	// tracer retaining TraceCapacity traces.
-	Tracer *obs.Tracer
-	// TraceCapacity bounds the private tracer's ring (default 256).
-	TraceCapacity int
 	// SlowLogThreshold promotes traces whose end-to-end duration
 	// crosses it out of the tracer's eviction ring into the slow log.
 	// 0 disables promotion (it can be enabled later via the /slowlog
@@ -146,10 +139,10 @@ func (o Options) withDefaults() Options {
 	if o.ComposerBuffer == 0 {
 		o.ComposerBuffer = 1024
 	}
-	if o.Workers == 0 {
+	if o.Workers <= 0 {
 		o.Workers = 8
 	}
-	if o.Queue == 0 {
+	if o.Queue <= 0 {
 		o.Queue = 256
 	}
 	if o.RuleRetries == 0 {
@@ -163,9 +156,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
-	}
-	if o.DeadLetterCapacity <= 0 {
-		o.DeadLetterCapacity = 128
 	}
 	return o
 }
@@ -217,7 +207,6 @@ type engineMetrics struct {
 	retries       *obs.Counter
 	panics        *obs.Counter
 	deadlines     *obs.Counter
-	rejOverload   *obs.Counter
 	rejDraining   *obs.Counter
 	rejBreaker    *obs.Counter
 	breakerTrips  *obs.Counter
@@ -243,7 +232,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	const lat = "reach_rule_latency_seconds"
 	const latHelp = "Rule execution latency (condition + action + commit), by coupling mode."
 	const rejected = "reach_rule_rejected_total"
-	const rejectedHelp = "Detached rule firings refused by the executor, by reason."
+	const rejectedHelp = "Rule firings refused by the executor or shed by the governor, by reason."
 	const phase = "reach_rule_phase_seconds"
 	const phaseHelp = "Rule transaction time by phase (condition, action, commit, abort)."
 	return engineMetrics{
@@ -284,7 +273,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Rule conditions/actions that panicked and were converted to aborts."),
 		deadlines: reg.Counter("reach_rule_deadline_total",
 			"Detached rule attempts aborted by the per-rule deadline."),
-		rejOverload: reg.Counter(rejected, rejectedHelp, "reason", "overload"),
 		rejDraining: reg.Counter(rejected, rejectedHelp, "reason", "draining"),
 		rejBreaker:  reg.Counter(rejected, rejectedHelp, "reason", "breaker-open"),
 		breakerTrips: reg.Counter("reach_rule_breaker_trips_total",
@@ -365,6 +353,9 @@ type Engine struct {
 	met     engineMetrics
 }
 
+// traceCapacity is how many recent traces the engine's tracer retains.
+const traceCapacity = 256
+
 // New creates an engine over db, wires it as the database's event
 // sink (through a sentry dispatcher) and as the transaction
 // listener, and returns it.
@@ -374,10 +365,7 @@ func New(db *oodb.DB, opts Options) *Engine {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	tracer := opts.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(opts.TraceCapacity)
-	}
+	tracer := obs.NewTracer(traceCapacity)
 	e := &Engine{
 		db:           db,
 		clk:          db.Clock(),
@@ -425,8 +413,7 @@ func (e *Engine) SetGovernor(g *governor.Governor) { e.gov = g }
 // shedTraces reports whether trace minting is currently shed: the
 // governor's lightest degradation, taken from the degraded state on.
 func (e *Engine) shedTraces() bool {
-	g := e.gov
-	return g != nil && g.State() >= governor.Degraded
+	return e.gov.State() >= governor.Degraded
 }
 
 // DeferredDepth reports deferred firings queued across all live
@@ -436,6 +423,10 @@ func (e *Engine) DeferredDepth() int64 { return e.met.deferredDepth.Value() }
 // DetachedBacklog reports accepted detached firings not yet finished
 // (queued or running) — a governor resource.
 func (e *Engine) DetachedBacklog() int64 { return e.met.execInflight.Value() }
+
+// DetachedQueue reports the detached-rule queue's capacity after
+// defaults.
+func (e *Engine) DetachedQueue() int64 { return int64(e.opts.Queue) }
 
 // HistoryBytes reports the approximate byte footprint of every event
 // history (global plus per-manager locals) — a governor resource.

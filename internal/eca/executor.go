@@ -24,33 +24,11 @@ import (
 	"repro/internal/txn"
 )
 
-// OverloadPolicy selects what a full executor queue does to new
-// detached work.
-type OverloadPolicy int
-
-// Overload policies.
-const (
-	// OverloadBlock stalls the raising goroutine until queue space
-	// frees up (backpressure; the default).
-	OverloadBlock OverloadPolicy = iota
-	// OverloadShed rejects the spawn with ErrOverload and records it
-	// in the dead-letter queue.
-	OverloadShed
-)
-
-// String implements fmt.Stringer.
-func (p OverloadPolicy) String() string {
-	if p == OverloadShed {
-		return "shed"
-	}
-	return "block"
-}
+// deadLetterCapacity bounds the dead-letter ring.
+const deadLetterCapacity = 128
 
 // Typed executor errors.
 var (
-	// ErrOverload rejects a detached spawn when the queue is full and
-	// the policy is OverloadShed.
-	ErrOverload = errors.New("eca: executor overloaded")
 	// ErrDraining rejects detached spawns after Drain or Close began.
 	ErrDraining = errors.New("eca: executor draining")
 	// ErrRuleDeadline aborts a rule transaction whose attempt exceeded
@@ -61,9 +39,9 @@ var (
 	ErrBreakerOpen = errors.New("eca: rule circuit breaker open")
 )
 
-// DeadLetter records one detached rule firing the executor gave up
-// on: shed under overload, rejected at an open breaker, or failed
-// after its retry budget.
+// DeadLetter records one rule firing the engine gave up on: shed by
+// the overload governor, rejected at an open breaker, or failed after
+// its retry budget.
 type DeadLetter struct {
 	Rule     string    `json:"rule"`
 	EventKey string    `json:"event"`
@@ -146,7 +124,8 @@ func newExecutor(e *Engine) *executor {
 // submit reserves an in-flight slot and enqueues the job. The
 // reservation happens before the channel send so WaitDetached and
 // Drain observe the job the moment the raising goroutine returns —
-// no spawn can be lost between acceptance and execution.
+// no spawn can be lost between acceptance and execution. A full queue
+// is backpressure: the raiser parks until a worker frees a slot.
 func (x *executor) submit(job ruleJob) error {
 	x.mu.Lock()
 	if x.draining {
@@ -156,47 +135,35 @@ func (x *executor) submit(job ruleJob) error {
 	x.inflight++
 	x.mu.Unlock()
 	x.e.met.execInflight.Add(1)
-	if x.e.opts.Overload == OverloadShed {
+	g := x.e.gov
+	for {
+		// The raiser may be parked here while holding its
+		// transaction's locks — locks the queued detached rules may
+		// need to run. The governor breaks that cycle: every state
+		// transition wakes the park to re-check the shed ladder, so
+		// once the backlog (which counts this parked reservation)
+		// degrades the system, the spawn sheds instead of waiting.
+		// Channel fetch precedes the ladder check so a transition
+		// between the two cannot be missed. Without a governor
+		// stateCh is nil, nothing sheds, and this is plain bounded
+		// backpressure.
+		stateCh := g.StateChanged()
+		if g.ShouldShed(governor.ClassDetached) {
+			x.jobDone()
+			return governor.ErrOverloaded
+		}
 		select {
 		case x.queue <- job:
-		default:
+			depth := int64(len(x.queue))
+			x.e.met.execQueue.Set(depth)
+			x.e.met.execQueueHigh.SetMax(depth)
+			return nil
+		case <-x.drainCh:
 			x.jobDone()
-			return ErrOverload
-		}
-	} else {
-	enqueue:
-		for {
-			// The raiser may be parked here while holding its
-			// transaction's locks — locks the queued detached rules may
-			// need to run. The governor breaks that cycle: every state
-			// transition wakes the park to re-check the shed ladder, so
-			// once the backlog (which counts this parked reservation)
-			// degrades the system, the spawn sheds instead of waiting.
-			// Channel fetch precedes the ladder check so a transition
-			// between the two cannot be missed. Without a governor
-			// stateCh is nil and this is plain bounded backpressure.
-			var stateCh <-chan struct{}
-			if g := x.e.gov; g != nil {
-				stateCh = g.StateChanged()
-				if g.ShouldShed(governor.ClassDetached) {
-					x.jobDone()
-					return governor.ErrOverloaded
-				}
-			}
-			select {
-			case x.queue <- job:
-				break enqueue
-			case <-x.drainCh:
-				x.jobDone()
-				return ErrDraining
-			case <-stateCh:
-			}
+			return ErrDraining
+		case <-stateCh:
 		}
 	}
-	depth := int64(len(x.queue))
-	x.e.met.execQueue.Set(depth)
-	x.e.met.execQueueHigh.SetMax(depth)
-	return nil
 }
 
 // jobDone releases an in-flight reservation and wakes waiters.
@@ -314,7 +281,7 @@ func (x *executor) addDeadLetter(r *Rule, in *event.Instance, attempts int, err 
 	}
 	x.mu.Lock()
 	x.dead = append(x.dead, dl)
-	if over := len(x.dead) - x.e.opts.DeadLetterCapacity; over > 0 {
+	if over := len(x.dead) - deadLetterCapacity; over > 0 {
 		x.dead = append(x.dead[:0:0], x.dead[over:]...)
 	}
 	depth := len(x.dead)
@@ -519,19 +486,17 @@ func (x *executor) backoff(attempt int) bool {
 
 // spawnDetached routes a detached firing onto the executor: breaker
 // check, synchronous transaction + dependency setup for the modes
-// that "may begin in parallel" (§3.2), then admission under the
-// overload policy. Only accepted firings count as fired.
+// that "may begin in parallel" (§3.2), then admission to the queue.
+// Only accepted firings count as fired.
 func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 	x := e.exec
 	// The governor's first shed rung: from the degraded state on,
-	// detached firings are dropped before any work is reserved. The
-	// loss is recorded in the dead-letter queue — detached rules are
-	// independent top-level transactions (Table 1), so dropping one
-	// never changes the triggering transaction's outcome.
-	if g := e.gov; g != nil && g.ShouldShed(governor.ClassDetached) {
-		g.NoteShed(governor.ClassDetached)
-		e.met.rejGovernor.Inc()
-		x.addDeadLetter(r, in, 0, governor.ErrOverloaded, "governor-shed")
+	// detached firings are dropped before any work is reserved.
+	// Detached rules are independent top-level transactions (Table 1),
+	// so dropping one never changes the triggering transaction's
+	// outcome.
+	if e.gov.ShouldShed(governor.ClassDetached) {
+		e.shed(governor.ClassDetached, r, in)
 		return
 	}
 	in.Retain() // the detached worker reads it after the raiser returns
@@ -554,24 +519,25 @@ func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 		if job.t != nil {
 			_ = job.t.AbortWith(err)
 		}
-		switch {
-		case errors.Is(err, governor.ErrOverloaded):
+		if errors.Is(err, governor.ErrOverloaded) {
 			// Shed out of a blocked park: the system degraded while
 			// this spawn waited for queue space.
-			if g := e.gov; g != nil {
-				g.NoteShed(governor.ClassDetached)
-			}
-			e.met.rejGovernor.Inc()
-			x.addDeadLetter(r, in, 0, err, "governor-shed")
-		case errors.Is(err, ErrOverload):
-			e.met.rejOverload.Inc()
-			x.addDeadLetter(r, in, 0, err, "overload")
-		default:
+			e.shed(governor.ClassDetached, r, in)
+		} else {
 			e.met.rejDraining.Inc()
 		}
 		return
 	}
 	e.met.firedDetached.Inc()
+}
+
+// shed records one firing the governor shed: counted on the governor
+// and in reach_rule_rejected_total, and dead-lettered so that nothing
+// disappears silently.
+func (e *Engine) shed(c governor.Class, r *Rule, in *event.Instance) {
+	e.gov.NoteShed(c)
+	e.met.rejGovernor.Inc()
+	e.exec.addDeadLetter(r, in, 0, governor.ErrOverloaded, "governor-shed")
 }
 
 // detachedTxn begins a rule transaction and registers the causal

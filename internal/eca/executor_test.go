@@ -14,6 +14,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/fault"
+	"repro/internal/governor"
 	"repro/internal/oodb"
 	"repro/internal/txn"
 )
@@ -235,49 +236,119 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	}
 }
 
-// TestDetachedOverloadShed fills a Workers=1/Queue=1 executor and
-// verifies the third spawn is shed: counted, dead-lettered, never
-// executed.
-func TestDetachedOverloadShed(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{Workers: 1, Queue: 1, Overload: OverloadShed})
-	obj := newSensor(t, db)
+// govern installs a running governor on e whose only resource is the
+// detached backlog, degrading at the given level.
+func govern(t *testing.T, e *Engine, degraded int64) *governor.Governor {
+	t.Helper()
+	g := governor.New(governor.Options{Interval: time.Millisecond, Hysteresis: 10 * time.Millisecond})
+	g.Register("detached-backlog", e.DetachedBacklog, governor.Levels{Degraded: degraded})
+	e.SetGovernor(g)
+	g.Start()
+	t.Cleanup(g.Stop)
+	return g
+}
 
-	started := make(chan struct{}, 3)
+// heldRig is a one-worker engine under a governor that degrades at a
+// given detached backlog, with a detached rule that holds the worker
+// until release. The rule is released at cleanup at the latest, so a
+// failing test cannot leave the engine's Close waiting on it.
+type heldRig struct {
+	e       *Engine
+	g       *governor.Governor
+	db      *oodb.DB
+	obj     *oodb.Object
+	started chan struct{}
+	release func()
+	ran     atomic.Int32
+}
+
+func newHeldRig(t *testing.T, queue int, degraded int64) *heldRig {
+	t.Helper()
+	e, db, _ := newTestEngine(t, Options{Workers: 1, Queue: queue})
 	hold := make(chan struct{})
-	var ran atomic.Int32
+	r := &heldRig{e: e, g: govern(t, e, degraded), db: db, obj: newSensor(t, db),
+		started: make(chan struct{}, 3), release: sync.OnceFunc(func() { close(hold) })}
+	t.Cleanup(r.release)
 	if err := e.AddRule(&Rule{
 		Name: "slowpoke", EventKey: pingKey(), ActionMode: Detached,
 		Action: func(rc *RuleCtx) error {
-			started <- struct{}{}
+			r.started <- struct{}{}
 			<-hold
-			ran.Add(1)
+			r.ran.Add(1)
 			return nil
 		},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
 
-	fireOnce(t, db, obj) // occupies the single worker...
-	<-started            // ...and the queue is observably empty again
-	fireOnce(t, db, obj) // fills the queue
-	fireOnce(t, db, obj) // shed
-
-	if got := e.met.rejOverload.Value(); got != 1 {
-		t.Fatalf("rejected{overload} = %d, want 1", got)
+// assertOneShed checks the single shed decision's bookkeeping after two
+// accepted firings: the shed spawn is counted as governor-shed on the
+// engine and the governor, dead-lettered with that reason, and never
+// runs.
+func (r *heldRig) assertOneShed(t *testing.T) {
+	t.Helper()
+	if got := r.e.met.rejGovernor.Value(); got != 1 {
+		t.Fatalf("rejected{governor-shed} = %d, want 1", got)
 	}
-	if got := e.met.firedDetached.Value(); got != 2 {
+	if got := r.g.Sheds()[governor.ClassDetached]; got != 1 {
+		t.Fatalf("governor detached sheds = %d, want 1", got)
+	}
+	if got := r.e.met.firedDetached.Value(); got != 2 {
 		t.Fatalf("fired{detached} = %d, want 2 (shed spawn must not count)", got)
 	}
-	dl := e.DeadLetters()
-	if len(dl) != 1 || dl[0].Reason != "overload" || !strings.Contains(dl[0].Err, "overloaded") {
-		t.Fatalf("dead letters = %+v, want one overload entry", dl)
+	dl := r.e.DeadLetters()
+	if len(dl) != 1 || dl[0].Reason != "governor-shed" || !strings.Contains(dl[0].Err, "overloaded") {
+		t.Fatalf("dead letters = %+v, want one governor-shed entry", dl)
 	}
-
-	close(hold)
-	e.WaitDetached()
-	if got := ran.Load(); got != 2 {
+	r.release()
+	r.e.WaitDetached()
+	if got := r.ran.Load(); got != 2 {
 		t.Fatalf("executed %d firings, want 2", got)
 	}
+}
+
+// TestDetachedOverloadShed fills a Workers=1/Queue=2 executor whose
+// governor degrades at one queue's worth of backlog and verifies the
+// next spawn is shed: counted, dead-lettered, never executed.
+func TestDetachedOverloadShed(t *testing.T) {
+	r := newHeldRig(t, 2, 2)
+	fireOnce(t, r.db, r.obj) // occupies the single worker...
+	<-r.started              // ...and the queue is observably empty again
+	fireOnce(t, r.db, r.obj) // queued: the backlog reaches the watermark
+	if st := r.g.Evaluate(); st != governor.Degraded {
+		t.Fatalf("governor state = %v, want degraded", st)
+	}
+	fireOnce(t, r.db, r.obj) // shed
+	r.assertOneShed(t)
+}
+
+// TestParkedSpawnShedsOnDegrade parks a raiser on a full queue and
+// verifies that the governor, degrading on the backlog the parked
+// spawn itself adds, turns the park into a shed instead of leaving the
+// raiser waiting.
+func TestParkedSpawnShedsOnDegrade(t *testing.T) {
+	r := newHeldRig(t, 1, 3) // running + queued + parked
+	fireOnce(t, r.db, r.obj) // occupies the single worker...
+	<-r.started
+	fireOnce(t, r.db, r.obj) // ...and fills the queue
+	parked := make(chan error, 1)
+	go func() {
+		tx := r.db.Begin()
+		_, err := r.db.Invoke(tx, r.obj, "ping", int64(1))
+		parked <- errors.Join(err, tx.Commit())
+	}()
+	select {
+	case err := <-parked:
+		if err != nil {
+			t.Fatalf("parked raiser: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		// Close drains the executor, which unparks the raiser.
+		t.Fatal("raiser still parked on the full queue: the governor never shed its spawn")
+	}
+	r.assertOneShed(t)
 }
 
 // TestRuleDeadline gives a blocking rule a per-rule timeout and
@@ -629,9 +700,9 @@ func TestDetachedRuleFaultInjection(t *testing.T) {
 	}
 }
 
-// TestExecutorStress is the make-stress workhorse: a small pool under
-// shed policy, rules that panic, deadlock, fail, and succeed, raisers
-// on several goroutines, and a WAL failpoint injecting storage errors
+// TestExecutorStress is the make-stress workhorse: a small governed
+// pool, rules that panic, deadlock, fail, and succeed, raisers on
+// several goroutines, and a WAL failpoint injecting storage errors
 // every few commits. The assertions are liveness and bookkeeping: the
 // engine drains within the deadline and every accepted spawn resolved.
 func TestExecutorStress(t *testing.T) {
@@ -647,13 +718,13 @@ func TestExecutorStress(t *testing.T) {
 	e := New(db, Options{
 		Workers:          4,
 		Queue:            8,
-		Overload:         OverloadShed,
 		RuleRetries:      2,
 		RetryBackoff:     time.Millisecond,
 		RetryBackoffMax:  4 * time.Millisecond,
 		BreakerThreshold: 1 << 20, // keep failing rules flowing
 	})
 	t.Cleanup(e.Close)
+	govern(t, e, e.DetachedQueue())
 	obj := newSensor(t, db)
 	// Persist the sensor so rule commits carry WAL traffic for the
 	// armed failpoint to inject into.

@@ -72,12 +72,7 @@ func (ft *FlatTxn) Commit() error { return ft.t.Commit() }
 // Abort rolls the flat transaction back.
 func (ft *FlatTxn) Abort() error { return ft.t.Abort() }
 
-// ID returns the transaction identifier — the closed systems did not
-// even expose this (§4); it exists here only so tests can assert on
-// isolation, and the Layer never uses it.
-func (ft *FlatTxn) ID() uint64 { return ft.t.ID() }
-
-// NewObject, Get, Set, Invoke, Root, SetRoot, Delete: the ordinary
+// NewObject, Get, Set, Invoke, Root, SetRoot: the ordinary
 // closed-system data interface. None of them raises events.
 
 // NewObject creates an object.
@@ -114,13 +109,6 @@ func (c *ClosedOODB) Root(ft *FlatTxn, name string) (*oodb.Object, error) {
 	return c.db.Root(ft.t, name)
 }
 
-// Delete removes an object. In a system with persistence by
-// reachability there is no explicit delete to trap (§4); the layer
-// never sees this happen.
-func (c *ClosedOODB) Delete(ft *FlatTxn, obj *oodb.Object) error {
-	return c.db.Delete(ft.t, obj)
-}
-
 // Close closes the underlying database.
 func (c *ClosedOODB) Close() error { return c.db.Close() }
 
@@ -151,9 +139,7 @@ type Layer struct {
 
 	// Announced counts events the application had to announce itself.
 	Announced uint64
-	// Polls counts polling sweeps; PollReads counts attribute reads
-	// they cost.
-	Polls     uint64
+	// PollReads counts the attribute reads polling sweeps cost.
 	PollReads uint64
 }
 
@@ -245,7 +231,6 @@ func (l *Layer) Poll(ft *FlatTxn) error {
 	for obj := range l.tracked {
 		objs = append(objs, obj)
 	}
-	l.Polls++
 	l.mu.Unlock()
 	for _, obj := range objs {
 		attrs := obj.Class().Attrs()

@@ -12,7 +12,7 @@ import (
 // the storage write of any object holding it fails.
 var tooLarge = strings.Repeat("x", 9000)
 
-func persistRiver(t *testing.T, db *DB, name string, level int64) *Object {
+func persistRiver(t testing.TB, db *DB, name string, level int64) *Object {
 	t.Helper()
 	tx := db.Begin()
 	obj, err := db.NewObject(tx, "River")

@@ -9,7 +9,7 @@ import (
 )
 
 // registerRiver registers the paper's River class on db.
-func registerRiver(t *testing.T, db *DB, monitored bool) *Class {
+func registerRiver(t testing.TB, db *DB, monitored bool) *Class {
 	t.Helper()
 	river := NewClass("River",
 		Attr{Name: "name", Type: TString},
@@ -38,7 +38,7 @@ func openMem(t *testing.T) *DB {
 	return db
 }
 
-func openDisk(t *testing.T, dir string) *DB {
+func openDisk(t testing.TB, dir string) *DB {
 	t.Helper()
 	db, err := Open(Options{Dir: dir})
 	if err != nil {

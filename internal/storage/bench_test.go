@@ -101,6 +101,20 @@ func BenchmarkUpdateMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkGetHit reads records from a store whose pool holds all of
+// them: the buffer-hit read path.
+func BenchmarkGetHit(b *testing.B) {
+	s, rids := fillStore(b, b.TempDir(), 256, 1000)
+	defer s.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(rids[i%len(rids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // crash drops the store's file handles without a checkpoint or a page
 // flush: the next Open must recover everything from the log.
 func crash(s *Store) {

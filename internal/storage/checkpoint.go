@@ -24,9 +24,6 @@ type CheckpointOptions struct {
 	// DegradedAfter is how many consecutive checkpoint failures flip
 	// the store's health to degraded. Zero selects 3.
 	DegradedAfter int
-	// Backoff is the base retry delay after a failed checkpoint; it
-	// doubles per consecutive failure up to 8x. Zero selects 1s.
-	Backoff time.Duration
 	// Clock paces the background checkpointer; nil selects the real
 	// clock. Tests inject a virtual clock.
 	Clock clock.Clock
@@ -42,14 +39,15 @@ func (o CheckpointOptions) withDefaults() CheckpointOptions {
 	if o.DegradedAfter <= 0 {
 		o.DegradedAfter = 3
 	}
-	if o.Backoff <= 0 {
-		o.Backoff = time.Second
-	}
 	if o.Clock == nil {
 		o.Clock = clock.NewReal()
 	}
 	return o
 }
+
+// checkpointBackoff is the background checkpointer's retry delay after
+// a failed checkpoint; it doubles per consecutive failure up to 8x.
+const checkpointBackoff = time.Second
 
 // errCkptIdle is the internal "nothing to do" outcome: the log has not
 // grown since the last completed checkpoint. It never escapes
@@ -296,10 +294,10 @@ func (s *Store) checkpointLoop() {
 		case errors.Is(err, ErrInDoubt):
 			// The store is poisoned; only reopening can fix it. Hold at
 			// the maximum backoff instead of spinning.
-			backoff = 8 * s.copts.Backoff
+			backoff = 8 * checkpointBackoff
 		case backoff == 0:
-			backoff = s.copts.Backoff
-		case backoff < 8*s.copts.Backoff:
+			backoff = checkpointBackoff
+		case backoff < 8*checkpointBackoff:
 			backoff *= 2
 		}
 	}

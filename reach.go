@@ -114,19 +114,10 @@ type (
 	Coupling = eca.Coupling
 	// LoadedRules tracks a rule set loaded from the rule language.
 	LoadedRules = rules.Loaded
-	// OverloadPolicy selects what a full executor queue does to new
-	// detached rule work (block or shed).
-	OverloadPolicy = eca.OverloadPolicy
-	// DeadLetter is one detached rule firing the executor gave up on.
+	// DeadLetter is one rule firing the engine gave up on.
 	DeadLetter = eca.DeadLetter
 	// BreakerState is a snapshot of one rule's circuit breaker.
 	BreakerState = eca.BreakerState
-)
-
-// Supervised-executor overload policies.
-const (
-	OverloadBlock = eca.OverloadBlock
-	OverloadShed  = eca.OverloadShed
 )
 
 // Overload governor: system-wide resource accounting, the
@@ -158,9 +149,6 @@ var (
 	ErrOverloaded = governor.ErrOverloaded
 	// ErrShutdown rejects new writers once graceful shutdown began.
 	ErrShutdown = governor.ErrShutdown
-	// ErrOverload rejects a detached spawn when the queue is full
-	// under the shed policy.
-	ErrOverload = eca.ErrOverload
 	// ErrDraining rejects detached spawns after Drain or Close began.
 	ErrDraining = eca.ErrDraining
 	// ErrRuleDeadline aborts a rule attempt that exceeded its deadline.
