@@ -17,15 +17,16 @@ race:
 	$(GO) test -race -timeout 240s ./...
 
 # race-procs re-runs the lock manager, the rule engine, the storage
-# manager, the object layer, the rule language and the assembled system
-# under the race detector at GOMAXPROCS 1, 2 and 4: their interleavings
-# (lock hand-off, parallel sibling rules, the short-cut equivalence
-# hammer, dispatch plans republished under raises, buffer-frame
-# recycling, group commit beside the fuzzy checkpoint, the executor and
-# governor beside the checkpointer) differ with the number of running
-# threads.
+# manager, the object layer, the rule language, the assembled system and
+# the crash matrix under the race detector at GOMAXPROCS 1, 2 and 4:
+# their interleavings (lock hand-off and deadlock detection, parallel
+# sibling rules, the short-cut hammer, dispatch plans republished under
+# raises, buffer-frame recycling, group commit beside the fuzzy
+# checkpoint, the executor and governor beside the checkpointer,
+# recovery after a crash at every write) differ with the number of
+# running threads.
 race-procs:
-	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca ./internal/storage ./internal/oodb ./internal/rules ./internal/core
+	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca ./internal/storage ./internal/oodb ./internal/rules ./internal/core ./internal/fault/...
 
 # repeat runs order-sensitive tests many times over: a nested composite's
 # detection must not depend on which composer EOT happens to flush first.

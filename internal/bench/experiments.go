@@ -19,6 +19,7 @@ import (
 	"repro/internal/layered"
 	"repro/internal/oodb"
 	"repro/internal/storage"
+	"repro/internal/txn"
 )
 
 // Row is one measured configuration of one experiment.
@@ -204,7 +205,10 @@ func RunE3(ruleCounts []int, works []int, events int) []Row {
 }
 
 // runE3Arm measures one E3 configuration: k busy rules of the given
-// work, fired by events pings under one execution strategy.
+// work, fired by events pings under one execution strategy. Parallel
+// siblings read then write one object, so their upgrades collide: the
+// pings whose transaction a deadlock victimised are counted, and any
+// other failure panics.
 func runE3Arm(strategy eca.ExecStrategy, k, work, events int) Row {
 	name := "sequential"
 	if strategy == eca.ParallelExec {
@@ -214,11 +218,18 @@ func runE3Arm(strategy eca.ExecStrategy, k, work, events int) Row {
 	defer f.Close()
 	f.AddBusyRules(k, work)
 	cfg := fmt.Sprintf("%d rules × work %d, %s", k, work, name)
-	return measure("E3-rule-exec", cfg, events, func() {
+	victims := 0
+	row := measure("E3-rule-exec", cfg, events, func() {
 		for i := 0; i < events; i++ {
-			f.Ping(int64(i))
+			if err := f.Ping(int64(i)); txn.IsRetriable(err) {
+				victims++
+			} else if err != nil {
+				panic(err)
+			}
 		}
 	})
+	row.Extra = fmt.Sprintf("victims=%d", victims)
+	return row
 }
 
 // RunE4 compares synchronous and asynchronous event composition: the

@@ -35,36 +35,32 @@ const lockStripes = 64
 //
 // The table is striped: resources hash across lockStripes partitions,
 // each with its own mutex, so grants and releases on unrelated
-// resources never serialize. Deadlock detection stays global — blocked
-// requests record edges in one waits-for graph guarded by wfMu, and
-// the cycle check (DFS) runs under wfMu alone, so grant/release on
-// other stripes never queue behind it. The requester that would close
-// a cycle receives ErrDeadlock. Only a transaction that has queued
-// (Txn.queued) can be named in that graph, so grants, inheritance and
-// release of one that never waited leave wfMu alone.
+// resources never serialize. Deadlock detection is global and keeps no
+// graph of its own: when a request must wait, waitsFor derives the
+// edges from the holders, the queues and the transaction tree as they
+// stand, and the requester that would close a cycle receives
+// ErrDeadlock. Every lock state the search can reach has a parked
+// waiter, and every change to a state with waiters happens under wfMu,
+// so the search runs under wfMu alone. A request granted at once and
+// the release of a lock nobody waits for leave wfMu alone.
 //
-// Lock order: a stripe mutex may be held when wfMu is taken; wfMu is
-// never held while a stripe mutex is taken, and no two stripe mutexes
-// are ever held together.
+// Lock order: stripe mutex → wfMu → Txn.mu. No two stripe mutexes are
+// ever held together.
 type lockTable struct {
 	stripes [lockStripes]lockStripe
 
-	// wfMu guards the global waits-for graph and the queued-on index.
+	// wfMu guards every lock state with a non-empty queue and
+	// Txn.waiting.
 	wfMu sync.Mutex
-	// waitsFor maps a blocked transaction to the holders it waits on.
-	waitsFor map[*Txn]map[*Txn]bool
-	// waitingOn maps a blocked transaction to the resources it is
-	// queued on, so releaseAll purges exactly those stripes instead of
-	// scanning the whole table.
-	waitingOn map[*Txn]map[uint64]bool
 
 	// contention counts stripe-mutex acquisitions that found the stripe
 	// already locked. Standalone by default; rebound by Instrument.
 	contention *obs.Counter
 
 	// bypass, set by the equivalence tests only, routes every request
-	// past the short-cuts (held-lock re-entry, the queued flag) so their
-	// outcomes can be compared with the full path's.
+	// past the short-cuts (held-lock re-entry, wfMu skipped on states
+	// nobody waits on) so their outcomes can be compared with the full
+	// path's.
 	bypass bool
 }
 
@@ -80,16 +76,14 @@ type lockState struct {
 
 type lockWaiter struct {
 	t     *Txn
+	ls    *lockState
+	res   uint64
 	mode  LockMode
 	grant chan error
 }
 
 func newLockTable() *lockTable {
-	lt := &lockTable{
-		waitsFor:   make(map[*Txn]map[*Txn]bool),
-		waitingOn:  make(map[*Txn]map[uint64]bool),
-		contention: new(obs.Counter),
-	}
+	lt := &lockTable{contention: new(obs.Counter)}
 	for i := range lt.stripes {
 		lt.stripes[i].locks = make(map[uint64]*lockState)
 	}
@@ -109,6 +103,17 @@ func (lt *lockTable) lockStripe(st *lockStripe) {
 	}
 	lt.contention.Inc()
 	st.mu.Lock()
+}
+
+// lockWaits takes wfMu when ls has waiters, whose waits-for edges a
+// change to ls may alter, and reports whether it did. The caller holds
+// the stripe owning ls.
+func (lt *lockTable) lockWaits(ls *lockState) bool {
+	if len(ls.queue) == 0 && !lt.bypass {
+		return false
+	}
+	lt.wfMu.Lock()
+	return true
 }
 
 // compatible reports whether t may be granted mode on ls.
@@ -157,65 +162,109 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	// Grant immediately when compatible, unless a queue has formed —
 	// then join it for fairness. Two exceptions skip the queue: t
 	// already holds the lock (re-entry), and an ancestor of t holds it
-	// (closed nesting). The ancestor bypass is load-bearing: a rule
-	// subtransaction reading state its top-level wrote must not be
-	// fair-queued behind strangers who are themselves blocked on that
-	// top-level's lock — the top won't release until the child
-	// finishes, a cycle invisible to the waits-for graph because the
-	// top is waiting in code, not in the lock table.
+	// (closed nesting). A rule subtransaction reading state its
+	// top-level wrote is let in past strangers waiting on that
+	// top-level: its ancestor cannot commit before it does, so queueing
+	// it there would make it a deadlock victim of its own tree.
 	if ls.compatible(t, mode) &&
 		(len(ls.queue) == 0 || ls.holders[t] != 0 || ls.heldByAncestor(t)) {
+		waits := lt.lockWaits(ls)
 		lt.grantLocked(ls, t, res, mode)
+		if waits {
+			lt.wfMu.Unlock()
+		}
 		st.mu.Unlock()
 		return nil
 	}
-	// Must wait: record waits-for edges in the global graph and check
-	// for a cycle, all before the stripe is released so the blockers
-	// cannot dissolve between the decision to wait and the edges
-	// becoming visible to other requesters' cycle checks.
-	blockers := make(map[*Txn]bool)
-	for h := range ls.holders {
-		if h != t && !h.isAncestorOf(t) {
-			blockers[h] = true
-		}
-	}
-	for _, w := range ls.queue {
-		if w.t != t {
-			blockers[w.t] = true
-		}
-	}
+	// Must wait: park, then search for a cycle through the lock state
+	// as it stands — the stripe is held, so t's blockers cannot
+	// dissolve between the decision to wait and the search.
+	w := &lockWaiter{t: t, ls: ls, res: res, mode: mode, grant: make(chan error, 1)}
 	lt.wfMu.Lock()
-	lt.waitsFor[t] = blockers
-	if lt.cycleFromLocked(t) {
-		delete(lt.waitsFor, t)
-		lt.wfMu.Unlock()
-		st.mu.Unlock()
-		return fmt.Errorf("%w: txn %d requesting %v on %d", ErrDeadlock, t.id, mode, res)
-	}
-	t.queued.Store(true)
-	qr := lt.waitingOn[t]
-	if qr == nil {
-		qr = make(map[uint64]bool)
-		lt.waitingOn[t] = qr
-	}
-	qr[res] = true
-	lt.wfMu.Unlock()
-	w := &lockWaiter{t: t, mode: mode, grant: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
+	t.waiting.Store(w)
+	var err error
+	if lt.deadlockLocked(t) {
+		err = fmt.Errorf("%w: txn %d requesting %v on %d", ErrDeadlock, t.id, mode, res)
+	} else if t.Status() != Active {
+		err = ErrWaitCancelled // resolved by another goroutine since Lock looked
+	}
+	if err != nil {
+		ls.queue = ls.queue[:len(ls.queue)-1]
+		t.waiting.Store(nil)
+	}
+	lt.wfMu.Unlock()
 	st.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	// Blocked: measure the wait and attribute it to the requester's
 	// trace. The granted-immediately fast path above records nothing.
 	start := t.m.clk.Now()
-	err := <-w.grant
+	err = <-w.grant
 	wait := t.m.clk.Now().Sub(start)
 	t.m.observeLockWait(mode, wait)
 	t.m.span(t, "lock-wait", mode.String(), start, wait)
 	return err
 }
 
-// grantLocked adds the grant to the state and bookkeeping. The
-// caller holds the stripe owning res.
+// waitsFor calls fn with each transaction t waits for now. A parked t
+// waits for the holders of its resource that conflict with its request
+// and are not its ancestors, and for the waiters queued ahead of it;
+// and for those blockers' ancestors below t's own ancestry, which
+// inherit the blockers' locks when they commit. A transaction with
+// active children waits for each of them: it cannot commit before
+// they resolve. The caller holds wfMu.
+func waitsFor(t *Txn, fn func(*Txn)) {
+	if w := t.waiting.Load(); w != nil {
+		blocker := func(x *Txn) {
+			fn(x)
+			for x = x.parent; x != nil && x != t && !x.isAncestorOf(t); x = x.parent {
+				fn(x)
+			}
+		}
+		for h, hm := range w.ls.holders {
+			if h != t && !h.isAncestorOf(t) && (hm == LockExclusive || w.mode == LockExclusive) {
+				blocker(h)
+			}
+		}
+		for _, q := range w.ls.queue {
+			if q == w {
+				break
+			}
+			blocker(q.t)
+		}
+	}
+	t.mu.Lock()
+	for c := t.kids; c != nil; c = c.sibNext {
+		fn(c)
+	}
+	t.mu.Unlock()
+}
+
+// deadlockLocked reports whether the parked start waits, transitively,
+// for itself. The caller holds wfMu.
+func (lt *lockTable) deadlockLocked(start *Txn) bool {
+	seen := map[*Txn]bool{start: true}
+	stack := []*Txn{start}
+	cycle := false
+	for len(stack) > 0 && !cycle {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		waitsFor(t, func(x *Txn) {
+			cycle = cycle || x == start
+			if !seen[x] {
+				seen[x] = true
+				stack = append(stack, x)
+			}
+		})
+	}
+	return cycle
+}
+
+// grantLocked adds the grant to the state and t's held set. The caller
+// holds the stripe owning res, and wfMu if ls has waiters.
 func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMode) {
 	if cur, ok := ls.holders[t]; !ok || mode > cur {
 		ls.holders[t] = mode
@@ -223,9 +272,6 @@ func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMod
 	t.heldMu.Lock()
 	t.held.raise(res, mode)
 	t.heldMu.Unlock()
-	if lt.mayWait(t) {
-		lt.clearWait(t, res)
-	}
 }
 
 // holds reports whether t already holds res at mode or stronger.
@@ -293,99 +339,28 @@ func (t *Txn) takeHeld() heldSet {
 	return held
 }
 
-// mayWait reports whether the waits-for graph or the queued-on index
-// can hold an entry for t.
-func (lt *lockTable) mayWait(t *Txn) bool { return t.queued.Load() || lt.bypass }
-
-// clearWait removes t's waits-for edges and queued-on entry for res.
-func (lt *lockTable) clearWait(t *Txn, res uint64) {
-	lt.wfMu.Lock()
-	delete(lt.waitsFor, t)
-	if qr := lt.waitingOn[t]; qr != nil {
-		delete(qr, res)
-		if len(qr) == 0 {
-			delete(lt.waitingOn, t)
-		}
-	}
-	if lt.waitingOn[t] == nil {
-		t.queued.Store(false)
-	}
-	lt.wfMu.Unlock()
-}
-
-// forgetWaits drops every waits-for edge and queued-on entry of the
-// resolved transaction t.
-func (lt *lockTable) forgetWaits(t *Txn) {
-	if !lt.mayWait(t) {
-		return
-	}
-	lt.wfMu.Lock()
-	delete(lt.waitsFor, t)
-	delete(lt.waitingOn, t)
-	t.queued.Store(false)
-	lt.wfMu.Unlock()
-}
-
-// cycleFromLocked reports whether the waits-for graph reaches back to
-// start from start's blockers. The caller holds wfMu.
-func (lt *lockTable) cycleFromLocked(start *Txn) bool {
-	seen := make(map[*Txn]bool)
-	var dfs func(t *Txn) bool
-	dfs = func(t *Txn) bool {
-		if t == start {
-			return true
-		}
-		if seen[t] {
-			return false
-		}
-		seen[t] = true
-		for next := range lt.waitsFor[t] {
-			if dfs(next) {
-				return true
-			}
-		}
-		return false
-	}
-	for b := range lt.waitsFor[start] {
-		if dfs(b) {
-			return true
-		}
-	}
-	return false
-}
-
-// releaseAll drops every lock held by t, fails t's queued requests,
+// releaseAll drops every lock held by t, fails t's parked request,
 // and wakes compatible waiters.
 func (lt *lockTable) releaseAll(t *Txn) {
-	// Remove t from every wait queue it is parked on: a transaction
-	// resolved by another goroutine must not be granted locks later.
-	// The queued-on index names the stripes to visit.
-	var queued []uint64
-	if lt.mayWait(t) {
-		lt.wfMu.Lock()
-		for res := range lt.waitingOn[t] {
-			queued = append(queued, res)
-		}
-		lt.wfMu.Unlock()
-	}
-	for _, res := range queued {
-		st := lt.stripe(res)
+	// A transaction resolved by another goroutine while parked must not
+	// be granted the lock later: cancel the request.
+	if w := t.waiting.Load(); w != nil {
+		st := lt.stripe(w.res)
 		lt.lockStripe(st)
-		ls := st.locks[res]
-		if ls == nil {
-			st.mu.Unlock()
-			continue
-		}
-		for i := 0; i < len(ls.queue); {
-			if ls.queue[i].t == t {
-				w := ls.queue[i]
-				ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-				w.grant <- ErrWaitCancelled
-			} else {
-				i++
+		if t.waiting.Load() == w { // not granted meanwhile
+			lt.wfMu.Lock()
+			ls := w.ls
+			for i, q := range ls.queue {
+				if q == w {
+					ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
+					break
+				}
 			}
+			t.waiting.Store(nil)
+			lt.wakeLocked(ls, w.res)
+			lt.wfMu.Unlock()
+			w.grant <- ErrWaitCancelled
 		}
-		lt.wakeLocked(st, ls, res)
 		st.mu.Unlock()
 	}
 
@@ -398,13 +373,16 @@ func (lt *lockTable) releaseAll(t *Txn) {
 		if ls == nil {
 			return
 		}
+		waits := lt.lockWaits(ls)
 		delete(ls.holders, t)
-		lt.wakeLocked(st, ls, res)
+		lt.wakeLocked(ls, res)
+		if waits {
+			lt.wfMu.Unlock()
+		}
 		if len(ls.holders) == 0 && len(ls.queue) == 0 {
 			delete(st.locks, res)
 		}
 	})
-	lt.forgetWaits(t)
 }
 
 // inherit transfers all locks held by child to parent (Moss rule on
@@ -419,6 +397,7 @@ func (lt *lockTable) inherit(child, parent *Txn) {
 		if ls == nil {
 			return
 		}
+		waits := lt.lockWaits(ls)
 		delete(ls.holders, child)
 		// A parent that already holds the lock at least as strongly —
 		// the child got it through the ancestor rule — gains nothing:
@@ -429,28 +408,33 @@ func (lt *lockTable) inherit(child, parent *Txn) {
 			parent.held.raise(res, mode)
 			parent.heldMu.Unlock()
 		}
-		lt.wakeLocked(st, ls, res)
+		lt.wakeLocked(ls, res)
+		if waits {
+			lt.wfMu.Unlock()
+		}
 	})
-	lt.forgetWaits(child)
 }
 
 // wakeLocked grants queued requests that are now compatible, in FIFO
-// order, stopping at the first incompatible one. The caller holds st.
-func (lt *lockTable) wakeLocked(st *lockStripe, ls *lockState, res uint64) {
+// order, stopping at the first incompatible one. The caller holds the
+// stripe owning res, and wfMu if ls has waiters.
+func (lt *lockTable) wakeLocked(ls *lockState, res uint64) {
 	for len(ls.queue) > 0 {
 		w := ls.queue[0]
-		if w.t.Status() != Active {
-			ls.queue = ls.queue[1:]
-			lt.clearWait(w.t, res)
-			w.grant <- ErrWaitCancelled
-			continue
-		}
-		if !ls.compatible(w.t, w.mode) {
+		active := w.t.Status() == Active
+		if active && !ls.compatible(w.t, w.mode) {
 			return
 		}
 		ls.queue = ls.queue[1:]
-		lt.grantLocked(ls, w.t, res, w.mode)
-		w.grant <- nil
+		var err error = ErrWaitCancelled
+		if active {
+			// Granted before the request is unparked: a resolver that
+			// finds no parked request then finds the lock in the held set.
+			lt.grantLocked(ls, w.t, res, w.mode)
+			err = nil
+		}
+		w.t.waiting.Store(nil)
+		w.grant <- err
 	}
 }
 

@@ -2,7 +2,10 @@ package txn
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -390,4 +393,154 @@ func TestLockStress(t *testing.T) {
 		t.Fatalf("total = %d, want %d (lost updates)", total, accounts*1000)
 	}
 	t.Logf("deadlocks detected and recovered: %d", deadlocks.Load())
+}
+
+// Each test below closes a cycle that only the lock state and the
+// transaction tree as they stand at the closing request show: edges
+// taken when an earlier request parked miss it. The closing request
+// must come back within wedgeBound, as ErrDeadlock, and never hang the
+// test.
+
+const wedgeBound = 2 * time.Second
+
+// request starts tx's lock request on its own goroutine and returns once
+// the request is parked or answered.
+func request(t *testing.T, tx *Txn, res uint64, mode LockMode) <-chan error {
+	t.Helper()
+	got := make(chan error, 1)
+	go func() { got <- tx.Lock(res, mode) }()
+	deadline := time.Now().Add(wedgeBound)
+	for len(got) == 0 && !queuedOn(tx, res) {
+		if time.Now().After(deadline) {
+			t.Fatalf("txn %d's %v request on %d neither parked nor answered", tx.ID(), mode, res)
+		}
+		runtime.Gosched()
+	}
+	return got
+}
+
+// answer waits up to wedgeBound for a request's outcome; on timeout it
+// fails with the lock table's holders and queues.
+func answer(t *testing.T, m *Manager, got <-chan error, what string) error {
+	t.Helper()
+	select {
+	case err := <-got:
+		return err
+	case <-time.After(wedgeBound):
+		t.Fatalf("%s: neither granted nor ErrDeadlock within %v — wedged:\n%s", what, wedgeBound, lockDump(m))
+		return nil
+	}
+}
+
+// lockDump renders every non-empty lock state as holders|queue.
+func lockDump(m *Manager) string {
+	var b strings.Builder
+	for i := range m.locks.stripes {
+		st := &m.locks.stripes[i]
+		st.mu.Lock()
+		for res, ls := range st.locks {
+			fmt.Fprintf(&b, "  res %d: holders", res)
+			for h, mode := range ls.holders {
+				fmt.Fprintf(&b, " %d%v", h.ID(), mode)
+			}
+			b.WriteString(" | queue")
+			for _, w := range ls.queue {
+				fmt.Fprintf(&b, " %d%v", w.t.ID(), w.mode)
+			}
+			b.WriteString("\n")
+		}
+		st.mu.Unlock()
+	}
+	return b.String()
+}
+
+// abortAll resolves the given transactions at the end of a test so no
+// parked request outlives it.
+func abortAll(t *testing.T, txs ...*Txn) {
+	t.Cleanup(func() {
+		for _, tx := range txs {
+			_ = tx.Abort()
+		}
+	})
+}
+
+func mustLock(t *testing.T, tx *Txn, res uint64, mode LockMode) {
+	t.Helper()
+	if err := tx.Lock(res, mode); err != nil {
+		t.Fatalf("txn %d %v(%d): %v", tx.ID(), mode, res, err)
+	}
+}
+
+// An immediate rule writing an object another client holds: A waits on
+// B's lock while B's rule child waits on A's. B waits in code for its
+// child, so the child's request closes the cycle.
+func TestDeadlockNestedRuleChild(t *testing.T) {
+	m := NewManager()
+	a, b := m.Begin(), m.Begin()
+	c, _ := b.BeginChild()
+	abortAll(t, a, b)
+	mustLock(t, a, 1, LockExclusive)
+	mustLock(t, b, 2, LockExclusive)
+	aWaits := request(t, a, 2, LockExclusive)
+	if err := answer(t, m, request(t, c, 1, LockExclusive), "rule child c X(1)"); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("rule child's request = %v, want ErrDeadlock", err)
+	}
+	_ = c.Abort()
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := answer(t, m, aWaits, "A X(2) after B committed"); err != nil {
+		t.Fatalf("A's request = %v after B committed", err)
+	}
+}
+
+// B parks on a lock A's child holds; the child commits and A inherits
+// it, so B now waits on A — an edge no parked request recorded. A's
+// request for B's lock closes the cycle.
+func TestDeadlockAfterCommitInherit(t *testing.T) {
+	m := NewManager()
+	a, b := m.Begin(), m.Begin()
+	c, _ := a.BeginChild()
+	abortAll(t, a, b)
+	mustLock(t, c, 1, LockExclusive)
+	mustLock(t, b, 2, LockExclusive)
+	bWaits := request(t, b, 1, LockExclusive)
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := answer(t, m, request(t, a, 2, LockExclusive), "A X(2) after inheriting X(1)"); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("A's request = %v, want ErrDeadlock", err)
+	}
+	_ = a.Abort()
+	if err := answer(t, m, bWaits, "B X(1) after A aborted"); err != nil {
+		t.Fatalf("B's request = %v after A aborted", err)
+	}
+}
+
+// Parallel siblings under a reading parent: s1's upgrade parks behind
+// s2's read; s3 reads past the queue by the ancestor rule; s2 commits,
+// so s1 now waits on s3, and s3's upgrade, queued behind s1, closes
+// the cycle.
+func TestDeadlockLateBypassReader(t *testing.T) {
+	m := NewManager()
+	top := m.Begin()
+	s1, _ := top.BeginChild()
+	s2, _ := top.BeginChild()
+	s3, _ := top.BeginChild()
+	abortAll(t, top)
+	mustLock(t, top, 1, LockShared)
+	mustLock(t, s1, 1, LockShared)
+	mustLock(t, s2, 1, LockShared)
+	s1Waits := request(t, s1, 1, LockExclusive)
+	mustLock(t, s3, 1, LockShared) // the ancestor rule: top holds S
+	if err := s2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := answer(t, m, request(t, s3, 1, LockExclusive), "s3 X(1) behind s1's upgrade"); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("s3's upgrade = %v, want ErrDeadlock", err)
+	}
+	_ = s3.Abort()
+	if err := answer(t, m, s1Waits, "s1 X(1) after s3 aborted"); err != nil {
+		t.Fatalf("s1's upgrade = %v after s3 aborted", err)
+	}
 }

@@ -244,9 +244,10 @@ type Txn struct {
 	// trace is the event-trace ID this transaction's lock-wait and
 	// commit latency attribute to (0 when untraced).
 	trace atomic.Uint64
-	// queued is set while the lock table's waits-for graph may name t;
-	// a transaction that never queued skips that graph's global mutex.
-	queued atomic.Bool
+	// waiting is t's parked lock request, nil when none: set under the
+	// request's stripe and the lock table's wfMu, read by the deadlock
+	// search and by a resolver on another goroutine.
+	waiting atomic.Pointer[lockWaiter]
 
 	mu sync.Mutex
 	// kids heads the list of active children, linked through their
@@ -506,7 +507,10 @@ func (t *Txn) RequireAbort(on *Txn) {
 
 // Lock acquires a lock on resource res in the given mode, blocking
 // until granted. It returns ErrDeadlock when granting would create a
-// wait cycle; the caller should abort.
+// wait cycle; the caller should abort. One goroutine at a time drives
+// a transaction's Lock calls — parallel rules run as sibling
+// subtransactions, each on its own — so a transaction has at most one
+// parked request.
 func (t *Txn) Lock(res uint64, mode LockMode) error {
 	if t.Status() != Active {
 		return ErrNotActive
