@@ -66,7 +66,10 @@ crash:
 # plus the Drain/WaitDetached race and crash-consistency invariants, in
 # short mode so the whole target stays CI-sized. The storage leg
 # asserts the WAL-growth bound: segment chains stay short under
-# sustained traffic with checkpoints.
+# sustained traffic with checkpoints. The lock-manager leg repeats the
+# lock-head recycling hammer (grant, release, inherit, park, wake,
+# deadlock victims and cancellation by another goroutine on one
+# stripe) and a child's commit racing its parent's abort.
 stress:
 	$(GO) test -race -short -timeout 120s -count=1 \
 		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry' \
@@ -74,6 +77,9 @@ stress:
 	$(GO) test -race -timeout 120s -count=1 \
 		-run 'TestWALGrowthBounded|TestStoreCheckpointWithActiveTxn|TestBackgroundCheckpointer' \
 		./internal/storage
+	$(GO) test -race -timeout 120s -count=5 \
+		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
+		./internal/txn
 
 # soak runs the fault-armed overload soak under the race detector:
 # writers hammer a slow detached rule through the governor's full

@@ -173,7 +173,7 @@ func TestRaisePathAllocationCeilings(t *testing.T) {
 	// one rule-context array for the set, no per-firing context.
 	fire8 := fireImmediate8(t)
 	i := 0
-	if n := testing.AllocsPerRun(100, func() { fire8(i); i++ }); n > 27 {
-		t.Errorf("BenchmarkFireImmediate8 body: %.0f allocations, ceiling 27", n)
+	if n := testing.AllocsPerRun(100, func() { fire8(i); i++ }); n > 16 {
+		t.Errorf("BenchmarkFireImmediate8 body: %.0f allocations, ceiling 16", n)
 	}
 }

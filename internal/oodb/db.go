@@ -224,10 +224,7 @@ func (db *DB) Get(t *txn.Txn, obj *Object, attr string) (any, error) {
 	if err := t.Lock(uint64(obj.oid), txn.LockShared); err != nil {
 		return nil, err
 	}
-	if obj.Deleted() {
-		return nil, fmt.Errorf("%w: %v", ErrDeleted, obj)
-	}
-	return obj.get(idx), nil
+	return obj.read(idx)
 }
 
 // Set writes attribute attr of obj under t (exclusive lock), raising a
@@ -244,13 +241,15 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 	if err := t.Lock(uint64(obj.oid), txn.LockExclusive); err != nil {
 		return err
 	}
-	if obj.Deleted() {
-		return fmt.Errorf("%w: %v", ErrDeleted, obj)
+	top := t.Top()
+	old, first, err := obj.write(idx, val, top.ID())
+	if err != nil {
+		return err
 	}
-	old := obj.get(idx)
-	obj.set(idx, val)
-	t.OnAbort(func() { obj.set(idx, old) })
-	db.markDirty(t, obj)
+	t.LogUndo(obj, idx, old)
+	if first {
+		db.writeSet(top).add(obj)
+	}
 	if obj.class.Monitored {
 		sink := db.currentSink()
 		if sink != nil {
@@ -262,7 +261,7 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 			in.SpecKey = key
 			in.Kind = event.KindState
 			in.Time = db.clk.Now()
-			in.Txn = t.Top().ID()
+			in.Txn = top.ID()
 			in.OID = uint64(obj.oid)
 			in.Class = obj.class.Name
 			in.Args = append(in.Args, old, val)
@@ -342,13 +341,11 @@ func (db *DB) Persist(t *txn.Txn, obj *Object) error {
 	obj.persistent = true
 	obj.mu.Unlock()
 	if !was {
-		t.OnAbort(func() {
-			obj.mu.Lock()
-			obj.persistent = false
-			obj.mu.Unlock()
-		})
+		t.LogUndo(obj, undoPersist, nil)
 	}
-	db.markDirty(t, obj)
+	if top := t.Top(); obj.markDirty(top.ID()) {
+		db.writeSet(top).add(obj)
+	}
 	return nil
 }
 
@@ -375,7 +372,7 @@ func (db *DB) SetRoot(t *txn.Txn, name string, obj *Object) error {
 		}
 		db.mu.Unlock()
 	})
-	ws := db.writeSet(t)
+	ws := db.writeSet(t.Top())
 	ws.mu.Lock()
 	ws.rootsDirty = true
 	ws.mu.Unlock()
@@ -473,15 +470,13 @@ func (db *DB) Delete(t *txn.Txn, obj *Object) error {
 	}
 	obj.deleted = true
 	obj.mu.Unlock()
-	t.OnAbort(func() {
-		obj.mu.Lock()
-		obj.deleted = false
-		obj.mu.Unlock()
-	})
-	ws := db.writeSet(t)
+	t.LogUndo(obj, undoDelete, nil)
+	ws := db.writeSet(t.Top())
 	ws.mu.Lock()
+	if ws.deleted == nil {
+		ws.deleted = make(map[OID]*Object)
+	}
 	ws.deleted[obj.oid] = obj
-	delete(ws.dirty, obj.oid)
 	ws.mu.Unlock()
 	return nil
 }
@@ -502,29 +497,33 @@ func (db *DB) Extent(className string, fn func(OID)) {
 }
 
 // writeSet is the per-top-transaction write set, attached to the
-// transaction's objects slot.
+// transaction's objects slot. dirty lists each object the transaction
+// wrote or persisted once (Object.dirtyIn), on inline room for the
+// typical transaction; deleted is made by the first Delete. An object
+// whose Delete a subtransaction's abort took back stays in deleted (and
+// in dirty, if written): commit goes by its flag.
 type writeSet struct {
 	mu         sync.Mutex
-	dirty      map[OID]*Object
+	dirty      []*Object
+	inline     [8]*Object
 	deleted    map[OID]*Object
 	rootsDirty bool
 }
 
-// writeSet returns (creating if needed) the write set of t's top-level
-// transaction.
-func (db *DB) writeSet(t *txn.Txn) *writeSet {
-	top := t.Top()
+// writeSet returns (creating if needed) the write set of the top-level
+// transaction top.
+func (db *DB) writeSet(top *txn.Txn) *writeSet {
 	if ws, ok := top.Attachment(txn.SlotObjects).(*writeSet); ok {
 		return ws
 	}
-	ws := &writeSet{dirty: make(map[OID]*Object), deleted: make(map[OID]*Object)}
+	ws := &writeSet{}
+	ws.dirty = ws.inline[:0]
 	return top.Attach(txn.SlotObjects, ws).(*writeSet)
 }
 
-func (db *DB) markDirty(t *txn.Txn, obj *Object) {
-	ws := db.writeSet(t)
+func (ws *writeSet) add(obj *Object) {
 	ws.mu.Lock()
-	ws.dirty[obj.oid] = obj
+	ws.dirty = append(ws.dirty, obj)
 	ws.mu.Unlock()
 }
 
@@ -561,7 +560,10 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		db.persistReachableLocked(ws)
 	}
 
-	for oid := range ws.deleted {
+	for oid, obj := range ws.deleted {
+		if !obj.Deleted() {
+			continue // a subtransaction's abort took the Delete back
+		}
 		db.mu.Lock()
 		rid, had := db.ridOf[oid]
 		db.mu.Unlock()
@@ -577,10 +579,11 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 
 	var moved []placed
 	var rec []byte
-	for oid, obj := range ws.dirty {
+	for _, obj := range ws.dirty {
 		if !obj.Persistent() || obj.Deleted() {
 			continue
 		}
+		oid := obj.oid
 		var err error
 		if rec, err = obj.appendRecord(rec[:0]); err != nil {
 			return err
@@ -654,6 +657,9 @@ func (db *DB) publish(ws *writeSet, moved []placed) {
 	}
 	db.mu.Lock()
 	for oid, obj := range ws.deleted {
+		if !obj.Deleted() {
+			continue
+		}
 		delete(db.ridOf, oid)
 		delete(db.cache, oid)
 		if ext := db.extents[obj.class.Name]; ext != nil {
@@ -665,16 +671,22 @@ func (db *DB) publish(ws *writeSet, moved []placed) {
 	}
 	db.mu.Unlock()
 	for _, obj := range ws.deleted {
-		obj.release()
+		if obj.Deleted() {
+			obj.release()
+		}
 	}
 }
 
 // persistReachableLocked extends the dirty set with every transient
 // object reachable by reference from a persistent dirty object —
-// persistence by reachability, the model O2 uses (§4).
+// persistence by reachability, the model O2 uses (§4). The targets are
+// not X-locked by the transaction, so their dirtyIn marks stay as they
+// are: a map of the listed objects keeps the list free of duplicates.
 func (db *DB) persistReachableLocked(ws *writeSet) {
 	queue := make([]*Object, 0, len(ws.dirty))
+	listed := make(map[OID]bool, len(ws.dirty))
 	for _, obj := range ws.dirty {
+		listed[obj.oid] = true
 		if obj.Persistent() && !obj.Deleted() {
 			queue = append(queue, obj)
 		}
@@ -705,8 +717,11 @@ func (db *DB) persistReachableLocked(ws *writeSet) {
 			fresh := !target.persistent
 			target.persistent = true
 			target.mu.Unlock()
-			if fresh || ws.dirty[ref] == nil {
-				ws.dirty[ref] = target
+			if !listed[ref] {
+				listed[ref] = true
+				ws.dirty = append(ws.dirty, target)
+				queue = append(queue, target)
+			} else if fresh {
 				queue = append(queue, target)
 			}
 		}

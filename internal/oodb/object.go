@@ -20,7 +20,18 @@ type Object struct {
 	values     []any
 	persistent bool
 	deleted    bool
+	// dirtyIn is the ID of the last top-level transaction whose write
+	// set lists the object. The X lock a writer holds serializes the
+	// transactions that set it, so the write set needs no map to list
+	// each object once.
+	dirtyIn uint64
 }
+
+// Undo slots other than attribute indexes (see Undo).
+const (
+	undoPersist = -1 - iota // Persist of a transient object
+	undoDelete              // Delete
+)
 
 // OID returns the object identifier.
 func (o *Object) OID() OID { return o.oid }
@@ -50,11 +61,55 @@ func (o *Object) get(idx int) any {
 	return o.values[idx]
 }
 
-// set writes an attribute slot without lock-manager involvement.
-func (o *Object) set(idx int, v any) {
+// read is get for a caller that must not see a deleted object.
+func (o *Object) read(idx int) (any, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if o.deleted {
+		return nil, fmt.Errorf("%w: %v", ErrDeleted, o)
+	}
+	return o.values[idx], nil
+}
+
+// write sets attribute slot idx of a live object to v and returns the
+// value it replaces, and whether o is new to the write set of the
+// top-level transaction top: the caller holds o's X lock.
+func (o *Object) write(idx int, v any, top uint64) (old any, first bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.values[idx] = v
+	if o.deleted {
+		return nil, false, fmt.Errorf("%w: %v", ErrDeleted, o)
+	}
+	old, o.values[idx] = o.values[idx], v
+	first, o.dirtyIn = o.dirtyIn != top, top
+	return old, first, nil
+}
+
+// markDirty records that the write set of the top-level transaction
+// top lists o, and reports whether it did not already.
+func (o *Object) markDirty(top uint64) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	first := o.dirtyIn != top
+	o.dirtyIn = top
+	return first
+}
+
+// Undo reverts a change of an aborted transaction (it makes *Object a
+// txn.Undoer, the before-image the database logs instead of a
+// closure): attribute slot idx gets back old; the slots undoPersist and
+// undoDelete take back a Persist and a Delete.
+func (o *Object) Undo(idx int, old any) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	switch idx {
+	case undoPersist:
+		o.persistent = false
+	case undoDelete:
+		o.deleted = false
+	default:
+		o.values[idx] = old
+	}
 }
 
 // appendRecord translates the object into a storage record appended

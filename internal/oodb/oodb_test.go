@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/txn"
 )
 
 // registerRiver registers the paper's River class on db.
@@ -631,6 +632,42 @@ func TestMonitoredKeyResolutionAllocatesNothing(t *testing.T) {
 	}
 	if set != plainSet {
 		t.Errorf("monitored Set: %.0f allocations, unmonitored %.0f: key resolution must allocate nothing", set, plainSet)
+	}
+}
+
+// A Set in a transaction that has already written allocates nothing:
+// the before-image is a record in the transaction's log, not a closure,
+// and the write set lists the object once without a map. Each run
+// writes in a transaction of its own, begun and first written before
+// counting, so no log outgrows its inline room.
+func TestSetAllocatesNothing(t *testing.T) {
+	const runs = 50
+	db := openMem(t)
+	registerRiver(t, db, false)
+	setup := db.Begin()
+	objs := make([]*Object, runs+1)
+	for i := range objs {
+		objs[i], _ = db.NewObject(setup, "River")
+	}
+	if err := setup.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	txs := make([]*txn.Txn, runs+1)
+	for i := range txs {
+		txs[i] = db.Begin()
+		defer txs[i].Abort()
+		if err := db.Set(txs[i], objs[i], "temp", 20.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	level, i := any(int64(1000)), 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := db.Set(txs[i], objs[i], "level", level); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Fatalf("Set in a transaction that already wrote: %.0f allocations, want 0", n)
 	}
 }
 

@@ -84,13 +84,14 @@ func (t AttrType) zero() any {
 }
 
 // checkValue verifies (and mildly coerces) v against the attribute
-// type, returning the canonical representation.
+// type, returning the canonical representation. A value that already
+// has it is returned as it came: boxing it again would allocate.
 func checkValue(t AttrType, v any) (any, error) {
 	switch t {
 	case TInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		case int32:
@@ -101,7 +102,7 @@ func checkValue(t AttrType, v any) (any, error) {
 	case TFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case float32:
 			return float64(x), nil
 		case int:
@@ -110,17 +111,17 @@ func checkValue(t AttrType, v any) (any, error) {
 			return float64(x), nil
 		}
 	case TString:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case TBool:
-		if x, ok := v.(bool); ok {
-			return x, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	case TRef:
 		switch x := v.(type) {
 		case OID:
-			return x, nil
+			return v, nil
 		case *Object:
 			if x == nil {
 				return OID(0), nil
@@ -132,16 +133,16 @@ func checkValue(t AttrType, v any) (any, error) {
 			return OID(x), nil
 		}
 	case TTime:
-		if x, ok := v.(time.Time); ok {
-			return x, nil
+		if _, ok := v.(time.Time); ok {
+			return v, nil
 		}
 	case TBytes:
 		if x, ok := v.([]byte); ok {
 			return append([]byte(nil), x...), nil
 		}
 	case TList:
-		if x, ok := v.([]any); ok {
-			return x, nil
+		if _, ok := v.([]any); ok {
+			return v, nil
 		}
 	}
 	return nil, fmt.Errorf("oodb: value %v (%T) not assignable to %v attribute", v, v, t)

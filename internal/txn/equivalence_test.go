@@ -128,8 +128,8 @@ func (r *diffRun) view() lockView {
 		st := r.m.locks.stripe(res)
 		st.mu.Lock()
 		if ls := st.locks[res]; ls != nil {
-			for h, mode := range ls.holders {
-				v[res].holders[r.index(h)] = mode
+			for _, h := range ls.holders {
+				v[res].holders[r.index(h.t)] = h.mode
 			}
 			for _, w := range ls.queue {
 				v[res].queue = append(v[res].queue, diffReq{r.index(w.t), w.mode})

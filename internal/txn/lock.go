@@ -2,7 +2,9 @@ package txn
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -28,6 +30,15 @@ func (m LockMode) String() string {
 // power of two so the stripe index is a shift of the mixed hash.
 const lockStripes = 64
 
+// inlineHolders is how many holders a lock head keeps without
+// allocating: a writer, or a few readers of one object. More readers
+// spill to the heap.
+const inlineHolders = 4
+
+// cacheLine is the size a stripe is padded to, so that two stripes'
+// mutexes do not share a line.
+const cacheLine = 64
+
 // lockTable is a strict two-phase lock manager with Moss-style rules
 // for nested transactions: a subtransaction may acquire a lock whose
 // conflicting holders are all its ancestors, and on subtransaction
@@ -43,6 +54,15 @@ const lockStripes = 64
 // waiter, and every change to a state with waiters happens under wfMu,
 // so the search runs under wfMu alone. A request granted at once and
 // the release of a lock nobody waits for leave wfMu alone.
+//
+// An access allocates nothing in the steady state: a resource's lock
+// head is its stripe's spare, if it has one, and becomes the spare
+// again, zeroed, when its last holder and waiter leave; holders live in
+// the head, the parked request in its transaction, the held set in the
+// transaction too. One spare per stripe is the free list: on the four
+// yardstick workloads, keeping up to 2, 4 or 8 emptied heads per stripe
+// saves no allocation over one, and every head kept is live heap
+// (128 bytes).
 //
 // Lock order: stripe mutex → wfMu → Txn.mu. No two stripe mutexes are
 // ever held together.
@@ -64,16 +84,36 @@ type lockTable struct {
 	bypass bool
 }
 
+// lockStripe is one partition of the table, padded to a cache line.
 type lockStripe struct {
-	mu    sync.Mutex
-	locks map[uint64]*lockState
+	stripeState
+	_ [cacheLine - unsafe.Sizeof(stripeState{})%cacheLine]byte
 }
 
+type stripeState struct {
+	mu    sync.Mutex
+	locks map[uint64]*lockState
+	spare *lockState // zeroed, nil when none
+}
+
+// lockState is the lock head of one resource: who holds it in which
+// mode, and who waits for it, in order. holders starts on inline and
+// spills to the heap past inlineHolders. A transaction holds a
+// resource at most once, at the strongest mode granted.
 type lockState struct {
-	holders map[*Txn]LockMode
+	holders []lockHolder
+	inline  [inlineHolders]lockHolder
 	queue   []*lockWaiter
 }
 
+type lockHolder struct {
+	t    *Txn
+	mode LockMode
+}
+
+// lockWaiter is a parked request. Each transaction has one, Txn.wait,
+// reused for every request it parks: one goroutine at a time drives a
+// transaction's Lock calls, so it parks at most one request at a time.
 type lockWaiter struct {
 	t     *Txn
 	ls    *lockState
@@ -105,6 +145,39 @@ func (lt *lockTable) lockStripe(st *lockStripe) {
 	st.mu.Lock()
 }
 
+// head returns the lock head of res, taking the spare when res has
+// none. The caller holds st.
+func (st *lockStripe) head(res uint64) *lockState {
+	if ls := st.locks[res]; ls != nil {
+		return ls
+	}
+	ls := st.spare
+	if ls != nil {
+		st.spare = nil
+	} else {
+		ls = new(lockState)
+	}
+	ls.holders = ls.inline[:0]
+	st.locks[res] = ls
+	return ls
+}
+
+// retire removes the head of res from the stripe once nobody holds or
+// waits for it, and keeps it, zeroed, as the spare if there is none.
+// The queue keeps its backing array, cleared. The caller holds st.
+func (st *lockStripe) retire(res uint64, ls *lockState) {
+	if len(ls.holders) > 0 || len(ls.queue) > 0 {
+		return
+	}
+	delete(st.locks, res)
+	if st.spare == nil {
+		queue := ls.queue[:0]
+		clear(queue[:cap(queue)])
+		*ls = lockState{queue: queue}
+		st.spare = ls
+	}
+}
+
 // lockWaits takes wfMu when ls has waiters, whose waits-for edges a
 // change to ls may alter, and reports whether it did. The caller holds
 // the stripe owning ls.
@@ -116,17 +189,48 @@ func (lt *lockTable) lockWaits(ls *lockState) bool {
 	return true
 }
 
+// mode reports the mode t holds ls in, 0 when it holds none.
+func (ls *lockState) mode(t *Txn) LockMode {
+	for _, h := range ls.holders {
+		if h.t == t {
+			return h.mode
+		}
+	}
+	return 0
+}
+
+// hold raises t's entry to mode, adding one if t holds nothing.
+func (ls *lockState) hold(t *Txn, mode LockMode) {
+	for i := range ls.holders {
+		if h := &ls.holders[i]; h.t == t {
+			h.mode = max(h.mode, mode)
+			return
+		}
+	}
+	ls.holders = append(ls.holders, lockHolder{t, mode})
+}
+
+// drop removes t's entry, if any.
+func (ls *lockState) drop(t *Txn) {
+	for i, h := range ls.holders {
+		if h.t == t {
+			ls.holders = slices.Delete(ls.holders, i, i+1)
+			return
+		}
+	}
+}
+
 // compatible reports whether t may be granted mode on ls.
 func (ls *lockState) compatible(t *Txn, mode LockMode) bool {
-	for h, hm := range ls.holders {
-		if h == t {
+	for _, h := range ls.holders {
+		if h.t == t {
 			continue // upgrade handled by caller
 		}
-		if mode == LockShared && hm == LockShared {
+		if mode == LockShared && h.mode == LockShared {
 			continue
 		}
 		// Conflict unless the holder is an ancestor (closed nesting).
-		if !h.isAncestorOf(t) {
+		if !h.t.isAncestorOf(t) {
 			return false
 		}
 	}
@@ -135,8 +239,8 @@ func (ls *lockState) compatible(t *Txn, mode LockMode) bool {
 
 // heldByAncestor reports whether an ancestor of t holds the lock.
 func (ls *lockState) heldByAncestor(t *Txn) bool {
-	for h := range ls.holders {
-		if h.isAncestorOf(t) {
+	for _, h := range ls.holders {
+		if h.t.isAncestorOf(t) {
 			return true
 		}
 	}
@@ -146,19 +250,15 @@ func (ls *lockState) heldByAncestor(t *Txn) bool {
 func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	st := lt.stripe(res)
 	lt.lockStripe(st)
-	ls := st.locks[res]
-	if ls == nil {
-		ls = &lockState{holders: make(map[*Txn]LockMode)}
-		st.locks[res] = ls
-	}
+	ls := st.head(res)
 	// Already held at sufficient strength?
-	if hm, ok := ls.holders[t]; ok {
-		if hm == LockExclusive || mode == LockShared {
-			st.mu.Unlock()
-			return nil
-		}
-		// Upgrade S→X: must wait for other non-ancestor holders to go.
+	held := ls.mode(t)
+	if held == LockExclusive || held != 0 && mode == LockShared {
+		st.mu.Unlock()
+		return nil
 	}
+	// Upgrade S→X: must wait for other non-ancestor holders to go.
+	//
 	// Grant immediately when compatible, unless a queue has formed —
 	// then join it for fairness. Two exceptions skip the queue: t
 	// already holds the lock (re-entry), and an ancestor of t holds it
@@ -167,20 +267,36 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	// top-level: its ancestor cannot commit before it does, so queueing
 	// it there would make it a deadlock victim of its own tree.
 	if ls.compatible(t, mode) &&
-		(len(ls.queue) == 0 || ls.holders[t] != 0 || ls.heldByAncestor(t)) {
+		(len(ls.queue) == 0 || held != 0 || ls.heldByAncestor(t)) {
 		waits := lt.lockWaits(ls)
-		lt.grantLocked(ls, t, res, mode)
+		granted := lt.grantLocked(ls, t, res, mode)
 		if waits {
 			lt.wfMu.Unlock()
 		}
+		st.retire(res, ls) // a fresh head stays empty when t was resolved meanwhile
 		st.mu.Unlock()
+		if !granted {
+			return ErrNotActive
+		}
 		return nil
 	}
 	// Must wait: park, then search for a cycle through the lock state
 	// as it stands — the stripe is held, so t's blockers cannot
 	// dissolve between the decision to wait and the search.
-	w := &lockWaiter{t: t, ls: ls, res: res, mode: mode, grant: make(chan error, 1)}
+	//
+	// t's one waiter and its grant channel are reused park after park.
+	// Every park consumes exactly one send: a parked request leaves the
+	// queue only under the stripe and wfMu, by being granted or failed
+	// in wakeLocked or cancelled in releaseAll, and whoever removes it
+	// clears t.waiting and sends once; a request that fails the checks
+	// below leaves the queue unseen and no send is owed. The channel is
+	// therefore empty whenever t parks again.
+	w := &t.wait
+	if w.grant == nil {
+		w.grant = make(chan error, 1)
+	}
 	lt.wfMu.Lock()
+	w.t, w.ls, w.res, w.mode = t, ls, res, mode
 	ls.queue = append(ls.queue, w)
 	t.waiting.Store(w)
 	var err error
@@ -190,7 +306,7 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 		err = ErrWaitCancelled // resolved by another goroutine since Lock looked
 	}
 	if err != nil {
-		ls.queue = ls.queue[:len(ls.queue)-1]
+		ls.queue = slices.Delete(ls.queue, len(ls.queue)-1, len(ls.queue))
 		t.waiting.Store(nil)
 	}
 	lt.wfMu.Unlock()
@@ -224,9 +340,9 @@ func waitsFor(t *Txn, fn func(*Txn)) {
 				fn(x)
 			}
 		}
-		for h, hm := range w.ls.holders {
-			if h != t && !h.isAncestorOf(t) && (hm == LockExclusive || w.mode == LockExclusive) {
-				blocker(h)
+		for _, h := range w.ls.holders {
+			if h.t != t && !h.t.isAncestorOf(t) && (h.mode == LockExclusive || w.mode == LockExclusive) {
+				blocker(h.t)
 			}
 		}
 		for _, q := range w.ls.queue {
@@ -244,18 +360,19 @@ func waitsFor(t *Txn, fn func(*Txn)) {
 }
 
 // deadlockLocked reports whether the parked start waits, transitively,
-// for itself. The caller holds wfMu.
+// for itself. The graphs are a handful of transactions: the visited set
+// is a slice on the stack. The caller holds wfMu.
 func (lt *lockTable) deadlockLocked(start *Txn) bool {
-	seen := map[*Txn]bool{start: true}
-	stack := []*Txn{start}
+	var seenBuf, stackBuf [16]*Txn
+	seen, stack := append(seenBuf[:0], start), append(stackBuf[:0], start)
 	cycle := false
 	for len(stack) > 0 && !cycle {
 		t := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		waitsFor(t, func(x *Txn) {
 			cycle = cycle || x == start
-			if !seen[x] {
-				seen[x] = true
+			if !slices.Contains(seen, x) {
+				seen = append(seen, x)
 				stack = append(stack, x)
 			}
 		})
@@ -263,15 +380,19 @@ func (lt *lockTable) deadlockLocked(start *Txn) bool {
 	return cycle
 }
 
-// grantLocked adds the grant to the state and t's held set. The caller
-// holds the stripe owning res, and wfMu if ls has waiters.
-func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMode) {
-	if cur, ok := ls.holders[t]; !ok || mode > cur {
-		ls.holders[t] = mode
-	}
+// grantLocked adds the grant to ls and to t's held set, unless t's
+// locks have already been released — another goroutine resolved t —
+// and reports whether it did. The caller holds the stripe owning res,
+// and wfMu if ls has waiters.
+func (lt *lockTable) grantLocked(ls *lockState, t *Txn, res uint64, mode LockMode) bool {
 	t.heldMu.Lock()
+	defer t.heldMu.Unlock()
+	if t.held.released {
+		return false
+	}
 	t.held.raise(res, mode)
-	t.heldMu.Unlock()
+	ls.hold(t, mode)
+	return true
 }
 
 // holds reports whether t already holds res at mode or stronger.
@@ -282,60 +403,107 @@ func (t *Txn) holds(res uint64, mode LockMode) bool {
 }
 
 // heldSet is the locks a transaction holds: resource → strongest mode
-// granted. The first few live in the transaction itself — a rule
-// subtransaction rarely takes more — the rest in a map.
+// granted, in grant order. locks starts on storage inside the
+// transaction, sized for what its kind holds on the yardstick's
+// workloads (childHeld, topHeld), and grows on the heap past that. A set
+// longer than heldScan also keeps index, an open-addressing table of
+// positions in locks, so a transaction taking thousands of locks finds
+// each in constant time (a pointer: most sets never need one). released
+// marks a set whose locks have gone back to the table — the transaction
+// resolved — and that takes no more.
 type heldSet struct {
-	n   int
-	few [2]struct {
-		res  uint64
-		mode LockMode
+	locks    []heldLock
+	index    *heldIndex
+	released bool
+}
+
+// heldIndex holds, per slot, 0 or a position in heldSet.locks + 1. Its
+// length is a power of two, and it is at most half full.
+type heldIndex []int32
+
+type heldLock struct {
+	res  uint64
+	mode LockMode
+}
+
+// heldScan is the longest held set searched by a scan.
+const heldScan = 16
+
+// find returns the position of res in h.locks, -1 if absent.
+func (h *heldSet) find(res uint64) int {
+	if h.index == nil {
+		for i := range h.locks {
+			if h.locks[i].res == res {
+				return i
+			}
+		}
+		return -1
 	}
-	more map[uint64]LockMode
+	index := *h.index
+	mask := len(index) - 1
+	for s := heldSlot(res, mask); ; s = (s + 1) & mask {
+		p := index[s]
+		if p == 0 {
+			return -1
+		}
+		if h.locks[p-1].res == res {
+			return int(p - 1)
+		}
+	}
 }
 
 func (h *heldSet) mode(res uint64) LockMode {
-	for _, l := range h.few[:h.n] {
-		if l.res == res {
-			return l.mode
-		}
+	if i := h.find(res); i >= 0 {
+		return h.locks[i].mode
 	}
-	return h.more[res]
+	return 0
 }
 
 // raise records res as held at mode, unless it is held more strongly.
 func (h *heldSet) raise(res uint64, mode LockMode) {
-	for i := range h.few[:h.n] {
-		if l := &h.few[i]; l.res == res {
-			l.mode = max(l.mode, mode)
-			return
-		}
-	}
-	if cur, ok := h.more[res]; ok || h.n == len(h.few) {
-		if h.more == nil {
-			h.more = make(map[uint64]LockMode)
-		}
-		h.more[res] = max(cur, mode)
+	if i := h.find(res); i >= 0 {
+		h.locks[i].mode = max(h.locks[i].mode, mode)
 		return
 	}
-	h.few[h.n].res, h.few[h.n].mode = res, mode
-	h.n++
+	h.locks = append(h.locks, heldLock{res, mode})
+	n := len(h.locks)
+	switch {
+	case n <= heldScan:
+	case h.index == nil || 2*n > len(*h.index):
+		size := 4 * heldScan
+		if h.index != nil {
+			size = 4 * len(*h.index)
+		}
+		index := make(heldIndex, size)
+		for i, l := range h.locks {
+			index.place(l.res, i)
+		}
+		h.index = &index
+	default:
+		h.index.place(res, n-1)
+	}
 }
 
-func (h *heldSet) each(fn func(res uint64, mode LockMode)) {
-	for _, l := range h.few[:h.n] {
-		fn(l.res, l.mode)
+// place enters position pos of res.
+func (x heldIndex) place(res uint64, pos int) {
+	mask := len(x) - 1
+	s := heldSlot(res, mask)
+	for x[s] != 0 {
+		s = (s + 1) & mask
 	}
-	for res, mode := range h.more {
-		fn(res, mode)
-	}
+	x[s] = int32(pos + 1)
 }
 
-// takeHeld empties t's held set and returns what it held.
-func (t *Txn) takeHeld() heldSet {
+func heldSlot(res uint64, mask int) int {
+	return int((res*0x9E3779B97F4A7C15)>>32) & mask
+}
+
+// takeHeld marks t's held set released and returns what it held.
+func (t *Txn) takeHeld() []heldLock {
 	t.heldMu.Lock()
 	defer t.heldMu.Unlock()
-	held := t.held
-	t.held = heldSet{}
+	held := t.held.locks
+	t.held = heldSet{released: true}
 	return held
 }
 
@@ -350,69 +518,58 @@ func (lt *lockTable) releaseAll(t *Txn) {
 		if t.waiting.Load() == w { // not granted meanwhile
 			lt.wfMu.Lock()
 			ls := w.ls
-			for i, q := range ls.queue {
-				if q == w {
-					ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-					break
-				}
-			}
+			i := slices.Index(ls.queue, w)
+			ls.queue = slices.Delete(ls.queue, i, i+1)
 			t.waiting.Store(nil)
 			lt.wakeLocked(ls, w.res)
 			lt.wfMu.Unlock()
 			w.grant <- ErrWaitCancelled
+			st.retire(w.res, ls)
 		}
 		st.mu.Unlock()
 	}
 
-	held := t.takeHeld()
-	held.each(func(res uint64, _ LockMode) {
-		st := lt.stripe(res)
+	for _, l := range t.takeHeld() {
+		st := lt.stripe(l.res)
 		lt.lockStripe(st)
-		defer st.mu.Unlock()
-		ls := st.locks[res]
-		if ls == nil {
-			return
+		if ls := st.locks[l.res]; ls != nil {
+			waits := lt.lockWaits(ls)
+			ls.drop(t)
+			lt.wakeLocked(ls, l.res)
+			if waits {
+				lt.wfMu.Unlock()
+			}
+			st.retire(l.res, ls)
 		}
-		waits := lt.lockWaits(ls)
-		delete(ls.holders, t)
-		lt.wakeLocked(ls, res)
-		if waits {
-			lt.wfMu.Unlock()
-		}
-		if len(ls.holders) == 0 && len(ls.queue) == 0 {
-			delete(st.locks, res)
-		}
-	})
+		st.mu.Unlock()
+	}
 }
 
 // inherit transfers all locks held by child to parent (Moss rule on
-// subtransaction commit).
+// subtransaction commit). A parent whose locks are already released —
+// it aborted while the child committed — takes none: the child's
+// entries simply go.
 func (lt *lockTable) inherit(child, parent *Txn) {
-	held := child.takeHeld()
-	held.each(func(res uint64, mode LockMode) {
-		st := lt.stripe(res)
+	for _, l := range child.takeHeld() {
+		st := lt.stripe(l.res)
 		lt.lockStripe(st)
-		defer st.mu.Unlock()
-		ls := st.locks[res]
-		if ls == nil {
-			return
+		if ls := st.locks[l.res]; ls != nil {
+			waits := lt.lockWaits(ls)
+			ls.drop(child)
+			// A parent that already holds the lock at least as strongly —
+			// the child got it through the ancestor rule — gains nothing:
+			// only the child's entry goes.
+			if ls.mode(parent) < l.mode {
+				lt.grantLocked(ls, parent, l.res, l.mode)
+			}
+			lt.wakeLocked(ls, l.res)
+			if waits {
+				lt.wfMu.Unlock()
+			}
+			st.retire(l.res, ls)
 		}
-		waits := lt.lockWaits(ls)
-		delete(ls.holders, child)
-		// A parent that already holds the lock at least as strongly —
-		// the child got it through the ancestor rule — gains nothing:
-		// only the child's entry goes.
-		if ls.holders[parent] < mode {
-			ls.holders[parent] = mode
-			parent.heldMu.Lock()
-			parent.held.raise(res, mode)
-			parent.heldMu.Unlock()
-		}
-		lt.wakeLocked(ls, res)
-		if waits {
-			lt.wfMu.Unlock()
-		}
-	})
+		st.mu.Unlock()
+	}
 }
 
 // wakeLocked grants queued requests that are now compatible, in FIFO
@@ -425,12 +582,11 @@ func (lt *lockTable) wakeLocked(ls *lockState, res uint64) {
 		if active && !ls.compatible(w.t, w.mode) {
 			return
 		}
-		ls.queue = ls.queue[1:]
+		ls.queue = slices.Delete(ls.queue, 0, 1)
+		// Granted before the request is unparked: a resolver that finds
+		// no parked request then finds the lock in the held set.
 		var err error = ErrWaitCancelled
-		if active {
-			// Granted before the request is unparked: a resolver that
-			// finds no parked request then finds the lock in the held set.
-			lt.grantLocked(ls, w.t, res, w.mode)
+		if active && lt.grantLocked(ls, w.t, res, w.mode) {
 			err = nil
 		}
 		w.t.waiting.Store(nil)
@@ -443,7 +599,9 @@ func (lt *lockTable) heldModes(t *Txn) map[uint64]LockMode {
 	t.heldMu.Lock()
 	defer t.heldMu.Unlock()
 	out := make(map[uint64]LockMode)
-	t.held.each(func(res uint64, mode LockMode) { out[res] = mode })
+	for _, l := range t.held.locks {
+		out[l.res] = l.mode
+	}
 	return out
 }
 

@@ -440,8 +440,8 @@ func lockDump(m *Manager) string {
 		st.mu.Lock()
 		for res, ls := range st.locks {
 			fmt.Fprintf(&b, "  res %d: holders", res)
-			for h, mode := range ls.holders {
-				fmt.Fprintf(&b, " %d%v", h.ID(), mode)
+			for _, h := range ls.holders {
+				fmt.Fprintf(&b, " %d%v", h.t.ID(), h.mode)
 			}
 			b.WriteString(" | queue")
 			for _, w := range ls.queue {
@@ -542,5 +542,257 @@ func TestDeadlockLateBypassReader(t *testing.T) {
 	_ = s3.Abort()
 	if err := answer(t, m, s1Waits, "s1 X(1) after s3 aborted"); err != nil {
 		t.Fatalf("s1's upgrade = %v after s3 aborted", err)
+	}
+}
+
+// stripeMates returns n resources that hash to one stripe.
+func stripeMates(lt *lockTable, n int) []uint64 {
+	out := []uint64{1}
+	for r := uint64(2); len(out) < n; r++ {
+		if lt.stripe(r) == lt.stripe(out[0]) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// checkSpares fails unless every stripe's spare head is zeroed and not
+// in use, and no stripe keeps an empty head in use.
+func checkSpares(t *testing.T, lt *lockTable) {
+	t.Helper()
+	for i := range lt.stripes {
+		st := &lt.stripes[i]
+		st.mu.Lock()
+		if ls := st.spare; ls != nil {
+			zeroed := ls.holders == nil && ls.inline == [inlineHolders]lockHolder{} && len(ls.queue) == 0
+			for _, w := range ls.queue[:cap(ls.queue)] {
+				zeroed = zeroed && w == nil
+			}
+			if !zeroed {
+				st.mu.Unlock()
+				t.Fatalf("stripe %d: the spare head is not zeroed: %+v", i, *ls)
+			}
+		}
+		for res, ls := range st.locks {
+			if ls == st.spare || len(ls.holders) == 0 && len(ls.queue) == 0 {
+				st.mu.Unlock()
+				t.Fatalf("stripe %d: resource %d keeps the spare or an empty head", i, res)
+			}
+		}
+		st.mu.Unlock()
+	}
+}
+
+// TestLockHeadRecyclingHammer churns lock heads through one stripe's
+// spare from many goroutines: resources that share a stripe are granted
+// and released, inherited by committing children, parked on and woken,
+// lost by deadlock victims and cancelled by a resolver aborting
+// transactions from its own goroutine. Meanwhile and at the end, every
+// spare must be zeroed and not in use; at the end no lock may be held.
+func TestLockHeadRecyclingHammer(t *testing.T) {
+	rounds := 3000
+	if testing.Short() {
+		rounds = 500
+	}
+	m := NewManager()
+	lt := m.locks
+	res := stripeMates(lt, 16)
+	const workers = 4
+	var current [workers]atomic.Pointer[Txn] // what the resolver may abort
+	var wg sync.WaitGroup
+	var victims, cancelled atomic.Int64
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			lock := func(tx *Txn) error {
+				var err error
+				for _, i := range rng.Perm(len(res))[:1+rng.Intn(5)] {
+					mode := LockShared
+					if rng.Intn(2) == 0 {
+						mode = LockExclusive
+					}
+					if err = tx.Lock(res[i], mode); err != nil {
+						break
+					}
+				}
+				return err
+			}
+			for i := 0; i < rounds; i++ {
+				top := m.Begin()
+				current[g].Store(top)
+				err := lock(top)
+				if err == nil && rng.Intn(2) == 0 {
+					var c *Txn
+					if c, err = top.BeginChild(); err == nil {
+						current[g].Store(c)
+						if err = lock(c); err == nil && rng.Intn(3) > 0 {
+							err = c.Commit() // the parent inherits
+						} else {
+							_ = c.Abort()
+						}
+					}
+				}
+				if err == nil {
+					err = top.Commit()
+				}
+				current[g].Store(nil)
+				switch {
+				case err == nil:
+				case errors.Is(err, ErrDeadlock):
+					victims.Add(1)
+				case errors.Is(err, ErrNotActive): // the resolver got there first
+					cancelled.Add(1)
+				default:
+					t.Errorf("worker %d round %d: %v", g, i, err)
+				}
+				_ = top.Abort()
+			}
+		}(g)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	rng := rand.New(rand.NewSource(99))
+	deadline := time.After(30 * time.Second)
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case <-deadline:
+			buf := make([]byte, 1<<20)
+			t.Fatalf("hammer wedged:\n%s\n%s", lockDump(m), buf[:runtime.Stack(buf, true)])
+		default:
+			if tx := current[rng.Intn(workers)].Load(); tx != nil && rng.Intn(8) == 0 {
+				_ = tx.Abort()
+			}
+			if rng.Intn(64) == 0 {
+				checkSpares(t, lt)
+			}
+			runtime.Gosched()
+		}
+	}
+	checkSpares(t, lt)
+	for i := range lt.stripes {
+		if n := len(lt.stripes[i].locks); n != 0 {
+			t.Fatalf("stripe %d retains %d lock heads:\n%s", i, n, lockDump(m))
+		}
+	}
+	if lt.stripe(res[0]).spare == nil {
+		t.Fatal("the shared stripe kept no spare head")
+	}
+	t.Logf("%d parks, %d deadlock victims, %d transactions cancelled by the resolver",
+		m.lockWaitS.Count()+m.lockWaitX.Count(), victims.Load(), cancelled.Load())
+}
+
+// A warm table grants and releases without allocating, and so does a
+// transaction's second park and wake. The Txn is the one allocation a
+// transaction costs: the transactions here are begun before counting.
+func TestLockGrantReleaseAllocatesNothing(t *testing.T) {
+	const runs = 100
+	m := NewManager()
+	lt := m.locks
+	// Warm the table: a spare head on every stripe, every stripe's map
+	// storage made.
+	warm, seen := m.Begin(), map[*lockStripe]bool{}
+	for r := uint64(1); len(seen) < lockStripes; r++ {
+		if st := lt.stripe(r); !seen[st] {
+			seen[st] = true
+			mustLock(t, warm, r, LockExclusive)
+		}
+	}
+	if err := warm.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	begin := func(n int) []*Txn {
+		txs := make([]*Txn, n)
+		for i := range txs {
+			txs[i] = m.Begin()
+		}
+		return txs
+	}
+
+	txs, next, fresh := begin(2*(runs+1)), 0, uint64(1<<32)
+	if n := testing.AllocsPerRun(runs, func() {
+		for _, mode := range [...]LockMode{LockShared, LockExclusive} {
+			tx := txs[next]
+			next++
+			fresh++
+			if err := tx.Lock(fresh, mode); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("S and X grant and release of fresh resources: %.0f allocations, want 0", n)
+	}
+
+	// The waiters park on a goroutine of their own, each once on a
+	// resource of its own before the park that is counted.
+	type request struct {
+		tx  *Txn
+		res uint64
+	}
+	reqs, got := make(chan request), make(chan error)
+	defer close(reqs)
+	go func() {
+		for r := range reqs {
+			got <- r.tx.Lock(r.res, LockExclusive)
+		}
+	}()
+	parkWake := func(h, w *Txn, res uint64) {
+		mustLock(t, h, res, LockExclusive)
+		reqs <- request{w, res}
+		for w.waiting.Load() == nil {
+			runtime.Gosched()
+		}
+		if err := h.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-got; err != nil {
+			t.Fatal(err)
+		}
+	}
+	holders, waiters := begin(2*(runs+1)), begin(runs+1)
+	for i, w := range waiters {
+		parkWake(holders[runs+1+i], w, uint64(1<<40+i))
+	}
+	next = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		parkWake(holders[next], waiters[next], 1<<48)
+		if err := waiters[next].Commit(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}); n != 0 {
+		t.Errorf("second park and wake: %.0f allocations, want 0", n)
+	}
+}
+
+// A held set past heldScan finds its locks through the index: it must
+// agree with a map on every lookup, whatever the order of the grants.
+func TestHeldSetIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h heldSet
+	model := map[uint64]LockMode{}
+	for i := 0; i < 5000; i++ {
+		res := uint64(rng.Intn(3000)) // repeats re-raise; 0 is a resource too
+		mode := LockMode(1 + rng.Intn(2))
+		h.raise(res, mode)
+		model[res] = max(model[res], mode)
+		probe := uint64(rng.Intn(4000))
+		if got := h.mode(probe); got != model[probe] {
+			t.Fatalf("after %d grants: mode(%d) = %v, want %v", i+1, probe, got, model[probe])
+		}
+	}
+	if len(h.locks) != len(model) {
+		t.Fatalf("%d locks listed, %d held", len(h.locks), len(model))
+	}
+	for _, l := range h.locks {
+		if model[l.res] != l.mode {
+			t.Fatalf("lock %d listed at %v, held at %v", l.res, l.mode, model[l.res])
+		}
 	}
 }

@@ -244,9 +244,11 @@ type Txn struct {
 	// trace is the event-trace ID this transaction's lock-wait and
 	// commit latency attribute to (0 when untraced).
 	trace atomic.Uint64
-	// waiting is t's parked lock request, nil when none: set under the
-	// request's stripe and the lock table's wfMu, read by the deadlock
-	// search and by a resolver on another goroutine.
+	// wait is t's one lock request that can be parked, and waiting
+	// points to it while it is, nil otherwise: set under the request's
+	// stripe and the lock table's wfMu, read by the deadlock search and
+	// by a resolver on another goroutine.
+	wait    lockWaiter
 	waiting atomic.Pointer[lockWaiter]
 
 	mu sync.Mutex
@@ -256,9 +258,16 @@ type Txn struct {
 	// ones still running.
 	kids             *Txn
 	sibNext, sibPrev *Txn
-	undo             []func() // LIFO compensations run on abort
-	done             chan struct{}
-	err              error
+	// aborting is set when an abort of t begins: from then on no child
+	// of t begins, and none commits into it.
+	aborting bool
+	// undo is the before-images run LIFO on abort, t's own and those
+	// its committed children handed up. It starts on undoInline (a
+	// top-level transaction's on topTxn.undo).
+	undo       []undoRecord
+	undoInline [childUndo]undoRecord
+	done       chan struct{}
+	err        error
 
 	// deps are commit-time dependencies: this transaction may commit
 	// only once each dep.on reaches the outcome dep.want.
@@ -273,9 +282,53 @@ type Txn struct {
 	// lock table updates it while holding a stripe and must never
 	// entangle stripe order with transaction-state order. heldMu is a
 	// leaf: nothing is acquired while it is held.
-	heldMu sync.Mutex
-	held   heldSet
+	heldMu     sync.Mutex
+	held       heldSet
+	heldInline [childHeld]heldLock
 }
+
+// Inline room, from what the transactions of the yardstick's four
+// workloads log and lock: a rule subtransaction writes at most one
+// attribute and takes at most two locks; a top-level transaction holds
+// at most eight locks (plant-contended; plant-durable five, the others
+// two) and logs at most seven before-images, more than six in under a
+// tenth of any workload's transactions — a record is 40 bytes, which
+// every transaction carries as garbage. Past these a transaction's log
+// or held set grows on the heap.
+const (
+	childUndo = 1
+	childHeld = 2
+	topUndo   = 6
+	topHeld   = 8
+)
+
+// topTxn is a top-level transaction with the room it typically fills:
+// its log and held set start here, so a transaction begins, writes,
+// locks and commits with the one allocation.
+type topTxn struct {
+	Txn
+	undo [topUndo]undoRecord
+	held [topHeld]heldLock
+}
+
+// An Undoer reverts a change when the transaction that made it aborts:
+// Undo puts the before-image old back into slot idx. What a slot is
+// belongs to the implementer — an object's attribute index, say.
+type Undoer interface {
+	Undo(idx int, old any)
+}
+
+// undoRecord is one before-image: target.Undo(idx, old) reverts it.
+type undoRecord struct {
+	target Undoer
+	idx    int
+	old    any
+}
+
+// undoFunc is an OnAbort compensation as an Undoer.
+type undoFunc func()
+
+func (f undoFunc) Undo(int, any) { f() }
 
 type dependency struct {
 	on   *Txn
@@ -310,7 +363,10 @@ func (m *Manager) BeginAdmitted() (*Txn, error) {
 // lifecycle listeners observe it. The rule engine uses it to
 // distinguish rule transactions from user-submitted ones.
 func (m *Manager) BeginTagged(tag int32) *Txn {
-	t := &Txn{m: m, id: m.nextID.Add(1), started: m.clk.Now()}
+	top := &topTxn{}
+	t := &top.Txn
+	t.m, t.id, t.started = m, m.nextID.Add(1), m.clk.Now()
+	t.undo, t.held.locks = top.undo[:0], top.held[:0]
 	t.status.Store(int32(Active))
 	t.tag.Store(tag)
 	m.activeTop.Add(1)
@@ -323,9 +379,10 @@ func (m *Manager) BeginTagged(tag int32) *Txn {
 // BeginChild starts a nested subtransaction of t.
 func (t *Txn) BeginChild() (*Txn, error) {
 	c := &Txn{m: t.m, parent: t}
+	c.undo, c.held.locks = c.undoInline[:0], c.heldInline[:0]
 	c.status.Store(int32(Active))
 	t.mu.Lock()
-	if t.Status() != Active {
+	if t.Status() != Active || t.aborting {
 		t.mu.Unlock()
 		return nil, ErrNotActive
 	}
@@ -341,9 +398,8 @@ func (t *Txn) BeginChild() (*Txn, error) {
 	return c, nil
 }
 
-// unlinkChild removes the resolved child c from t's active list and
-// hands t the undo obligations c leaves behind.
-func (t *Txn) unlinkChild(c *Txn, undo []func()) {
+// unlinkChild removes the resolved child c from t's active list.
+func (t *Txn) unlinkChild(c *Txn) {
 	t.mu.Lock()
 	if c.sibPrev != nil {
 		c.sibPrev.sibNext = c.sibNext
@@ -354,7 +410,6 @@ func (t *Txn) unlinkChild(c *Txn, undo []func()) {
 		c.sibNext.sibPrev = c.sibPrev
 	}
 	c.sibNext, c.sibPrev = nil, nil
-	t.undo = append(t.undo, undo...)
 	t.mu.Unlock()
 }
 
@@ -393,6 +448,11 @@ func (t *Txn) Status() Status { return Status(t.status.Load()) }
 func (t *Txn) Done() <-chan struct{} {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.doneLocked()
+}
+
+// doneLocked is Done for a caller holding t.mu.
+func (t *Txn) doneLocked() chan struct{} {
 	if t.done == nil {
 		t.done = make(chan struct{})
 		if t.Status() != Active {
@@ -424,13 +484,21 @@ func (t *Txn) Wait() Status {
 	return t.Status()
 }
 
-// OnAbort registers a compensation run (LIFO) if the transaction
-// aborts. Higher layers use it to undo in-memory object state.
-func (t *Txn) OnAbort(fn func()) {
+// LogUndo records a before-image: if the transaction aborts,
+// target.Undo(idx, old) runs, in LIFO order with every other
+// compensation it owns, its committed children's included. The record
+// is a value in the transaction's log, not a closure, and costs no
+// allocation while the log fits its inline room.
+func (t *Txn) LogUndo(target Undoer, idx int, old any) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.undo = append(t.undo, fn)
+	t.undo = append(t.undo, undoRecord{target, idx, old})
+	t.mu.Unlock()
 }
+
+// OnAbort registers a compensation run (LIFO, among the before-images)
+// if the transaction aborts: for undo that is not one slot's old value,
+// such as an index entry or a catalog change.
+func (t *Txn) OnAbort(fn func()) { t.LogUndo(undoFunc(fn), 0, nil) }
 
 // SetValue attaches a value to the transaction under key.
 func (t *Txn) SetValue(key, val any) {
@@ -541,9 +609,9 @@ func (t *Txn) Commit() error {
 	}
 
 	t.mu.Lock()
-	if st := t.Status(); st != Active { // resolved during EOT processing
+	if st := t.Status(); st != Active || t.aborting { // resolved during EOT processing
 		t.mu.Unlock()
-		if st == Aborted {
+		if st != Committed {
 			return ErrNotActive
 		}
 		return nil
@@ -579,32 +647,60 @@ func (t *Txn) Commit() error {
 		}
 
 		t.mu.Lock()
-		if t.Status() != Active {
+		if t.Status() != Active || t.aborting {
 			t.mu.Unlock()
 			return ErrNotActive
 		}
 	}
-	t.resolveLocked(Committed)
-	undo := t.undo
-	t.undo = nil
-	t.mu.Unlock()
-
 	if top {
+		t.resolveLocked(Committed)
+		clear(t.undo) // the log's inline room must not keep before-images alive
+		t.undo = nil
+		t.mu.Unlock()
 		t.m.commits.Inc()
 		t.m.activeTop.Add(-1)
 		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
 		t.m.locks.releaseAll(t)
-	} else {
-		// Closed nesting: the parent inherits the child's locks and
-		// its undo obligations — the child's effects become permanent
-		// only if every ancestor commits. The child leaves the active
-		// list last, so the parent cannot commit past a half-merged one.
-		t.m.locks.inherit(t, t.parent)
-		t.parent.unlinkChild(t, undo)
+	} else if err := t.handUp(); err != nil {
+		return err
 	}
 	if l := t.m.listener; l != nil {
 		l.AfterCommit(t)
 	}
+	return nil
+}
+
+// handUp commits the child t into its parent. Closed nesting: the
+// parent inherits the child's undo records and its locks — the child's
+// effects become permanent only if every ancestor commits. The caller
+// holds t.mu, which handUp releases.
+//
+// The records change hands under both mutexes (child before parent,
+// the only order in which two transaction mutexes are ever held), in
+// the critical section that resolves the child, so the parent's abort
+// either comes later and runs them or began earlier and makes the
+// child abort itself instead: no record is lost, and a child's undo
+// always runs before its parent's. The locks follow outside the
+// mutexes; a parent released meanwhile takes none (inherit). The child
+// leaves the active list last, so the parent cannot commit past a
+// half-merged one.
+func (t *Txn) handUp() error {
+	p := t.parent
+	p.mu.Lock()
+	if p.aborting {
+		p.mu.Unlock()
+		t.mu.Unlock()
+		_ = t.abort(fmt.Errorf("txn: parent %d aborted", p.id)) // the commit's answer is ErrNotActive either way
+		return ErrNotActive
+	}
+	t.resolveLocked(Committed)
+	p.undo = append(p.undo, t.undo...)
+	clear(t.undo)
+	t.undo = nil
+	p.mu.Unlock()
+	t.mu.Unlock()
+	t.m.locks.inherit(t, p)
+	p.unlinkChild(t)
 	return nil
 }
 
@@ -626,6 +722,15 @@ func (t *Txn) abort(cause error) error {
 		t.mu.Unlock()
 		return ErrNotActive
 	}
+	if t.aborting {
+		// Another goroutine is aborting t: return once it has, so that a
+		// parent cascading its abort runs its own undo after t's.
+		done := t.doneLocked()
+		t.mu.Unlock()
+		<-done
+		return ErrNotActive
+	}
+	t.aborting = true
 	var children []*Txn
 	for c := t.kids; c != nil; c = c.sibNext {
 		children = append(children, c)
@@ -641,8 +746,10 @@ func (t *Txn) abort(cause error) error {
 	t.undo = nil
 	t.mu.Unlock()
 	for i := len(undo) - 1; i >= 0; i-- {
-		undo[i]()
+		r := &undo[i]
+		r.target.Undo(r.idx, r.old)
 	}
+	clear(undo)
 
 	if t.parent == nil {
 		if af := t.m.abortFunc; af != nil {
@@ -664,7 +771,7 @@ func (t *Txn) abort(cause error) error {
 		t.m.activeTop.Add(-1)
 		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
 	} else {
-		t.parent.unlinkChild(t, nil)
+		t.parent.unlinkChild(t)
 	}
 	t.m.locks.releaseAll(t)
 	if l := t.m.listener; l != nil {
