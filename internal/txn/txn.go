@@ -398,7 +398,8 @@ func (t *Txn) BeginChild() (*Txn, error) {
 	return c, nil
 }
 
-// unlinkChild removes the resolved child c from t's active list.
+// unlinkChild removes the child c, resolved or aborting, from t's
+// active list.
 func (t *Txn) unlinkChild(c *Txn) {
 	t.mu.Lock()
 	if c.sibPrev != nil {
@@ -761,6 +762,13 @@ func (t *Txn) abort(cause error) error {
 		}
 	}
 
+	// A child leaves the active list before it resolves: whoever sees
+	// it aborted — a concurrent Abort returning, Done, Status — may
+	// commit the parent at once. Its undo has run, so a parent
+	// resolving first loses none of it.
+	if t.parent != nil {
+		t.parent.unlinkChild(t)
+	}
 	t.mu.Lock()
 	t.err = cause
 	t.resolveLocked(Aborted)
@@ -770,8 +778,6 @@ func (t *Txn) abort(cause error) error {
 		t.m.aborts.Inc()
 		t.m.activeTop.Add(-1)
 		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
-	} else {
-		t.parent.unlinkChild(t)
 	}
 	t.m.locks.releaseAll(t)
 	if l := t.m.listener; l != nil {

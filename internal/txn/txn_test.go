@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -536,5 +537,38 @@ func TestChildCommitRacingParentAbort(t *testing.T) {
 	if leaked+lost+twice > 0 {
 		t.Fatalf("%d trials: %d locks left held after both resolved, %d child undos lost, %d run twice",
 			trials, leaked, lost, twice)
+	}
+}
+
+// A child aborted by another goroutine — a resolver cancelling it —
+// while its own goroutine aborts it too: once either Abort returns, the
+// child is off the parent's active list, so the parent commits.
+func TestParentCommitsAfterRacingChildAborts(t *testing.T) {
+	trials := 20000
+	if testing.Short() {
+		trials = 2000
+	}
+	m := NewManager()
+	for i := 0; i < trials; i++ {
+		top := m.Begin()
+		c, err := top.BeginChild()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Lock(uint64(i), LockExclusive); err != nil {
+			t.Fatal(err)
+		}
+		c.OnAbort(runtime.Gosched) // widen the window a waiting Abort wakes in
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); <-start; _ = c.Abort() }()
+		close(start)
+		runtime.Gosched()
+		_ = c.Abort()
+		if err := top.Commit(); err != nil {
+			t.Fatalf("trial %d: parent commit after its child aborted: %v", i, err)
+		}
+		wg.Wait()
 	}
 }
