@@ -73,9 +73,12 @@ func (c *Composite) Validate() error {
 // Composer is one instantiated composition graph for a composite
 // event — one of the paper's "many small compositors" (§6.3). It is
 // not safe for concurrent use; the ECA layer runs each composer on
-// its own goroutine.
+// its own goroutine. A composer can be reused: Flush and Reset return
+// it to its initial state without pinning any instance it saw, and a
+// steady-state Feed allocates only what it completes.
 type Composer struct {
 	comp *Composite
+	key  string // comp.Key(), the spec key completions are raised under
 	root detector
 	keys map[string]bool
 }
@@ -89,7 +92,7 @@ func NewComposer(c *Composite) (*Composer, error) {
 	setPolicy(root, c.Policy)
 	keys := make(map[string]bool)
 	c.Expr.collectKeys(keys)
-	return &Composer{comp: c, root: root, keys: keys}, nil
+	return &Composer{comp: c, key: c.Key(), root: root, keys: keys}, nil
 }
 
 // Composite returns the declaration this composer detects.
@@ -108,15 +111,17 @@ func (cp *Composer) Keys() []string {
 }
 
 // Feed delivers one occurrence and returns any completed composite
-// instances, stamped with the composite's spec key.
+// instances, stamped with the composite's spec key. The returned slice
+// belongs to the caller: the composer never writes to it again.
 func (cp *Composer) Feed(in *event.Instance) []*event.Instance {
-	return cp.finish(cp.root.feed(in))
+	return cp.finish(cp.root.feed(in), in)
 }
 
 // Flush ends the composer's life-span: end-of-interval operators
-// complete, everything else is discarded.
+// complete, everything else is discarded. The returned slice belongs
+// to the caller.
 func (cp *Composer) Flush(now time.Time) []*event.Instance {
-	out := cp.finish(cp.root.flush(now))
+	out := cp.finish(cp.root.flush(now), nil)
 	cp.root.reset()
 	return out
 }
@@ -136,21 +141,48 @@ func (cp *Composer) Expire(now time.Time) int {
 	return cp.root.expire(now.Add(-cp.comp.Validity))
 }
 
-// finish stamps raw completions with the composite identity and
-// deduces the originating transaction (single-transaction composites
-// carry it; multi-transaction ones carry zero).
-func (cp *Composer) finish(raw []*event.Instance) []*event.Instance {
-	for _, in := range raw {
-		in.SpecKey = cp.comp.Key()
-		in.Kind = event.KindComposite
-		txns := in.Transactions()
-		if len(txns) == 1 {
-			for t := range txns {
-				in.Txn = t
+// finish stamps raw completions with the composite identity and the
+// originating transaction (single-transaction composites carry it;
+// multi-transaction ones carry zero). A Prim or Disj root passes the
+// fed occurrence itself through; that instance is shared with the
+// histories and every other composer it was fed to, so it is wrapped
+// in a fresh composite instead of being renamed. Wrapping also turns a
+// primitive node's buffer into a slice the caller owns; every other
+// raw result already is one.
+func (cp *Composer) finish(raw []*event.Instance, fed *event.Instance) []*event.Instance {
+	if len(raw) == 1 && raw[0] == fed {
+		raw = compose(raw)
+	} else {
+		for i, in := range raw {
+			if in == fed {
+				raw[i] = compose(raw[i : i+1])[0]
 			}
-		} else {
-			in.Txn = 0
 		}
 	}
+	for _, in := range raw {
+		in.SpecKey = cp.key
+		in.Kind = event.KindComposite
+		in.Txn = originTxn(in)
+	}
 	return raw
+}
+
+// originTxn returns the one transaction the instance's constituents
+// originate from, or zero when they come from several or none.
+func originTxn(in *event.Instance) uint64 {
+	var id uint64
+	single := in.Leaves(func(p *event.Instance) bool {
+		switch {
+		case p.Txn == 0 || p.Txn == id:
+		case id == 0:
+			id = p.Txn
+		default:
+			return false
+		}
+		return true
+	})
+	if !single {
+		return 0
+	}
+	return id
 }

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/event"
@@ -42,6 +43,12 @@ func (p Policy) String() string {
 }
 
 // detector is one node of an instantiated composition graph.
+//
+// A node's completions come back as a slice that is either fresh (its
+// receiver may keep it) or a primitive node's one-slot buffer, which
+// holds only the occurrence just fed and is valid until that node's
+// next call. Only Prim and Disj nodes pass an occurrence through; every
+// other node composes new instances (compose) and merges their slices.
 type detector interface {
 	// feed delivers an occurrence; the return value lists completions
 	// of this node caused by it.
@@ -49,7 +56,8 @@ type detector interface {
 	// flush ends the life-span: operators that complete at
 	// end-of-interval (closure, standalone negation) emit here.
 	flush(now time.Time) []*event.Instance
-	// reset discards all semi-composed state.
+	// reset discards all semi-composed state and clears every buffer
+	// the node keeps, so an idle graph pins no instance.
 	reset()
 	// pending counts buffered semi-composed occurrences.
 	pending() int
@@ -58,10 +66,15 @@ type detector interface {
 	expire(cutoff time.Time) int
 }
 
-// compose builds an intermediate (anonymous) composite instance from
-// constituent occurrences.
-func compose(parts []*event.Instance) *event.Instance {
-	out := &event.Instance{Kind: event.KindComposite, Parts: parts}
+// compose builds an intermediate (anonymous) composite instance over a
+// copy of parts and returns it as the only element of a fresh slice.
+// The slice and the instance's Parts share one backing array, each
+// capped to its own elements, so a completion costs two allocations:
+// the instance and that array. parts is usually a detector's scratch.
+func compose(parts []*event.Instance) []*event.Instance {
+	n := len(parts)
+	buf := make([]*event.Instance, n+1)
+	out := &event.Instance{Kind: event.KindComposite, Parts: buf[:copy(buf, parts):n]}
 	for _, p := range parts {
 		if p.Seq > out.Seq {
 			out.Seq = p.Seq
@@ -70,23 +83,67 @@ func compose(parts []*event.Instance) *event.Instance {
 			out.Time = p.Time
 		}
 	}
-	return out
+	buf[n] = out
+	return buf[n:]
+}
+
+// merge appends the completions b to a, taking b as it is when a is
+// empty. Appending never writes into a primitive node's buffer: it holds
+// one element at capacity one, so append copies it out.
+func merge(a, b []*event.Instance) []*event.Instance {
+	if len(a) == 0 {
+		return b
+	}
+	return append(a, b...)
+}
+
+// keepIf filters q in place, keeping the occurrences keep accepts, and
+// clears the vacated tail so the backing array pins nothing it dropped.
+func keepIf(q []*event.Instance, keep func(*event.Instance) bool) []*event.Instance {
+	kept := q[:0]
+	for _, o := range q {
+		if keep(o) {
+			kept = append(kept, o)
+		}
+	}
+	clear(q[len(kept):])
+	return kept
+}
+
+// truncate empties a queue or scratch buffer for reuse, clearing its
+// whole capacity: stale pointers past the length would pin instances.
+func truncate(q []*event.Instance) []*event.Instance {
+	clear(q[:cap(q)])
+	return q[:0]
+}
+
+// expireBefore drops the occurrences in q older than cutoff, returning
+// the kept queue and how many it dropped.
+func expireBefore(q []*event.Instance, cutoff time.Time) ([]*event.Instance, int) {
+	kept := keepIf(q, func(o *event.Instance) bool { return !o.Time.Before(cutoff) })
+	return kept, len(q) - len(kept)
 }
 
 // ---- primitive ----
 
 func (p Prim) build() detector { return &primDetector{key: p.Key} }
 
-type primDetector struct{ key string }
+// primDetector matches one spec key. It returns a match in a buffer it
+// owns, so matching allocates nothing.
+type primDetector struct {
+	key string
+	buf [1]*event.Instance
+}
 
 func (d *primDetector) feed(in *event.Instance) []*event.Instance {
-	if in.SpecKey == d.key {
-		return []*event.Instance{in}
+	if in.SpecKey != d.key {
+		return nil
 	}
-	return nil
+	d.buf[0] = in
+	return d.buf[:]
 }
 func (d *primDetector) flush(time.Time) []*event.Instance { return nil }
-func (d *primDetector) reset()                            {}
+func (d *primDetector) reset()                            { d.buf[0] = nil }
 func (d *primDetector) pending() int                      { return 0 }
 func (d *primDetector) expire(time.Time) int              { return 0 }
 
@@ -105,7 +162,7 @@ type disjDetector struct{ subs []detector }
 func (d *disjDetector) feed(in *event.Instance) []*event.Instance {
 	var out []*event.Instance
 	for _, s := range d.subs {
-		out = append(out, s.feed(in)...)
+		out = merge(out, s.feed(in))
 	}
 	return out
 }
@@ -113,7 +170,7 @@ func (d *disjDetector) feed(in *event.Instance) []*event.Instance {
 func (d *disjDetector) flush(now time.Time) []*event.Instance {
 	var out []*event.Instance
 	for _, s := range d.subs {
-		out = append(out, s.flush(now)...)
+		out = merge(out, s.flush(now))
 	}
 	return out
 }
@@ -155,6 +212,7 @@ func (x Seq) build() detector {
 		}
 		d.positions = append(d.positions, &seqPosition{det: e.build()})
 	}
+	d.chain = make([]*event.Instance, 0, len(d.positions))
 	return d
 }
 
@@ -162,6 +220,10 @@ type seqDetector struct {
 	positions []*seqPosition
 	guards    []*seqGuard
 	policy    Policy // set by the composer; zero value treated as Chronicle
+	// chain is the scratch a completion's constituents are picked into;
+	// compose copies them out. Its capacity is at least one slot per
+	// position (Cumulative grows it).
+	chain []*event.Instance
 }
 
 type seqPosition struct {
@@ -190,13 +252,7 @@ func (d *seqDetector) feed(in *event.Instance) []*event.Instance {
 		for range g.det.feed(in) {
 			for i := 0; i <= g.after && i < len(d.positions); i++ {
 				pos := d.positions[i]
-				kept := pos.queue[:0]
-				for _, o := range pos.queue {
-					if o.Seq > in.Seq {
-						kept = append(kept, o)
-					}
-				}
-				pos.queue = kept
+				pos.queue = keepIf(pos.queue, func(o *event.Instance) bool { return o.Seq > in.Seq })
 			}
 		}
 	}
@@ -205,7 +261,7 @@ func (d *seqDetector) feed(in *event.Instance) []*event.Instance {
 	for i, pos := range d.positions {
 		for _, c := range pos.det.feed(in) {
 			if i == last {
-				fired = append(fired, d.completeWith(c)...)
+				fired = merge(fired, d.completeWith(c))
 			} else {
 				d.enqueue(i, c)
 			}
@@ -234,70 +290,61 @@ func (d *seqDetector) completeWith(term *event.Instance) []*event.Instance {
 			return nil
 		}
 		// Recent keeps constituents for reuse by later terminators.
-		return []*event.Instance{compose(append(chain, term))}
+		return compose(append(chain, term))
 	case Chronicle:
 		chain := d.pickChain(term, false)
 		if chain == nil {
 			return nil
 		}
 		d.consume(chain)
-		return []*event.Instance{compose(append(chain, term))}
+		return compose(append(chain, term))
 	case Continuous:
 		// One completion per open initiator window. Only occurrences
 		// strictly before the terminator participate or are consumed:
 		// when the same event type both initiates and terminates (a
 		// tick stream), the terminator's own just-opened window stays.
+		// Picking only reads the queues, so the initiators are walked
+		// in place and consumed after the loop.
 		var out []*event.Instance
-		initiators := append([]*event.Instance(nil), d.positions[0].queue...)
-		for _, init := range initiators {
-			chain := d.pickChainFrom(init, term)
-			if chain != nil {
-				out = append(out, compose(append(chain, term)))
+		for _, init := range d.positions[0].queue {
+			if chain := d.pickChainFrom(init, term); chain != nil {
+				out = merge(out, compose(append(chain, term)))
 			}
 		}
 		if len(out) > 0 {
 			for _, pos := range d.positions[:n-1] {
-				kept := pos.queue[:0]
-				for _, o := range pos.queue {
-					if o.Seq >= term.Seq {
-						kept = append(kept, o)
-					}
-				}
-				pos.queue = kept
+				pos.queue = keepIf(pos.queue, func(o *event.Instance) bool { return o.Seq >= term.Seq })
 			}
 		}
 		return out
 	case Cumulative:
-		chain := d.pickChain(term, false)
-		if chain == nil {
+		if d.pickChain(term, false) == nil {
 			return nil
 		}
 		// The composite carries everything accumulated before the
 		// terminator.
-		var all []*event.Instance
+		all := d.chain[:0]
 		for _, pos := range d.positions[:n-1] {
-			kept := pos.queue[:0]
-			for _, o := range pos.queue {
+			pos.queue = keepIf(pos.queue, func(o *event.Instance) bool {
 				if o.Seq < term.Seq {
 					all = append(all, o)
-				} else {
-					kept = append(kept, o)
+					return false
 				}
-			}
-			pos.queue = kept
+				return true
+			})
 		}
-		all = append(all, term)
-		return []*event.Instance{compose(all)}
+		d.chain = append(all, term)
+		return compose(d.chain)
 	}
 	return nil
 }
 
-// pickChain selects one ascending occurrence chain ending at term:
-// newest-first when recent is true, oldest-first otherwise. It
-// returns nil when no chain exists.
+// pickChain selects one ascending occurrence chain ending at term into
+// the scratch: newest-first when recent is true, oldest-first
+// otherwise. It returns nil when no chain exists.
 func (d *seqDetector) pickChain(term *event.Instance, recent bool) []*event.Instance {
 	n := len(d.positions)
-	chain := make([]*event.Instance, n-1)
+	chain := d.chain[:n-1]
 	if recent {
 		upper := term.Seq
 		for i := n - 2; i >= 0; i-- {
@@ -333,13 +380,13 @@ func (d *seqDetector) pickChain(term *event.Instance, recent bool) []*event.Inst
 }
 
 // pickChainFrom selects the oldest ascending chain that starts at a
-// specific initiator.
+// specific initiator into the scratch.
 func (d *seqDetector) pickChainFrom(init, term *event.Instance) []*event.Instance {
 	n := len(d.positions)
 	if init.Seq >= term.Seq {
 		return nil
 	}
-	chain := make([]*event.Instance, n-1)
+	chain := d.chain[:n-1]
 	chain[0] = init
 	lower := init.Seq
 	for i := 1; i < n-1; i++ {
@@ -362,11 +409,8 @@ func (d *seqDetector) pickChainFrom(init, term *event.Instance) []*event.Instanc
 func (d *seqDetector) consume(chain []*event.Instance) {
 	for i, used := range chain {
 		pos := d.positions[i]
-		for j, o := range pos.queue {
-			if o == used {
-				pos.queue = append(pos.queue[:j], pos.queue[j+1:]...)
-				break
-			}
+		if j := slices.Index(pos.queue, used); j >= 0 {
+			pos.queue = slices.Delete(pos.queue, j, j+1)
 		}
 	}
 }
@@ -378,7 +422,7 @@ func (d *seqDetector) flush(now time.Time) []*event.Instance {
 	for i, pos := range d.positions {
 		for _, c := range pos.det.flush(now) {
 			if i == last {
-				fired = append(fired, d.completeWith(c)...)
+				fired = merge(fired, d.completeWith(c))
 			} else {
 				d.enqueue(i, c)
 			}
@@ -389,12 +433,13 @@ func (d *seqDetector) flush(now time.Time) []*event.Instance {
 
 func (d *seqDetector) reset() {
 	for _, pos := range d.positions {
-		pos.queue = nil
+		pos.queue = truncate(pos.queue)
 		pos.det.reset()
 	}
 	for _, g := range d.guards {
 		g.det.reset()
 	}
+	d.chain = truncate(d.chain)
 }
 
 func (d *seqDetector) pending() int {
@@ -411,16 +456,9 @@ func (d *seqDetector) pending() int {
 func (d *seqDetector) expire(cutoff time.Time) int {
 	n := 0
 	for _, pos := range d.positions {
-		kept := pos.queue[:0]
-		for _, o := range pos.queue {
-			if o.Time.Before(cutoff) {
-				n++
-			} else {
-				kept = append(kept, o)
-			}
-		}
-		pos.queue = kept
-		n += pos.det.expire(cutoff)
+		var dropped int
+		pos.queue, dropped = expireBefore(pos.queue, cutoff)
+		n += dropped + pos.det.expire(cutoff)
 	}
 	for _, g := range d.guards {
 		n += g.det.expire(cutoff)
@@ -435,12 +473,14 @@ func (x Conj) build() detector {
 	for _, e := range x.Exprs {
 		d.positions = append(d.positions, &seqPosition{det: e.build()})
 	}
+	d.parts = make([]*event.Instance, 0, len(d.positions))
 	return d
 }
 
 type conjDetector struct {
 	positions []*seqPosition
 	policy    Policy
+	parts     []*event.Instance // scratch a completion is gathered into
 }
 
 func (d *conjDetector) effPolicy() Policy {
@@ -451,17 +491,15 @@ func (d *conjDetector) effPolicy() Policy {
 }
 
 func (d *conjDetector) feed(in *event.Instance) []*event.Instance {
-	var fired []*event.Instance
-	for i, pos := range d.positions {
+	for _, pos := range d.positions {
 		for _, c := range pos.det.feed(in) {
 			if d.effPolicy() == Recent {
 				pos.queue = pos.queue[:0]
 			}
 			pos.queue = append(pos.queue, c)
-			_ = i
 		}
 	}
-	return append(fired, d.tryComplete()...)
+	return d.tryComplete()
 }
 
 func (d *conjDetector) tryComplete() []*event.Instance {
@@ -470,42 +508,40 @@ func (d *conjDetector) tryComplete() []*event.Instance {
 			return nil
 		}
 	}
+	parts := d.parts[:0]
 	switch d.effPolicy() {
 	case Cumulative:
-		var all []*event.Instance
 		for _, pos := range d.positions {
-			all = append(all, pos.queue...)
-			pos.queue = pos.queue[:0]
+			parts = append(parts, pos.queue...)
+			pos.queue = truncate(pos.queue)
 		}
-		return []*event.Instance{compose(all)}
 	default:
 		// Recent and chronicle (and continuous, which for an unordered
 		// conjunction degenerates to chronicle): one occurrence per
 		// position — oldest for chronicle/continuous, the only one for
 		// recent — consumed on firing.
-		parts := make([]*event.Instance, len(d.positions))
-		for i, pos := range d.positions {
-			parts[i] = pos.queue[0]
-			pos.queue = pos.queue[1:]
+		for _, pos := range d.positions {
+			parts = append(parts, pos.queue[0])
+			pos.queue = slices.Delete(pos.queue, 0, 1)
 		}
-		return []*event.Instance{compose(parts)}
 	}
+	d.parts = parts
+	return compose(parts)
 }
 
 func (d *conjDetector) flush(now time.Time) []*event.Instance {
 	for _, pos := range d.positions {
-		for _, c := range pos.det.flush(now) {
-			pos.queue = append(pos.queue, c)
-		}
+		pos.queue = append(pos.queue, pos.det.flush(now)...)
 	}
 	return d.tryComplete()
 }
 
 func (d *conjDetector) reset() {
 	for _, pos := range d.positions {
-		pos.queue = nil
+		pos.queue = truncate(pos.queue)
 		pos.det.reset()
 	}
+	d.parts = truncate(d.parts)
 }
 
 func (d *conjDetector) pending() int {
@@ -519,16 +555,9 @@ func (d *conjDetector) pending() int {
 func (d *conjDetector) expire(cutoff time.Time) int {
 	n := 0
 	for _, pos := range d.positions {
-		kept := pos.queue[:0]
-		for _, o := range pos.queue {
-			if o.Time.Before(cutoff) {
-				n++
-			} else {
-				kept = append(kept, o)
-			}
-		}
-		pos.queue = kept
-		n += pos.det.expire(cutoff)
+		var dropped int
+		pos.queue, dropped = expireBefore(pos.queue, cutoff)
+		n += dropped + pos.det.expire(cutoff)
 	}
 	return n
 }
@@ -587,28 +616,20 @@ func (d *closureDetector) flush(now time.Time) []*event.Instance {
 		return nil
 	}
 	out := compose(d.seen)
-	d.seen = nil
-	return []*event.Instance{out}
+	d.seen = truncate(d.seen)
+	return out
 }
 
 func (d *closureDetector) reset() {
-	d.seen = nil
+	d.seen = truncate(d.seen)
 	d.det.reset()
 }
 
 func (d *closureDetector) pending() int { return len(d.seen) + d.det.pending() }
 
 func (d *closureDetector) expire(cutoff time.Time) int {
-	n := 0
-	kept := d.seen[:0]
-	for _, o := range d.seen {
-		if o.Time.Before(cutoff) {
-			n++
-		} else {
-			kept = append(kept, o)
-		}
-	}
-	d.seen = kept
+	var n int
+	d.seen, n = expireBefore(d.seen, cutoff)
 	return n + d.det.expire(cutoff)
 }
 
@@ -629,8 +650,8 @@ func (d *historyDetector) feed(in *event.Instance) []*event.Instance {
 	for _, c := range d.det.feed(in) {
 		d.seen = append(d.seen, c)
 		if len(d.seen) >= d.count {
-			out = append(out, compose(d.seen))
-			d.seen = nil
+			out = merge(out, compose(d.seen))
+			d.seen = truncate(d.seen)
 		}
 	}
 	return out
@@ -639,23 +660,15 @@ func (d *historyDetector) feed(in *event.Instance) []*event.Instance {
 func (d *historyDetector) flush(time.Time) []*event.Instance { return nil }
 
 func (d *historyDetector) reset() {
-	d.seen = nil
+	d.seen = truncate(d.seen)
 	d.det.reset()
 }
 
 func (d *historyDetector) pending() int { return len(d.seen) + d.det.pending() }
 
 func (d *historyDetector) expire(cutoff time.Time) int {
-	n := 0
-	kept := d.seen[:0]
-	for _, o := range d.seen {
-		if o.Time.Before(cutoff) {
-			n++
-		} else {
-			kept = append(kept, o)
-		}
-	}
-	d.seen = kept
+	var n int
+	d.seen, n = expireBefore(d.seen, cutoff)
 	return n + d.det.expire(cutoff)
 }
 

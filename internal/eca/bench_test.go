@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/algebra"
 	"repro/internal/event"
 	"repro/internal/oodb"
 	"repro/internal/txn"
@@ -128,6 +129,40 @@ func BenchmarkHistoryHandOff(b *testing.B) {
 		if err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTxnScopedComposition is the plant-composite shape: begin,
+// three calls feeding a transaction-scoped three-step sequence whose
+// deferred rule fires at EOT, commit.
+func BenchmarkTxnScopedComposition(b *testing.B) {
+	e, db, obj := benchEngine(b, 0, false)
+	tri := &algebra.Composite{Name: "tri", Policy: algebra.Chronicle, Scope: algebra.ScopeTransaction,
+		Expr: algebra.Seq{Exprs: []algebra.Expr{algebra.Prim{Key: pingKey()}, algebra.Prim{Key: pingKey()}, algebra.Prim{Key: pingKey()}}}}
+	if err := e.DefineComposite(tri); err != nil {
+		b.Fatal(err)
+	}
+	fired := 0
+	if err := e.AddRule(&Rule{Name: "trend", EventKey: tri.Key(), ActionMode: Deferred,
+		Action: func(*RuleCtx) error { fired++; return nil }}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tx := db.Begin()
+		for j := 0; j < 3; j++ {
+			if _, err := db.Invoke(tx, obj, "ping", int64(j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if fired != b.N {
+		b.Fatalf("trend fired %d times in %d transactions", fired, b.N)
 	}
 }
 

@@ -327,11 +327,6 @@ type Engine struct {
 
 	seq atomic.Uint64
 
-	txnMu         sync.Mutex
-	activeTxns    map[uint64]*txn.Txn
-	resolvedTxns  map[uint64]txn.Status
-	resolvedOrder []uint64
-
 	cascadeBound atomic.Int64 // static bound from rule-set analysis; 0 = none
 
 	hist *shardedHistory
@@ -367,18 +362,16 @@ func New(db *oodb.DB, opts Options) *Engine {
 	}
 	tracer := obs.NewTracer(traceCapacity)
 	e := &Engine{
-		db:           db,
-		clk:          db.Clock(),
-		opts:         opts,
-		managers:     make(map[string]*Manager),
-		composites:   make(map[string]*compositeMgr),
-		activeTxns:   make(map[uint64]*txn.Txn),
-		resolvedTxns: make(map[uint64]txn.Status),
-		hist:         newShardedHistory(opts.GlobalHistorySize),
-		temporals:    make(map[*TemporalHandle]struct{}),
-		reg:          reg,
-		tracer:       tracer,
-		met:          newEngineMetrics(reg),
+		db:         db,
+		clk:        db.Clock(),
+		opts:       opts,
+		managers:   make(map[string]*Manager),
+		composites: make(map[string]*compositeMgr),
+		hist:       newShardedHistory(opts.GlobalHistorySize),
+		temporals:  make(map[*TemporalHandle]struct{}),
+		reg:        reg,
+		tracer:     tracer,
+		met:        newEngineMetrics(reg),
 	}
 	// Every history (global and per-manager local) shares one byte
 	// gauge so the governor sees total history footprint in one read.
@@ -788,29 +781,27 @@ func (e *Engine) cascadeLimit() int {
 	return ceiling
 }
 
-// trigger resolves the live transaction an instance was raised in.
+// trigger resolves the live transaction an instance was raised in: a
+// primitive's Origin, which may be a rule subtransaction; for a
+// single-transaction composite, the top-level transaction of its first
+// constituent with an Origin, or nil once that transaction resolved.
 func (e *Engine) trigger(in *event.Instance) *txn.Txn {
-	if t, ok := in.Origin.(*txn.Txn); ok {
+	if len(in.Parts) == 0 {
+		t, _ := in.Origin.(*txn.Txn)
 		return t
 	}
 	if in.Txn == 0 {
+		return nil // multi-transaction or purely temporal
+	}
+	var top *txn.Txn
+	triggers(in, func(t *txn.Txn) bool {
+		top = t
+		return false
+	})
+	if top == nil || top.Status() != txn.Active {
 		return nil
 	}
-	e.txnMu.Lock()
-	defer e.txnMu.Unlock()
-	return e.activeTxns[in.Txn]
-}
-
-// txnOutcome reports the state of a transaction by id: a live handle
-// when it is still active, or its resolved status.
-func (e *Engine) txnOutcome(id uint64) (live *txn.Txn, st txn.Status, known bool) {
-	e.txnMu.Lock()
-	defer e.txnMu.Unlock()
-	if t, ok := e.activeTxns[id]; ok {
-		return t, txn.Active, true
-	}
-	s, ok := e.resolvedTxns[id]
-	return nil, s, ok
+	return top
 }
 
 // Consume is the entry point from the sentry dispatcher: one primitive

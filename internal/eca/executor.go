@@ -75,13 +75,13 @@ type breaker struct {
 // dependency edges were created synchronously at firing time (§3.2:
 // the rule "may begin in parallel", so the dependency must hold no
 // matter how the scheduler interleaves the trigger's resolution);
-// retries recreate them from ids. Sequential-causal jobs carry no
-// transaction: they may not even initiate until the trigger commits.
+// retries recreate them from the triggering instance. Sequential-causal
+// jobs carry no transaction: they may not even initiate until the
+// trigger commits.
 type ruleJob struct {
 	rule *Rule
 	in   *event.Instance
 	mode Coupling
-	ids  []uint64
 	t    *txn.Txn // first-attempt transaction (nil for sequential-causal)
 	veto error    // causal veto discovered at firing time
 }
@@ -343,14 +343,14 @@ func (x *executor) runJob(job ruleJob) {
 			// Sequential-causal rules may not initiate until every
 			// trigger transaction committed (§3.2); the outcome is
 			// re-checked before each attempt.
-			if !e.seqCausalReady(job.ids) {
+			if !seqCausalReady(job.in) {
 				return
 			}
 			t = e.beginRuleTxn()
 		} else if t == nil {
 			// Retry: a fresh rule transaction with fresh dependency
 			// edges against whatever the triggers have become.
-			t, veto = e.detachedTxn(job.mode, job.ids, r.Name)
+			t, veto = e.detachedTxn(job.mode, job.in, r.Name)
 		}
 		if veto != nil {
 			// A trigger already resolved the wrong way. Not a failure
@@ -506,14 +506,9 @@ func (e *Engine) spawnDetached(r *Rule, in *event.Instance) {
 		return
 	}
 	mode := r.condMode()
-	txns := in.Transactions()
-	ids := make([]uint64, 0, len(txns))
-	for id := range txns {
-		ids = append(ids, id)
-	}
-	job := ruleJob{rule: r, in: in, mode: mode, ids: ids}
+	job := ruleJob{rule: r, in: in, mode: mode}
 	if mode != DetachedSequentialCausal {
-		job.t, job.veto = e.detachedTxn(mode, ids, r.Name)
+		job.t, job.veto = e.detachedTxn(mode, in, r.Name)
 	}
 	if err := x.submit(job); err != nil {
 		if job.t != nil {
@@ -542,50 +537,64 @@ func (e *Engine) shed(c governor.Class, r *Rule, in *event.Instance) {
 
 // detachedTxn begins a rule transaction and registers the causal
 // dependency edges against every transaction the triggering event
-// originated from (Table 1: "all commit" / "all abort").
-func (e *Engine) detachedTxn(mode Coupling, ids []uint64, ruleName string) (*txn.Txn, error) {
+// originated from (Table 1: "all commit" / "all abort"): an edge to
+// each trigger still active, a veto when one already resolved the
+// wrong way.
+func (e *Engine) detachedTxn(mode Coupling, in *event.Instance, ruleName string) (*txn.Txn, error) {
 	t := e.beginRuleTxn()
-	var veto error
+	want := txn.Committed
 	switch mode {
 	case DetachedParallelCausal:
-		for _, id := range ids {
-			live, st, known := e.txnOutcome(id)
-			switch {
-			case live != nil:
-				t.RequireCommit(live)
-			case known && st == txn.Aborted:
-				veto = fmt.Errorf("eca: rule %s: trigger txn %d aborted", ruleName, id)
-			}
-		}
 	case DetachedExclusiveCausal:
-		for _, id := range ids {
-			live, st, known := e.txnOutcome(id)
-			switch {
-			case live != nil:
-				t.RequireAbort(live)
-			case known && st == txn.Committed:
-				veto = fmt.Errorf("eca: rule %s: trigger txn %d committed", ruleName, id)
-			}
-		}
+		want = txn.Aborted
+	default:
+		return t, nil
 	}
+	var veto error
+	triggers(in, func(trig *txn.Txn) bool {
+		switch st := trig.Status(); {
+		case st == txn.Active && want == txn.Committed:
+			t.RequireCommit(trig)
+		case st == txn.Active:
+			t.RequireAbort(trig)
+		case st != want:
+			veto = fmt.Errorf("eca: rule %s: trigger txn %d %v", ruleName, trig.ID(), st)
+		}
+		return true
+	})
 	return t, veto
 }
 
 // seqCausalReady blocks until every trigger transaction resolves and
 // reports whether all of them committed.
-func (e *Engine) seqCausalReady(ids []uint64) bool {
-	for _, id := range ids {
-		live, st, known := e.txnOutcome(id)
-		if live != nil {
-			st = live.Wait()
-		} else if !known {
-			st = txn.Committed // evicted long ago; assume committed
+func seqCausalReady(in *event.Instance) bool {
+	ok := true
+	triggers(in, func(t *txn.Txn) bool {
+		ok = t.Wait() == txn.Committed
+		return ok
+	})
+	return ok
+}
+
+// triggers calls visit on the top-level transaction of each constituent
+// of in, read through the constituent's Origin, until visit returns
+// false; a run of constituents from one transaction visits it once.
+// The outcome lives on the transaction itself, so it is known however
+// long ago the transaction resolved. Temporal constituents have no
+// Origin and contribute nothing.
+func triggers(in *event.Instance, visit func(*txn.Txn) bool) {
+	var last *txn.Txn
+	in.Leaves(func(p *event.Instance) bool {
+		t, ok := p.Origin.(*txn.Txn)
+		if !ok {
+			return true
 		}
-		if st != txn.Committed {
-			return false
+		if t = t.Top(); t == last {
+			return true
 		}
-	}
-	return true
+		last = t
+		return visit(t)
+	})
 }
 
 // ruleTimeout resolves the attempt deadline for r: the rule's own

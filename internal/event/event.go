@@ -262,37 +262,46 @@ func (in *Instance) String() string {
 	return fmt.Sprintf("%s@%d", in.SpecKey, in.Seq)
 }
 
+// Leaves calls visit on each primitive constituent of the instance in
+// Parts order (on the instance itself when it has no parts) until visit
+// returns false, and reports whether the walk visited every leaf. It is
+// the one walk over a composite's constituents: the composer finding
+// the originating transaction, the engine stamping depth and trace and
+// reading each constituent's outcome through its Origin.
+func (in *Instance) Leaves(visit func(*Instance) bool) bool {
+	if len(in.Parts) == 0 {
+		return visit(in)
+	}
+	for _, p := range in.Parts {
+		if !p.Leaves(visit) {
+			return false
+		}
+	}
+	return true
+}
+
 // Transactions returns the set of distinct transactions the instance's
 // primitive constituents originate from. A purely temporal instance
 // contributes nothing. This drives the event-category classification
 // of §3.2 (single-transaction vs multi-transaction composites).
 func (in *Instance) Transactions() map[uint64]bool {
 	out := make(map[uint64]bool)
-	in.collectTxns(out)
-	return out
-}
-
-func (in *Instance) collectTxns(out map[uint64]bool) {
-	if len(in.Parts) == 0 {
-		if in.Txn != 0 {
-			out[in.Txn] = true
+	in.Leaves(func(p *Instance) bool {
+		if p.Txn != 0 {
+			out[p.Txn] = true
 		}
-		return
-	}
-	for _, p := range in.Parts {
-		p.collectTxns(out)
-	}
+		return true
+	})
+	return out
 }
 
 // Flatten returns the primitive constituents of the instance in
 // occurrence order (the instance itself when primitive).
 func (in *Instance) Flatten() []*Instance {
-	if len(in.Parts) == 0 {
-		return []*Instance{in}
-	}
 	var out []*Instance
-	for _, p := range in.Parts {
-		out = append(out, p.Flatten()...)
-	}
+	in.Leaves(func(p *Instance) bool {
+		out = append(out, p)
+		return true
+	})
 	return out
 }
