@@ -364,3 +364,53 @@ func TestTemporalSkipsLaterTransactionsComposer(t *testing.T) {
 		t.Fatalf("tick-ping completed %d times, want 1: the tick raised before tx2's ping joined tx2's composition", n)
 	}
 }
+
+// TestNoComposerOutlivesItsTransaction pins the life-span rule of a
+// transaction-scoped composer (§3.3): it ends with its transaction,
+// also when a deferred rule raised a constituent after the EOT flush.
+// A deferred rule on ping invokes reset, the first step of a
+// transaction-scoped Seq(reset; reset) that never completes.
+func TestNoComposerOutlivesItsTransaction(t *testing.T) {
+	for _, sync := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sync=%v", sync), func(t *testing.T) {
+			e, db, _ := newTestEngine(t, Options{SyncComposition: sync})
+			obj := newSensor(t, db)
+			comp := &algebra.Composite{Name: "resets", Policy: algebra.Chronicle, Scope: algebra.ScopeTransaction,
+				Expr: algebra.Seq{Exprs: []algebra.Expr{algebra.Prim{Key: resetKey()}, algebra.Prim{Key: resetKey()}}}}
+			if err := e.DefineComposite(comp); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.AddRule(&Rule{Name: "resetter", EventKey: pingKey(), ActionMode: Deferred,
+				Action: func(rc *RuleCtx) error {
+					obj, err := rc.Ctx().Load(oodb.OID(rc.Trigger.OID))
+					if err != nil {
+						return err
+					}
+					_, err = rc.Ctx().Invoke(obj, "reset")
+					return err
+				}}); err != nil {
+				t.Fatal(err)
+			}
+			cm := e.composites[comp.Key()]
+			for i := 0; i < 5; i++ {
+				tx := db.Begin()
+				if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				e.DrainComposers()
+				cm.mu.Lock()
+				live := len(cm.perTxn)
+				cm.mu.Unlock()
+				if live != 0 {
+					t.Fatalf("after commit %d: %d transaction composers still live", i+1, live)
+				}
+				if n := e.SemiComposed(); n != 0 {
+					t.Fatalf("after commit %d: %d semi-composed occurrences held", i+1, n)
+				}
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic" //lint:allow rawatomics event sequence allocator and shutdown flag, not metrics
@@ -230,7 +231,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 	const fired = "reach_rules_fired_total"
 	const firedHelp = "Rules fired, by coupling mode."
 	const lat = "reach_rule_latency_seconds"
-	const latHelp = "Rule execution latency (condition + action + commit), by coupling mode."
+	const latHelp = "Rule execution latency of the rules run together (an occurrence's immediate rules, an EOT round of deferred rules, one detached firing), by coupling mode."
 	const rejected = "reach_rule_rejected_total"
 	const rejectedHelp = "Rule firings refused by the executor or shed by the governor, by reason."
 	const phase = "reach_rule_phase_seconds"
@@ -240,7 +241,7 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		composites: reg.Counter("reach_composites_detected_total",
 			"Composite event completions."),
 		gced: reg.Counter("reach_semicomposed_gced_total",
-			"Semi-composed occurrences discarded on abort or validity expiry."),
+			"Semi-composed occurrences discarded when their transaction ended or their validity lapsed."),
 		rounds: reg.Counter("reach_deferred_rounds_total",
 			"Deferred execution rounds run at EOT."),
 		roundDepth: reg.Gauge("reach_deferred_round_depth",
@@ -917,67 +918,88 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 		return nil
 	}
 	e.met.firedImmediate.Add(uint64(len(p.immediate)))
+	set := make([]ruleFiring, len(p.immediate))
+	for i, r := range p.immediate {
+		set[i] = ruleFiring{rule: r, in: in}
+	}
 	mark := start
-	err := e.runRuleSet(p.immediate, in, trigger, &mark)
+	err := e.fireSet(trigger, set, &mark)
 	e.met.latImmediate.Observe(mark.Sub(start))
 	return err
 }
 
-// runRuleSet executes rules triggered by the same event, sequentially
-// or as parallel sibling subtransactions (§6.4). mark is the instant
-// the set starts at; it is moved to the instant the set is done.
-func (e *Engine) runRuleSet(rules []*Rule, in *event.Instance, trigger *txn.Txn, mark *time.Time) error {
-	// One context per firing, all in one backing array.
-	rcs := make([]RuleCtx, len(rules))
-	if e.opts.Exec == ParallelExec && len(rules) > 1 && trigger != nil {
-		// Even conceptually-parallel rules need a lower-level ordering
-		// for child creation (§6.4); they are started in firing order.
-		// A panicking rule body is recovered in its batch worker and
-		// surfaced as that entry's error.
-		errs := make([]error, len(rules))
-		fns := make([]func() error, len(rules))
-		for i, r := range rules {
-			child, err := trigger.BeginChild()
-			if err != nil {
-				errs[i] = err
+// ruleFiring is one firing of a rule set: the immediate rules one
+// occurrence fires, or the deferred ones an EOT round runs. The set is
+// one backing array, which also holds each firing's rule context.
+type ruleFiring struct {
+	rule       *Rule
+	in         *event.Instance
+	at         time.Time // when a deferred firing was queued
+	actionOnly bool      // condition already evaluated and held (imm/def split)
+	rc         RuleCtx
+}
+
+// fireSet runs a set of firings, each in a transaction of its own
+// begun in firing order (§6.4): a subtransaction of trigger, or a fresh
+// rule transaction when there is none. Under ParallelExec the
+// subtransactions of a set of two or more run as siblings on their own
+// goroutines and every firing runs; otherwise they run in order on the
+// caller's goroutine and the first error ends the set. mark is the
+// instant the set starts at; it is moved to the instant the set is done.
+func (e *Engine) fireSet(trigger *txn.Txn, set []ruleFiring, mark *time.Time) error {
+	if e.opts.Exec == ParallelExec && len(set) > 1 && trigger != nil {
+		// Siblings run on their own goroutines, not the detached pool: a
+		// detached rule may wait on a lock the trigger holds, so sharing
+		// the pool could deadlock the trigger's EOT.
+		// Every sibling is begun before any runs.
+		txns := make([]*txn.Txn, len(set))
+		errs := make([]error, len(set))
+		for i := range set {
+			txns[i], errs[i] = e.ruleTxn(trigger, set[i].rule)
+		}
+		var wg sync.WaitGroup
+		for i, t := range txns {
+			if t == nil {
 				continue
 			}
-			rc, begun := &rcs[i], *mark
-			fns[i] = func() error {
+			wg.Add(1)
+			go func(begun time.Time) {
+				defer wg.Done()
 				sb := spanBuf{tr: e.tracer}
-				defer sb.flush()
-				return e.runRuleGuarded(context.Background(), child, r, in, rc, &sb, &begun)
-			}
+				errs[i] = e.fire(context.Background(), t, &set[i], &sb, &begun)
+				sb.flush()
+			}(*mark)
 		}
-		errs = append(errs, runBatch(fns)...)
+		wg.Wait()
 		*mark = e.clk.Now()
 		return errors.Join(errs...)
 	}
 	sb := spanBuf{tr: e.tracer}
 	defer sb.flush()
-	for i, r := range rules {
-		if err := e.runRuleAsChild(trigger, r, in, &rcs[i], &sb, mark); err != nil {
+	for i := range set {
+		t, err := e.ruleTxn(trigger, set[i].rule)
+		if err != nil {
+			return err
+		}
+		if err := e.fire(context.Background(), t, &set[i], &sb, mark); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runRuleAsChild runs one rule as a subtransaction of trigger; with a
-// nil trigger (e.g. rules on commit/abort events) it runs in a fresh
-// top-level transaction.
-func (e *Engine) runRuleAsChild(trigger *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) error {
-	var t *txn.Txn
-	var err error
-	if trigger != nil {
-		t, err = trigger.BeginChild()
-		if err != nil {
-			return fmt.Errorf("eca: rule %s: %w", r.Name, err)
-		}
-	} else {
-		t = e.beginRuleTxn()
+// ruleTxn begins the transaction one firing of r runs in: a
+// subtransaction of trigger, or a fresh rule transaction when trigger
+// is nil (e.g. rules on commit and abort events).
+func (e *Engine) ruleTxn(trigger *txn.Txn, r *Rule) (*txn.Txn, error) {
+	if trigger == nil {
+		return e.beginRuleTxn(), nil
 	}
-	return e.runRuleCtx(context.Background(), t, r, in, rc, sb, mark)
+	t, err := trigger.BeginChild()
+	if err != nil {
+		return nil, fmt.Errorf("eca: rule %s: %w", r.Name, err)
+	}
+	return t, nil
 }
 
 // ruleTxnTag marks the top-level transactions the engine itself
@@ -998,59 +1020,85 @@ func (e *Engine) beginRuleTxn() *txn.Txn {
 // isRuleTxn reports whether t was created by the engine.
 func isRuleTxn(t *txn.Txn) bool { return t.Tag() != 0 }
 
-// runRuleCtx evaluates the rule's condition and action inside t, with
-// rc as their context, and commits or aborts it. The supervised executor
-// threads its deadline cancellation through ctx to the rule body via
-// RuleCtx.Context; mark is the instant the firing starts at, moved to
-// the instant it ends at so the next firing in a sequence starts there
-// (see firing); the phases go to sb.
-func (e *Engine) runRuleCtx(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) error {
-	f := e.beginFiring(ctx, t, r, in, rc, *mark)
-	defer f.finish(mark, sb)
-	ok := true
-	if r.Cond != nil {
-		var err error
-		ok, err = r.Cond(rc)
-		f.phase("condition-eval", e.met.phaseCond)
-		if err != nil {
-			f.abort(t, err)
-			return fmt.Errorf("eca: rule %s condition: %w", r.Name, err)
-		}
-	}
-	if !ok {
-		return f.commit(t) // condition false: nothing to do
-	}
-	if r.condMode() == Immediate && r.ActionMode == Deferred {
-		// E-C immediate, C-A deferred: the action is queued for EOT.
-		top := t.Top()
-		if err := f.commit(t); err != nil {
-			return err
-		}
-		e.enqueueDeferred(top, r, in, f.last, true)
-		return nil
-	}
-	return f.action(t, r, rc)
-}
-
-// beginFiring prepares t to run r for the occurrence in, and fills rc:
-// the rule transaction carries the triggering event's trace, so the
-// lock manager and commit path attribute their waits to it, and the
-// cascade depth the events raised by the rule body will carry.
-func (e *Engine) beginFiring(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, start time.Time) firing {
+// fire runs one firing of rf.rule in t and resolves t: the condition,
+// unless it already held (imm/def split); then the action, or, for a
+// rule coupling its condition immediately and its action deferred, the
+// queueing of the action for EOT; then t commits, or aborts with the
+// error the firing returns. t carries the triggering event's trace, so
+// the lock manager and commit path attribute their waits to it, and the
+// cascade depth the events raised by the rule body take. ctx reaches
+// the body as RuleCtx.Context. mark is the instant the firing starts
+// at, moved to the instant it ends at so the next firing in a sequence
+// starts there (see firing); the phases go to sb.
+//
+// This is the one place a rule body's panic is recovered, whatever the
+// coupling mode: the panic aborts t, is counted, leaves its stack on
+// the trigger's trace and becomes the firing's error.
+func (e *Engine) fire(ctx context.Context, t *txn.Txn, rf *ruleFiring, sb *spanBuf, mark *time.Time) (err error) {
+	r, in, rc := rf.rule, rf.in, &rf.rc
 	t.SetTrace(in.Trace)
 	t.SetTag(int32(in.Depth + 1))
 	*rc = RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx, ctx: oodb.Ctx{DB: e.db, Txn: t}}
-	return firing{e: e, rule: r.Name, trace: in.Trace, last: start}
-}
-
-// action runs the rule's action and resolves the rule transaction on
-// its outcome.
-func (f *firing) action(t *txn.Txn, r *Rule, rc *RuleCtx) error {
-	err := r.Action(rc)
-	f.phase("action-exec", f.e.met.phaseAction)
-	if err != nil {
-		f.abort(t, err)
-		return fmt.Errorf("eca: rule %s action: %w", r.Name, err)
+	f := firing{e: e, rule: r.Name, trace: in.Trace, last: *mark}
+	if !rf.at.IsZero() {
+		// A deferred firing's queue wait: from its enqueue, during the
+		// transaction, to its dequeue at EOT.
+		dwell := f.last.Sub(rf.at)
+		e.met.deferredDwell.Observe(dwell)
+		sb.add(in.Trace, obs.Span{Stage: "enqueue-deferred", Key: r.Name, Start: rf.at, Dur: dwell})
+	}
+	defer f.finish(mark, sb)
+	defer func() {
+		if p := recover(); p != nil {
+			err = e.rulePanic(r, in, p)
+			f.abort(t, err)
+		}
+	}()
+	if !rf.actionOnly {
+		ok := true
+		if r.Cond != nil {
+			var cerr error
+			ok, cerr = r.Cond(rc)
+			f.phase("condition-eval", e.met.phaseCond)
+			if cerr != nil {
+				f.abort(t, cerr)
+				return fmt.Errorf("eca: rule %s condition: %w", r.Name, cerr)
+			}
+		}
+		if !ok {
+			return f.commit(t) // condition false: nothing to do
+		}
+		if r.condMode() == Immediate && r.ActionMode == Deferred {
+			top := t.Top()
+			if err := f.commit(t); err != nil {
+				return err
+			}
+			e.enqueueDeferred(top, r, in, f.last, true)
+			return nil
+		}
+	}
+	aerr := r.Action(rc)
+	f.phase("action-exec", e.met.phaseAction)
+	if aerr != nil {
+		f.abort(t, aerr)
+		return fmt.Errorf("eca: rule %s action: %w", r.Name, aerr)
 	}
 	return f.commit(t)
+}
+
+// rulePanic turns a recovered rule-body panic into the firing's error,
+// counting it and recording the stack on the trigger's trace.
+func (e *Engine) rulePanic(r *Rule, in *event.Instance, p any) error {
+	e.met.panics.Inc()
+	e.tracer.Span(in.Trace, "panic", r.Name+": "+stackSnippet(debug.Stack()), e.clk.Now(), 0)
+	return fmt.Errorf("eca: rule %s panicked: %v", r.Name, p)
+}
+
+// stackSnippet truncates a panic stack to a trace-ring-friendly size.
+func stackSnippet(stack []byte) string {
+	const max = 640
+	if len(stack) > max {
+		stack = stack[:max]
+	}
+	return string(stack)
 }

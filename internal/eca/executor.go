@@ -4,17 +4,16 @@
 // one unbounded goroutine per firing — spawns itself to death under
 // load and silently drops deadlock aborts. This executor bounds the
 // concurrency with a worker pool and a queue, retries retriable
-// aborts with exponential backoff, converts panics into rule-txn
-// aborts with the stack captured into the trace ring, enforces
-// per-rule deadlines, and parks permanently failing rules behind a
-// per-rule circuit breaker with a dead-letter queue for inspection.
+// aborts with exponential backoff, enforces per-rule deadlines, and
+// parks permanently failing rules (a panicking one among them, which
+// Engine.fire turned into an abort) behind a per-rule circuit breaker
+// with a dead-letter queue for inspection.
 package eca
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -244,7 +243,7 @@ func (x *executor) recordSuccess(rule string) {
 // recordFailure counts a permanent failure against the rule's
 // breaker, trips it at the threshold, and dead-letters the firing.
 func (x *executor) recordFailure(r *Rule, in *event.Instance, attempts int, err error, reason string) {
-	threshold := x.e.breakerThreshold(r)
+	threshold := ruleSetting(r.Breaker, x.e.opts.BreakerThreshold)
 	now := x.e.clk.Now()
 	x.mu.Lock()
 	b := x.breakers[r.Name]
@@ -332,7 +331,7 @@ func (x *executor) evictRule(name string) {
 func (x *executor) runJob(job ruleJob) {
 	e := x.e
 	r := job.rule
-	maxAttempts := 1 + e.ruleRetries(r)
+	maxAttempts := 1 + ruleSetting(r.Retries, e.opts.RuleRetries)
 	start := e.clk.Now()
 	t, veto := job.t, job.veto
 	var err error
@@ -399,58 +398,34 @@ func failReason(err error) string {
 	}
 }
 
-// runAttempt executes one rule attempt on t with deadline and panic
-// supervision. On deadline expiry the watchdog aborts the rule
-// transaction (cancelling its lock waits) and cancels the context
-// handed to the rule body via RuleCtx.Context.
+// runAttempt fires r once in t under the rule's deadline. On expiry
+// the watchdog cancels the context handed to the rule body via
+// RuleCtx.Context, with ErrRuleDeadline as its cause, and aborts t,
+// which cancels its lock waits.
 func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 	e := x.e
 	ctx := context.Background()
-	d := e.ruleTimeout(r)
-	var expired *deadlineFlag
-	if d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		f := &deadlineFlag{}
-		expired = f
+	if d := ruleSetting(r.Timeout, e.opts.RuleTimeout); d > 0 {
+		var cancel context.CancelCauseFunc
+		ctx, cancel = context.WithCancelCause(ctx)
+		defer cancel(nil)
 		timer := e.clk.AfterFunc(d, func() {
-			f.set()
-			cancel()
+			cancel(ErrRuleDeadline)
 			_ = t.AbortWith(ErrRuleDeadline)
 		})
 		defer timer.Stop()
 	}
 	mark := e.clk.Now()
 	sb := spanBuf{tr: e.tracer}
-	err := e.runRuleGuarded(ctx, t, r, in, new(RuleCtx), &sb, &mark)
+	err := e.fire(ctx, t, &ruleFiring{rule: r, in: in}, &sb, &mark)
 	sb.flush()
-	if err != nil && expired != nil && expired.get() {
+	if err != nil && errors.Is(context.Cause(ctx), ErrRuleDeadline) {
 		// The watchdog abort surfaces as whatever operation the rule
 		// body was in (ErrNotActive, a cancelled lock wait, ...);
 		// reclassify it so the deadline is reported, not the symptom.
 		return fmt.Errorf("eca: rule %s: %w", r.Name, ErrRuleDeadline)
 	}
 	return err
-}
-
-// deadlineFlag is a mutex-guarded bool shared between the watchdog
-// timer and the worker.
-type deadlineFlag struct {
-	mu    sync.Mutex
-	fired bool
-}
-
-func (f *deadlineFlag) set() {
-	f.mu.Lock()
-	f.fired = true
-	f.mu.Unlock()
-}
-
-func (f *deadlineFlag) get() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.fired
 }
 
 // backoff sleeps exponentially (with deterministic jitter) before a
@@ -597,52 +572,20 @@ func triggers(in *event.Instance, visit func(*txn.Txn) bool) {
 	})
 }
 
-// ruleTimeout resolves the attempt deadline for r: the rule's own
-// Timeout, or the engine default; negative disables.
-func (e *Engine) ruleTimeout(r *Rule) time.Duration {
-	if r.Timeout != 0 {
-		if r.Timeout < 0 {
-			return 0
-		}
-		return r.Timeout
+// ruleSetting resolves one of a rule's executor settings (deadline,
+// retry budget, breaker threshold): the rule's own value, else the
+// engine default; negative disables, which resolves to 0.
+func ruleSetting[T int | time.Duration](rule, engine T) T {
+	if rule != 0 {
+		return max(rule, 0)
 	}
-	return e.opts.RuleTimeout
-}
-
-// ruleRetries resolves the retry budget for r; negative disables.
-func (e *Engine) ruleRetries(r *Rule) int {
-	n := e.opts.RuleRetries
-	if r.Retries != 0 {
-		n = r.Retries
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
-}
-
-// breakerThreshold resolves the breaker threshold for r; 0 after
-// resolution means the breaker is disabled.
-func (e *Engine) breakerThreshold(r *Rule) int {
-	n := e.opts.BreakerThreshold
-	if r.Breaker != 0 {
-		n = r.Breaker
-	}
-	if n < 0 {
-		return 0
-	}
-	return n
+	return max(engine, 0)
 }
 
 // WaitDetached blocks until every accepted detached rule execution
 // has finished. Tests and the bench harness use it as a barrier.
 func (e *Engine) WaitDetached() {
-	x := e.exec
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for x.inflight > 0 {
-		x.cond.Wait() //lint:allow lockdiscipline sync.Cond.Wait atomically releases the mutex while parked
-	}
+	_ = e.exec.awaitIdle(context.Background()) // a context that never ends: no error
 }
 
 // Drain flips the engine into shutdown mode: new detached spawns are
@@ -711,65 +654,4 @@ func (e *Engine) RearmRule(name string) bool {
 		e.met.breakerOpen.Add(-1)
 	}
 	return found
-}
-
-// runRuleGuarded executes the rule body with panic containment: a
-// panicking condition or action aborts the rule transaction, captures
-// the stack into the trace ring, and surfaces as an error.
-func (e *Engine) runRuleGuarded(ctx context.Context, t *txn.Txn, r *Rule, in *event.Instance, rc *RuleCtx, sb *spanBuf, mark *time.Time) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = e.recoverRulePanic(t, r, in, p)
-		}
-	}()
-	return e.runRuleCtx(ctx, t, r, in, rc, sb, mark)
-}
-
-// recoverRulePanic converts a recovered rule-body panic into a
-// rule-transaction abort, recording the stack on the trigger's trace.
-func (e *Engine) recoverRulePanic(t *txn.Txn, r *Rule, in *event.Instance, p any) error {
-	e.met.panics.Inc()
-	cause := fmt.Errorf("eca: rule %s panicked: %v", r.Name, p)
-	now := e.clk.Now()
-	e.tracer.Span(in.Trace, "panic", r.Name+": "+stackSnippet(debug.Stack()), now, 0)
-	if t != nil {
-		_ = t.AbortWith(cause)
-	}
-	return cause
-}
-
-// stackSnippet truncates a panic stack to a trace-ring-friendly size.
-func stackSnippet(stack []byte) string {
-	const max = 640
-	if len(stack) > max {
-		stack = stack[:max]
-	}
-	return string(stack)
-}
-
-// runBatch runs the non-nil entries on parallel goroutines and
-// returns their errors index-aligned. A panicking entry is recovered
-// in its worker and surfaced as that entry's error, so errors.Join
-// reports it instead of the process dying.
-func runBatch(fns []func() error) []error {
-	errs := make([]error, len(fns))
-	var wg sync.WaitGroup
-	for i, fn := range fns {
-		if fn == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, fn func() error) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("eca: parallel rule batch entry panicked: %v\n%s",
-						p, stackSnippet(debug.Stack()))
-				}
-			}()
-			errs[i] = fn()
-		}(i, fn)
-	}
-	wg.Wait()
-	return errs
 }

@@ -385,46 +385,128 @@ func TestRuleDeadline(t *testing.T) {
 	}
 }
 
-// TestRulePanicRecovered verifies a panicking detached rule aborts
-// its own transaction, lands in the dead-letter queue with the panic
-// message, and leaves the stack in the trace ring — without killing
-// the process or the worker.
+// TestRulePanicRecovered pins that a panicking rule body is contained
+// in every coupling mode and execution strategy, alone or beside a
+// sibling rule on the same event: the panic aborts the firing's
+// transaction and becomes that firing's error — a veto of the
+// triggering operation (immediate), an EOT error (deferred, and the
+// deferred action of an imm/def split), or a dead letter (detached) —
+// is counted, leaves its stack in the trace ring, and leaves no
+// subtransaction behind, so the trigger still resolves. A sibling runs
+// when the firings are independent: parallel siblings and detached
+// rules; in a sequence the failing firing ends the set.
 func TestRulePanicRecovered(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-
-	if err := e.AddRule(&Rule{
-		Name: "bomb", EventKey: pingKey(), ActionMode: Detached,
-		Action: func(rc *RuleCtx) error {
-			panic("kaboom")
-		},
-	}); err != nil {
-		t.Fatal(err)
+	couplings := []struct {
+		name         string
+		cond, action Coupling
+	}{
+		{"immediate", Immediate, Immediate},
+		{"deferred", Deferred, Deferred},
+		{"imm-cond-def-action", Immediate, Deferred},
+		{"detached", Detached, Detached},
 	}
+	for _, c := range couplings {
+		for exec, execName := range []string{SequentialExec: "sequential", ParallelExec: "parallel"} {
+			exec := ExecStrategy(exec)
+			for _, rules := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/%s/rules=%d", c.name, execName, rules), func(t *testing.T) {
+					e, db, _ := newTestEngine(t, Options{Exec: exec})
+					obj := newSensor(t, db)
+					holds := func(*RuleCtx) (bool, error) { return true, nil }
+					if err := e.AddRule(&Rule{
+						Name: "bomb", EventKey: pingKey(), Priority: 1,
+						CondMode: c.cond, ActionMode: c.action, Cond: holds,
+						Action: func(*RuleCtx) error { panic("kaboom") },
+					}); err != nil {
+						t.Fatal(err)
+					}
+					var okRan atomic.Bool
+					if rules == 2 {
+						if err := e.AddRule(&Rule{
+							Name: "ok", EventKey: pingKey(),
+							CondMode: c.cond, ActionMode: c.action, Cond: holds,
+							Action: func(*RuleCtx) error { okRan.Store(true); return nil },
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
 
-	fireOnce(t, db, obj)
-	e.WaitDetached()
+					tx := db.Begin()
+					invokeErr := func() (err error) {
+						defer func() {
+							if p := recover(); p != nil {
+								err = fmt.Errorf("panic escaped the engine: %v", p)
+							}
+						}()
+						_, err = db.Invoke(tx, obj, "ping", int64(1))
+						return err
+					}()
+					commitErr := tx.Commit()
+					e.WaitDetached()
 
-	if got := e.met.panics.Value(); got != 1 {
-		t.Fatalf("reach_rule_panics_total = %d, want 1", got)
-	}
-	dl := e.DeadLetters()
-	if len(dl) != 1 || !strings.Contains(dl[0].Err, "panicked: kaboom") {
-		t.Fatalf("dead letters = %+v, want one panic entry", dl)
-	}
-	found := false
-	for _, tr := range e.Tracer().Recent(16) {
-		for _, sp := range tr.Spans {
-			if sp.Stage == "panic" && strings.Contains(sp.Key, "bomb") {
-				found = true
+					const msg = "rule bomb panicked: kaboom"
+					switch c.name {
+					case "immediate":
+						if invokeErr == nil || !strings.Contains(invokeErr.Error(), msg) {
+							t.Errorf("invoke error = %v, want the veto %q", invokeErr, msg)
+						}
+						if commitErr != nil {
+							t.Errorf("trigger commit after the veto: %v", commitErr)
+						}
+					case "detached":
+						if invokeErr != nil || commitErr != nil {
+							t.Errorf("invoke, commit = %v, %v; want both nil", invokeErr, commitErr)
+						}
+						dl := e.DeadLetters()
+						if len(dl) != 1 || dl[0].Rule != "bomb" || !strings.Contains(dl[0].Err, msg) {
+							t.Errorf("dead letters = %+v, want one for the panic", dl)
+						}
+					default:
+						if invokeErr != nil {
+							t.Errorf("invoke error = %v, want nil", invokeErr)
+						}
+						if commitErr == nil || !strings.Contains(commitErr.Error(), msg) {
+							t.Errorf("commit error = %v, want the EOT error %q", commitErr, msg)
+						}
+					}
+					if errors.Is(commitErr, txn.ErrChildrenActive) {
+						t.Errorf("the panicking firing left its subtransaction active: %v", commitErr)
+					}
+					if st := tx.Status(); st == txn.Active {
+						t.Errorf("trigger still active after Commit returned %v", commitErr)
+					}
+					if got := e.met.panics.Value(); got != 1 {
+						t.Errorf("reach_rule_panics_total = %d, want 1", got)
+					}
+					spanned := false
+					for _, tr := range e.Tracer().Recent(16) {
+						for _, sp := range tr.Spans {
+							spanned = spanned || sp.Stage == "panic" && strings.Contains(sp.Key, "bomb")
+						}
+					}
+					if !spanned {
+						t.Error("no panic span with the rule's stack in the trace ring")
+					}
+					if want := rules == 2 && (exec == ParallelExec || c.name == "detached"); okRan.Load() != want {
+						t.Errorf("sibling rule ran = %v, want %v", okRan.Load(), want)
+					}
+				})
 			}
 		}
 	}
-	if !found {
-		t.Fatal("no panic span with the rule's stack in the trace ring")
-	}
+}
 
-	// The worker survived: the next firing still executes.
+// TestDetachedWorkerSurvivesPanic pins that the executor worker which
+// recovered a panicking rule goes on to run the next firing.
+func TestDetachedWorkerSurvivesPanic(t *testing.T) {
+	e, db, _ := newTestEngine(t, Options{Workers: 1})
+	obj := newSensor(t, db)
+	if err := e.AddRule(&Rule{
+		Name: "bomb", EventKey: pingKey(), ActionMode: Detached,
+		Action: func(rc *RuleCtx) error { panic("kaboom") },
+	}); err != nil {
+		t.Fatal(err)
+	}
 	var ok atomic.Bool
 	if err := e.AddRule(&Rule{
 		Name: "after", EventKey: resetKey(), ActionMode: Detached,
@@ -432,6 +514,8 @@ func TestRulePanicRecovered(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	fireOnce(t, db, obj)
+	e.WaitDetached()
 	tx := db.Begin()
 	if _, err := db.Invoke(tx, obj, "reset"); err != nil {
 		t.Fatal(err)

@@ -35,13 +35,17 @@ func (l *txnListener) BeforeCommit(t *txn.Txn) error {
 	return e.runDeferred(t)
 }
 
-// AfterCommit raises the commit event and hands the transaction's
-// occurrences to the background history consolidator (§6.3).
+// AfterCommit discards what the transaction's compositions still hold
+// (occurrences its deferred rules raised after the EOT flush: the
+// life-span ended), raises the commit event and hands the
+// transaction's occurrences to the background history consolidator
+// (§6.3).
 func (l *txnListener) AfterCommit(t *txn.Txn) {
 	e := l.engine()
 	if !t.IsTop() {
 		return
 	}
+	e.endTxnComposition(t.ID(), true)
 	e.emitTxnEvent(event.Commit, t)
 	e.handOffHistory(t)
 }

@@ -27,9 +27,10 @@ func Get() *Instance {
 // Retain marks the instance as escaping the synchronous dispatch: a
 // deferred queue, a detached executor, or a composite composer will
 // read it after Emit returns, so Recycle must leave it to the garbage
-// collector. The flag is a plain bool: every Retain happens on the
-// raising goroutine before Emit returns, which happens-before the
-// raiser's Recycle call — no other goroutine ever writes it.
+// collector. The flag is a plain bool: every Retain happens before
+// Emit returns, which happens-before the raiser's Recycle call, and on
+// the raising goroutine except where parallel sibling rules queue
+// their deferred actions, which serialize on the queue's lock.
 func (in *Instance) Retain() { in.retained = true }
 
 // Recycle returns an instance obtained from Get to the pool, unless a

@@ -23,13 +23,18 @@ func (l *Loaded) Stop() {
 	}
 }
 
-// Load parses src, compiles every rule, defines the composites the
-// rules need, arms their temporal event sources, and registers the
-// rules with the engine.
+// Load parses src, refuses it on the first diagnostic of the vet pass
+// (the checks rulec -vet makes), compiles every rule, defines the
+// composites the rules need, arms their temporal event sources, and
+// registers the rules with the engine.
 func Load(e *eca.Engine, src string) (*Loaded, error) {
 	decls, err := Parse(src)
 	if err != nil {
 		return nil, err
+	}
+	if diags := Vet("", decls); len(diags) > 0 {
+		d := diags[0]
+		return nil, fmt.Errorf("rules: line %d: rule %s: %s", d.Line, d.Rule, d.Msg)
 	}
 	out := &Loaded{}
 	for _, d := range decls {
@@ -94,9 +99,6 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 			Policy:   parsePolicy(d.Policy),
 			Scope:    parseScope(d.Scope),
 			Validity: d.Validity,
-		}
-		if comp.Scope == algebra.ScopeGlobal && comp.Validity == 0 {
-			return nil, nil, nil, fmt.Errorf("rules: rule %s: global-scope composite event needs a validity clause", d.Name)
 		}
 		comps = append(comps, comp)
 		eventKey = comp.Key()

@@ -477,17 +477,41 @@ rule Guard {
 	tx2.Commit()
 }
 
+// TestLoadRejectsBadAdmission pins that Load admits nothing the vet
+// pass rejects.
 func TestLoadRejectsBadAdmission(t *testing.T) {
-	e, _, _ := newPlant(t)
-	// Temporal event with immediate coupling must be rejected (Table 1).
-	src := `
-rule Bad {
-    event every 5s;
-    action imm abort "x";
-};
-`
-	if _, err := Load(e, src); err == nil {
-		t.Fatal("temporal+immediate DSL rule admitted")
+	cases := []struct{ name, src, want string }{
+		{"temporal event, immediate coupling (Table 1)",
+			`rule Bad { event every 5s; action imm abort "x"; };`,
+			"Table 1"},
+		{"unknown consumption policy",
+			`rule Bad { decl River *r, int x, int y; event seq(after r->updateWaterLevel(x), after r->updateWaterLevel(y)); policy bogus; action deferred abort "x"; };`,
+			`unknown consumption policy "bogus"`},
+		{"timeout on an immediate rule",
+			`rule Bad { decl River *r, int x; event after r->updateWaterLevel(x); timeout 1s; action imm abort "x"; };`,
+			"timeout clause applies only to detached-coupled rules"},
+		{"undeclared variable in the condition",
+			`rule Bad { decl River *r, int x; event after r->updateWaterLevel(x); cond imm y > 0; action imm abort "x"; };`,
+			`undeclared variable "y"`},
+		{"policy on a primitive event",
+			`rule Bad { decl River *r, int x; event after r->updateWaterLevel(x); policy recent; action imm abort "x"; };`,
+			"apply only to composite events"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e, _, _ := newPlant(t)
+			loaded, err := Load(e, c.src)
+			if err == nil {
+				loaded.Stop()
+				t.Fatal("rule admitted")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error = %v, want it to mention %q", err, c.want)
+			}
+			if n := e.Composites(); n != 0 {
+				t.Fatalf("%d composites defined by a refused rule set", n)
+			}
+		})
 	}
 }
 
