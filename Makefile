@@ -13,10 +13,15 @@ build:
 test:
 	$(GO) test -timeout 240s ./...
 
-race:
-	$(GO) test -race -timeout 240s ./...
+# RACE_PROCS_PKGS run under the race detector in race-procs, once per
+# GOMAXPROCS value there; race covers every other package, so each
+# package runs under the race detector once per configuration.
+RACE_PROCS_PKGS = ./internal/txn ./internal/eca ./internal/storage ./internal/oodb ./internal/rules ./internal/core ./internal/fault/...
 
-# race-procs re-runs the lock manager, the rule engine, the storage
+race:
+	$(GO) test -race -timeout 240s $(filter-out $(shell $(GO) list $(RACE_PROCS_PKGS)),$(shell $(GO) list ./...))
+
+# race-procs runs the lock manager, the rule engine, the storage
 # manager, the object layer, the rule language, the assembled system and
 # the crash matrix under the race detector at GOMAXPROCS 1, 2 and 4:
 # their interleavings (lock hand-off and deadlock detection, parallel
@@ -26,7 +31,7 @@ race:
 # recovery after a crash at every write) differ with the number of
 # running threads.
 race-procs:
-	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 ./internal/txn ./internal/eca ./internal/storage ./internal/oodb ./internal/rules ./internal/core ./internal/fault/...
+	$(GO) test -race -cpu 1,2,4 -timeout 240s -count=1 $(RACE_PROCS_PKGS)
 
 # repeat runs order-sensitive tests many times over: a nested composite's
 # detection must not depend on which composer EOT happens to flush first.

@@ -47,11 +47,7 @@ func main() {
 	admin := flag.String("admin", "", "observability HTTP listen address, e.g. localhost:7047 (empty = disabled)")
 	workers := flag.Int("workers", 0, "detached-rule executor worker pool size (<= 0 = default 8)")
 	queue := flag.Int("queue", 0, "detached-rule executor queue capacity (<= 0 = default 256)")
-	ruleTimeout := flag.Duration("rule-timeout", 0, "default per-attempt deadline for detached rules (0 = none)")
-	ruleRetries := flag.Int("rule-retries", 0, "default retry budget for retriable rule aborts (0 = default 3, negative disables)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive failures before a rule's circuit breaker trips (0 = default 5, negative disables)")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "promote traces slower than this into the slow log (0 disables)")
-	slowCap := flag.Int("slow-log", 0, "slow-log capacity (0 = default 64)")
 	noGroupCommit := flag.Bool("no-group-commit", false, "fsync every commit individually instead of batching concurrent forces (ablation / debugging)")
 	gov := flag.Bool("governor", true, "enable the overload governor (false = ablation: no admission control or shedding)")
 	admitDeadline := flag.Duration("admit-deadline", 0, "how long a new write transaction may queue while shedding before ErrOverloaded (0 = default 250ms)")
@@ -60,11 +56,7 @@ func main() {
 	engineOpts := reach.EngineOptions{
 		Workers:          *workers,
 		Queue:            *queue,
-		RuleTimeout:      *ruleTimeout,
-		RuleRetries:      *ruleRetries,
-		BreakerThreshold: *breakerThreshold,
 		SlowLogThreshold: *slowThreshold,
-		SlowLogCapacity:  *slowCap,
 	}
 	opts := reach.Options{Dir: *dir, Engine: engineOpts}
 	opts.DB.Storage.DisableGroupCommit = *noGroupCommit

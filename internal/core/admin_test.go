@@ -18,7 +18,7 @@ import (
 // breaker threshold, and returns the system plus the admin mux.
 func newFailingSystem(t *testing.T) (*System, *http.ServeMux, *oodb.Object) {
 	t.Helper()
-	sys, err := Open(Options{Engine: eca.Options{BreakerThreshold: 2}})
+	sys, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,6 +43,7 @@ func newFailingSystem(t *testing.T) (*System, *http.ServeMux, *oodb.Object) {
 		Name:       "failing",
 		EventKey:   event.MethodSpec{Class: "Probe", Method: "poke", When: event.After}.Key(),
 		ActionMode: eca.Detached,
+		Breaker:    2,
 		Action:     func(rc *eca.RuleCtx) error { return errors.New("always fails") },
 	}); err != nil {
 		t.Fatal(err)

@@ -151,8 +151,8 @@ func newGovernor(opts Options, db *oodb.DB, engine *eca.Engine, reg *obs.Registr
 	// cheaper than queueing them into a convoy) and sheds at two.
 	gov.Register("detached-backlog", engine.DetachedBacklog,
 		governor.Levels{Degraded: queue, Shedding: 2 * queue})
-	// Deferred work is bounded per transaction by MaxDeferredRounds
-	// but not across transactions; watermark the aggregate.
+	// Deferred work is bounded per transaction by the cascade-depth
+	// guard but not across transactions; watermark the aggregate.
 	gov.Register("deferred-depth", engine.DeferredDepth,
 		governor.Levels{Degraded: 4 * queue, Shedding: 16 * queue})
 	if opts.Dir != "" {

@@ -11,7 +11,8 @@ import (
 // bound aborts with ErrCascadeDepth, the trip counter moves, and the
 // abort unwinds the whole cascade.
 func TestCascadeDepthGuardStopsRunaway(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{MaxCascadeDepth: 8})
+	e, db, _ := newTestEngine(t, Options{})
+	e.SetCascadeBound(8)
 	obj := newSensor(t, db)
 	fired := 0
 	err := e.AddRule(&Rule{
@@ -48,10 +49,10 @@ func TestCascadeDepthGuardStopsRunaway(t *testing.T) {
 }
 
 // TestStaticCascadeBoundTightensCeiling installs an analysis-computed
-// bound below the configured ceiling and verifies the lower limit
-// wins — and that clearing it restores the ceiling.
+// bound below the ceiling and verifies the lower limit wins — and that
+// clearing it restores the ceiling.
 func TestStaticCascadeBoundTightensCeiling(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{MaxCascadeDepth: 64})
+	e, db, _ := newTestEngine(t, Options{})
 	obj := newSensor(t, db)
 	err := e.AddRule(&Rule{
 		Name:     "chain",
@@ -114,7 +115,8 @@ func TestStaticCascadeBoundTightensCeiling(t *testing.T) {
 // when rules would fire: deep events routed to managers with only
 // disabled rules pass through.
 func TestCascadeGuardIgnoresInertDeepEvents(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{MaxCascadeDepth: 2})
+	e, db, _ := newTestEngine(t, Options{})
+	e.SetCascadeBound(2)
 	obj := newSensor(t, db)
 	if err := e.AddRule(&Rule{
 		Name:     "chain",

@@ -1,7 +1,6 @@
 package eca
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -58,17 +57,14 @@ func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance, at t
 // EOT. Rules run as subtransactions in priority order; when the
 // SimpleBeforeComplex policy is on, rules triggered by simple events
 // fire ahead of rules triggered by composite events (§6.4). Rules may
-// enqueue further deferred work; rounds are bounded.
+// enqueue further deferred work; each round runs one cascade level
+// deeper, so the cascade-depth guard bounds the rounds.
 func (e *Engine) runDeferred(top *txn.Txn) error {
 	st := txnStateOf(top)
 	if st == nil {
 		return nil
 	}
 	for round := 0; ; round++ {
-		if round >= e.opts.MaxDeferredRounds {
-			return fmt.Errorf("eca: deferred rule cascade exceeded %d rounds in txn %d",
-				e.opts.MaxDeferredRounds, top.ID())
-		}
 		st.mu.Lock()
 		batch := st.deferred
 		st.deferred = nil

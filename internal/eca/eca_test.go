@@ -316,21 +316,50 @@ func TestDeferredRuleErrorAbortsTrigger(t *testing.T) {
 	tx2.Commit()
 }
 
+// TestDeferredCascadeBounded drives unterminating deferred cascades:
+// each firing queues another for the next EOT round, one cascade level
+// deeper. The cascade-depth guard is their only bound — the ceiling,
+// or a lower static bound — and the commit fails with ErrCascadeDepth
+// after exactly that many firings.
 func TestDeferredCascadeBounded(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{MaxDeferredRounds: 4})
-	obj := newSensor(t, db)
-	// The rule re-pings, generating another deferred firing, forever.
-	e.AddRule(&Rule{
-		Name: "loop", EventKey: pingKey(), ActionMode: Deferred,
-		Action: func(rc *RuleCtx) error {
-			_, err := rc.Ctx().Invoke(obj, "ping", int64(1))
-			return err
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	if err := tx.Commit(); err == nil {
-		t.Fatal("non-terminating deferred cascade committed")
+	for _, tc := range []struct {
+		name  string
+		cond  Coupling
+		bound int
+		want  int
+	}{
+		{"deferred", Deferred, 0, maxCascadeDepth},
+		{"imm-cond-def-action", Immediate, 0, maxCascadeDepth},
+		{"static-bound", Deferred, 5, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, db, _ := newTestEngine(t, Options{})
+			e.SetCascadeBound(tc.bound)
+			obj := newSensor(t, db)
+			fired := 0
+			// The rule re-pings, generating another deferred firing, forever.
+			if err := e.AddRule(&Rule{
+				Name: "loop", EventKey: pingKey(),
+				CondMode: tc.cond, ActionMode: Deferred,
+				Action: func(rc *RuleCtx) error {
+					fired++
+					_, err := rc.Ctx().Invoke(obj, "ping", int64(1))
+					return err
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			tx := db.Begin()
+			if _, err := db.Invoke(tx, obj, "ping", int64(1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); !errors.Is(err, ErrCascadeDepth) {
+				t.Fatalf("non-terminating deferred cascade: commit = %v, want ErrCascadeDepth", err)
+			}
+			if fired != tc.want {
+				t.Fatalf("rule fired %d times, want %d", fired, tc.want)
+			}
+		})
 	}
 }
 

@@ -50,7 +50,10 @@ const (
 	CentralHistory
 )
 
-// Options configure an Engine.
+// Options configure an Engine. Each field is set by an experiment, a
+// reachd flag or the system assembly, or is one of the §6.4 ordering
+// policies (DESIGN.md §5 lists them); the engine's other bounds are
+// constants.
 type Options struct {
 	// SyncComposition feeds composers inline in the detecting call
 	// instead of asynchronously on per-composite goroutines. The
@@ -66,20 +69,6 @@ type Options struct {
 	SimpleBeforeComplex bool
 	// History selects distributed or central event histories.
 	History HistoryMode
-	// LocalHistorySize bounds each manager's local history ring
-	// (default 256).
-	LocalHistorySize int
-	// GlobalHistorySize bounds the consolidated history (default 4096).
-	GlobalHistorySize int
-	// MaxDeferredRounds bounds cascading deferred rule execution at
-	// EOT (default 32).
-	MaxDeferredRounds int
-	// MaxCascadeDepth is the hard ceiling on rule-cascade depth: an
-	// event raised at this depth that would fire further rules trips
-	// the cascade guard instead of recursing or spawning unboundedly.
-	// 0 means the default of 64; negative disables the ceiling (a
-	// static bound installed via SetCascadeBound still applies).
-	MaxCascadeDepth int
 	// ComposerBuffer is the channel capacity of asynchronous
 	// composers (default 1024).
 	ComposerBuffer int
@@ -96,22 +85,6 @@ type Options struct {
 	// <= 0). A full queue parks the raiser until a slot frees or, with
 	// a governor installed, until the governor sheds the spawn.
 	Queue int
-	// RuleTimeout bounds each detached rule attempt; the watchdog
-	// aborts the rule transaction on expiry. 0 means no deadline.
-	RuleTimeout time.Duration
-	// RuleRetries is the default retry budget after a retriable abort
-	// (deadlock, cancelled lock wait). 0 means the default of 3;
-	// negative disables retries.
-	RuleRetries int
-	// RetryBackoff is the first retry's backoff (default 2ms); each
-	// further retry doubles it up to RetryBackoffMax (default 250ms),
-	// plus deterministic jitter.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// BreakerThreshold trips a rule's circuit breaker after N
-	// consecutive permanent failures, parking the rule until it is
-	// re-armed. 0 means the default of 5; negative disables breakers.
-	BreakerThreshold int
 	// Metrics is the shared observability registry the engine binds
 	// its counters into; nil creates a private registry.
 	Metrics *obs.Registry
@@ -120,23 +93,25 @@ type Options struct {
 	// 0 disables promotion (it can be enabled later via the /slowlog
 	// surface or the REPL).
 	SlowLogThreshold time.Duration
-	// SlowLogCapacity bounds the slow log (default 64).
-	SlowLogCapacity int
 }
 
+// The engine's fixed bounds.
+const (
+	// localHistorySize bounds each manager's local history ring.
+	localHistorySize = 256
+	// globalHistorySize bounds the consolidated history.
+	globalHistorySize = 4096
+	// maxCascadeDepth is the hard ceiling on rule-cascade depth: an
+	// event raised at this depth that would fire further rules trips
+	// the cascade guard instead of recursing, queueing or spawning
+	// unboundedly. A static bound installed via SetCascadeBound
+	// lowers it.
+	maxCascadeDepth = 64
+	// slowLogCapacity bounds the slow log.
+	slowLogCapacity = 64
+)
+
 func (o Options) withDefaults() Options {
-	if o.LocalHistorySize == 0 {
-		o.LocalHistorySize = 256
-	}
-	if o.GlobalHistorySize == 0 {
-		o.GlobalHistorySize = 4096
-	}
-	if o.MaxDeferredRounds == 0 {
-		o.MaxDeferredRounds = 32
-	}
-	if o.MaxCascadeDepth == 0 {
-		o.MaxCascadeDepth = 64
-	}
 	if o.ComposerBuffer == 0 {
 		o.ComposerBuffer = 1024
 	}
@@ -145,18 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Queue <= 0 {
 		o.Queue = 256
-	}
-	if o.RuleRetries == 0 {
-		o.RuleRetries = 3
-	}
-	if o.RetryBackoff == 0 {
-		o.RetryBackoff = 2 * time.Millisecond
-	}
-	if o.RetryBackoffMax == 0 {
-		o.RetryBackoffMax = 250 * time.Millisecond
-	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
 	}
 	return o
 }
@@ -368,7 +331,7 @@ func New(db *oodb.DB, opts Options) *Engine {
 		opts:       opts,
 		managers:   make(map[string]*Manager),
 		composites: make(map[string]*compositeMgr),
-		hist:       newShardedHistory(opts.GlobalHistorySize),
+		hist:       newShardedHistory(globalHistorySize),
 		temporals:  make(map[*TemporalHandle]struct{}),
 		reg:        reg,
 		tracer:     tracer,
@@ -378,7 +341,7 @@ func New(db *oodb.DB, opts Options) *Engine {
 	// gauge so the governor sees total history footprint in one read.
 	e.hist.bytes = e.met.historyBytes
 	e.plans.Store(&map[string]*plan{})
-	e.slowLog = obs.NewSlowLog(opts.SlowLogCapacity, opts.SlowLogThreshold)
+	e.slowLog = obs.NewSlowLog(slowLogCapacity, opts.SlowLogThreshold)
 	e.slowLog.Instrument(reg)
 	tracer.SetSlowLog(e.slowLog)
 	e.exec = newExecutor(e)
@@ -605,7 +568,7 @@ func (e *Engine) managerLocked(key string) *Manager {
 	if m, ok := e.managers[key]; ok {
 		return m
 	}
-	m := &Manager{key: key, local: newShardedHistory(e.opts.LocalHistorySize)}
+	m := &Manager{key: key, local: newShardedHistory(localHistorySize)}
 	m.local.bytes = e.met.historyBytes
 	e.managers[key] = m
 	return m
@@ -762,8 +725,8 @@ var ErrCascadeDepth = errors.New("eca: rule cascade depth bound reached")
 // SetCascadeBound installs the static cascade-depth bound computed by
 // whole-ruleset analysis: the longest rule chain a single external
 // event can fire. The effective guard limit is the lower of this bound
-// and Options.MaxCascadeDepth. n <= 0 clears the static bound, leaving
-// only the configured ceiling.
+// and the ceiling of 64. n <= 0 clears the static bound, leaving only
+// the ceiling.
 func (e *Engine) SetCascadeBound(n int) {
 	e.cascadeBound.Store(int64(max(n, 0)))
 }
@@ -772,14 +735,12 @@ func (e *Engine) SetCascadeBound(n int) {
 func (e *Engine) CascadeBound() int { return int(e.cascadeBound.Load()) }
 
 // cascadeLimit resolves the effective depth limit: the lower of the
-// static bound and the configured ceiling; 0 disables the guard.
+// static bound and the ceiling.
 func (e *Engine) cascadeLimit() int {
-	bound := e.CascadeBound()
-	ceiling := max(e.opts.MaxCascadeDepth, 0)
-	if bound > 0 && (ceiling == 0 || bound < ceiling) {
-		return bound
+	if bound := e.CascadeBound(); bound > 0 {
+		return min(bound, maxCascadeDepth)
 	}
-	return ceiling
+	return maxCascadeDepth
 }
 
 // trigger resolves the live transaction an instance was raised in: a
@@ -873,11 +834,11 @@ func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	st := ensureTxnState(owner.Top())
 	st.mu.Lock()
 	if !st.histClosed {
-		// Only the newest GlobalHistorySize occurrences can survive the
+		// Only the newest globalHistorySize occurrences can survive the
 		// hand-off; a transaction raising more keeps memory bounded by
 		// shedding the older half now.
-		if keep := max(e.opts.GlobalHistorySize, 1); len(st.hist) >= 2*keep {
-			st.hist = st.hist[:copy(st.hist, st.hist[len(st.hist)-keep:])]
+		if len(st.hist) >= 2*globalHistorySize {
+			st.hist = st.hist[:copy(st.hist, st.hist[len(st.hist)-globalHistorySize:])]
 		}
 		st.hist = append(st.hist, entry)
 	}
@@ -898,7 +859,7 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 	// rules. It trips only when rules would actually fire, so deep but
 	// inert events pass through, and it vetoes before any coupling mode
 	// has enqueued or spawned work.
-	if limit := e.cascadeLimit(); limit > 0 && in.Depth >= limit {
+	if limit := e.cascadeLimit(); in.Depth >= limit {
 		e.met.cascadeTrips.Inc()
 		e.span(in.Trace, "cascade-depth", in.SpecKey, e.clk.Now())
 		return fmt.Errorf("eca: event %s at cascade depth %d would fire %d rule(s) past the bound %d: %w",

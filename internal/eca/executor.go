@@ -243,7 +243,7 @@ func (x *executor) recordSuccess(rule string) {
 // recordFailure counts a permanent failure against the rule's
 // breaker, trips it at the threshold, and dead-letters the firing.
 func (x *executor) recordFailure(r *Rule, in *event.Instance, attempts int, err error, reason string) {
-	threshold := ruleSetting(r.Breaker, x.e.opts.BreakerThreshold)
+	threshold := ruleSetting(r.Breaker, breakerThreshold)
 	now := x.e.clk.Now()
 	x.mu.Lock()
 	b := x.breakers[r.Name]
@@ -331,7 +331,7 @@ func (x *executor) evictRule(name string) {
 func (x *executor) runJob(job ruleJob) {
 	e := x.e
 	r := job.rule
-	maxAttempts := 1 + ruleSetting(r.Retries, e.opts.RuleRetries)
+	maxAttempts := 1 + ruleSetting(r.Retries, ruleRetries)
 	start := e.clk.Now()
 	t, veto := job.t, job.veto
 	var err error
@@ -405,7 +405,7 @@ func failReason(err error) string {
 func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 	e := x.e
 	ctx := context.Background()
-	if d := ruleSetting(r.Timeout, e.opts.RuleTimeout); d > 0 {
+	if d := r.Timeout; d > 0 {
 		var cancel context.CancelCauseFunc
 		ctx, cancel = context.WithCancelCause(ctx)
 		defer cancel(nil)
@@ -432,10 +432,13 @@ func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 // retry; it returns false when draining began, telling the caller to
 // abandon the retry budget.
 func (x *executor) backoff(attempt int) bool {
-	d := x.e.opts.RetryBackoff << uint(attempt-1)
-	if max := x.e.opts.RetryBackoffMax; d > max {
-		d = max
+	// Double up to the cap, never past it: a shift by attempt-1 would
+	// overflow for a large retry budget.
+	d := retryBackoff
+	for i := 1; i < attempt && d < retryBackoffMax; i++ {
+		d *= 2
 	}
+	d = min(d, retryBackoffMax)
 	x.mu.Lock()
 	x.jitterSeq++
 	z := x.jitterSeq + 0x9e3779b97f4a7c15
@@ -572,14 +575,30 @@ func triggers(in *event.Instance, visit func(*txn.Txn) bool) {
 	})
 }
 
-// ruleSetting resolves one of a rule's executor settings (deadline,
-// retry budget, breaker threshold): the rule's own value, else the
-// engine default; negative disables, which resolves to 0.
-func ruleSetting[T int | time.Duration](rule, engine T) T {
+// The detached-rule settings a rule's own clauses override
+// (Rule.Retries, Rule.Breaker); a rule has no deadline unless its
+// Timeout sets one.
+const (
+	// ruleRetries is the retry budget after a retriable abort
+	// (deadlock, cancelled lock wait).
+	ruleRetries = 3
+	// breakerThreshold trips a rule's circuit breaker after this many
+	// consecutive permanent failures, parking the rule until re-armed.
+	breakerThreshold = 5
+	// retryBackoff is the first retry's backoff; each further retry
+	// doubles it up to retryBackoffMax, plus deterministic jitter.
+	retryBackoff    = 2 * time.Millisecond
+	retryBackoffMax = 250 * time.Millisecond
+)
+
+// ruleSetting resolves one of a rule's executor settings (retry
+// budget, breaker threshold): the rule's own value, else the default;
+// negative disables, which resolves to 0.
+func ruleSetting(rule, def int) int {
 	if rule != 0 {
 		return max(rule, 0)
 	}
-	return max(engine, 0)
+	return def
 }
 
 // WaitDetached blocks until every accepted detached rule execution

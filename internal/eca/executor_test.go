@@ -72,10 +72,7 @@ func fireOnce(t *testing.T, db *oodb.DB, obj *oodb.Object) {
 // and verifies the victim is retried with backoff until it succeeds:
 // retries counted, no dead letters, breakers untouched.
 func TestDetachedDeadlockRetry(t *testing.T) {
-	e, db := newExecEngine(t, Options{
-		RetryBackoff:    time.Millisecond,
-		RetryBackoffMax: 5 * time.Millisecond,
-	}, clock.NewReal())
+	e, db := newExecEngine(t, Options{}, clock.NewReal())
 	objA := newSensor(t, db)
 	objB := newSensor(t, db)
 
@@ -127,15 +124,13 @@ func TestDetachedDeadlockRetry(t *testing.T) {
 // always aborts as a deadlock victim and verifies the dead-letter
 // record: reason, attempt count, retry metric.
 func TestDetachedRetriesExhausted(t *testing.T) {
-	e, db := newExecEngine(t, Options{
-		RuleRetries:  2,
-		RetryBackoff: time.Millisecond,
-	}, clock.NewReal())
+	e, db := newExecEngine(t, Options{}, clock.NewReal())
 	obj := newSensor(t, db)
 
 	var attempts atomic.Int32
 	if err := e.AddRule(&Rule{
 		Name: "victim", EventKey: pingKey(), ActionMode: Detached,
+		Retries: 2,
 		Action: func(rc *RuleCtx) error {
 			attempts.Add(1)
 			return fmt.Errorf("forced: %w", txn.ErrDeadlock)
@@ -162,17 +157,46 @@ func TestDetachedRetriesExhausted(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffCapped pins the backoff of a long retry budget: past
+// the doubling steps every retry sleeps the cap (plus jitter), never
+// less — the doubling must not overflow into a short or zero sleep.
+func TestRetryBackoffCapped(t *testing.T) {
+	e, _, vc := newTestEngine(t, Options{})
+	for _, attempt := range []int{8, 44, 58, 60} {
+		base := vc.PendingTimers()
+		done := make(chan bool, 1)
+		go func() { done <- e.exec.backoff(attempt) }()
+		for vc.PendingTimers() == base {
+			runtime.Gosched()
+		}
+		vc.Advance(retryBackoffMax - time.Nanosecond)
+		if vc.PendingTimers() == base {
+			t.Fatalf("backoff(%d) woke before the clock moved by the cap %v", attempt, retryBackoffMax)
+		}
+		vc.Advance(retryBackoffMax / 4)
+		select {
+		case ok := <-done:
+			if !ok {
+				t.Fatalf("backoff(%d) reported draining", attempt)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("backoff(%d) still asleep past cap plus jitter", attempt)
+		}
+	}
+}
+
 // TestBreakerTripAndRearm walks a permanently failing rule through
 // the breaker lifecycle: consecutive failures trip it at the
 // threshold, spawns are then rejected straight to the dead-letter
 // queue, and RearmRule closes it again.
 func TestBreakerTripAndRearm(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{BreakerThreshold: 2})
+	e, db, _ := newTestEngine(t, Options{})
 	obj := newSensor(t, db)
 
 	var runs atomic.Int32
 	if err := e.AddRule(&Rule{
 		Name: "perma", EventKey: pingKey(), ActionMode: Detached,
+		Breaker: 2,
 		Action: func(rc *RuleCtx) error {
 			runs.Add(1)
 			return errors.New("permanent failure")
@@ -799,14 +823,7 @@ func TestExecutorStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	registerSensor(t, db)
-	e := New(db, Options{
-		Workers:          4,
-		Queue:            8,
-		RuleRetries:      2,
-		RetryBackoff:     time.Millisecond,
-		RetryBackoffMax:  4 * time.Millisecond,
-		BreakerThreshold: 1 << 20, // keep failing rules flowing
-	})
+	e := New(db, Options{Workers: 4, Queue: 8})
 	t.Cleanup(e.Close)
 	govern(t, e, e.DetachedQueue())
 	obj := newSensor(t, db)
@@ -824,6 +841,8 @@ func TestExecutorStress(t *testing.T) {
 	var seq atomic.Int64
 	if err := e.AddRule(&Rule{
 		Name: "mixed", EventKey: pingKey(), ActionMode: Detached,
+		Retries: 2,
+		Breaker: 1 << 20, // keep failing rules flowing
 		Action: func(rc *RuleCtx) error {
 			defer completions.Add(1)
 			switch seq.Add(1) % 11 {

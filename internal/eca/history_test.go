@@ -72,18 +72,19 @@ func TestGlobalHistoryKeepsMoreThanLocalRing(t *testing.T) {
 // A neighbour wrapping the shared local ring first costs a transaction
 // nothing.
 func TestGlobalHistoryInterleavedTxnsOnHotKey(t *testing.T) {
-	e, db, obj := historyEngine(t, Options{LocalHistorySize: 16})
+	e, db, obj := historyEngine(t, Options{})
 	other := newSensor(t, db)
 	a, b := db.Begin(), db.Begin()
-	for i := 0; i < 40; i++ {
+	const n = localHistorySize * 5 / 2 // each wraps the shared ring
+	for i := 0; i < n; i++ {
 		ping(t, db, a, obj, 1)
 		ping(t, db, b, other, 1)
 	}
 	if err := a.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(globalOf(t, e, a.ID())); got != 40 {
-		t.Fatalf("first transaction: %d of 40 occurrences in the global history", got)
+	if got := len(globalOf(t, e, a.ID())); got != n {
+		t.Fatalf("first transaction: %d of %d occurrences in the global history", got, n)
 	}
 	if got := len(globalOf(t, e, b.ID())); got != 0 {
 		t.Fatalf("uncommitted transaction already has %d global entries", got)
@@ -91,8 +92,8 @@ func TestGlobalHistoryInterleavedTxnsOnHotKey(t *testing.T) {
 	if err := b.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(globalOf(t, e, b.ID())); got != 40 {
-		t.Fatalf("second transaction: %d of 40 occurrences in the global history", got)
+	if got := len(globalOf(t, e, b.ID())); got != n {
+		t.Fatalf("second transaction: %d of %d occurrences in the global history", got, n)
 	}
 }
 
@@ -108,50 +109,60 @@ func TestGlobalHistoryTakesAbortedTxn(t *testing.T) {
 	}
 }
 
-// The global ring keeps exactly the newest GlobalHistorySize
+// The global ring keeps exactly the newest globalHistorySize
 // occurrences handed to it, oldest evicted first — also when one
 // transaction hands over more than the ring holds.
 func TestGlobalHistoryEvictionOrder(t *testing.T) {
-	e, db, obj := historyEngine(t, Options{GlobalHistorySize: 8})
+	const g = globalHistorySize
+	e, db, obj := historyEngine(t, Options{})
+	// The local ring is smaller than the global one: record the
+	// occurrences as they fire instead.
+	var raised []uint64
+	if err := e.AddRule(&Rule{
+		Name: "seqs", EventKey: pingKey(), ActionMode: Immediate,
+		Action: func(rc *RuleCtx) error { raised = append(raised, rc.Trigger.Seq); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
 	var want []uint64
-	for _, n := range []int{3, 4, 5} {
+	for _, n := range []int{3 * g / 8, 4 * g / 8, 5 * g / 8} {
 		tx := db.Begin()
 		ping(t, db, tx, obj, n)
 		if err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, globalOf(t, e, tx.ID())...)
-		want = want[max(0, len(want)-8):]
+		want = want[max(0, len(want)-g):]
 		got := e.GlobalHistory()
 		if len(got) != len(want) {
 			t.Fatalf("global history = %d entries, want %d", len(got), len(want))
 		}
 		for i, en := range got {
 			if en.Seq != want[i] {
-				t.Fatalf("global history[%d].Seq = %d, want %d (newest 8 in order)", i, en.Seq, want[i])
+				t.Fatalf("global history[%d].Seq = %d, want %d (newest %d in order)", i, en.Seq, want[i], g)
 			}
 		}
 	}
 	big := db.Begin()
-	ping(t, db, big, obj, 40) // sheds its own oldest occurrences while it runs
+	raised = raised[:0]
+	ping(t, db, big, obj, 5*g) // sheds its own oldest occurrences while it runs
 	if err := big.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	local := e.planFor(pingKey()).m.LocalHistory()
 	got := e.GlobalHistory()
-	if len(got) != 8 {
-		t.Fatalf("global history = %d entries, want 8", len(got))
+	if len(got) != g {
+		t.Fatalf("global history = %d entries, want %d", len(got), g)
 	}
 	for i, en := range got {
-		if w := local[len(local)-8+i]; en.Seq != w.Seq || en.Txn != big.ID() {
-			t.Fatalf("global history[%d] = %+v, want the transaction's occurrence %d", i, en, w.Seq)
+		if w := raised[len(raised)-g+i]; en.Seq != w || en.Txn != big.ID() {
+			t.Fatalf("global history[%d] = %+v, want the transaction's occurrence %d", i, en, w)
 		}
 	}
 }
 
 // The governor's history gauge is the footprint of what the rings hold.
 func TestHistoryBytesMatchesRings(t *testing.T) {
-	e, db, obj := historyEngine(t, Options{LocalHistorySize: 16, GlobalHistorySize: 32})
+	e, db, obj := historyEngine(t, Options{})
 	check := func(when string) {
 		t.Helper()
 		var want int64
@@ -170,7 +181,8 @@ func TestHistoryBytesMatchesRings(t *testing.T) {
 		}
 	}
 	check("empty")
-	for i, n := range []int{5, 20, 50} {
+	// The second transaction wraps the local ring, the third the global.
+	for i, n := range []int{5, localHistorySize + 4, globalHistorySize + 18} {
 		tx := db.Begin()
 		ping(t, db, tx, obj, n)
 		check("mid-transaction")

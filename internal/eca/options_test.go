@@ -162,22 +162,22 @@ func TestUnsafeImmediateCompositeSync(t *testing.T) {
 // TestHistoryRingBounded verifies local history rings respect their
 // capacity.
 func TestHistoryRingBounded(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{LocalHistorySize: 8})
+	e, db, _ := newTestEngine(t, Options{})
 	obj := newSensor(t, db)
 	e.AddRule(&Rule{
 		Name: "r", EventKey: pingKey(), ActionMode: Immediate,
 		Action: func(*RuleCtx) error { return nil },
 	})
 	tx := db.Begin()
-	for i := 0; i < 30; i++ {
+	for i := 0; i < localHistorySize+22; i++ {
 		db.Invoke(tx, obj, "ping", int64(i))
 	}
 	m := e.planFor(pingKey()).m
 	hist := m.LocalHistory()
-	if len(hist) != 8 {
-		t.Fatalf("local history = %d entries, want 8 (ring capacity)", len(hist))
+	if len(hist) != localHistorySize {
+		t.Fatalf("local history = %d entries, want %d (ring capacity)", len(hist), localHistorySize)
 	}
-	// Oldest retained entries are the most recent 8 occurrences.
+	// Oldest retained entries are the most recent occurrences.
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Seq <= hist[i-1].Seq {
 			t.Fatal("history not in occurrence order")

@@ -80,14 +80,14 @@ type Rule struct {
 	// Disabled rules stay registered but never fire.
 	Disabled bool
 
-	// Timeout bounds each detached attempt of this rule; 0 uses the
-	// engine's RuleTimeout, negative disables the deadline.
+	// Timeout bounds each detached attempt of this rule; 0 or negative
+	// means no deadline.
 	Timeout time.Duration
 	// Retries is this rule's retry budget for retriable aborts; 0 uses
-	// the engine's RuleRetries, negative disables retries.
+	// the default of 3, negative disables retries.
 	Retries int
 	// Breaker is this rule's circuit-breaker threshold; 0 uses the
-	// engine's BreakerThreshold, negative disables the breaker.
+	// default of 5, negative disables the breaker.
 	Breaker int
 
 	// registration metadata, for tie-breaking (§6.4).

@@ -152,8 +152,8 @@ type Options struct {
 	// deadline; nil selects the real clock.
 	Clock clock.Clock
 	// Metrics binds the governor's health gauge, transition counters,
-	// and shed counters into a shared registry; nil keeps them
-	// standalone.
+	// and shed counters into a shared registry; nil creates a private
+	// registry.
 	Metrics *obs.Registry
 	// Disabled turns the governor into a pass-through: always healthy,
 	// every admission granted, nothing shed. The ablation arm of the
@@ -224,27 +224,21 @@ func New(opts Options) *Governor {
 		clk:     opts.Clock,
 		waiters: make(chan struct{}),
 	}
-	if reg := opts.Metrics; reg != nil {
-		g.stateG = reg.Gauge("reach_governor_state",
-			"Overload governor health state (0 healthy, 1 degraded, 2 shedding, 3 read-only).")
-		const tr, trHelp = "reach_governor_transitions_total",
-			"Governor health-state transitions, by destination state."
-		const sh, shHelp = "reach_governor_shed_total",
-			"Work shed by the governor, by class (detached firing, deferred batch entry, writer admission)."
-		for s := Healthy; s <= ReadOnly; s++ {
-			g.transitions[s] = reg.Counter(tr, trHelp, "to", s.String())
-		}
-		for c := ClassDetached; c <= ClassWriter; c++ {
-			g.sheds[c] = reg.Counter(sh, shHelp, "class", c.String())
-		}
-	} else {
-		g.stateG = new(obs.Gauge)
-		for s := Healthy; s <= ReadOnly; s++ {
-			g.transitions[s] = new(obs.Counter)
-		}
-		for c := ClassDetached; c <= ClassWriter; c++ {
-			g.sheds[c] = new(obs.Counter)
-		}
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	g.stateG = reg.Gauge("reach_governor_state",
+		"Overload governor health state (0 healthy, 1 degraded, 2 shedding, 3 read-only).")
+	const tr, trHelp = "reach_governor_transitions_total",
+		"Governor health-state transitions, by destination state."
+	const sh, shHelp = "reach_governor_shed_total",
+		"Work shed by the governor, by class (detached firing, deferred batch entry, writer admission)."
+	for s := Healthy; s <= ReadOnly; s++ {
+		g.transitions[s] = reg.Counter(tr, trHelp, "to", s.String())
+	}
+	for c := ClassDetached; c <= ClassWriter; c++ {
+		g.sheds[c] = reg.Counter(sh, shHelp, "class", c.String())
 	}
 	return g
 }

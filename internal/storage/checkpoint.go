@@ -21,9 +21,6 @@ type CheckpointOptions struct {
 	// appended to the log since the last checkpoint, one is scheduled.
 	// Zero selects 8 MiB.
 	WALBytes int64
-	// DegradedAfter is how many consecutive checkpoint failures flip
-	// the store's health to degraded. Zero selects 3.
-	DegradedAfter int
 	// Clock paces the background checkpointer; nil selects the real
 	// clock. Tests inject a virtual clock.
 	Clock clock.Clock
@@ -36,9 +33,6 @@ func (o CheckpointOptions) withDefaults() CheckpointOptions {
 	if o.WALBytes <= 0 {
 		o.WALBytes = 8 << 20
 	}
-	if o.DegradedAfter <= 0 {
-		o.DegradedAfter = 3
-	}
 	if o.Clock == nil {
 		o.Clock = clock.NewReal()
 	}
@@ -48,6 +42,10 @@ func (o CheckpointOptions) withDefaults() CheckpointOptions {
 // checkpointBackoff is the background checkpointer's retry delay after
 // a failed checkpoint; it doubles per consecutive failure up to 8x.
 const checkpointBackoff = time.Second
+
+// checkpointDegradedAfter is how many consecutive checkpoint failures
+// flip the store's health to degraded.
+const checkpointDegradedAfter = 3
 
 // errCkptIdle is the internal "nothing to do" outcome: the log has not
 // grown since the last completed checkpoint. It never escapes
@@ -232,7 +230,7 @@ func (s *Store) noteCheckpoint(err error) {
 	s.ckptErr.Inc()
 	s.ckptConsecFails++
 	s.ckptLastErr = err.Error()
-	if s.ckptConsecFails >= s.copts.DegradedAfter && !s.ckptDegradedFlag {
+	if s.ckptConsecFails >= checkpointDegradedAfter && !s.ckptDegradedFlag {
 		s.ckptDegradedFlag = true
 		s.ckptDegraded.Set(1)
 	}
@@ -317,7 +315,7 @@ func (s *Store) stopCheckpointer() {
 
 // CheckpointHealth is the durability health surface: totals, the
 // consecutive-failure streak, and the degraded flag that flips after
-// CheckpointOptions.DegradedAfter straight failures.
+// checkpointDegradedAfter (3) straight failures.
 type CheckpointHealth struct {
 	Checkpoints         uint64 `json:"checkpoints"`
 	Failures            uint64 `json:"failures"`

@@ -94,14 +94,13 @@ func TestCheckpointFailureSitesRecoverable(t *testing.T) {
 }
 
 // TestCheckpointRepeatedFailureDegrades pins the health protocol:
-// DegradedAfter consecutive failures flip the store to degraded, and
-// one success clears the streak and the flag.
+// checkpointDegradedAfter consecutive failures flip the store to
+// degraded, and one success clears the streak and the flag.
 func TestCheckpointRepeatedFailureDegrades(t *testing.T) {
 	defer fault.DisarmAll()
 	fs := fault.NewShadowFS()
 	s, err := Open("db", Options{
 		FS: fs, BufferPoolPages: 4,
-		Checkpoint: CheckpointOptions{DegradedAfter: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +110,14 @@ func TestCheckpointRepeatedFailureDegrades(t *testing.T) {
 	if err := fault.Arm(fault.SiteCkptMaster, "error"); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < checkpointDegradedAfter; i++ {
 		if err := s.Checkpoint(); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("Checkpoint %d = %v, want injected error", i, err)
 		}
 	}
 	h := s.CheckpointHealth()
-	if !h.Degraded || h.ConsecutiveFailures != 2 || h.LastError == "" {
-		t.Fatalf("health after 2 failures = %+v, want degraded", h)
+	if !h.Degraded || h.ConsecutiveFailures != checkpointDegradedAfter || h.LastError == "" {
+		t.Fatalf("health after %d failures = %+v, want degraded", checkpointDegradedAfter, h)
 	}
 	if st := s.Stats(); !st.CheckpointDegraded {
 		t.Fatal("Stats does not surface degraded checkpointing")
