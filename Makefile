@@ -64,32 +64,19 @@ analyze:
 	$(GO) run ./cmd/rulec -analyze examples/*/rules/*.rules
 	$(GO) run ./cmd/rulec -analyze cmd/rulec/testdata/cycle_suppressed.rules
 
-# crash runs the crash-consistency matrix (every workload — including
-# the fuzzy-checkpoint and rotation scripts — crashed at every
-# write/fsync boundary, clean and WAL-torn, with second crashes during
-# recovery), the checkpoint-site fault-injection sweep, and a short
-# fuzz of the WAL record decoder.
+# crash runs a short fuzz of the WAL record decoder. The crash matrix,
+# its self-test and the checkpoint-site fault sweep run in test, and
+# under the race detector in race-procs.
 crash:
-	$(GO) test -timeout 120s ./internal/fault/... -run 'TestCrashMatrix|TestHarnessCatchesLostCommit' -count=1
-	$(GO) test -timeout 120s ./internal/storage -run 'TestCheckpointFailureSites|TestCheckpointRepeatedFailure' -count=1
 	$(GO) test -timeout 120s ./internal/storage -run FuzzReadRecord -fuzz FuzzReadRecord -fuzztime 10s
 
-# stress hammers the supervised rule executor under the race detector:
-# mixed panicking/deadlocking/failing rules, WAL fault injection armed,
-# plus the Drain/WaitDetached race and crash-consistency invariants, in
-# short mode so the whole target stays CI-sized. The storage leg
-# asserts the WAL-growth bound: segment chains stay short under
-# sustained traffic with checkpoints. The lock-manager leg repeats the
-# lock-head recycling hammer (grant, release, inherit, park, wake,
-# deadlock victims and cancellation by another goroutine on one
-# stripe) and a child's commit racing its parent's abort.
+# stress repeats the lock-head recycling hammer (grant, release,
+# inherit, park, wake, deadlock victims and cancellation by another
+# goroutine on one stripe) and a child's commit racing its parent's
+# abort, five times under the race detector. The executor stress and
+# the storage growth and checkpoint tests run under the race detector
+# in race-procs.
 stress:
-	$(GO) test -race -short -timeout 120s -count=1 \
-		-run 'TestExecutorStress|TestDrainWaitDetachedRace|TestDetachedRuleFaultInjection|TestDetachedDeadlockRetry' \
-		./internal/eca
-	$(GO) test -race -timeout 120s -count=1 \
-		-run 'TestWALGrowthBounded|TestStoreCheckpointWithActiveTxn|TestBackgroundCheckpointer' \
-		./internal/storage
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
 		./internal/txn

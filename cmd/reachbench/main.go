@@ -151,6 +151,9 @@ func printTable1() {
 		fmt.Println()
 	}
 	fmt.Println("(regenerated from eca.Supported; verified cell-for-cell against the paper)")
+	fmt.Println("(all commit / all abort range over the constituents with a transaction: temporal")
+	fmt.Println(" constituents contribute nothing, and no occurrence from before a restart reaches")
+	fmt.Println(" a composer after it, since semi-composed state lives only in memory)")
 }
 
 func printFigure1() {

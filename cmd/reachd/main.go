@@ -48,8 +48,6 @@ func main() {
 	workers := flag.Int("workers", 0, "detached-rule executor worker pool size (<= 0 = default 8)")
 	queue := flag.Int("queue", 0, "detached-rule executor queue capacity (<= 0 = default 256)")
 	slowThreshold := flag.Duration("slow-threshold", 250*time.Millisecond, "promote traces slower than this into the slow log (0 disables)")
-	noGroupCommit := flag.Bool("no-group-commit", false, "fsync every commit individually instead of batching concurrent forces (ablation / debugging)")
-	gov := flag.Bool("governor", true, "enable the overload governor (false = ablation: no admission control or shedding)")
 	admitDeadline := flag.Duration("admit-deadline", 0, "how long a new write transaction may queue while shedding before ErrOverloaded (0 = default 250ms)")
 	flag.Parse()
 
@@ -59,8 +57,6 @@ func main() {
 		SlowLogThreshold: *slowThreshold,
 	}
 	opts := reach.Options{Dir: *dir, Engine: engineOpts}
-	opts.DB.Storage.DisableGroupCommit = *noGroupCommit
-	opts.Governor.Disabled = !*gov
 	opts.Governor.AdmitDeadline = *admitDeadline
 	sys, err := reach.Open(opts)
 	if err != nil {

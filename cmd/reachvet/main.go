@@ -1,25 +1,26 @@
 // reachvet runs the REACH-specific static-analysis suite over the
-// module: clockusage, lockdiscipline, rawatomics, couplingtable, and
-// errsink (see internal/lint). It prints file:line:col diagnostics
-// and exits nonzero when any finding survives the //lint:allow
-// suppressions.
+// module: clockusage, lockdiscipline, rawatomics, couplingtable,
+// errsink and nakedgo (lint.Suite, see internal/lint). It prints
+// file:line:col diagnostics and exits nonzero when any finding
+// survives the lint:allow suppressions.
 //
 //	reachvet [-only a,b] [-list] [-json] [dir ...]
 //
 // With no directories it analyzes every package of the module
 // containing the working directory. -json emits the findings as a
-// JSON array of {file, line, col, analyzer, message} objects for CI
-// and editor integration.
+// JSON array of {file, line, col, analyzer, severity, message}
+// objects, the shape rulec -json also emits, for CI and editor
+// integration.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
+	"repro/internal/finding"
 	"repro/internal/lint"
 )
 
@@ -98,26 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	findings := lint.Run(pkgs, suite)
 	if *jsonOut {
-		type jsonFinding struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Col      int    `json:"col"`
-			Analyzer string `json:"analyzer"`
-			Msg      string `json:"message"`
-		}
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Msg:      f.Msg,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := finding.WriteJSON(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "reachvet: %v\n", err)
 			return 2
 		}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/lint"
 )
 
 func TestList(t *testing.T) {
@@ -12,9 +14,9 @@ func TestList(t *testing.T) {
 	if exit := run([]string{"-list"}, &out, &errw); exit != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", exit, errw.String())
 	}
-	for _, name := range []string{"clockusage", "lockdiscipline", "rawatomics", "couplingtable", "errsink"} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
+	for _, a := range lint.Suite() {
+		if !strings.Contains(out.String(), a.Name) {
+			t.Errorf("-list output missing %s:\n%s", a.Name, out.String())
 		}
 	}
 }

@@ -18,37 +18,27 @@
 //
 //	# lint:allow termination operators bound this loop via the interlock
 //
-// -json emits vet and analysis findings as a JSON array for CI and
-// editors; -dot writes the triggering graph in Graphviz dot syntax.
+// -json emits vet and analysis findings as one JSON array of
+// {file, line, rule, analyzer, severity, message} objects, the shape
+// reachvet -json also emits; -dot writes the triggering graph in
+// Graphviz dot syntax.
 //
 //	rulec [-vet] [-analyze] [-json] [-dot out.dot] file.rules [file2.rules ...]
 //	echo 'rule R { ... };' | rulec -
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
 	reach "repro"
+	"repro/internal/finding"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
-}
-
-// jsonFinding is the machine-readable diagnostic shape shared by -vet
-// and -analyze output: file, line, analyzer, message (plus rule and
-// severity when known).
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Rule     string `json:"rule,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
-	Msg      string `json:"message"`
 }
 
 type ruleFile struct {
@@ -100,30 +90,25 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		files = append(files, ruleFile{path: path, src: string(src), decls: decls})
 	}
 
-	var findings []jsonFinding
+	var findings []finding.Finding
 
 	if *vet {
 		vetter := reach.NewRuleVetter()
 		for _, f := range files {
 			diags := vetter.Vet(f.path, f.decls)
-			for _, d := range diags {
-				findings = append(findings, jsonFinding{
-					File: d.File, Line: d.Line, Rule: d.Rule,
-					Analyzer: "vet", Severity: "error", Msg: d.Msg,
-				})
+			findings = append(findings, diags...)
+			switch {
+			case len(diags) > 0:
 				exit = 1
-			}
-			if *jsonOut {
-				continue
-			}
-			if len(diags) > 0 {
-				for _, d := range diags {
-					fmt.Fprintln(stderr, d)
+				if !*jsonOut {
+					for _, d := range diags {
+						fmt.Fprintln(stderr, d)
+					}
 				}
-				continue
+			case !*jsonOut:
+				fmt.Fprintf(stdout, "%s: %d rule(s) OK (vetted)\n", f.path, len(f.decls))
+				summarize(stdout, f.decls)
 			}
-			fmt.Fprintf(stdout, "%s: %d rule(s) OK (vetted)\n", f.path, len(f.decls))
-			summarize(stdout, f.decls)
 		}
 	}
 
@@ -136,18 +121,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		res := az.Run(nil)
 		errs, warns := 0, 0
+		findings = append(findings, res.Findings...)
 		for _, f := range res.Findings {
-			sev := f.Severity.String()
 			if f.Severity == reach.RuleError {
 				errs++
 				exit = 1
 			} else {
 				warns++
 			}
-			findings = append(findings, jsonFinding{
-				File: f.File, Line: f.Line, Rule: f.Rule,
-				Analyzer: f.Analyzer, Severity: sev, Msg: f.Msg,
-			})
 			if !*jsonOut {
 				fmt.Fprintln(stderr, f)
 			}
@@ -175,12 +156,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
-		if err := enc.Encode(findings); err != nil {
+		if err := finding.WriteJSON(stdout, findings); err != nil {
 			fmt.Fprintf(stderr, "rulec: %v\n", err)
 			return 1
 		}

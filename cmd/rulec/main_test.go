@@ -109,8 +109,8 @@ func TestAnalyzeRejectsImmediateCycle(t *testing.T) {
 	checkGolden(t, "cycle_imm.golden", stderr)
 }
 
-// TestAnalyzeSuppressedCyclePasses: the same set with a justified
-// lint:allow comment is accepted.
+// TestAnalyzeSuppressedCyclePasses: the same set is accepted once a
+// justified lint:allow comment covers the cycle.
 func TestAnalyzeSuppressedCyclePasses(t *testing.T) {
 	stdout, stderr, exit := runRulec(t, "-analyze", filepath.Join("testdata", "cycle_suppressed.rules"))
 	if exit != 0 {

@@ -15,6 +15,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/eca"
 	"repro/internal/fault"
+	"repro/internal/finding"
 	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/oodb"
@@ -267,7 +268,7 @@ func (s *System) LoadRules(src string) (*rules.Loaded, error) {
 	if s.strictRules && res.HasErrors() {
 		var msgs []string
 		for _, f := range res.Findings {
-			if f.Severity == analysis.Error {
+			if f.Severity == finding.Error {
 				msgs = append(msgs, f.String())
 			}
 		}

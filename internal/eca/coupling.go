@@ -68,6 +68,20 @@ func (c Coupling) Detachedness() bool {
 	return false
 }
 
+// Phase ranks the mode by when it runs relative to the triggering
+// transaction: 0 immediate, 1 deferred (at EOT), 2 every detached
+// mode. A rule's condition may not run in a later phase than its
+// action, and only rules in the same phase compete for firing order.
+func (c Coupling) Phase() int {
+	switch c {
+	case Immediate:
+		return 0
+	case Deferred:
+		return 1
+	}
+	return 2
+}
+
 // Couplings lists all six modes in the paper's Table 1 row order.
 func Couplings() []Coupling {
 	return []Coupling{

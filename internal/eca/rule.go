@@ -108,19 +108,6 @@ func (r *Rule) condMode() Coupling {
 	return r.CondMode
 }
 
-// couplingOrder ranks modes by how early they run, for the CondMode ≤
-// ActionMode validation.
-func couplingOrder(c Coupling) int {
-	switch c {
-	case Immediate:
-		return 0
-	case Deferred:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // validate checks internal consistency (admission against Table 1 is
 // done by the engine, which knows the event's category).
 func (r *Rule) validate() error {
@@ -136,12 +123,11 @@ func (r *Rule) validate() error {
 	if r.ActionMode == 0 {
 		return fmt.Errorf("eca: rule %s needs an action coupling mode", r.Name)
 	}
-	if couplingOrder(r.condMode()) > couplingOrder(r.ActionMode) {
+	if r.condMode().Phase() > r.ActionMode.Phase() {
 		return fmt.Errorf("eca: rule %s: condition mode %v later than action mode %v",
 			r.Name, r.condMode(), r.ActionMode)
 	}
-	if r.condMode().Detachedness() != r.ActionMode.Detachedness() &&
-		couplingOrder(r.condMode()) >= 2 {
+	if r.condMode().Detachedness() && !r.ActionMode.Detachedness() {
 		return fmt.Errorf("eca: rule %s: detached condition with non-detached action", r.Name)
 	}
 	return nil

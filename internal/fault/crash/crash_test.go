@@ -68,15 +68,27 @@ func TestWorkloadsCompleteWithoutCrash(t *testing.T) {
 	}
 }
 
+// lyingFS is a disk whose fsync returns success without making
+// anything durable.
+type lyingFS struct{ fault.FS }
+
+func (l lyingFS) OpenFile(path string) (fault.File, error) {
+	f, err := l.FS.OpenFile(path)
+	return lyingFile{f}, err
+}
+
+type lyingFile struct{ fault.File }
+
+func (lyingFile) Sync() error { return nil }
+
 // TestHarnessCatchesLostCommit is the harness's self-test: a store
 // that loses a committed transaction must fail verification. We
-// simulate the loss by committing, crashing without the WAL force
-// (SyncOnCommit=false), and asserting verify rejects the result when
-// told the commit succeeded.
+// simulate the loss by committing on a lying disk, crashing, and
+// asserting verify rejects the result when told the commit succeeded.
 func TestHarnessCatchesLostCommit(t *testing.T) {
 	fs := fault.NewShadowFS()
 	opts := storeOptions(fs)
-	opts.SyncOnCommit = storage.Bool(false) // deliberately break durability
+	opts.FS = lyingFS{fs} // deliberately break durability
 	st, err := storage.Open(storeDir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -142,7 +142,6 @@ func storeOptions(fs *fault.ShadowFS) storage.Options {
 	return storage.Options{
 		FS:              fs,
 		BufferPoolPages: 4, // tiny pool: every run exercises eviction writes
-		SyncOnCommit:    storage.Bool(true),
 		// Tiny segments: every workload rotates the log several times,
 		// so the matrix crashes inside rotation and pruning too.
 		WALSegmentBytes: 4096,

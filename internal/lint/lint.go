@@ -3,12 +3,13 @@
 // Analyzer encodes one project invariant — determinism (clockusage),
 // deadlock discipline (lockdiscipline), metrics routing (rawatomics),
 // the paper's Table 1 admission matrix (couplingtable), and durability
-// error handling (errsink) — and reports findings with file:line
-// positions. Findings can be suppressed per line with a reviewed
+// error handling (errsink), supervised goroutines (nakedgo) — and
+// reports finding.Findings with file:line:col positions. A reviewed
 //
-//	//lint:allow <analyzer> <justification>
+//	//lint:allow <analyzer>[,<analyzer>…] <justification>
 //
-// comment; a suppression without a justification is itself a finding.
+// comment (package finding's grammar) suppresses the named analyzers'
+// findings on its own line and on the line below it.
 package lint
 
 import (
@@ -16,8 +17,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
+
+	"repro/internal/finding"
 )
 
 // Analyzer is one named check over a package.
@@ -30,32 +32,24 @@ type Analyzer struct {
 	Run func(p *Pass)
 }
 
-// Finding is one diagnostic.
-type Finding struct {
-	Analyzer string
-	Pos      token.Position
-	Msg      string
-}
-
-// String formats the finding as file:line:col: [analyzer] message.
-func (f Finding) String() string {
-	return fmt.Sprintf("%s: [%s] %s", f.Pos, f.Analyzer, f.Msg)
-}
-
 // Pass carries one analyzer's run over one package.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
 
-	findings *[]Finding
+	findings *[]finding.Finding
 }
 
-// Reportf records a finding at pos.
+// Reportf records an error finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.findings = append(*p.findings, Finding{
+	at := p.Pkg.Fset.Position(pos)
+	*p.findings = append(*p.findings, finding.Finding{
+		File:     at.Filename,
+		Line:     at.Line,
+		Col:      at.Column,
 		Analyzer: p.Analyzer.Name,
-		Pos:      p.Pkg.Fset.Position(pos),
-		Msg:      fmt.Sprintf(format, args...),
+		Severity: finding.Error,
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
@@ -83,28 +77,32 @@ func Suite() []*Analyzer {
 }
 
 // Run applies the analyzers to the packages and returns surviving
-// findings sorted by position, with line-level suppressions applied
-// and unjustified or stale suppressions reported.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
-	var all []Finding
+// findings sorted by position, with the packages' lint:allow comments
+// applied and malformed or stale ones reported.
+func Run(pkgs []*Package, analyzers []*Analyzer) []finding.Finding {
+	var all []finding.Finding
+	var allows []finding.Allow
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Pkg: pkg, findings: &all}
 			a.Run(pass)
 		}
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if a, ok := finding.ParseAllow(c.Text); ok {
+						at := pkg.Fset.Position(c.Pos())
+						a.File, a.Line, a.Col = at.Filename, at.Line, at.Column
+						allows = append(allows, a)
+					}
+				}
+			}
+		}
 	}
-	all = applySuppressions(pkgs, all)
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Analyzer < b.Analyzer
+	kept, _ := finding.Apply(all, allows, func(a *finding.Allow, f *finding.Finding) bool {
+		return f.File == a.File && (f.Line == a.Line || f.Line == a.Line+1)
 	})
-	return all
+	return kept
 }
 
 // --- shared type/AST helpers used by the analyzers ---

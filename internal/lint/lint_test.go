@@ -2,18 +2,19 @@ package lint
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/finding"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureFindings loads the fixture module under testdata/src and runs
 // the full suite over it.
-func fixtureFindings(t *testing.T) (string, []Finding) {
+func fixtureFindings(t *testing.T) (string, []finding.Finding) {
 	t.Helper()
 	root, err := filepath.Abs("testdata/src")
 	if err != nil {
@@ -42,11 +43,10 @@ func TestSuiteGolden(t *testing.T) {
 	root, findings := fixtureFindings(t)
 	var buf strings.Builder
 	for _, f := range findings {
-		rel, err := filepath.Rel(root, f.Pos.Filename)
-		if err != nil {
-			rel = f.Pos.Filename
+		if rel, err := filepath.Rel(root, f.File); err == nil {
+			f.File = filepath.ToSlash(rel)
 		}
-		fmt.Fprintf(&buf, "%s:%d: [%s] %s\n", filepath.ToSlash(rel), f.Pos.Line, f.Analyzer, f.Msg)
+		buf.WriteString(f.String() + "\n")
 	}
 	got := buf.String()
 	golden := filepath.Join("testdata", "findings.golden")
@@ -90,7 +90,7 @@ func TestEveryAnalyzerFires(t *testing.T) {
 func TestSuppressionWithJustification(t *testing.T) {
 	_, findings := fixtureFindings(t)
 	for _, f := range findings {
-		if f.Analyzer == "clockusage" && strings.Contains(f.Msg, "time.Sleep") {
+		if f.Analyzer == "clockusage" && strings.Contains(f.Message, "time.Sleep") {
 			t.Errorf("suppressed finding leaked: %s", f)
 		}
 	}
@@ -101,7 +101,7 @@ func TestSuppressionWithJustification(t *testing.T) {
 func TestExemptPackages(t *testing.T) {
 	_, findings := fixtureFindings(t)
 	for _, f := range findings {
-		if strings.Contains(filepath.ToSlash(f.Pos.Filename), "internal/obs/") {
+		if strings.Contains(filepath.ToSlash(f.File), "internal/obs/") {
 			t.Errorf("finding in exempt package: %s", f)
 		}
 	}

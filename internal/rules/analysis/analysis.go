@@ -25,66 +25,23 @@
 //     constituent is neither a registered method/attribute nor raised
 //     by any reachable rule's action.
 //
-// Findings can be suppressed per rule with a reviewed comment in the
-// .rules source — `# lint:allow <analyzer> <justification>` (or the
-// `//` comment form) on the rule's header line or any line above it
-// back to the previous rule; a suppression without a justification is
-// itself an error, and a suppression that allows nothing is reported
-// as stale.
+// Every finding is anchored at the rule whose declaration it concerns.
+// A reviewed comment in the .rules source in package finding's grammar
+// — `# lint:allow <analyzer>[,<analyzer>…] <justification>`, or the
+// `//` form — suppresses the named analyzers' findings on the next rule
+// declared at or below it.
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
 	"repro/internal/eca"
 	"repro/internal/event"
+	"repro/internal/finding"
 	"repro/internal/rules"
 )
-
-// Severity ranks findings: errors gate registration and fail rulec
-// -analyze; warnings are advisory.
-type Severity int
-
-// Finding severities.
-const (
-	Warning Severity = iota + 1
-	Error
-)
-
-// String implements fmt.Stringer.
-func (s Severity) String() string {
-	if s == Error {
-		return "error"
-	}
-	return "warning"
-}
-
-// MarshalJSON encodes the severity as its name.
-func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
-
-// Finding is one analysis diagnostic, anchored at the rule whose
-// declaration it concerns.
-type Finding struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Rule     string   `json:"rule,omitempty"`
-	Analyzer string   `json:"analyzer"`
-	Severity Severity `json:"severity"`
-	Msg      string   `json:"message"`
-}
-
-// String formats the finding as file:line: rule R: [analyzer] message,
-// matching the vet and lint diagnostic styles.
-func (f Finding) String() string {
-	who := ""
-	if f.Rule != "" {
-		who = fmt.Sprintf("rule %s: ", f.Rule)
-	}
-	return fmt.Sprintf("%s:%d: %s[%s] %s: %s", f.File, f.Line, who, f.Analyzer, f.Severity, f.Msg)
-}
 
 // Terminal is one primitive leaf of a rule's event expression.
 type Terminal struct {
@@ -175,8 +132,8 @@ type Cycle struct {
 	Detached bool `json:"detached"`
 	// Guarded is true when a detached cycle crosses a rule with a
 	// timeout or breaker clause, which bounds the cascade at run time.
-	Guarded  bool     `json:"guarded"`
-	Severity Severity `json:"severity"`
+	Guarded  bool             `json:"guarded"`
+	Severity finding.Severity `json:"severity"`
 }
 
 // String renders the cycle path.
@@ -201,7 +158,7 @@ type World struct {
 type Result struct {
 	Graph *Graph
 	// Findings that survived suppression, sorted by (file, line, rule).
-	Findings []Finding
+	Findings []finding.Finding
 	// Suppressed counts findings silenced by justified lint:allow
 	// comments.
 	Suppressed int
@@ -216,7 +173,7 @@ type Result struct {
 // HasErrors reports whether any surviving finding is an error.
 func (r *Result) HasErrors() bool {
 	for _, f := range r.Findings {
-		if f.Severity == Error {
+		if f.Severity == finding.Error {
 			return true
 		}
 	}
@@ -226,23 +183,39 @@ func (r *Result) HasErrors() bool {
 // Analyzer accumulates rule files and analyzes them as one set —
 // cross-file edges are the analysis's reason to exist.
 type Analyzer struct {
-	files []fileSet
+	files  []fileSet
+	allows []finding.Allow
 }
 
 type fileSet struct {
 	name  string
 	decls []*rules.RuleDecl
-	sups  []*suppression
 }
 
 // New returns an empty Analyzer.
 func New() *Analyzer { return &Analyzer{} }
 
 // Add records one parsed rule file. src is the raw source, scanned for
-// lint:allow suppression comments; it may be empty when the source is
-// unavailable (no suppressions then).
+// suppression comments; it may be empty when the source is unavailable
+// (no suppressions then).
 func (a *Analyzer) Add(name, src string, decls []*rules.RuleDecl) {
-	a.files = append(a.files, fileSet{name: name, decls: decls, sups: parseSuppressions(src)})
+	a.files = append(a.files, fileSet{name: name, decls: decls})
+	for i, line := range strings.Split(src, "\n") {
+		allow, ok := finding.ParseAllow(line)
+		if !ok {
+			continue
+		}
+		allow.File, allow.Line = name, i+1
+		// The allow covers the nearest rule declared at or below it; a
+		// trailing comment covers nothing.
+		best := 0
+		for _, d := range decls {
+			if d.Line >= allow.Line && (best == 0 || d.Line < best) {
+				best, allow.Rule = d.Line, d.Name
+			}
+		}
+		a.allows = append(a.allows, allow)
+	}
 }
 
 // Analyze is the single-file convenience wrapper.
@@ -257,12 +230,13 @@ func Analyze(name, src string, decls []*rules.RuleDecl, w *World) *Result {
 func (a *Analyzer) Run(w *World) *Result {
 	g := a.buildGraph()
 	res := &Result{Graph: g}
-	var raw []Finding
+	var raw []finding.Finding
 	raw = append(raw, a.termination(g, res)...)
 	raw = append(raw, a.confluence(g)...)
 	raw = append(raw, a.reachability(g, w)...)
-	res.Findings, res.Suppressed = a.applySuppressions(raw)
-	sortFindings(res.Findings)
+	res.Findings, res.Suppressed = finding.Apply(raw, a.allows, func(al *finding.Allow, f *finding.Finding) bool {
+		return f.File == al.File && f.Rule == al.Rule
+	})
 	return res
 }
 
@@ -506,33 +480,14 @@ func sortedSet(m map[string]bool) []string {
 	return out
 }
 
-func sortFindings(fs []Finding) {
-	sort.SliceStable(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Rule != b.Rule {
-			return a.Rule < b.Rule
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Msg < b.Msg
-	})
-}
-
-// finding constructs a Finding anchored at a node.
-func finding(n *Node, analyzer string, sev Severity, format string, args ...any) Finding {
-	return Finding{
+// report constructs a finding anchored at a node.
+func report(n *Node, analyzer string, sev finding.Severity, format string, args ...any) finding.Finding {
+	return finding.Finding{
 		File:     n.File,
 		Line:     n.Decl.Line,
 		Rule:     n.Name(),
 		Analyzer: analyzer,
 		Severity: sev,
-		Msg:      fmt.Sprintf(format, args...),
+		Message:  fmt.Sprintf(format, args...),
 	}
 }

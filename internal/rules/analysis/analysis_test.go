@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/finding"
 	"repro/internal/rules"
 )
 
@@ -44,7 +45,7 @@ func TestImmediateCycleIsError(t *testing.T) {
 		t.Fatalf("cycles = %v, want 1", res.Cycles)
 	}
 	c := res.Cycles[0]
-	if c.Detached || c.Guarded || c.Severity != Error {
+	if c.Detached || c.Guarded || c.Severity != finding.Error {
 		t.Errorf("cycle classified %+v, want non-detached error", c)
 	}
 	if got := c.String(); got != "PingA -> PongB -> PingA" {
@@ -52,7 +53,7 @@ func TestImmediateCycleIsError(t *testing.T) {
 	}
 	var hit bool
 	for _, f := range res.Findings {
-		if f.Analyzer == "termination" && strings.Contains(f.Msg, "PingA -> PongB -> PingA") {
+		if f.Analyzer == "termination" && strings.Contains(f.Message, "PingA -> PongB -> PingA") {
 			hit = true
 			if f.Rule != "PingA" || f.Line == 0 {
 				t.Errorf("finding anchored at %s:%d rule %s, want the first cycle member", f.File, f.Line, f.Rule)
@@ -87,7 +88,7 @@ func TestUnjustifiedSuppressionIsError(t *testing.T) {
 	res := Analyze("ping.rules", src, parse(t, src), nil)
 	found := false
 	for _, f := range res.Findings {
-		if f.Analyzer == "suppression" && f.Severity == Error {
+		if f.Analyzer == "suppression" && f.Severity == finding.Error {
 			found = true
 		}
 	}
@@ -96,7 +97,7 @@ func TestUnjustifiedSuppressionIsError(t *testing.T) {
 	}
 }
 
-func TestStaleSuppressionWarns(t *testing.T) {
+func TestStaleSuppressionIsError(t *testing.T) {
 	src := `
 # lint:allow termination nothing here loops
 rule Lone {
@@ -108,12 +109,12 @@ rule Lone {
 	res := Analyze("lone.rules", src, parse(t, src), nil)
 	found := false
 	for _, f := range res.Findings {
-		if f.Analyzer == "suppression" && f.Severity == Warning && strings.Contains(f.Msg, "stale") {
+		if f.Analyzer == "suppression" && f.Severity == finding.Error && strings.Contains(f.Message, "stale") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no stale-suppression warning: %v", res.Findings)
+		t.Errorf("no stale-suppression error: %v", res.Findings)
 	}
 }
 
@@ -197,7 +198,7 @@ rule W2 {
 	res := Analyze("ww.rules", src, parse(t, src), nil)
 	found := false
 	for _, f := range res.Findings {
-		if f.Analyzer == "confluence" && strings.Contains(f.Msg, "Tank.alarm") {
+		if f.Analyzer == "confluence" && strings.Contains(f.Message, "Tank.alarm") {
 			found = true
 		}
 	}
@@ -233,7 +234,7 @@ rule R2 {
 	res := Analyze("rw.rules", src, parse(t, src), nil)
 	found := false
 	for _, f := range res.Findings {
-		if f.Analyzer == "confluence" && strings.Contains(f.Msg, "Tank.alarm") {
+		if f.Analyzer == "confluence" && strings.Contains(f.Message, "Tank.alarm") {
 			found = true
 		}
 	}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"strings"
 
+	"repro/internal/finding"
 	"repro/internal/rules"
 )
 
@@ -14,7 +15,7 @@ import (
 // expression can complete from raisable keys and at least one
 // triggering terminal is raisable — a rule whose every terminal sits
 // under not() has nothing to initiate it and can never fire.
-func (a *Analyzer) reachability(g *Graph, w *World) []Finding {
+func (a *Analyzer) reachability(g *Graph, w *World) []finding.Finding {
 	raised := make(map[string]bool)
 	raisable := func(key string) bool {
 		if raised[key] {
@@ -58,7 +59,7 @@ func (a *Analyzer) reachability(g *Graph, w *World) []Finding {
 		}
 	}
 
-	var out []Finding
+	var out []finding.Finding
 	for i, n := range g.Nodes {
 		if fireable[i] {
 			continue
@@ -66,28 +67,28 @@ func (a *Analyzer) reachability(g *Graph, w *World) []Finding {
 		n.Unreachable = true
 		trig := n.triggerKeys()
 		if len(trig) == 0 {
-			out = append(out, finding(n, "reachability", Warning,
+			out = append(out, report(n, "reachability", finding.Warning,
 				"event has no triggering terminal (every constituent is negated); the rule can never be initiated"))
 			continue
 		}
 		var dead []string
-		sev := Warning
+		sev := finding.Warning
 		for _, k := range trig {
 			if !raisable(k) {
 				dead = append(dead, k)
 				// Against a closed world a missing method or attribute
 				// is a schema error, not merely dead code.
 				if w != nil && (strings.HasPrefix(k, "method:") || strings.HasPrefix(k, "state:")) {
-					sev = Error
+					sev = finding.Error
 				}
 			}
 		}
-		if w != nil && sev == Error {
-			out = append(out, finding(n, "reachability", Error,
+		if w != nil && sev == finding.Error {
+			out = append(out, report(n, "reachability", finding.Error,
 				"event waits on %s, not registered in the data dictionary and raised by no rule action", strings.Join(dead, ", ")))
 			continue
 		}
-		out = append(out, finding(n, "reachability", Warning,
+		out = append(out, report(n, "reachability", finding.Warning,
 			"no action, method source, or sentry-visible update can raise %s; the rule can never fire", strings.Join(dead, ", ")))
 	}
 	return out

@@ -4,20 +4,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/eca"
+	"repro/internal/finding"
 )
-
-// ord mirrors the engine's coupling phase ordering: immediate <
-// deferred < every detached variant.
-func ord(c eca.Coupling) int {
-	switch c {
-	case eca.Immediate:
-		return 0
-	case eca.Deferred:
-		return 1
-	}
-	return 2
-}
 
 // termination finds cycles in the triggering graph and, for acyclic
 // sets, computes the static cascade-depth bound. A cycle of
@@ -26,8 +14,8 @@ func ord(c eca.Coupling) int {
 // unbounded cascade of top-level transactions: an error unless some
 // member carries a timeout or breaker clause that bounds it at run
 // time, which demotes the cycle to a warning.
-func (a *Analyzer) termination(g *Graph, res *Result) []Finding {
-	var out []Finding
+func (a *Analyzer) termination(g *Graph, res *Result) []finding.Finding {
+	var out []finding.Finding
 	for _, comp := range sccs(len(g.Nodes), g.succ) {
 		if !cyclic(comp, g.succ) {
 			continue
@@ -46,7 +34,7 @@ func (a *Analyzer) termination(g *Graph, res *Result) []Finding {
 				why = "detached cascade with no timeout or breaker clause"
 			}
 		}
-		out = append(out, finding(anchor, "termination", cyc.Severity,
+		out = append(out, report(anchor, "termination", cyc.Severity,
 			"rule cycle %s (%s)", cyc, why))
 	}
 	sort.SliceStable(res.Cycles, func(i, j int) bool {
@@ -91,16 +79,16 @@ func buildCycle(g *Graph, comp []int) Cycle {
 	for _, i := range path {
 		n := g.Nodes[i]
 		c.Rules = append(c.Rules, n.Name())
-		if ord(n.Action) >= 2 || ord(n.Cond) >= 2 {
+		if n.Action.Detachedness() || n.Cond.Detachedness() {
 			c.Detached = true
 		}
 		if n.Decl.Timeout != 0 || n.Decl.BreakerSet {
 			c.Guarded = true
 		}
 	}
-	c.Severity = Error
+	c.Severity = finding.Error
 	if c.Detached && c.Guarded {
-		c.Severity = Warning
+		c.Severity = finding.Warning
 	}
 	return c
 }
@@ -245,15 +233,15 @@ func sccs(n int, succ map[int][]int) [][]int {
 // observable: equal priority, same coupling phase, and either both
 // write the same attribute or their trigger sets overlap while one
 // writes an attribute the other reads.
-func (a *Analyzer) confluence(g *Graph) []Finding {
-	var out []Finding
+func (a *Analyzer) confluence(g *Graph) []finding.Finding {
+	var out []finding.Finding
 	for i, p := range g.Nodes {
 		for _, q := range g.Nodes[i+1:] {
-			if p.Decl.Prio != q.Decl.Prio || ord(p.Action) != ord(q.Action) {
+			if p.Decl.Prio != q.Decl.Prio || p.Action.Phase() != q.Action.Phase() {
 				continue
 			}
 			if ww := intersect(p.Writes, q.Writes); len(ww) > 0 {
-				out = append(out, finding(p, "confluence", Warning,
+				out = append(out, report(p, "confluence", finding.Warning,
 					"rules %s and %s fire at equal priority in the same coupling phase and both write %s; final value depends on firing order (set distinct priorities)",
 					p.Name(), q.Name(), strings.Join(ww, ", ")))
 				continue
@@ -264,7 +252,7 @@ func (a *Analyzer) confluence(g *Graph) []Finding {
 			rw := append(intersect(p.Writes, q.Reads), intersect(q.Writes, p.Reads)...)
 			if len(rw) > 0 {
 				sort.Strings(rw)
-				out = append(out, finding(p, "confluence", Warning,
+				out = append(out, report(p, "confluence", finding.Warning,
 					"rules %s and %s share a trigger at equal priority in the same coupling phase and one writes %s the other reads; outcome depends on firing order (set distinct priorities)",
 					p.Name(), q.Name(), strings.Join(dedup(rw), ", ")))
 			}

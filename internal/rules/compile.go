@@ -34,7 +34,7 @@ func Load(e *eca.Engine, src string) (*Loaded, error) {
 	}
 	if diags := Vet("", decls); len(diags) > 0 {
 		d := diags[0]
-		return nil, fmt.Errorf("rules: line %d: rule %s: %s", d.Line, d.Rule, d.Msg)
+		return nil, fmt.Errorf("rules: line %d: rule %s: %s", d.Line, d.Rule, d.Message)
 	}
 	out := &Loaded{}
 	for _, d := range decls {

@@ -2,23 +2,10 @@ package rules
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/eca"
+	"repro/internal/finding"
 )
-
-// Diag is one semantic diagnostic produced by Vet.
-type Diag struct {
-	File string
-	Line int
-	Rule string
-	Msg  string
-}
-
-// String formats the diagnostic as file:line: rule NAME: message.
-func (d Diag) String() string {
-	return fmt.Sprintf("%s:%d: rule %s: %s", d.File, d.Line, d.Rule, d.Msg)
-}
 
 // Vetter checks parsed rule declarations for semantic errors the
 // parser cannot see: Table 1-invalid coupling/category pairs,
@@ -35,53 +22,39 @@ func NewVetter() *Vetter {
 	return &Vetter{seen: make(map[string]string)}
 }
 
-// Vet checks decls (as parsed from file) and returns the diagnostics
-// in source order. An empty slice means the rules are semantically
-// valid.
-func (v *Vetter) Vet(file string, decls []*RuleDecl) []Diag {
-	var out []Diag
+// Vet checks decls (as parsed from file) and returns its findings, all
+// errors of analyzer "vet", in source order. An empty slice means the
+// rules are semantically valid.
+func (v *Vetter) Vet(file string, decls []*RuleDecl) []finding.Finding {
+	var out []finding.Finding
 	for _, d := range decls {
 		rv := &ruleVet{file: file, decl: d}
 		rv.run(v)
 		out = append(out, rv.diags...)
 	}
-	SortDiags(out)
+	finding.Sort(out)
 	return out
 }
 
-// SortDiags orders diagnostics by (file, line, rule name), the stable
-// presentation order shared by vet and the rule-set analysis so output
-// never depends on map iteration or input interleaving.
-func SortDiags(diags []Diag) {
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Rule < b.Rule
-	})
-}
-
 // Vet is the single-file convenience wrapper around Vetter.
-func Vet(file string, decls []*RuleDecl) []Diag {
+func Vet(file string, decls []*RuleDecl) []finding.Finding {
 	return NewVetter().Vet(file, decls)
 }
 
 type ruleVet struct {
 	file  string
 	decl  *RuleDecl
-	diags []Diag
+	diags []finding.Finding
 }
 
 func (rv *ruleVet) errf(format string, args ...any) {
-	rv.diags = append(rv.diags, Diag{
-		File: rv.file,
-		Line: rv.decl.Line,
-		Rule: rv.decl.Name,
-		Msg:  fmt.Sprintf(format, args...),
+	rv.diags = append(rv.diags, finding.Finding{
+		File:     rv.file,
+		Line:     rv.decl.Line,
+		Rule:     rv.decl.Name,
+		Analyzer: "vet",
+		Severity: finding.Error,
+		Message:  fmt.Sprintf(format, args...),
 	})
 }
 
@@ -107,7 +80,7 @@ func (rv *ruleVet) run(v *Vetter) {
 func (rv *ruleVet) checkRobustness() {
 	d := rv.decl
 	_, action := d.Modes()
-	if couplingOrd(action) >= 2 {
+	if action.Detachedness() {
 		return
 	}
 	for _, c := range []struct {
@@ -186,24 +159,12 @@ func (rv *ruleVet) checkCoupling() {
 	if !eca.Supported(cat, action) {
 		rv.errf("Table 1 rejects %v action coupling on a %v event", action, cat)
 	}
-	if couplingOrd(cond) > couplingOrd(action) {
+	if cond.Phase() > action.Phase() {
 		rv.errf("condition mode %v is later than action mode %v", cond, action)
 	}
-	if cond.Detachedness() != action.Detachedness() && couplingOrd(cond) >= 2 {
+	if cond.Detachedness() && !action.Detachedness() {
 		rv.errf("detached condition %v with non-detached action %v", cond, action)
 	}
-}
-
-// couplingOrd mirrors the engine's coupling ordering: immediate <
-// deferred < all detached variants.
-func couplingOrd(c eca.Coupling) int {
-	switch c {
-	case eca.Immediate:
-		return 0
-	case eca.Deferred:
-		return 1
-	}
-	return 2
 }
 
 // checkVars verifies every variable referenced by the event clause,

@@ -3,9 +3,11 @@ package rules
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/finding"
 )
 
-func vetSrc(t *testing.T, src string) []Diag {
+func vetSrc(t *testing.T, src string) []finding.Finding {
 	t.Helper()
 	decls, err := Parse(src)
 	if err != nil {
@@ -14,10 +16,10 @@ func vetSrc(t *testing.T, src string) []Diag {
 	return Vet("test.rules", decls)
 }
 
-func wantDiag(t *testing.T, diags []Diag, substr string) {
+func wantDiag(t *testing.T, diags []finding.Finding, substr string) {
 	t.Helper()
 	for _, d := range diags {
-		if strings.Contains(d.Msg, substr) {
+		if strings.Contains(d.Message, substr) {
 			return
 		}
 	}
@@ -188,7 +190,7 @@ rule Dup {
 };`)
 	count := 0
 	for _, d := range diags {
-		if strings.Contains(d.Msg, `undeclared variable "x"`) {
+		if strings.Contains(d.Message, `undeclared variable "x"`) {
 			count++
 		}
 	}

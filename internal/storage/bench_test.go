@@ -50,7 +50,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // pool holds pages frames, returning their RIDs.
 func fillStore(tb testing.TB, dir string, pages, n int) (*Store, []RID) {
 	tb.Helper()
-	s, err := Open(dir, Options{BufferPoolPages: pages, SyncOnCommit: Bool(false)})
+	s, err := Open(dir, Options{BufferPoolPages: pages})
 	if err != nil {
 		tb.Fatal(err)
 	}

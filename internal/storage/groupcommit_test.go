@@ -80,35 +80,11 @@ func TestGroupCommitSubLinearFsyncs(t *testing.T) {
 	t.Logf("%d concurrent commits -> %d fsyncs", n, syncs)
 }
 
-// TestAbortNoFsyncWhenAsync pins the bugfix: with SyncOnCommit off,
-// an abort-heavy workload must not force the WAL at all — the abort
-// path used to fsync unconditionally.
-func TestAbortNoFsyncWhenAsync(t *testing.T) {
-	s, _ := openTestStore(t, Options{SyncOnCommit: Bool(false)})
-	defer s.Close()
-	base := s.Stats().WALSyncs
-	for i := 0; i < 20; i++ {
-		txn := uint64(i + 1)
-		if err := s.Begin(txn); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Insert(txn, []byte("doomed")); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Abort(txn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Stats().WALSyncs - base; got != 0 {
-		t.Fatalf("abort-heavy workload issued %d fsyncs with SyncOnCommit=false, want 0", got)
-	}
-}
-
-// TestAbortStillSyncsWhenSyncOnCommit is the counterpart guard: with
-// durable commits on, an abort that wrote CLRs must still be forced so
-// recovery sees the compensation records.
+// TestAbortStillSyncsWhenSyncOnCommit guards the abort path: an abort
+// that wrote CLRs must be forced like a commit, so recovery sees the
+// compensation records.
 func TestAbortStillSyncsWhenSyncOnCommit(t *testing.T) {
-	s, _ := openTestStore(t, Options{SyncOnCommit: Bool(true)})
+	s, _ := openTestStore(t, Options{})
 	defer s.Close()
 	base := s.Stats().WALSyncs
 	if err := s.Begin(1); err != nil {
@@ -121,6 +97,6 @@ func TestAbortStillSyncsWhenSyncOnCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Stats().WALSyncs - base; got == 0 {
-		t.Fatal("abort with SyncOnCommit=true issued no fsync")
+		t.Fatal("abort that wrote CLRs issued no fsync")
 	}
 }

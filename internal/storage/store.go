@@ -15,9 +15,6 @@ type Options struct {
 	// BufferPoolPages is the nominal buffer-pool capacity in pages.
 	// Zero selects a default of 256 pages (2 MiB).
 	BufferPoolPages int
-	// SyncOnCommit forces the WAL to stable storage on every commit.
-	// It defaults to true; benchmarks disable it to isolate fsync cost.
-	SyncOnCommit *bool
 	// Metrics, when set, binds the store's counters (buffer hits and
 	// misses, WAL syncs, WAL append latency) into a shared registry.
 	Metrics *obs.Registry
@@ -43,15 +40,8 @@ func (o Options) withDefaults() Options {
 	if o.BufferPoolPages == 0 {
 		o.BufferPoolPages = 256
 	}
-	if o.SyncOnCommit == nil {
-		t := true
-		o.SyncOnCommit = &t
-	}
 	return o
 }
-
-// Bool is a convenience for building Options literals.
-func Bool(v bool) *bool { return &v }
 
 // Store is a durable record store: uninterpreted byte records addressed
 // by RID, with transactional insert/update/delete under write-ahead
@@ -430,7 +420,7 @@ func (s *Store) deleteLocked(st *txnState, txn uint64, rid RID) error {
 }
 
 // Commit makes txn's effects durable: a commit record is appended and
-// (by default) the log is forced to stable storage.
+// the log is forced to stable storage.
 //
 // When the force fails, the commit record may or may not have reached
 // the disk: Commit returns ErrInDoubt and poisons the store — every
@@ -452,13 +442,6 @@ func (s *Store) Commit(txn uint64) error {
 		return err
 	}
 	delete(s.active, txn)
-	sync := *s.opts.SyncOnCommit
-	if !sync {
-		s.releaseStealLocked(st.pages)
-		s.mu.Unlock()
-		s.maybeTriggerCheckpoint()
-		return nil
-	}
 	// The pages stay steal-protected until the commit record is known
 	// durable: a fuzzy checkpoint or eviction flushing them during the
 	// force could otherwise publish effects whose commit record a crash
@@ -533,14 +516,10 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 	}
 	delete(s.active, txn)
 	s.releaseStealLocked(st.pages)
-	if len(st.ops) > 0 && *s.opts.SyncOnCommit {
+	if len(st.ops) > 0 {
 		// The undo was logged as system records; make them durable so
 		// the post-abort state (including any relocated committed
-		// records callers were handed) survives a crash. When the store
-		// runs without commit forcing, aborts must not fsync either:
-		// recovery replays the system records from whatever prefix of
-		// the log reached the disk, so the force is a durability
-		// preference, not a correctness requirement.
+		// records callers were handed) survives a crash.
 		if err := s.wal.Sync(); err != nil {
 			return reloc, err
 		}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eca"
 	"repro/internal/event"
+	"repro/internal/finding"
 	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/oodb"
@@ -292,9 +293,6 @@ type RuleDecl = rules.RuleDecl
 // (syntax checking, e.g. for the rulec tool).
 func ParseRules(src string) ([]*rules.RuleDecl, error) { return rules.Parse(src) }
 
-// RuleDiag is a semantic diagnostic from VetRules.
-type RuleDiag = rules.Diag
-
 // RuleVetter accumulates rule names across files so duplicate
 // definitions are caught over a whole rule set.
 type RuleVetter = rules.Vetter
@@ -306,7 +304,7 @@ var NewRuleVetter = rules.NewVetter
 // see: Table 1-invalid coupling/category pairs, cross-transaction
 // composites without validity, unknown consumption policies, and
 // undeclared variable references.
-func VetRules(file string, decls []*rules.RuleDecl) []RuleDiag { return rules.Vet(file, decls) }
+func VetRules(file string, decls []*rules.RuleDecl) []RuleFinding { return rules.Vet(file, decls) }
 
 // Whole-ruleset interaction analysis: the triggering graph connecting
 // rules through the events their actions raise, with termination
@@ -319,8 +317,8 @@ type (
 	RuleAnalyzer = analysis.Analyzer
 	// RuleAnalysis is the outcome: graph, findings, cycles, depth bound.
 	RuleAnalysis = analysis.Result
-	// RuleFinding is one analysis diagnostic.
-	RuleFinding = analysis.Finding
+	// RuleFinding is one diagnostic of VetRules or the analysis.
+	RuleFinding = finding.Finding
 	// RuleGraph is the triggering graph (DOT-exportable).
 	RuleGraph = analysis.Graph
 	// RuleWorld closes the analysis world to a known schema; nil means
@@ -328,14 +326,14 @@ type (
 	RuleWorld = analysis.World
 	// RuleCycle is one termination cycle through the triggering graph.
 	RuleCycle = analysis.Cycle
-	// RuleSeverity ranks analysis findings.
-	RuleSeverity = analysis.Severity
+	// RuleSeverity ranks findings.
+	RuleSeverity = finding.Severity
 )
 
-// Analysis finding severities.
+// Finding severities.
 const (
-	RuleWarning = analysis.Warning
-	RuleError   = analysis.Error
+	RuleWarning = finding.Warning
+	RuleError   = finding.Error
 )
 
 // NewRuleAnalyzer returns an empty whole-ruleset analyzer.
