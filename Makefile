@@ -72,14 +72,18 @@ crash:
 
 # stress repeats the lock-head recycling hammer (grant, release,
 # inherit, park, wake, deadlock victims and cancellation by another
-# goroutine on one stripe) and a child's commit racing its parent's
-# abort, five times under the race detector. The executor stress and
-# the storage growth and checkpoint tests run under the race detector
-# in race-procs.
+# goroutine on one stripe), a child's commit racing its parent's abort,
+# and parallel sibling rule subtransactions, which live in one firing
+# set shared by their goroutines, five times under the race detector.
+# The executor stress and the storage growth and checkpoint tests run
+# under the race detector in race-procs.
 stress:
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
 		./internal/txn
+	$(GO) test -race -timeout 120s -count=5 \
+		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution' \
+		./internal/eca
 
 # soak runs the fault-armed overload soak under the race detector:
 # writers hammer a slow detached rule through the governor's full

@@ -13,14 +13,35 @@ import (
 // txnState is what the engine keeps on a top-level transaction
 // (txn.SlotRules): the deferred firings waiting for its EOT and the
 // occurrences raised in its tree, waiting for the hand-off to the
-// global history when it ends.
+// global history when it ends. Both start on inline room.
 type txnState struct {
 	mu       sync.Mutex
-	deferred []ruleFiring
+	deferred []queued
 	hist     []HistoryEntry
 	// histClosed is set by the hand-off: an occurrence recorded later
 	// (an asynchronous completion racing the commit) stays local.
 	histClosed bool
+
+	deferredInline [deferredRoom]queued
+	histInline     [histRoom]HistoryEntry
+}
+
+// Inline room of a txnState, from what the yardstick's workloads queue
+// and record per transaction (DESIGN.md §16): past it the queue or the
+// occurrence list grows on the heap.
+const (
+	deferredRoom = 8
+	histRoom     = 4
+)
+
+// queued is one deferred firing waiting for its transaction's EOT: the
+// whole rule, or only its action when the condition was evaluated
+// immediately and held (imm/def split).
+type queued struct {
+	rule       *Rule
+	in         *event.Instance
+	at         time.Time // when a deferred firing was queued
+	actionOnly bool
 }
 
 // txnStateOf returns the engine's state on top, nil when the
@@ -36,7 +57,9 @@ func ensureTxnState(top *txn.Txn) *txnState {
 	if st := txnStateOf(top); st != nil {
 		return st
 	}
-	return top.Attach(txn.SlotRules, &txnState{}).(*txnState)
+	st := &txnState{}
+	st.deferred, st.hist = st.deferredInline[:0], st.histInline[:0]
+	return top.Attach(txn.SlotRules, st).(*txnState)
 }
 
 // enqueueDeferred queues a rule — the whole rule, or only its action
@@ -48,7 +71,7 @@ func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance, at t
 	// Read again at EOT, after the raiser's Recycle. Under st.mu because
 	// parallel sibling rules queue the deferred actions of one instance.
 	in.Retain()
-	st.deferred = append(st.deferred, ruleFiring{rule: r, in: in, at: at, actionOnly: actionOnly})
+	st.deferred = append(st.deferred, queued{rule: r, in: in, at: at, actionOnly: actionOnly})
 	st.mu.Unlock()
 	e.met.deferredDepth.Add(1)
 }
@@ -65,14 +88,22 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		return nil
 	}
 	for round := 0; ; round++ {
+		// The set is built before the queue gets its room back: the set's
+		// rules may queue the next round's work while they run.
 		st.mu.Lock()
 		batch := st.deferred
-		st.deferred = nil
+		e.orderDeferred(batch)
+		set := make([]ruleFiring, len(batch))
+		for i := range batch {
+			set[i].queued = batch[i]
+		}
+		clear(batch)
+		st.deferred = batch[:0]
 		st.mu.Unlock()
-		if len(batch) == 0 {
+		if len(set) == 0 {
 			return nil
 		}
-		e.met.deferredDepth.Add(-int64(len(batch)))
+		e.met.deferredDepth.Add(-int64(len(set)))
 		// The governor's second shed rung: from the shedding state on,
 		// the whole batch is dead-lettered instead of executed and the
 		// triggering transaction commits without it. Deferred rules run
@@ -81,18 +112,17 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		// the dead-letter queue preserves for replay. Immediate rules
 		// are untouched: they already ran inline, inside the trigger.
 		if e.gov.ShouldShed(governor.ClassDeferred) {
-			for _, entry := range batch {
-				e.shed(governor.ClassDeferred, entry.rule, entry.in)
+			for i := range set {
+				e.shed(governor.ClassDeferred, set[i].rule, set[i].in)
 			}
 			continue
 		}
 		e.met.rounds.Inc()
 		e.met.roundDepth.SetMax(int64(round + 1))
-		e.met.firedDeferred.Add(uint64(len(batch)))
-		e.orderDeferred(batch)
 		start := e.clk.Now()
 		mark := start
-		err := e.fireSet(top, batch, &mark)
+		ran, err := e.fireSet(top, set, &mark)
+		e.met.firedDeferred.Add(uint64(ran))
 		e.met.latDeferred.Observe(mark.Sub(start))
 		if err != nil {
 			return err
@@ -100,10 +130,10 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 	}
 }
 
-func (e *Engine) orderDeferred(batch []ruleFiring) {
+func (e *Engine) orderDeferred(batch []queued) {
 	tb := e.opts.TieBreak
 	sbc := e.opts.SimpleBeforeComplex
-	slices.SortStableFunc(batch, func(a, b ruleFiring) int {
+	slices.SortStableFunc(batch, func(a, b queued) int {
 		if sbc {
 			// Rules on simple events first.
 			if ac, bc := a.in.Kind == event.KindComposite, b.in.Kind == event.KindComposite; ac != bc {
@@ -127,7 +157,8 @@ func (e *Engine) dropDeferred(top *txn.Txn) {
 	}
 	st.mu.Lock()
 	n := len(st.deferred)
-	st.deferred = nil
+	clear(st.deferred)
+	st.deferred = st.deferred[:0]
 	st.mu.Unlock()
 	if n > 0 {
 		e.met.deferredDepth.Add(-int64(n))

@@ -878,26 +878,25 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 	if len(p.immediate) == 0 {
 		return nil
 	}
-	e.met.firedImmediate.Add(uint64(len(p.immediate)))
 	set := make([]ruleFiring, len(p.immediate))
 	for i, r := range p.immediate {
-		set[i] = ruleFiring{rule: r, in: in}
+		set[i].rule, set[i].in = r, in
 	}
 	mark := start
-	err := e.fireSet(trigger, set, &mark)
+	ran, err := e.fireSet(trigger, set, &mark)
+	e.met.firedImmediate.Add(uint64(ran))
 	e.met.latImmediate.Observe(mark.Sub(start))
 	return err
 }
 
 // ruleFiring is one firing of a rule set: the immediate rules one
 // occurrence fires, or the deferred ones an EOT round runs. The set is
-// one backing array, which also holds each firing's rule context.
+// one backing array, which also holds each firing's rule context and
+// subtransaction, so a firing is never copied.
 type ruleFiring struct {
-	rule       *Rule
-	in         *event.Instance
-	at         time.Time // when a deferred firing was queued
-	actionOnly bool      // condition already evaluated and held (imm/def split)
-	rc         RuleCtx
+	queued
+	rc  RuleCtx
+	sub txn.Txn // the subtransaction of the trigger the firing runs in
 }
 
 // fireSet runs a set of firings, each in a transaction of its own
@@ -905,62 +904,68 @@ type ruleFiring struct {
 // rule transaction when there is none. Under ParallelExec the
 // subtransactions of a set of two or more run as siblings on their own
 // goroutines and every firing runs; otherwise they run in order on the
-// caller's goroutine and the first error ends the set. mark is the
-// instant the set starts at; it is moved to the instant the set is done.
-func (e *Engine) fireSet(trigger *txn.Txn, set []ruleFiring, mark *time.Time) error {
+// caller's goroutine and the first error ends the set. ran counts the
+// firings that began their transaction. mark is the instant the set
+// starts at; it is moved to the instant the set is done.
+func (e *Engine) fireSet(trigger *txn.Txn, set []ruleFiring, mark *time.Time) (ran int, err error) {
 	if e.opts.Exec == ParallelExec && len(set) > 1 && trigger != nil {
 		// Siblings run on their own goroutines, not the detached pool: a
 		// detached rule may wait on a lock the trigger holds, so sharing
 		// the pool could deadlock the trigger's EOT.
-		// Every sibling is begun before any runs.
-		txns := make([]*txn.Txn, len(set))
-		errs := make([]error, len(set))
-		for i := range set {
-			txns[i], errs[i] = e.ruleTxn(trigger, set[i].rule)
-		}
-		var wg sync.WaitGroup
-		for i, t := range txns {
-			if t == nil {
-				continue
+		// Every sibling is begun before any runs. A begin fails only once
+		// the trigger is no longer active, so the begun ones are a prefix.
+		for ; ran < len(set); ran++ {
+			if _, err = e.ruleTxn(trigger, &set[ran]); err != nil {
+				break
 			}
-			wg.Add(1)
-			go func(begun time.Time) {
+		}
+		var mu sync.Mutex // guards failed
+		var wg sync.WaitGroup
+		failed := err
+		wg.Add(ran)
+		for i := range set[:ran] {
+			go func(rf *ruleFiring, begun time.Time) {
 				defer wg.Done()
 				sb := spanBuf{tr: e.tracer}
-				errs[i] = e.fire(context.Background(), t, &set[i], &sb, &begun)
+				ferr := e.fire(context.Background(), &rf.sub, &rf.queued, &rf.rc, &sb, &begun)
 				sb.flush()
-			}(*mark)
+				if ferr != nil {
+					mu.Lock()
+					failed = errors.Join(failed, ferr)
+					mu.Unlock()
+				}
+			}(&set[i], *mark)
 		}
 		wg.Wait()
 		*mark = e.clk.Now()
-		return errors.Join(errs...)
+		return ran, failed
 	}
 	sb := spanBuf{tr: e.tracer}
 	defer sb.flush()
 	for i := range set {
-		t, err := e.ruleTxn(trigger, set[i].rule)
+		rf := &set[i]
+		t, err := e.ruleTxn(trigger, rf)
 		if err != nil {
-			return err
+			return i, err
 		}
-		if err := e.fire(context.Background(), t, &set[i], &sb, mark); err != nil {
-			return err
+		if err := e.fire(context.Background(), t, &rf.queued, &rf.rc, &sb, mark); err != nil {
+			return i + 1, err
 		}
 	}
-	return nil
+	return len(set), nil
 }
 
-// ruleTxn begins the transaction one firing of r runs in: a
-// subtransaction of trigger, or a fresh rule transaction when trigger
-// is nil (e.g. rules on commit and abort events).
-func (e *Engine) ruleTxn(trigger *txn.Txn, r *Rule) (*txn.Txn, error) {
+// ruleTxn begins the transaction rf runs in: its subtransaction of
+// trigger, or a fresh rule transaction when trigger is nil (e.g. rules
+// on commit and abort events).
+func (e *Engine) ruleTxn(trigger *txn.Txn, rf *ruleFiring) (*txn.Txn, error) {
 	if trigger == nil {
 		return e.beginRuleTxn(), nil
 	}
-	t, err := trigger.BeginChild()
-	if err != nil {
-		return nil, fmt.Errorf("eca: rule %s: %w", r.Name, err)
+	if err := trigger.BeginChildIn(&rf.sub); err != nil {
+		return nil, fmt.Errorf("eca: rule %s: %w", rf.rule.Name, err)
 	}
-	return t, nil
+	return &rf.sub, nil
 }
 
 // ruleTxnTag marks the top-level transactions the engine itself
@@ -981,32 +986,33 @@ func (e *Engine) beginRuleTxn() *txn.Txn {
 // isRuleTxn reports whether t was created by the engine.
 func isRuleTxn(t *txn.Txn) bool { return t.Tag() != 0 }
 
-// fire runs one firing of rf.rule in t and resolves t: the condition,
+// fire runs one firing of q.rule in t and resolves t: the condition,
 // unless it already held (imm/def split); then the action, or, for a
 // rule coupling its condition immediately and its action deferred, the
 // queueing of the action for EOT; then t commits, or aborts with the
 // error the firing returns. t carries the triggering event's trace, so
 // the lock manager and commit path attribute their waits to it, and the
-// cascade depth the events raised by the rule body take. ctx reaches
-// the body as RuleCtx.Context. mark is the instant the firing starts
-// at, moved to the instant it ends at so the next firing in a sequence
-// starts there (see firing); the phases go to sb.
+// cascade depth the events raised by the rule body take. rc is the
+// body's context, ctx reaches it as RuleCtx.Context. mark is the
+// instant the firing starts at, moved to the instant it ends at so the
+// next firing in a sequence starts there (see firing); the phases go
+// to sb.
 //
 // This is the one place a rule body's panic is recovered, whatever the
 // coupling mode: the panic aborts t, is counted, leaves its stack on
 // the trigger's trace and becomes the firing's error.
-func (e *Engine) fire(ctx context.Context, t *txn.Txn, rf *ruleFiring, sb *spanBuf, mark *time.Time) (err error) {
-	r, in, rc := rf.rule, rf.in, &rf.rc
+func (e *Engine) fire(ctx context.Context, t *txn.Txn, q *queued, rc *RuleCtx, sb *spanBuf, mark *time.Time) (err error) {
+	r, in := q.rule, q.in
 	t.SetTrace(in.Trace)
 	t.SetTag(int32(in.Depth + 1))
 	*rc = RuleCtx{Engine: e, DB: e.db, Txn: t, Trigger: in, Context: ctx, ctx: oodb.Ctx{DB: e.db, Txn: t}}
 	f := firing{e: e, rule: r.Name, trace: in.Trace, last: *mark}
-	if !rf.at.IsZero() {
+	if !q.at.IsZero() {
 		// A deferred firing's queue wait: from its enqueue, during the
 		// transaction, to its dequeue at EOT.
-		dwell := f.last.Sub(rf.at)
+		dwell := f.last.Sub(q.at)
 		e.met.deferredDwell.Observe(dwell)
-		sb.add(in.Trace, obs.Span{Stage: "enqueue-deferred", Key: r.Name, Start: rf.at, Dur: dwell})
+		sb.add(in.Trace, obs.Span{Stage: "enqueue-deferred", Key: r.Name, Start: q.at, Dur: dwell})
 	}
 	defer f.finish(mark, sb)
 	defer func() {
@@ -1015,7 +1021,7 @@ func (e *Engine) fire(ctx context.Context, t *txn.Txn, rf *ruleFiring, sb *spanB
 			f.abort(t, err)
 		}
 	}()
-	if !rf.actionOnly {
+	if !q.actionOnly {
 		ok := true
 		if r.Cond != nil {
 			var cerr error

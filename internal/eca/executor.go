@@ -417,7 +417,8 @@ func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 	}
 	mark := e.clk.Now()
 	sb := spanBuf{tr: e.tracer}
-	err := e.fire(ctx, t, &ruleFiring{rule: r, in: in}, &sb, &mark)
+	var rc RuleCtx
+	err := e.fire(ctx, t, &queued{rule: r, in: in}, &rc, &sb, &mark)
 	sb.flush()
 	if err != nil && errors.Is(context.Cause(ctx), ErrRuleDeadline) {
 		// The watchdog abort surfaces as whatever operation the rule

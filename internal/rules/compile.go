@@ -133,7 +133,8 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	if d.Cond != nil {
 		cond := d.Cond
 		r.Cond = func(rc *eca.RuleCtx) (bool, error) {
-			ev, err := bindEnv(rc, prog)
+			var room [slotRoom]slot
+			ev, err := bindEnv(rc, prog, room[:])
 			if err != nil {
 				return false, err
 			}
@@ -150,7 +151,8 @@ func Compile(e *eca.Engine, d *RuleDecl) (*eca.Rule, []*algebra.Composite, []eve
 	}
 	actions := d.Actions
 	r.Action = func(rc *eca.RuleCtx) error {
-		ev, err := bindEnv(rc, prog)
+		var room [slotRoom]slot
+		ev, err := bindEnv(rc, prog, room[:])
 		if err != nil {
 			return err
 		}
@@ -313,15 +315,21 @@ func (c *compiler) compileAll(subs []EventExpr) ([]algebra.Expr, error) {
 	return out, nil
 }
 
-// bindEnv builds the evaluation environment for one firing: named
-// roots are fetched, the event's receivers and parameters are bound
-// from the trigger's constituents. It allocates the slots and nothing
-// else; a primitive trigger is its own only constituent.
-func bindEnv(rc *eca.RuleCtx, p *program) (env, error) {
-	ev := env{ctx: rc.Ctx(), names: p.vars}
-	if len(p.vars) > 0 {
-		ev.vals = make([]slot, len(p.vars))
+// slotRoom is how many variables a firing binds in slots on the stack
+// of the compiled condition or action; the shipped rules declare at
+// most seven. A rule declaring more gets its slots on the heap.
+const slotRoom = 8
+
+// bindEnv builds the evaluation environment for one firing in room,
+// the caller's slots: named roots are fetched, the event's receivers
+// and parameters are bound from the trigger's constituents. It
+// allocates nothing while the rule's variables fit room; a primitive
+// trigger is its own only constituent.
+func bindEnv(rc *eca.RuleCtx, p *program, room []slot) (env, error) {
+	if len(p.vars) > len(room) {
+		room = make([]slot, len(p.vars))
 	}
+	ev := env{ctx: rc.Ctx(), names: p.vars, vals: room[:len(p.vars)]}
 	for _, r := range p.roots {
 		obj, err := ev.ctx.Root(r.name)
 		if err != nil {

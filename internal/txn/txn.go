@@ -378,13 +378,25 @@ func (m *Manager) BeginTagged(tag int32) *Txn {
 
 // BeginChild starts a nested subtransaction of t.
 func (t *Txn) BeginChild() (*Txn, error) {
-	c := &Txn{m: t.m, parent: t}
+	c := new(Txn)
+	if err := t.BeginChildIn(c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// BeginChildIn starts a nested subtransaction of t in c, a zero Txn the
+// caller owns and never copies or reuses: the rule engine keeps a
+// firing's subtransaction in the firing, so that beginning it
+// allocates nothing.
+func (t *Txn) BeginChildIn(c *Txn) error {
+	c.m, c.parent = t.m, t
 	c.undo, c.held.locks = c.undoInline[:0], c.heldInline[:0]
 	c.status.Store(int32(Active))
 	t.mu.Lock()
 	if t.Status() != Active || t.aborting {
 		t.mu.Unlock()
-		return nil, ErrNotActive
+		return ErrNotActive
 	}
 	c.id = t.m.nextID.Add(1)
 	if c.sibNext = t.kids; c.sibNext != nil {
@@ -395,7 +407,7 @@ func (t *Txn) BeginChild() (*Txn, error) {
 	if t.m.listener != nil {
 		t.m.listener.AfterBegin(c)
 	}
-	return c, nil
+	return nil
 }
 
 // unlinkChild removes the child c, resolved or aborting, from t's
