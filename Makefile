@@ -73,8 +73,10 @@ crash:
 # stress repeats the lock-head recycling hammer (grant, release,
 # inherit, park, wake, deadlock victims and cancellation by another
 # goroutine on one stripe), a child's commit racing its parent's abort,
-# and parallel sibling rule subtransactions, which live in one firing
-# set shared by their goroutines, five times under the race detector.
+# parallel sibling rule subtransactions, which live in one firing set
+# shared by their goroutines and publish their phase histograms from
+# their own goroutines, and histogram scrapes racing single and batched
+# observations, five times under the race detector.
 # The executor stress and the storage growth and checkpoint tests run
 # under the race detector in race-procs.
 stress:
@@ -82,8 +84,11 @@ stress:
 		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
 		./internal/txn
 	$(GO) test -race -timeout 120s -count=5 \
-		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution' \
+		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution|TestPhaseHistogramsMatchSpans/parallel' \
 		./internal/eca
+	$(GO) test -race -timeout 120s -count=5 \
+		-run 'TestHistogramExpositionConsistentUnderWrites' \
+		./internal/obs
 
 # soak runs the fault-armed overload soak under the race detector:
 # writers hammer a slow detached rule through the governor's full

@@ -5,6 +5,11 @@
 // Real clock delegates to the runtime, while Virtual is a fully
 // deterministic clock driven by Advance, which makes temporal-event
 // tests and benchmarks reproducible.
+//
+// The instrumented paths read the wall clock once per occurrence and
+// per transaction begin, and take every later instant as an earlier
+// one plus Since: on a Real clock that is a monotonic read, cheaper
+// than Now and immune to wall-clock steps.
 package clock
 
 import (
@@ -17,6 +22,10 @@ import (
 type Clock interface {
 	// Now reports the current time.
 	Now() time.Time
+	// Since reports the time elapsed since t, Now().Sub(t); a Real
+	// clock reads only its monotonic clock when t carries a monotonic
+	// reading (an instant from Now, or one derived from it by Add).
+	Since(t time.Time) time.Duration
 	// After returns a channel that delivers the clock's time once that
 	// time is at or past d from now.
 	After(d time.Duration) <-chan time.Time
@@ -66,6 +75,9 @@ func NewReal() *Real { return &Real{} }
 // Now implements Clock.
 func (*Real) Now() time.Time { return time.Now() }
 
+// Since implements Clock.
+func (*Real) Since(t time.Time) time.Duration { return time.Since(t) }
+
 // After implements Clock.
 func (*Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
@@ -101,6 +113,9 @@ func (v *Virtual) Now() time.Time {
 	defer v.mu.Unlock()
 	return v.now
 }
+
+// Since implements Clock.
+func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
 // After implements Clock.
 func (v *Virtual) After(d time.Duration) <-chan time.Time {

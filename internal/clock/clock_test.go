@@ -171,6 +171,33 @@ func TestRealClockBasics(t *testing.T) {
 	}
 }
 
+// Since is Now().Sub(t) on both clocks, and an instant derived as
+// t.Add(Since(t)) is the clock's now: the boundaries the engine chains
+// that way land where Now would have put them.
+func TestSince(t *testing.T) {
+	v := NewVirtual(epoch)
+	v.Advance(3 * time.Second)
+	if got := v.Since(epoch); got != 3*time.Second {
+		t.Fatalf("Virtual.Since = %v, want 3s", got)
+	}
+	if at := epoch.Add(v.Since(epoch)); !at.Equal(v.Now()) {
+		t.Fatalf("derived instant %v, want %v", at, v.Now())
+	}
+
+	r := NewReal()
+	start := r.Now()
+	time.Sleep(time.Millisecond)
+	d := r.Since(start)
+	if d < time.Millisecond {
+		t.Fatalf("Real.Since after a 1ms sleep = %v", d)
+	}
+	// The derived instant keeps start's monotonic reading, so the next
+	// boundary is again a monotonic read.
+	if at := start.Add(d); at.Before(start) || r.Since(at) < 0 {
+		t.Fatalf("derived instant %v is not after %v", at, start)
+	}
+}
+
 func TestRealAfterFuncStop(t *testing.T) {
 	r := NewReal()
 	var fired atomic.Bool
@@ -231,3 +258,26 @@ func TestVirtualAllTimersFireOnceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkRealNow and BenchmarkRealSince price the two reads the
+// engine chooses between: a wall read, and a monotonic distance from
+// an instant that carries a monotonic reading.
+func BenchmarkRealNow(b *testing.B) {
+	r := NewReal()
+	for i := 0; i < b.N; i++ {
+		sinkTime = r.Now()
+	}
+}
+
+func BenchmarkRealSince(b *testing.B) {
+	r := NewReal()
+	start := r.Now()
+	for i := 0; i < b.N; i++ {
+		sinkDur = r.Since(start)
+	}
+}
+
+var (
+	sinkTime time.Time
+	sinkDur  time.Duration
+)

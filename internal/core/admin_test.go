@@ -215,3 +215,55 @@ func TestAdminCheckpointEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadLetterCarriesTrace: /rules/deadletter serves each entry's
+// trace id, and the tracer resolves it to the triggering occurrence's
+// trace — with the firing's abort span when the rule ran and failed,
+// without any firing span when an open breaker refused it.
+func TestDeadLetterCarriesTrace(t *testing.T) {
+	sys, mux, obj := newFailingSystem(t)
+	tx := sys.Begin()
+	if _, err := sys.DB.Invoke(tx, obj, "poke"); err != nil { // the breaker is open now
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sys.Engine.WaitDetached()
+
+	w := httptest.NewRecorder()
+	mux.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/rules/deadletter", nil))
+	var dead struct {
+		DeadLetter []struct {
+			Reason string `json:"reason"`
+			Trace  uint64 `json:"trace"`
+		} `json:"deadletter"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &dead); err != nil {
+		t.Fatal(err)
+	}
+	if len(dead.DeadLetter) != 3 {
+		t.Fatalf("deadletter = %+v, want two failed entries and one breaker-open", dead.DeadLetter)
+	}
+	seen := make(map[uint64]bool)
+	for _, dl := range dead.DeadLetter {
+		if dl.Trace == 0 || seen[dl.Trace] {
+			t.Fatalf("dead letter %+v: want its own nonzero trace", dl)
+		}
+		seen[dl.Trace] = true
+		tr, ok := sys.Engine.Tracer().Get(dl.Trace)
+		if !ok {
+			t.Fatalf("dead letter %+v: trace not in the tracer", dl)
+		}
+		aborted := false
+		for _, sp := range tr.Spans {
+			aborted = aborted || sp.Stage == "abort" && sp.Key == "failing"
+		}
+		if want := dl.Reason == "failed"; aborted != want {
+			t.Fatalf("dead letter %+v: trace has the firing's abort span: %v, want %v (spans %+v)", dl, aborted, want, tr.Spans)
+		}
+	}
+	if r := dead.DeadLetter[2].Reason; r != "breaker-open" {
+		t.Fatalf("third dead letter reason %q, want breaker-open", r)
+	}
+}

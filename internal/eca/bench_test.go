@@ -82,6 +82,40 @@ func BenchmarkFireImmediate8(b *testing.B) {
 	}
 }
 
+// BenchmarkFireImmediate8Parallel runs the BenchmarkFireImmediate8 body
+// on every P at once, each goroutine on an object of its own, so the
+// transactions share no lock: what they still share is the engine's
+// and the transaction manager's metric series, whose cache lines the
+// single-goroutine benchmark never contends for.
+func BenchmarkFireImmediate8Parallel(b *testing.B) {
+	_, db, _ := benchEngine(b, 8, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		tx := db.Begin()
+		obj, err := db.NewObject(tx, "Sensor")
+		if err != nil {
+			b.Error(err)
+			return
+		}
+		if err := tx.Commit(); err != nil {
+			b.Error(err)
+			return
+		}
+		for i := 0; pb.Next(); i++ {
+			tx := db.Begin()
+			if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // BenchmarkCommitNoEvents is a read-only transaction under an engine
 // with rules on other events: BOT, EOT and commit find no listener, the
 // commit hands no history over.

@@ -119,7 +119,9 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		}
 		e.met.rounds.Inc()
 		e.met.roundDepth.SetMax(int64(round + 1))
-		start := e.clk.Now()
+		// A queued instant is an earlier boundary of this transaction,
+		// so the round's start is derived from it, not read afresh.
+		start := e.after(set[0].at)
 		mark := start
 		ran, err := e.fireSet(top, set, &mark)
 		e.met.firedDeferred.Add(uint64(ran))

@@ -406,46 +406,74 @@ func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 // SlowLog exposes the slow-transaction log attached to the tracer.
 func (e *Engine) SlowLog() *obs.SlowLog { return e.slowLog }
 
+// after returns the clock's now as from plus the time elapsed since
+// from: on a Real clock a monotonic read instead of a wall read, so
+// every instant after an occurrence's Time is derived from it.
+func (e *Engine) after(from time.Time) time.Time {
+	return from.Add(e.clk.Since(from))
+}
+
 // span records one lifecycle stage, ending now, on a trace; a zero
 // trace ID is a no-op so untraced paths stay free.
 func (e *Engine) span(traceID uint64, stage, key string, start time.Time) {
 	if traceID == 0 {
 		return
 	}
-	e.tracer.Span(traceID, stage, key, start, e.clk.Now().Sub(start))
+	e.tracer.Span(traceID, stage, key, start, e.clk.Since(start))
 }
 
-// spanBuf gathers the spans of a rule set's firings so that they reach
-// the tracer in one call per trace: one stripe lock per raise, not one
-// per firing. It lives on the stack of the goroutine running the set.
+// spanBuf gathers what a rule set's firings record, so that it is
+// published once per set rather than once per firing: the spans reach
+// the tracer in one call per trace (one stripe lock per raise), the
+// phase durations the phase and dwell histograms in one batch each
+// (one atomic add per touched bucket). It lives on the stack of the
+// goroutine running the set, which flushes it when the set is done.
 type spanBuf struct {
-	tr    *obs.Tracer
+	e     *Engine
 	trace uint64
 	n     int
 	buf   [24]obs.Span
+
+	cond, action, commit, abort, dwell obs.Batch
 }
 
 // add queues spans for trace, handing the queued ones over first when
 // the trace changes or the buffer is full.
 func (b *spanBuf) add(trace uint64, spans ...obs.Span) {
 	if trace != b.trace || b.n+len(spans) > len(b.buf) {
-		b.flush()
+		b.flushSpans()
 		b.trace = trace
 	}
 	b.n += copy(b.buf[b.n:], spans)
 }
 
-// flush hands the queued spans to the tracer.
-func (b *spanBuf) flush() {
-	b.tr.Spans(b.trace, b.buf[:b.n]...)
+// flushSpans hands the queued spans to the tracer.
+func (b *spanBuf) flushSpans() {
+	b.e.tracer.Spans(b.trace, b.buf[:b.n]...)
 	b.n = 0
 }
 
-// firing times one rule execution. The clock is read once per phase
-// boundary — the end of the condition is the start of the action, the
-// end of one firing the start of the next in its sequence, so a firing's
-// first phase includes setting its subtransaction up — and the phases
-// go to the set's span buffer when the firing resolves.
+// flush hands the queued spans to the tracer and publishes the phase
+// and dwell batches.
+func (b *spanBuf) flush() {
+	b.flushSpans()
+	met := &b.e.met
+	b.cond.Flush(met.phaseCond)
+	b.action.Flush(met.phaseAction)
+	b.commit.Flush(met.phaseCommit)
+	b.abort.Flush(met.phaseAbort)
+	b.dwell.Flush(met.deferredDwell)
+}
+
+// firing times one rule execution. Each phase boundary is the previous
+// one plus the clock's Since — the end of the condition is the start of
+// the action, the end of one firing the start of the next in its
+// sequence, so a firing's first phase includes setting its
+// subtransaction up — and the phases go to the set's span buffer: the
+// durations as they close, the spans when the firing resolves. The
+// buffer is passed in rather than kept here: the firing's boundary
+// leaves the stack with a deferred action's queue entry, and would take
+// a buffer field along.
 type firing struct {
 	e     *Engine
 	rule  string
@@ -455,28 +483,28 @@ type firing struct {
 	n     int
 }
 
-// phase closes the phase that began at the previous boundary.
-func (f *firing) phase(stage string, h *obs.Histogram) {
-	now := f.e.clk.Now()
-	d := now.Sub(f.last)
-	h.Observe(d)
+// phase closes the phase that began at the previous boundary, adding
+// its duration to b.
+func (f *firing) phase(stage string, b *obs.Batch) {
+	d := f.e.clk.Since(f.last)
+	b.Observe(d)
 	f.spans[f.n] = obs.Span{Stage: stage, Key: f.rule, Start: f.last, Dur: d}
 	f.n++
-	f.last = now
+	f.last = f.last.Add(d)
 }
 
 // commit commits the rule transaction as the firing's last phase.
-func (f *firing) commit(t *txn.Txn) error {
+func (f *firing) commit(t *txn.Txn, sb *spanBuf) error {
 	err := t.Commit()
-	f.phase("commit", f.e.met.phaseCommit)
+	f.phase("commit", &sb.commit)
 	return err
 }
 
 // abort aborts the rule transaction with cause as the firing's last
 // phase.
-func (f *firing) abort(t *txn.Txn, cause error) {
+func (f *firing) abort(t *txn.Txn, cause error, sb *spanBuf) {
 	_ = t.AbortWith(cause) // cause is already the reported failure
-	f.phase("abort", f.e.met.phaseAbort)
+	f.phase("abort", &sb.abort)
 }
 
 // finish queues the firing's phases for the triggering event's trace
@@ -798,7 +826,7 @@ func (e *Engine) stamp(in *event.Instance) {
 // whose history takes it — the same, except for commit and abort
 // events, which are raised once their transaction has resolved.
 func (e *Engine) dispatch(p *plan, in *event.Instance, trigger, owner *txn.Txn) error {
-	start := e.clk.Now()
+	start := e.after(in.Time)
 	if in.Trace == 0 && !e.shedTraces() {
 		// Flow-control and temporal events enter here without passing
 		// the sentry dispatcher; mint their trace at the engine door.
@@ -861,7 +889,7 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 	// has enqueued or spawned work.
 	if limit := e.cascadeLimit(); in.Depth >= limit {
 		e.met.cascadeTrips.Inc()
-		e.span(in.Trace, "cascade-depth", in.SpecKey, e.clk.Now())
+		e.span(in.Trace, "cascade-depth", in.SpecKey, e.after(start))
 		return fmt.Errorf("eca: event %s at cascade depth %d would fire %d rule(s) past the bound %d: %w",
 			in.SpecKey, in.Depth, enabled, limit, ErrCascadeDepth)
 	}
@@ -926,7 +954,7 @@ func (e *Engine) fireSet(trigger *txn.Txn, set []ruleFiring, mark *time.Time) (r
 		for i := range set[:ran] {
 			go func(rf *ruleFiring, begun time.Time) {
 				defer wg.Done()
-				sb := spanBuf{tr: e.tracer}
+				sb := spanBuf{e: e}
 				ferr := e.fire(context.Background(), &rf.sub, &rf.queued, &rf.rc, &sb, &begun)
 				sb.flush()
 				if ferr != nil {
@@ -937,10 +965,10 @@ func (e *Engine) fireSet(trigger *txn.Txn, set []ruleFiring, mark *time.Time) (r
 			}(&set[i], *mark)
 		}
 		wg.Wait()
-		*mark = e.clk.Now()
+		*mark = e.after(*mark)
 		return ran, failed
 	}
-	sb := spanBuf{tr: e.tracer}
+	sb := spanBuf{e: e}
 	defer sb.flush()
 	for i := range set {
 		rf := &set[i]
@@ -1011,14 +1039,14 @@ func (e *Engine) fire(ctx context.Context, t *txn.Txn, q *queued, rc *RuleCtx, s
 		// A deferred firing's queue wait: from its enqueue, during the
 		// transaction, to its dequeue at EOT.
 		dwell := f.last.Sub(q.at)
-		e.met.deferredDwell.Observe(dwell)
+		sb.dwell.Observe(dwell)
 		sb.add(in.Trace, obs.Span{Stage: "enqueue-deferred", Key: r.Name, Start: q.at, Dur: dwell})
 	}
 	defer f.finish(mark, sb)
 	defer func() {
 		if p := recover(); p != nil {
 			err = e.rulePanic(r, in, p)
-			f.abort(t, err)
+			f.abort(t, err, sb)
 		}
 	}()
 	if !q.actionOnly {
@@ -1026,18 +1054,18 @@ func (e *Engine) fire(ctx context.Context, t *txn.Txn, q *queued, rc *RuleCtx, s
 		if r.Cond != nil {
 			var cerr error
 			ok, cerr = r.Cond(rc)
-			f.phase("condition-eval", e.met.phaseCond)
+			f.phase("condition-eval", &sb.cond)
 			if cerr != nil {
-				f.abort(t, cerr)
+				f.abort(t, cerr, sb)
 				return fmt.Errorf("eca: rule %s condition: %w", r.Name, cerr)
 			}
 		}
 		if !ok {
-			return f.commit(t) // condition false: nothing to do
+			return f.commit(t, sb) // condition false: nothing to do
 		}
 		if r.condMode() == Immediate && r.ActionMode == Deferred {
 			top := t.Top()
-			if err := f.commit(t); err != nil {
+			if err := f.commit(t, sb); err != nil {
 				return err
 			}
 			e.enqueueDeferred(top, r, in, f.last, true)
@@ -1045,12 +1073,12 @@ func (e *Engine) fire(ctx context.Context, t *txn.Txn, q *queued, rc *RuleCtx, s
 		}
 	}
 	aerr := r.Action(rc)
-	f.phase("action-exec", e.met.phaseAction)
+	f.phase("action-exec", &sb.action)
 	if aerr != nil {
-		f.abort(t, aerr)
+		f.abort(t, aerr, sb)
 		return fmt.Errorf("eca: rule %s action: %w", r.Name, aerr)
 	}
-	return f.commit(t)
+	return f.commit(t, sb)
 }
 
 // rulePanic turns a recovered rule-body panic into the firing's error,

@@ -40,11 +40,14 @@ var (
 
 // DeadLetter records one rule firing the engine gave up on: shed by
 // the overload governor, rejected at an open breaker, or failed after
-// its retry budget.
+// its retry budget. Trace is the lifecycle trace of the triggering
+// occurrence (0 when its minting was shed): for a firing that ran, it
+// holds the firing's phases, its abort among them.
 type DeadLetter struct {
 	Rule     string    `json:"rule"`
 	EventKey string    `json:"event"`
 	Seq      uint64    `json:"seq"`
+	Trace    uint64    `json:"trace,omitempty"`
 	Time     time.Time `json:"time"`
 	Err      string    `json:"error"`
 	Attempts int       `json:"attempts"`
@@ -273,6 +276,7 @@ func (x *executor) addDeadLetter(r *Rule, in *event.Instance, attempts int, err 
 		Rule:     r.Name,
 		EventKey: r.EventKey,
 		Seq:      in.Seq,
+		Trace:    in.Trace,
 		Time:     x.e.clk.Now(),
 		Err:      err.Error(),
 		Attempts: attempts,
@@ -332,7 +336,7 @@ func (x *executor) runJob(job ruleJob) {
 	e := x.e
 	r := job.rule
 	maxAttempts := 1 + ruleSetting(r.Retries, ruleRetries)
-	start := e.clk.Now()
+	start := e.after(job.in.Time)
 	t, veto := job.t, job.veto
 	var err error
 	attempt := 0
@@ -360,14 +364,14 @@ func (x *executor) runJob(job ruleJob) {
 		err = x.runAttempt(t, r, job.in)
 		t = nil
 		if err == nil {
-			e.met.latDetached.Observe(e.clk.Now().Sub(start))
+			e.met.latDetached.Observe(e.clk.Since(start))
 			x.recordSuccess(r.Name)
 			return
 		}
 		if errors.Is(err, txn.ErrDependencyFailed) {
 			// Causal dependency resolved against the rule at commit:
 			// normal §3.2 operation, not a rule failure.
-			e.met.latDetached.Observe(e.clk.Now().Sub(start))
+			e.met.latDetached.Observe(e.clk.Since(start))
 			return
 		}
 		if errors.Is(err, ErrRuleDeadline) {
@@ -382,7 +386,7 @@ func (x *executor) runJob(job ruleJob) {
 			break // draining: give up the remaining budget
 		}
 	}
-	e.met.latDetached.Observe(e.clk.Now().Sub(start))
+	e.met.latDetached.Observe(e.clk.Since(start))
 	x.recordFailure(r, job.in, attempt, err, failReason(err))
 }
 
@@ -415,8 +419,8 @@ func (x *executor) runAttempt(t *txn.Txn, r *Rule, in *event.Instance) error {
 		})
 		defer timer.Stop()
 	}
-	mark := e.clk.Now()
-	sb := spanBuf{tr: e.tracer}
+	mark := e.after(in.Time)
+	sb := spanBuf{e: e}
 	var rc RuleCtx
 	err := e.fire(ctx, t, &queued{rule: r, in: in}, &rc, &sb, &mark)
 	sb.flush()

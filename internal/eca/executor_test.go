@@ -155,6 +155,17 @@ func TestDetachedRetriesExhausted(t *testing.T) {
 	if dl[0].Reason != "retries-exhausted" || dl[0].Attempts != 3 || dl[0].Rule != "victim" {
 		t.Fatalf("dead letter = %+v, want reason retries-exhausted after 3 attempts", dl[0])
 	}
+	// The dead letter leads to the firing's trace: every attempt aborted.
+	tr, ok := e.Tracer().Get(dl[0].Trace)
+	aborts := 0
+	for _, sp := range tr.Spans {
+		if sp.Stage == "abort" && sp.Key == "victim" {
+			aborts++
+		}
+	}
+	if !ok || aborts != 3 {
+		t.Fatalf("trace %d of the dead letter (found %v) has %d abort spans of victim, want 3", dl[0].Trace, ok, aborts)
+	}
 }
 
 // TestRetryBackoffCapped pins the backoff of a long retry budget: past
@@ -325,6 +336,9 @@ func (r *heldRig) assertOneShed(t *testing.T) {
 	dl := r.e.DeadLetters()
 	if len(dl) != 1 || dl[0].Reason != "governor-shed" || !strings.Contains(dl[0].Err, "overloaded") {
 		t.Fatalf("dead letters = %+v, want one governor-shed entry", dl)
+	}
+	if _, ok := r.e.Tracer().Get(dl[0].Trace); !ok {
+		t.Fatalf("governor-shed dead letter carries trace %d, not a trace of the tracer", dl[0].Trace)
 	}
 	r.release()
 	r.e.WaitDetached()

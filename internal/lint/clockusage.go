@@ -22,10 +22,13 @@ var clockFuncs = map[string]bool{
 // ClockUsage enforces the determinism guard: no direct wall-clock
 // reads outside the packages that own time. internal/clock is the
 // abstraction itself, internal/obs timestamps telemetry, and
-// internal/bench measures wall time by definition.
+// internal/bench measures wall time by definition. It also rejects a
+// duration taken from a fresh wall read, <clock>.Now().Sub(t): Since
+// measures the same duration, on a Real clock from the monotonic clock
+// alone.
 var ClockUsage = &Analyzer{
 	Name: "clockusage",
-	Doc:  "wall-clock calls (time.Now, time.Sleep, ...) outside internal/clock, internal/obs, internal/bench",
+	Doc:  "wall-clock calls (time.Now, time.Sleep, ...) and x.Now().Sub durations outside internal/clock, internal/obs, internal/bench",
 	Run:  runClockUsage,
 }
 
@@ -40,7 +43,14 @@ func runClockUsage(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !clockFuncs[sel.Sel.Name] {
+			if !ok {
+				return true
+			}
+			if isFreshNowSub(p, file, sel) {
+				p.Reportf(call.Pos(), "duration from a fresh wall read; use Clock.Since")
+				return true
+			}
+			if !clockFuncs[sel.Sel.Name] {
 				return true
 			}
 			id, ok := sel.X.(*ast.Ident)
@@ -53,4 +63,23 @@ func runClockUsage(p *Pass) {
 			return true
 		})
 	}
+}
+
+// isFreshNowSub reports whether sel is the Sub of <x>.Now().Sub(...)
+// on anything but the time package, whose Now the wall-read check
+// already reports.
+func isFreshNowSub(p *Pass, file *ast.File, sel *ast.SelectorExpr) bool {
+	if sel.Sel.Name != "Sub" {
+		return false
+	}
+	now, ok := sel.X.(*ast.CallExpr)
+	if !ok || len(now.Args) != 0 {
+		return false
+	}
+	nowSel, ok := now.Fun.(*ast.SelectorExpr)
+	if !ok || nowSel.Sel.Name != "Now" {
+		return false
+	}
+	id, ok := nowSel.X.(*ast.Ident)
+	return !ok || pkgNameOf(p.Pkg, file, id) != "time"
 }

@@ -63,3 +63,11 @@ func badSuppressions() {
 	//lint:allow
 	_ = counter.Load() //lint:allow errsink nothing is discarded here
 }
+
+// nower is any time source with a Now, like clock.Clock.
+type nower interface{ Now() time.Time }
+
+// badSince takes a duration from a fresh wall read (clockusage).
+func badSince(c nower, start time.Time) time.Duration {
+	return c.Now().Sub(start)
+}

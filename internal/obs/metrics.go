@@ -11,10 +11,11 @@
 // counters here instead of keeping private atomics, so one snapshot
 // is the whole story.
 //
-// All metric primitives are safe for concurrent use and their zero
-// values are usable: a subsystem can allocate standalone handles with
-// new and later have them replaced by registry-bound ones at wiring
-// time.
+// Counters, gauges and histograms are safe for concurrent use and their
+// zero values are usable: a subsystem can allocate standalone handles
+// with new and later have them replaced by registry-bound ones at
+// wiring time. A Batch is a single goroutine's private buffer of
+// histogram observations.
 package obs
 
 import (
@@ -76,9 +77,11 @@ const histBuckets = 48
 
 // Histogram is a log2-bucketed histogram of durations. Observations
 // are lock-free atomic increments; snapshots are mergeable and
-// support quantile estimation.
+// support quantile estimation. There is no count of its own: the count
+// is the sum of the buckets, so a snapshot taken beside concurrent
+// observations is always a consistent histogram (cumulative buckets
+// never exceed the count).
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64 // total nanoseconds
 	buckets [histBuckets]atomic.Uint64
 }
@@ -95,15 +98,16 @@ func bucketOf(ns int64) int {
 	return b
 }
 
+// nanos converts an observation to nanoseconds, clamping negatives.
+func nanos(d time.Duration) uint64 {
+	return uint64(max(int64(d), 0))
+}
+
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(uint64(ns))
-	h.buckets[bucketOf(ns)].Add(1)
+	ns := nanos(d)
+	h.sum.Add(ns)
+	h.buckets[bucketOf(int64(ns))].Add(1)
 }
 
 // Time starts a wall-clock measurement and returns the function that
@@ -120,26 +124,70 @@ func (h *Histogram) Time() func() {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
-// Snapshot returns a point-in-time copy of the histogram.
+// Snapshot returns a point-in-time copy of the histogram. Its Count is
+// the sum of the copied buckets; Sum is read first, so it may lag the
+// buckets by the observations that land in between.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
 
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
-	h.count.Store(0)
 	h.sum.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
+}
+
+// Batch gathers observations bound for one Histogram in plain memory
+// — a sum and bucket counts, typically on the stack of the goroutine
+// that makes them — and publishes them with Flush: one atomic add for
+// the sum and one per touched bucket, however many observations the
+// batch holds. A burst of observations (the phases of a rule set) then
+// costs the shared histogram's cache lines once, not once per
+// observation. The zero value is an empty batch; a Batch is not safe
+// for concurrent use.
+type Batch struct {
+	sum     uint64
+	touched uint64 // bit i set: counts[i] > 0
+	counts  [histBuckets]uint32
+}
+
+// Observe adds one duration to the batch.
+func (b *Batch) Observe(d time.Duration) {
+	ns := nanos(d)
+	i := bucketOf(int64(ns))
+	b.sum += ns
+	b.counts[i]++
+	b.touched |= 1 << i
+}
+
+// Flush publishes the batch into h and empties it.
+func (b *Batch) Flush(h *Histogram) {
+	if b.touched == 0 {
+		return
+	}
+	h.sum.Add(b.sum)
+	for m := b.touched; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		h.buckets[i].Add(uint64(b.counts[i]))
+		b.counts[i] = 0
+	}
+	b.sum, b.touched = 0, 0
 }
 
 // HistogramSnapshot is a consistent-enough copy of a histogram,

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -159,5 +162,111 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	}
+}
+
+// TestBatchFlushMatchesObserve: a batch published with Flush leaves the
+// histogram exactly as observing each duration would, and is empty
+// afterwards.
+func TestBatchFlushMatchesObserve(t *testing.T) {
+	durs := []time.Duration{-5, 0, 1, 3, 3, 900, 1000, 1 << 20, time.Hour}
+	var direct, batched Histogram
+	var b Batch
+	b.Flush(&batched) // an empty batch publishes nothing
+	for _, d := range durs {
+		direct.Observe(d)
+		b.Observe(d)
+	}
+	if n := batched.Count(); n != 0 {
+		t.Fatalf("histogram moved before Flush: count %d", n)
+	}
+	b.Flush(&batched)
+	if got, want := batched.Snapshot(), direct.Snapshot(); got != want {
+		t.Fatalf("batched snapshot\n%+v\nwant\n%+v", got, want)
+	}
+	b.Flush(&batched) // emptied by the first Flush
+	if got := batched.Count(); got != uint64(len(durs)) {
+		t.Fatalf("count after a second Flush = %d, want %d", got, len(durs))
+	}
+}
+
+// TestHistogramExpositionConsistentUnderWrites reads a histogram through
+// Snapshot and the Prometheus exposition while other goroutines observe
+// into it one at a time and in batches: every read must be a histogram,
+// its cumulative buckets non-decreasing and never above +Inf, with +Inf
+// = _count = the sum of the buckets.
+func TestHistogramExpositionConsistentUnderWrites(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("hammer_seconds", "")
+	stop := make(chan struct{})
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			var b Batch
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				d := time.Duration(1) << (i % 40)
+				if w%2 == 0 {
+					h.Observe(d)
+					continue
+				}
+				b.Observe(d)
+				if i%5 == 4 {
+					b.Flush(h)
+				}
+			}
+		}(w)
+	}
+	defer func() {
+		close(stop)
+		writers.Wait()
+	}()
+
+	var buf bytes.Buffer
+	for r := 0; r < 400; r++ {
+		s := h.Snapshot()
+		var sum uint64
+		for _, n := range s.Buckets {
+			sum += n
+		}
+		if s.Count != sum {
+			t.Fatalf("read %d: snapshot count %d, buckets sum to %d", r, s.Count, sum)
+		}
+		buf.Reset()
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var last, inf, count uint64
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			if strings.HasPrefix(line, "#") {
+				continue
+			}
+			name, val, _ := strings.Cut(line, " ")
+			v, err := strconv.ParseUint(val, 10, 64)
+			switch {
+			case strings.HasPrefix(name, "hammer_seconds_sum"):
+				continue
+			case err != nil:
+				t.Fatalf("read %d: %q: %v", r, line, err)
+			case name == `hammer_seconds_bucket{le="+Inf"}`:
+				inf = v
+			case strings.HasPrefix(name, "hammer_seconds_bucket"):
+				if v < last {
+					t.Fatalf("read %d: cumulative bucket %s = %d below the one before it, %d", r, name, v, last)
+				}
+				last = v
+			case name == "hammer_seconds_count":
+				count = v
+			}
+		}
+		if last != inf || inf != count {
+			t.Fatalf("read %d: last finite bucket %d, +Inf %d, _count %d: want all equal", r, last, inf, count)
+		}
 	}
 }

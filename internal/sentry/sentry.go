@@ -62,7 +62,8 @@ type Dispatcher struct {
 	potentially *obs.Counter
 
 	// tracer, when set, mints a lifecycle trace for every event
-	// delivered through Emit.
+	// delivered through Emit, starting at the event's Time; now stamps
+	// an event that arrives without one.
 	tracer *obs.Tracer
 	now    func() time.Time
 
@@ -92,7 +93,8 @@ func New(consumer Consumer) *Dispatcher {
 
 // Instrument binds the dispatcher's overhead counters into reg (as
 // reach_sentry_checks_total{class=...}) and installs tracer so Emit
-// mints a lifecycle trace per delivered event. Call it before the
+// mints a lifecycle trace per delivered event, starting at the event's
+// Time; now stamps an event delivered without one. Call it before the
 // dispatcher sees traffic; it is not synchronized against Wants/Emit.
 func (d *Dispatcher) Instrument(reg *obs.Registry, tracer *obs.Tracer, now func() time.Time) {
 	if reg != nil {
@@ -201,7 +203,12 @@ func (d *Dispatcher) Emit(in *event.Instance) error {
 		if p := d.shedProbe; p != nil && p() {
 			d.tracesShed.Inc()
 		} else {
-			in.Trace = d.tracer.Begin(in.SpecKey, d.now())
+			// The trace starts when the event occurred: no second clock
+			// read for the same instant.
+			if in.Time.IsZero() {
+				in.Time = d.now()
+			}
+			in.Trace = d.tracer.Begin(in.SpecKey, in.Time)
 		}
 	}
 	return d.consumer.Consume(in)

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/event"
+	"repro/internal/obs"
 )
 
 func TestWantsUnsubscribedIsUseless(t *testing.T) {
@@ -116,5 +118,34 @@ func TestConcurrentWants(t *testing.T) {
 	useful, useless, _ := d.Stats()
 	if useful != 8000 || useless != 8000 {
 		t.Fatalf("stats = %d/%d, want 8000/8000", useful, useless)
+	}
+}
+
+// TestEmitTraceStartsAtEventTime: the trace Emit mints starts at the
+// event's Time, without asking the clock again; an event without a
+// Time is stamped from the clock first.
+func TestEmitTraceStartsAtEventTime(t *testing.T) {
+	d := New(ConsumerFunc(func(*event.Instance) error { return nil }))
+	tr := obs.NewTracer(8)
+	stamp := time.Date(2024, 1, 1, 0, 0, 1, 0, time.UTC)
+	reads := 0
+	d.Instrument(nil, tr, func() time.Time { reads++; return stamp })
+
+	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	in := &event.Instance{SpecKey: "k", Time: at}
+	if err := d.Emit(in); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := tr.Get(in.Trace); !ok || !got.Start.Equal(at) || reads != 0 {
+		t.Fatalf("trace start %v (found %v) after %d clock reads, want %v and none", got.Start, ok, reads, at)
+	}
+
+	bare := &event.Instance{SpecKey: "k"}
+	if err := d.Emit(bare); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := tr.Get(bare.Trace); !bare.Time.Equal(stamp) || !got.Start.Equal(stamp) || reads != 1 {
+		t.Fatalf("event without a Time: Time %v, trace start %v, %d clock reads; want %v twice and one read",
+			bare.Time, got.Start, reads, stamp)
 	}
 }

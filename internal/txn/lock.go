@@ -319,7 +319,7 @@ func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	// trace. The granted-immediately fast path above records nothing.
 	start := t.m.clk.Now()
 	err = <-w.grant
-	wait := t.m.clk.Now().Sub(start)
+	wait := t.m.clk.Since(start)
 	t.m.observeLockWait(mode, wait)
 	t.m.span(t, "lock-wait", mode.String(), start, wait)
 	return err

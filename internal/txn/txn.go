@@ -650,7 +650,7 @@ func (t *Txn) Commit() error {
 		if top && cf != nil {
 			start := t.m.clk.Now()
 			err := cf(t)
-			dur := t.m.clk.Now().Sub(start)
+			dur := t.m.clk.Since(start)
 			t.m.durableDur.Observe(dur)
 			t.m.span(t, "wal-fsync", "", start, dur)
 			if err != nil {
@@ -672,7 +672,7 @@ func (t *Txn) Commit() error {
 		t.mu.Unlock()
 		t.m.commits.Inc()
 		t.m.activeTop.Add(-1)
-		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
+		t.m.durs.Observe(t.m.clk.Since(t.started))
 		t.m.locks.releaseAll(t)
 	} else if err := t.handUp(); err != nil {
 		return err
@@ -789,7 +789,7 @@ func (t *Txn) abort(cause error) error {
 	if t.parent == nil {
 		t.m.aborts.Inc()
 		t.m.activeTop.Add(-1)
-		t.m.durs.Observe(t.m.clk.Now().Sub(t.started))
+		t.m.durs.Observe(t.m.clk.Since(t.started))
 	}
 	t.m.locks.releaseAll(t)
 	if l := t.m.listener; l != nil {

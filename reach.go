@@ -273,7 +273,9 @@ const (
 
 // Clocks.
 type (
-	// Clock is the engine's time source.
+	// Clock is the engine's time source. An implementation provides
+	// Now, Since (the engine derives every instant after an
+	// occurrence's time with it), After and AfterFunc.
 	Clock = clock.Clock
 	// VirtualClock is a deterministic clock driven by Advance.
 	VirtualClock = clock.Virtual
