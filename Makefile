@@ -75,8 +75,10 @@ crash:
 # goroutine on one stripe), a child's commit racing its parent's abort,
 # parallel sibling rule subtransactions, which live in one firing set
 # shared by their goroutines and publish their phase histograms from
-# their own goroutines, and histogram scrapes racing single and batched
-# observations, five times under the race detector.
+# their own goroutines, histogram scrapes racing single and batched
+# observations, and storage commits and aborts sharing pages (per-frame
+# steal counts, recycled transaction state) beside the background
+# checkpointer, five times under the race detector.
 # The executor stress and the storage growth and checkpoint tests run
 # under the race detector in race-procs.
 stress:
@@ -89,6 +91,9 @@ stress:
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestHistogramExpositionConsistentUnderWrites' \
 		./internal/obs
+	$(GO) test -race -timeout 120s -count=5 \
+		-run 'TestConcurrentCommitsSharePages|TestStealProtectionCountsTransactions' \
+		./internal/storage
 
 # soak runs the fault-armed overload soak under the race detector:
 # writers hammer a slow detached rule through the governor's full

@@ -2,8 +2,18 @@ package oodb
 
 import "testing"
 
-// BenchmarkObjectFlushCommit is one attribute write to a persistent
-// object and its commit: codec encode, store update and log force.
+// setAndCommit is one attribute write to a persistent object and its
+// commit: codec encode, store update and log force.
+func setAndCommit(tb testing.TB, db *DB, obj *Object, level int64) {
+	tx := db.Begin()
+	if err := db.Set(tx, obj, "level", level); err != nil {
+		tb.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 func BenchmarkObjectFlushCommit(b *testing.B) {
 	db := openDisk(b, b.TempDir())
 	defer db.Close()
@@ -12,12 +22,26 @@ func BenchmarkObjectFlushCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := db.Begin()
-		if err := db.Set(tx, obj, "level", int64(i)); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		setAndCommit(b, db, obj, int64(i))
+	}
+}
+
+// TestFlushCommitAllocationCeiling: a durable commit of one persistent
+// object allocates its transaction and its write set and nothing else —
+// not the encode buffer, not the storage transaction's state.
+func TestFlushCommitAllocationCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the encode buffer's sync.Pool drops puts at random under the race detector")
+	}
+	db := openDisk(t, t.TempDir())
+	defer db.Close()
+	registerRiver(t, db, false)
+	obj := persistRiver(t, db, "Rhine", 0)
+	level := int64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		level++
+		setAndCommit(t, db, obj, level)
+	}); n > 2 {
+		t.Errorf("Set + Commit of a persistent object: %.0f allocations, ceiling 2", n)
 	}
 }

@@ -527,14 +527,21 @@ func (ws *writeSet) add(obj *Object) {
 	ws.mu.Unlock()
 }
 
+// recordBufs holds flushCommit's encode buffers. The store copies a
+// record into its page and the log before Insert or Update returns, so
+// a buffer is free again once its flush ends; one grown past
+// maxPooledRecord goes to the collector instead.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRecord = 64 << 10
+
 // flushCommit is the durability callback: it translates the top-level
 // transaction's dirty persistent objects into storage records inside
 // one storage transaction and commits it. Each object is encoded into
-// one scratch buffer reused across the flush (the store copies the
-// bytes into the page and the log). The catalog — object table,
-// transient address space, extents, roots RID — changes only after
-// the storage commit succeeds: a failed flush leaves it exactly as
-// Txn.Abort leaves the objects themselves.
+// one pooled scratch buffer reused across the flush. The catalog —
+// object table, transient address space, extents, roots RID — changes
+// only after the storage commit succeeds: a failed flush leaves it
+// exactly as Txn.Abort leaves the objects themselves.
 func (db *DB) flushCommit(t *txn.Txn) error {
 	ws, ok := t.Attachment(txn.SlotObjects).(*writeSet)
 	if !ok {
@@ -577,8 +584,15 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		}
 	}
 
+	buf := recordBufs.Get().(*[]byte)
+	rec := (*buf)[:0]
+	defer func() {
+		if cap(rec) <= maxPooledRecord {
+			*buf = rec[:0]
+			recordBufs.Put(buf)
+		}
+	}()
 	var moved []placed
-	var rec []byte
 	for _, obj := range ws.dirty {
 		if !obj.Persistent() || obj.Deleted() {
 			continue
@@ -609,11 +623,11 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 			return err
 		}
 		db.mu.Lock()
-		rec = encodeRoots(db.roots)
+		roots := encodeRoots(db.roots)
 		rid := db.rootsRID
 		db.mu.Unlock()
 		var err error
-		if rootsRID, err = db.put(tid, rid, rid.Valid(), rec); err != nil {
+		if rootsRID, err = db.put(tid, rid, rid.Valid(), roots); err != nil {
 			return err
 		}
 	}

@@ -210,8 +210,29 @@ func TestDurablePathAllocationCeilings(t *testing.T) {
 		if _, err := s.Update(1<<20, rids[0], data); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 1 {
-		t.Errorf("Store.Update on a resident page: %.0f allocations, ceiling 1", n)
+	}); n != 0 {
+		t.Errorf("Store.Update on a resident page: %.0f allocations, want 0", n)
+	}
+	if err := s.Commit(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+
+	// A whole storage transaction on a resident page reuses a resolved
+	// transaction's state: its before-image arena, undo list and page set.
+	txn := uint64(1<<20 + 1)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := s.Begin(txn); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Update(txn, rids[1], data); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Commit(txn); err != nil {
+			t.Fatal(err)
+		}
+		txn++
+	}); n != 0 {
+		t.Errorf("Store Begin + Update + Commit on a resident page: %.0f allocations, want 0", n)
 	}
 }
 

@@ -12,9 +12,11 @@ import (
 //
 // The pool enforces the store's no-steal policy: a frame dirtied by a
 // transaction that has not yet committed is never written back or
-// evicted. When every frame is pinned or steal-protected, the pool
-// grows past its nominal capacity rather than failing, and shrinks
-// back as frames become evictable.
+// evicted. Each frame counts the unresolved transactions that dirtied
+// it; since a counted frame is never evicted, its count is never lost.
+// When every frame is pinned or steal-protected, the pool grows past
+// its nominal capacity rather than failing, and shrinks back as frames
+// become evictable.
 //
 // A miss at capacity reuses the evicted victim's frame for the
 // incoming page, so steady-state paging allocates nothing.
@@ -49,7 +51,7 @@ type frame struct {
 	id           PageID
 	pins         int
 	dirty        bool
-	noSteal      bool // dirtied by an in-flight transaction
+	steal        int // unresolved transactions that dirtied the frame; > 0 blocks write-back
 	// flushing marks a frame whose snapshot a fuzzy checkpoint is
 	// writing back off-lock; eviction must not write a newer version
 	// underneath it (the checkpoint's stale copy would then clobber
@@ -148,10 +150,11 @@ func (bp *BufferPool) installLocked(fr *frame, id PageID) {
 }
 
 // Unpin releases one pin on page id. dirty marks the frame modified;
-// noSteal additionally marks it modified by an in-flight transaction.
-// A frame going from clean to dirty takes the page LSN as its recLSN:
-// callers stamp the LSN of the record they applied before unpinning.
-func (bp *BufferPool) Unpin(id PageID, dirty, noSteal bool) {
+// protect additionally counts one more in-flight transaction that
+// dirtied it, which ReleaseSteal uncounts when it resolves. A frame
+// going from clean to dirty takes the page LSN as its recLSN: callers
+// stamp the LSN of the record they applied before unpinning.
+func (bp *BufferPool) Unpin(id PageID, dirty, protect bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	fr, ok := bp.frames[id]
@@ -166,20 +169,22 @@ func (bp *BufferPool) Unpin(id PageID, dirty, noSteal bool) {
 		}
 		fr.version++
 	}
-	if noSteal {
-		fr.noSteal = true
+	if protect {
+		fr.steal++
 	}
 }
 
-// ReleaseSteal clears the no-steal mark on page id, making the frame
-// writable and evictable again. The store calls it when the last
-// transaction that dirtied the page commits or aborts.
+// ReleaseSteal uncounts one resolved transaction that dirtied page id;
+// once none is left the frame is writable and evictable again. The
+// store calls it once per page when a transaction commits or aborts.
 func (bp *BufferPool) ReleaseSteal(id PageID) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	if fr, ok := bp.frames[id]; ok {
-		fr.noSteal = false
+	fr, ok := bp.frames[id]
+	if !ok || fr.steal == 0 {
+		panic(fmt.Sprintf("storage: ReleaseSteal(%d) without protection", id))
 	}
+	fr.steal--
 }
 
 // victimLocked returns a frame for one more resident page. Below
@@ -190,7 +195,7 @@ func (bp *BufferPool) ReleaseSteal(id PageID) {
 func (bp *BufferPool) victimLocked() (*frame, error) {
 	if len(bp.frames) >= bp.capacity {
 		for fr := bp.ring.newer; fr != &bp.ring; fr = fr.newer {
-			if fr.pins > 0 || fr.noSteal || fr.flushing {
+			if fr.pins > 0 || fr.steal > 0 || fr.flushing {
 				continue
 			}
 			if fr.dirty {
@@ -231,7 +236,7 @@ func (bp *BufferPool) DirtyIDs() []PageID {
 	defer bp.mu.Unlock()
 	var ids []PageID
 	for id, fr := range bp.frames {
-		if fr.dirty && !fr.noSteal {
+		if fr.dirty && fr.steal == 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -248,7 +253,7 @@ func (bp *BufferPool) SnapshotFrame(id PageID, dst *Page) (uint64, bool) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	fr, ok := bp.frames[id]
-	if !ok || !fr.dirty || fr.noSteal || fr.flushing {
+	if !ok || !fr.dirty || fr.steal > 0 || fr.flushing {
 		return 0, false
 	}
 	*dst = *fr.page

@@ -16,7 +16,7 @@ type Options struct {
 	// Zero selects a default of 256 pages (2 MiB).
 	BufferPoolPages int
 	// Metrics, when set, binds the store's counters (buffer hits and
-	// misses, WAL syncs, WAL append latency) into a shared registry.
+	// misses, WAL syncs and flush/fsync latency) into a shared registry.
 	Metrics *obs.Registry
 	// FS is the filesystem the store's data file and write-ahead log
 	// are opened through. Nil selects the real filesystem; the
@@ -70,7 +70,10 @@ type Store struct {
 	// not yet known durable: their pages stay steal-protected so no
 	// flush (checkpoint or eviction) publishes effects whose commit a
 	// crash might lose.
-	forcing    map[uint64]*txnState
+	forcing map[uint64]*txnState
+	// free holds resolved transaction states for Begin to reuse, so a
+	// steady stream of small transactions allocates none.
+	free       []*txnState
 	insertHint PageID // last page that accepted an insert
 	// poison is set when a commit's durability is in doubt: the commit
 	// record was appended but forcing it to stable storage failed, so
@@ -119,9 +122,48 @@ type txnState struct {
 	ops []undoOp
 	// before holds the before-images of every update and delete, back
 	// to back; an undoOp addresses its image by offset.
-	before   []byte
-	pages    map[PageID]bool
+	before []byte
+	// pages is the set of pages the transaction dirtied; each holds one
+	// unit of its frame's steal count until the transaction resolves.
+	pages    map[PageID]struct{}
 	firstLSN uint64 // LSN of the BEGIN record; pins a fuzzy checkpoint's redoLSN
+}
+
+// A resolved transaction's state goes back on the store's free list
+// unless it grew past one of these, so a rare bulk load does not pin
+// its arena for the life of the store; nor does the list itself grow
+// past maxFreeTxnStates.
+const (
+	maxRecycledBefore = 64 << 10
+	maxRecycledOps    = 1024
+	maxRecycledPages  = 64
+	maxFreeTxnStates  = 16
+)
+
+// newTxnStateLocked returns an empty transaction state, reusing a
+// resolved one when the free list has it.
+func (s *Store) newTxnStateLocked() *txnState {
+	if n := len(s.free); n > 0 {
+		st := s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
+		return st
+	}
+	return &txnState{pages: make(map[PageID]struct{})}
+}
+
+// recycleLocked returns a resolved transaction's state to the free
+// list, emptied but with its capacity kept.
+func (s *Store) recycleLocked(st *txnState) {
+	if len(s.free) >= maxFreeTxnStates || cap(st.before) > maxRecycledBefore ||
+		cap(st.ops) > maxRecycledOps || len(st.pages) > maxRecycledPages {
+		return
+	}
+	st.ops = st.ops[:0]
+	st.before = st.before[:0]
+	clear(st.pages)
+	st.firstLSN = 0
+	s.free = append(s.free, st)
 }
 
 type undoOp struct {
@@ -248,7 +290,9 @@ func (s *Store) Begin(txn uint64) error {
 	if err != nil {
 		return err
 	}
-	s.active[txn] = &txnState{pages: make(map[PageID]bool), firstLSN: lsn}
+	st := s.newTxnStateLocked()
+	st.firstLSN = lsn
+	s.active[txn] = st
 	return nil
 }
 
@@ -321,16 +365,20 @@ func (s *Store) placeLocked(data []byte) (RID, *Page, error) {
 
 // logLocked appends rec, which describes a change just applied to the
 // pinned page p, stamps the page with the record's LSN while it is
-// still pinned, and unpins it dirty and steal-protected until st
-// resolves. When the append fails the change stays applied in memory
-// and the undo the caller recorded still covers it.
+// still pinned, and unpins it dirty. st's first touch of the page
+// raises the frame's steal count, which st's resolution lowers again.
+// When the append fails the change stays applied in memory and the
+// undo the caller recorded still covers it.
 func (s *Store) logLocked(st *txnState, p *Page, rec *LogRecord) error {
-	st.pages[rec.RID.Page] = true
+	_, touched := st.pages[rec.RID.Page]
+	if !touched {
+		st.pages[rec.RID.Page] = struct{}{}
+	}
 	lsn, err := s.wal.Append(rec)
 	if err == nil {
 		p.SetLSN(lsn)
 	}
-	s.pool.Unpin(rec.RID.Page, true, true)
+	s.pool.Unpin(rec.RID.Page, true, !touched)
 	return err
 }
 
@@ -468,7 +516,8 @@ func (s *Store) Commit(txn uint64) error {
 		s.mu.Unlock()
 		return perr
 	}
-	s.releaseStealLocked(st.pages)
+	s.releaseStealLocked(st)
+	s.recycleLocked(st)
 	s.mu.Unlock()
 	s.maybeTriggerCheckpoint()
 	return nil
@@ -476,7 +525,8 @@ func (s *Store) Commit(txn uint64) error {
 
 // Abort rolls back txn's effects in memory. When a deleted or updated
 // record could not be restored in place it is relocated; the returned
-// map gives old→new RIDs the caller must re-point.
+// map, nil when nothing moved, gives old→new RIDs the caller must
+// re-point.
 func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -484,7 +534,7 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 	if err != nil {
 		return nil, err
 	}
-	reloc := make(map[RID]RID)
+	var reloc map[RID]RID
 	for i := len(st.ops) - 1; i >= 0; i-- {
 		op := st.ops[i]
 		rid := op.rid
@@ -506,8 +556,15 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 				return reloc, err
 			}
 		case LogUpdate, LogDelete:
-			if err := s.restoreLocked(st, rid, op.rid, before, reloc, op.kind == LogUpdate); err != nil {
+			moved, err := s.restoreLocked(st, rid, before, op.kind == LogUpdate)
+			if err != nil {
 				return reloc, err
+			}
+			if moved.Valid() {
+				if reloc == nil {
+					reloc = make(map[RID]RID)
+				}
+				reloc[op.rid] = moved
 			}
 		}
 	}
@@ -515,8 +572,10 @@ func (s *Store) Abort(txn uint64) (map[RID]RID, error) {
 		return reloc, err
 	}
 	delete(s.active, txn)
-	s.releaseStealLocked(st.pages)
-	if len(st.ops) > 0 {
+	s.releaseStealLocked(st)
+	undone := len(st.ops) > 0
+	s.recycleLocked(st)
+	if undone {
 		// The undo was logged as system records; make them durable so
 		// the post-abort state (including any relocated committed
 		// records callers were handed) survives a crash.
@@ -538,13 +597,13 @@ const sysTxn = 0
 // restoreLocked puts before back at rid; update=true means the slot is
 // live and should be overwritten, false means the slot is dead and
 // should be re-populated. On space exhaustion the record is relocated,
-// the move recorded in reloc keyed by the original RID, and — because
-// the moved image belongs to committed history — logged under sysTxn
-// so redo reproduces the relocation after a crash.
-func (s *Store) restoreLocked(st *txnState, rid, origRID RID, before []byte, reloc map[RID]RID, update bool) error {
+// its new RID returned (InvalidRID when it stayed put), and — because
+// the moved image belongs to committed history — the move is logged
+// under sysTxn so redo reproduces it after a crash.
+func (s *Store) restoreLocked(st *txnState, rid RID, before []byte, update bool) (RID, error) {
 	p, err := s.pool.Pin(rid.Page)
 	if err != nil {
-		return err
+		return InvalidRID, err
 	}
 	kind := LogInsert
 	if update {
@@ -554,55 +613,38 @@ func (s *Store) restoreLocked(st *txnState, rid, origRID RID, before []byte, rel
 		err = p.InsertAt(rid.Slot, before)
 	}
 	if err == nil {
-		return s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: kind, RID: rid, After: before})
+		return InvalidRID, s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: kind, RID: rid, After: before})
 	}
 	if !errors.Is(err, ErrPageFull) {
 		s.pool.Unpin(rid.Page, false, false)
-		return err
+		return InvalidRID, err
 	}
 	if update {
 		// Free the stale image before relocating.
 		if err := p.Delete(rid.Slot); err != nil {
 			s.pool.Unpin(rid.Page, false, false)
-			return err
+			return InvalidRID, err
 		}
 	}
 	// Log the relocation: the committed image leaves rid and lands at
 	// newRID.
 	if err := s.logLocked(st, p, &LogRecord{Txn: sysTxn, Kind: LogDelete, RID: rid}); err != nil {
-		return err
+		return InvalidRID, err
 	}
 	newRID, np, err := s.placeLocked(before)
 	if err != nil {
-		return err
+		return InvalidRID, err
 	}
 	if err := s.logLocked(st, np, &LogRecord{Txn: sysTxn, Kind: LogInsert, RID: newRID, After: before}); err != nil {
-		return err
+		return InvalidRID, err
 	}
-	reloc[origRID] = newRID
-	return nil
+	return newRID, nil
 }
 
-func (s *Store) releaseStealLocked(pages map[PageID]bool) {
-	for id := range pages {
-		still := false
-		for _, other := range s.active {
-			if other.pages[id] {
-				still = true
-				break
-			}
-		}
-		if !still {
-			for _, other := range s.forcing {
-				if other.pages[id] {
-					still = true
-					break
-				}
-			}
-		}
-		if !still {
-			s.pool.ReleaseSteal(id)
-		}
+// releaseStealLocked lowers the steal count of every page st dirtied.
+func (s *Store) releaseStealLocked(st *txnState) {
+	for id := range st.pages {
+		s.pool.ReleaseSteal(id)
 	}
 }
 

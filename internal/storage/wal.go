@@ -153,14 +153,12 @@ type WAL struct {
 	pending *syncBatch // followers parked for the leader's next round
 
 	// syncs counts fsyncs so Stats can report the effect of group
-	// commit; appendDur is the append (serialize + buffer) latency;
-	// flushDur/fsyncDur split a Sync into its buffered-flush and
-	// stable-storage halves. All standalone by default and rebound by
-	// Instrument.
-	syncs     *obs.Counter
-	appendDur *obs.Histogram
-	flushDur  *obs.Histogram
-	fsyncDur  *obs.Histogram
+	// commit; flushDur/fsyncDur split a Sync into its buffered-flush
+	// and stable-storage halves. All standalone by default and rebound
+	// by Instrument.
+	syncs    *obs.Counter
+	flushDur *obs.Histogram
+	fsyncDur *obs.Histogram
 
 	// Group-commit accounting: requests satisfied, follower batches
 	// released, and the largest batch seen (average batch size is
@@ -250,7 +248,6 @@ func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (
 	w := &WAL{
 		fs: fs, path: path, segBytes: segBytes,
 		syncs:        new(obs.Counter),
-		appendDur:    new(obs.Histogram),
 		flushDur:     new(obs.Histogram),
 		fsyncDur:     new(obs.Histogram),
 		groupReqs:    new(obs.Counter),
@@ -374,7 +371,6 @@ func (w *WAL) Instrument(reg *obs.Registry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.syncs = reg.Counter("reach_wal_syncs_total", "WAL fsyncs issued.")
-	w.appendDur = reg.Histogram("reach_wal_append_seconds", "WAL record append latency.")
 	w.flushDur = reg.Histogram("reach_wal_flush_seconds",
 		"WAL buffered-writer flush latency during Sync.")
 	w.fsyncDur = reg.Histogram("reach_wal_fsync_seconds",
@@ -410,7 +406,6 @@ func (w *WAL) updateSegMetricsLocked() {
 // frame goes into the buffered writer piece by piece: the images are
 // copied once and nothing is allocated.
 func (w *WAL) Append(rec *LogRecord) (uint64, error) {
-	defer w.appendDur.Time()()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.ioErr != nil {
