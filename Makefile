@@ -39,12 +39,16 @@ race-procs:
 # (a recycled composer completes exactly what a fresh one does), EOT
 # skipping the composers its transaction never fed while another
 # composer is held, a temporal occurrence queued on a held composer
-# staying out of a transaction that delivered after it, and two
-# composites sharing one primitive occurrence on their own goroutines.
+# staying out of a transaction that delivered after it, two
+# composites sharing one primitive occurrence on their own goroutines,
+# the event histories under four concurrent raisers on one hot key
+# (Seq order, eviction and byte count while a reader polls), and
+# sequential-causal firings parking on transactions that other
+# goroutines commit and abort.
 repeat:
 	$(GO) test -timeout 240s -count=300 -run 'TestCompositeOfComposite$$' ./internal/eca
 	$(GO) test -race -timeout 240s -count=20 -run 'TestRecycledComposerMatchesFresh$$' ./internal/algebra
-	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$' ./internal/eca
+	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$' ./internal/eca
 
 vet:
 	$(GO) vet ./...

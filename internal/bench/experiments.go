@@ -443,7 +443,7 @@ func RunE9(workers, eventsPer int) []Row {
 		db, _ := oodb.Open(oodb.Options{Clock: vc})
 		db.Dictionary().Register(sensorClass(true))
 		engine := eca.New(db, eca.Options{History: mode})
-		// One manager per worker: distinct method events.
+		// Every worker raises Sensor.ping: all share one ECA-manager.
 		var sensors []*oodb.Object
 		setup := db.Begin()
 		for w := 0; w < workers; w++ {
@@ -613,7 +613,7 @@ func RunE12(records int) []Row {
 
 // RunE13 measures the contended raise→dispatch→commit path at g
 // concurrent goroutines — the convoys this repo's group-commit WAL,
-// striped lock table, and sharded histories exist to dissolve. Each
+// striped lock table, and per-manager histories exist to dissolve. Each
 // pair of configs is a within-run ablation: the same workload with
 // group commit on versus every committer forcing its own fsync.
 func RunE13(g, commits int) []Row {

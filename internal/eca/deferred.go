@@ -11,16 +11,20 @@ import (
 )
 
 // txnState is what the engine keeps on a top-level transaction
-// (txn.SlotRules): the deferred firings waiting for its EOT and the
+// (txn.SlotRules): the deferred firings waiting for its EOT, the
 // occurrences raised in its tree, waiting for the hand-off to the
-// global history when it ends. Both start on inline room.
+// global history when it ends, and the sequential-causal firings
+// waiting for it to end. The first two start on inline room.
 type txnState struct {
 	mu       sync.Mutex
 	deferred []queued
 	hist     []HistoryEntry
-	// histClosed is set by the hand-off: an occurrence recorded later
-	// (an asynchronous completion racing the commit) stays local.
-	histClosed bool
+	parked   []ruleJob
+	// ended is set when the transaction's end hands off hist and
+	// parked: an occurrence recorded later (an asynchronous completion
+	// racing the commit) stays local, and a firing finding it set no
+	// longer parks here.
+	ended bool
 
 	deferredInline [deferredRoom]queued
 	histInline     [histRoom]HistoryEntry

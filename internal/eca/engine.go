@@ -168,23 +168,21 @@ type engineMetrics struct {
 	cascadeHigh  *obs.Gauge
 
 	// supervised-executor series.
-	retries       *obs.Counter
-	panics        *obs.Counter
-	deadlines     *obs.Counter
-	rejDraining   *obs.Counter
-	rejBreaker    *obs.Counter
-	breakerTrips  *obs.Counter
-	breakerOpen   *obs.Gauge
-	deadLetters   *obs.Counter
-	deadDepth     *obs.Gauge
-	execQueue     *obs.Gauge
-	execQueueHigh *obs.Gauge
+	retries      *obs.Counter
+	panics       *obs.Counter
+	deadlines    *obs.Counter
+	rejDraining  *obs.Counter
+	rejBreaker   *obs.Counter
+	breakerTrips *obs.Counter
+	breakerOpen  *obs.Gauge
+	deadLetters  *obs.Counter
+	deadDepth    *obs.Gauge
+	execQueue    *obs.Gauge
 
 	// overload-governor resource series: live accounting the governor
 	// reads on its evaluation interval, plus the shed rejections.
 	deferredDepth  *obs.Gauge
 	execInflight   *obs.Gauge
-	historyBytes   *obs.Gauge
 	rejGovernor    *obs.Counter
 	breakerEvicted *obs.Counter
 	deadEvicted    *obs.Counter
@@ -249,14 +247,10 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Current dead-letter queue depth."),
 		execQueue: reg.Gauge("reach_executor_queue_depth",
 			"Detached executor queue depth at last submit/dequeue."),
-		execQueueHigh: reg.Gauge("reach_executor_queue_highwater",
-			"High-water mark of the detached executor queue depth."),
 		deferredDepth: reg.Gauge("reach_deferred_queue_depth",
 			"Deferred firings queued across all live transactions."),
 		execInflight: reg.Gauge("reach_executor_inflight",
 			"Accepted detached firings not yet finished (queued or running)."),
-		historyBytes: reg.Gauge("reach_event_history_bytes",
-			"Approximate bytes held across all event-history shards (local and global)."),
 		rejGovernor: reg.Counter(rejected, rejectedHelp, "reason", "governor-shed"),
 		breakerEvicted: reg.Counter("reach_rule_breaker_evicted_total",
 			"Circuit-breaker records garbage-collected when their rule was unloaded."),
@@ -293,7 +287,7 @@ type Engine struct {
 
 	cascadeBound atomic.Int64 // static bound from rule-set analysis; 0 = none
 
-	hist *shardedHistory
+	hist *historyRing
 
 	exec   *executor
 	closed atomic.Bool
@@ -331,15 +325,12 @@ func New(db *oodb.DB, opts Options) *Engine {
 		opts:       opts,
 		managers:   make(map[string]*Manager),
 		composites: make(map[string]*compositeMgr),
-		hist:       newShardedHistory(globalHistorySize),
+		hist:       newHistoryRing(globalHistorySize),
 		temporals:  make(map[*TemporalHandle]struct{}),
 		reg:        reg,
 		tracer:     tracer,
 		met:        newEngineMetrics(reg),
 	}
-	// Every history (global and per-manager local) shares one byte
-	// gauge so the governor sees total history footprint in one read.
-	e.hist.bytes = e.met.historyBytes
 	e.plans.Store(&map[string]*plan{})
 	e.slowLog = obs.NewSlowLog(slowLogCapacity, opts.SlowLogThreshold)
 	e.slowLog.Instrument(reg)
@@ -384,10 +375,6 @@ func (e *Engine) DetachedBacklog() int64 { return e.met.execInflight.Value() }
 // DetachedQueue reports the detached-rule queue's capacity after
 // defaults.
 func (e *Engine) DetachedQueue() int64 { return int64(e.opts.Queue) }
-
-// HistoryBytes reports the approximate byte footprint of every event
-// history (global plus per-manager locals) — a governor resource.
-func (e *Engine) HistoryBytes() int64 { return e.met.historyBytes.Value() }
 
 // DeadLetterDepth reports the current dead-letter queue depth — a
 // governor resource.
@@ -552,7 +539,7 @@ func (e *Engine) ResetStats() {
 // (§6.3, Figure 2).
 type Manager struct {
 	key   string
-	local *shardedHistory
+	local *historyRing
 	// rules, in firing order, and composers are what the key's plan is
 	// built from; Engine.mu guards them.
 	rules     []*Rule
@@ -560,7 +547,7 @@ type Manager struct {
 }
 
 // LocalHistory returns the manager's local event history, oldest
-// first. The sharded rings synchronize themselves.
+// first. The ring synchronizes itself.
 func (m *Manager) LocalHistory() []HistoryEntry {
 	return m.local.entries()
 }
@@ -596,8 +583,7 @@ func (e *Engine) managerLocked(key string) *Manager {
 	if m, ok := e.managers[key]; ok {
 		return m
 	}
-	m := &Manager{key: key, local: newShardedHistory(localHistorySize)}
-	m.local.bytes = e.met.historyBytes
+	m := &Manager{key: key, local: newHistoryRing(localHistorySize)}
 	e.managers[key] = m
 	return m
 }
@@ -861,7 +847,7 @@ func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	}
 	st := ensureTxnState(owner.Top())
 	st.mu.Lock()
-	if !st.histClosed {
+	if !st.ended {
 		// Only the newest globalHistorySize occurrences can survive the
 		// hand-off; a transaction raising more keeps memory bounded by
 		// shedding the older half now.

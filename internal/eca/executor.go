@@ -79,7 +79,8 @@ type breaker struct {
 // matter how the scheduler interleaves the trigger's resolution);
 // retries recreate them from the triggering instance. Sequential-causal
 // jobs carry no transaction: they may not even initiate until the
-// trigger commits.
+// triggers commit, and until then they wait parked on a trigger's
+// engine state, holding no worker (route).
 type ruleJob struct {
 	rule *Rule
 	in   *event.Instance
@@ -123,11 +124,12 @@ func newExecutor(e *Engine) *executor {
 	return x
 }
 
-// submit reserves an in-flight slot and enqueues the job. The
-// reservation happens before the channel send so WaitDetached and
-// Drain observe the job the moment the raising goroutine returns —
-// no spawn can be lost between acceptance and execution. A full queue
-// is backpressure: the raiser parks until a worker frees a slot.
+// submit reserves an in-flight slot and enqueues the job, or parks a
+// sequential-causal one until its triggers end. The reservation
+// happens before the channel send so WaitDetached and Drain observe
+// the job the moment the raising goroutine returns — no spawn can be
+// lost between acceptance and execution. A full queue is backpressure:
+// the raiser parks until a worker frees a slot.
 func (x *executor) submit(job ruleJob) error {
 	x.mu.Lock()
 	if x.draining {
@@ -137,6 +139,16 @@ func (x *executor) submit(job ruleJob) error {
 	x.inflight++
 	x.mu.Unlock()
 	x.e.met.execInflight.Add(1)
+	if job.mode == DetachedSequentialCausal {
+		return x.route(job, x.drainCh)
+	}
+	return x.enqueue(job, x.drainCh)
+}
+
+// enqueue sends a reserved job to the workers. A close of stop gives
+// up with ErrDraining; a nil stop waits for queue room however long
+// draining takes.
+func (x *executor) enqueue(job ruleJob, stop <-chan struct{}) error {
 	g := x.e.gov
 	for {
 		// The raiser may be parked here while holding its
@@ -156,14 +168,78 @@ func (x *executor) submit(job ruleJob) error {
 		}
 		select {
 		case x.queue <- job:
-			depth := int64(len(x.queue))
-			x.e.met.execQueue.Set(depth)
-			x.e.met.execQueueHigh.SetMax(depth)
+			x.e.met.execQueue.Set(int64(len(x.queue)))
 			return nil
-		case <-x.drainCh:
+		case <-stop:
 			x.jobDone()
 			return ErrDraining
 		case <-stateCh:
+		}
+	}
+}
+
+// route moves a reserved sequential-causal job on by its triggers'
+// outcomes (§3.2, Table 1): while one is still active the job parks
+// on it; when one aborted the job is dropped silently; once all
+// committed it is enqueued, the committers' locks released by then.
+func (x *executor) route(job ruleJob, stop <-chan struct{}) error {
+	for {
+		var open *txn.Txn
+		aborted := false
+		triggers(job.in, func(t *txn.Txn) bool {
+			switch t.Status() {
+			case txn.Active:
+				if open == nil {
+					open = t
+				}
+			case txn.Aborted:
+				aborted = true
+				return false
+			}
+			return true
+		})
+		switch {
+		case aborted:
+			x.jobDone()
+			return nil
+		case open == nil:
+			return x.enqueue(job, stop)
+		case park(open, job):
+			return nil
+		}
+		// open resolved after its status was read: look again.
+	}
+}
+
+// park queues job on the top-level transaction t until t ends, unless
+// it already ended. The status is read after the state is attached: a
+// t still active then ends later, and its end (endTxn) finds the state
+// and either takes the job or has set ended first.
+func park(t *txn.Txn, job ruleJob) bool {
+	st := ensureTxnState(t)
+	if t.Status() != txn.Active {
+		return false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ended {
+		return false
+	}
+	st.parked = append(st.parked, job)
+	return true
+}
+
+// resume routes the sequential-causal jobs that were parked on a
+// top-level transaction that just ended: on to the next open trigger,
+// to the workers, or, after an abort, away. A resumed job was accepted
+// before draining began, so it waits for queue room rather than giving
+// up.
+func (x *executor) resume(parked []ruleJob) {
+	for _, job := range parked {
+		if x.route(job, nil) != nil {
+			// Shed out of a blocked park: the system degraded while
+			// this resumed job waited for queue space.
+			x.e.shed(governor.ClassDetached, job.rule, job.in)
 		}
 	}
 }
@@ -342,17 +418,10 @@ func (x *executor) runJob(job ruleJob) {
 	attempt := 0
 	for {
 		attempt++
-		if job.mode == DetachedSequentialCausal {
-			// Sequential-causal rules may not initiate until every
-			// trigger transaction committed (§3.2); the outcome is
-			// re-checked before each attempt.
-			if !seqCausalReady(job.in) {
-				return
-			}
-			t = e.beginRuleTxn()
-		} else if t == nil {
-			// Retry: a fresh rule transaction with fresh dependency
-			// edges against whatever the triggers have become.
+		if t == nil {
+			// A sequential-causal job's first attempt, or a retry: a
+			// fresh rule transaction with fresh dependency edges
+			// against whatever the triggers have become.
 			t, veto = e.detachedTxn(job.mode, job.in, r.Name)
 		}
 		if veto != nil {
@@ -546,17 +615,6 @@ func (e *Engine) detachedTxn(mode Coupling, in *event.Instance, ruleName string)
 		return true
 	})
 	return t, veto
-}
-
-// seqCausalReady blocks until every trigger transaction resolves and
-// reports whether all of them committed.
-func seqCausalReady(in *event.Instance) bool {
-	ok := true
-	triggers(in, func(t *txn.Txn) bool {
-		ok = t.Wait() == txn.Committed
-		return ok
-	})
-	return ok
 }
 
 // triggers calls visit on the top-level transaction of each constituent

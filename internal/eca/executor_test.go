@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/algebra"
 	"repro/internal/clock"
 	"repro/internal/event"
 	"repro/internal/fault"
@@ -909,5 +910,192 @@ func TestExecutorStress(t *testing.T) {
 	}
 	if e.met.panics.Value() == 0 {
 		t.Fatal("stress run never exercised panic recovery")
+	}
+}
+
+// A sequential-causal firing waits for its trigger without holding a
+// worker or a queue slot: one transaction raising more of them than the
+// pool and the queue hold together still commits, and every firing runs
+// after it.
+func TestSequentialCausalParksOffTheWorkers(t *testing.T) {
+	e, db, _ := newTestEngine(t, Options{Workers: 2, Queue: 4})
+	obj := newSensor(t, db)
+	var ran atomic.Int32
+	if err := e.AddRule(&Rule{
+		Name: "sc", EventKey: pingKey(), ActionMode: DetachedSequentialCausal,
+		Action: func(*RuleCtx) error { ran.Add(1); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const firings = 8
+	tx := db.Begin()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < firings; i++ {
+			if _, err := db.Invoke(tx, obj, "ping", int64(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- tx.Commit()
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		_ = tx.Abort() // resolves the trigger the parked firings wait on, so Close can drain
+		t.Fatalf("trigger raising %d sequential-causal firings wedged (workers 2, queue 4)", firings)
+	}
+	e.WaitDetached()
+	if n := ran.Load(); n != firings {
+		t.Fatalf("%d of %d sequential-causal firings ran", n, firings)
+	}
+}
+
+// Sequential-causal firings of an open trigger leave the workers to the
+// other detached rules.
+func TestSequentialCausalLeavesWorkersFree(t *testing.T) {
+	e, db, _ := newTestEngine(t, Options{Workers: 2})
+	obj, other := newSensor(t, db), newSensor(t, db)
+	var sc atomic.Int32
+	detached := make(chan struct{}, 1)
+	for _, r := range []*Rule{
+		{Name: "sc", EventKey: pingKey(), ActionMode: DetachedSequentialCausal,
+			Action: func(*RuleCtx) error { sc.Add(1); return nil }},
+		{Name: "det", EventKey: resetKey(), ActionMode: Detached,
+			Action: func(*RuleCtx) error { detached <- struct{}{}; return nil }},
+	} {
+		if err := e.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trig := db.Begin()
+	ping(t, db, trig, obj, 2)
+	tx := db.Begin()
+	if _, err := db.Invoke(tx, other, "reset"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-detached:
+	case <-time.After(5 * time.Second):
+		_ = trig.Abort() // frees the workers, so Close can drain
+		t.Fatal("detached rule did not run while two sequential-causal firings waited on an open trigger (2 workers)")
+	}
+	if n := sc.Load(); n != 0 {
+		t.Fatalf("%d sequential-causal firings ran before their trigger committed", n)
+	}
+	if err := trig.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	e.WaitDetached()
+	if n := sc.Load(); n != 2 {
+		t.Fatalf("%d of 2 sequential-causal firings ran after the commit", n)
+	}
+}
+
+// Sequential-causal firings of a global composite park and resume while
+// its constituents' transactions commit and abort on other goroutines:
+// each firing runs exactly when all of its triggers committed, and none
+// is lost.
+func TestSequentialCausalUnderConcurrentTriggers(t *testing.T) {
+	const raisers, txns = 4, 60
+	e, db, _ := newTestEngine(t, Options{Workers: 2, Queue: 4})
+	comp := seqComposite("ping-reset", algebra.ScopeGlobal)
+	if err := e.DefineComposite(comp); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	detected := map[uint64]map[uint64]bool{} // composite Seq → its trigger transactions
+	ran := map[uint64]int{}                   // composite Seq → sequential-causal runs
+	committed := map[uint64]bool{}
+	for _, r := range []*Rule{
+		{Name: "all", EventKey: comp.Key(), ActionMode: Detached, Action: func(rc *RuleCtx) error {
+			mu.Lock()
+			detected[rc.Trigger.Seq] = rc.Trigger.Transactions()
+			mu.Unlock()
+			return nil
+		}},
+		{Name: "sc", EventKey: comp.Key(), ActionMode: DetachedSequentialCausal, Action: func(rc *RuleCtx) error {
+			mu.Lock()
+			ran[rc.Trigger.Seq]++
+			mu.Unlock()
+			return nil
+		}},
+	} {
+		if err := e.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, raisers)
+	for g := 0; g < raisers; g++ {
+		obj := newSensor(t, db)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				tx := db.Begin()
+				method := "ping"
+				if (g+i)%2 == 1 {
+					method = "reset"
+				}
+				var args []any
+				if method == "ping" {
+					args = []any{int64(i)}
+				}
+				if _, err := db.Invoke(tx, obj, method, args...); err != nil {
+					errs <- err
+					return
+				}
+				// The composite completes while its transaction is open,
+				// so its firing parks.
+				e.DrainComposers()
+				commit := i%3 != 0
+				mu.Lock()
+				committed[tx.ID()] = commit
+				mu.Unlock()
+				end := tx.Abort
+				if commit {
+					end = tx.Commit
+				}
+				if err := end(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	e.DrainComposers()
+	e.WaitDetached()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(detected) == 0 {
+		t.Fatal("no composite detected")
+	}
+	for seq, trigs := range detected {
+		want := 1
+		for id := range trigs {
+			if !committed[id] {
+				want = 0
+			}
+		}
+		if ran[seq] != want {
+			t.Errorf("composite %d from transactions %v: sequential-causal rule ran %d times, want %d", seq, trigs, ran[seq], want)
+		}
+	}
+	for seq := range ran {
+		if detected[seq] == nil {
+			t.Errorf("sequential-causal rule ran for composite %d, which the detached rule never saw", seq)
+		}
 	}
 }

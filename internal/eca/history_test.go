@@ -1,6 +1,8 @@
 package eca
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/oodb"
@@ -211,5 +213,94 @@ func TestCommitWithoutEventsTouchesNoHistory(t *testing.T) {
 	}
 	if n := len(e.GlobalHistory()); n != 0 {
 		t.Fatalf("global history = %d entries, want 0", n)
+	}
+}
+
+// Histories stay consistent under concurrent raisers on one hot key:
+// four goroutines commit and abort their own transactions while a
+// reader polls both read paths.
+func TestHistoriesUnderConcurrentRaisers(t *testing.T) {
+	const raisers, txns, pings = 4, 20, 60 // 4 800 occurrences: the global ring wraps
+	e, db, _ := historyEngine(t, Options{})
+	objs := make([]*oodb.Object, raisers)
+	for i := range objs {
+		objs[i] = newSensor(t, db)
+	}
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		for {
+			var last uint64
+			for _, en := range e.GlobalHistory() {
+				if en.Seq <= last {
+					polled <- fmt.Errorf("global history out of Seq order: %d after %d", en.Seq, last)
+					return
+				}
+				last = en.Seq
+			}
+			if n := e.HistoryBytes(); n < 0 {
+				polled <- fmt.Errorf("HistoryBytes() = %d", n)
+				return
+			}
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make(chan error, raisers)
+	for _, obj := range objs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < txns; i++ {
+				tx := db.Begin()
+				for j := 0; j < pings; j++ {
+					if _, err := db.Invoke(tx, obj, "ping", int64(j)); err != nil {
+						errs <- err
+						return
+					}
+				}
+				end := tx.Commit
+				if i%2 == 1 {
+					end = tx.Abort
+				}
+				if err := end(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	global := e.GlobalHistory()
+	if want := min(raisers*txns*pings, globalHistorySize); len(global) != want {
+		t.Fatalf("global history = %d entries, want %d", len(global), want)
+	}
+	globalOf(t, e, 0) // checks Seq order
+	want := int64(0)
+	for _, en := range global {
+		want += entrySize(en)
+	}
+	local := e.planFor(pingKey()).m.LocalHistory()
+	if len(local) != localHistorySize {
+		t.Fatalf("local history = %d entries, want %d", len(local), localHistorySize)
+	}
+	for _, en := range local {
+		want += entrySize(en)
+	}
+	if got := e.HistoryBytes(); got != want {
+		t.Fatalf("HistoryBytes() = %d, rings hold %d", got, want)
 	}
 }

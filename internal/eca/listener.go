@@ -37,9 +37,9 @@ func (l *txnListener) BeforeCommit(t *txn.Txn) error {
 
 // AfterCommit discards what the transaction's compositions still hold
 // (occurrences its deferred rules raised after the EOT flush: the
-// life-span ended), raises the commit event and hands the
-// transaction's occurrences to the background history consolidator
-// (§6.3).
+// life-span ended), raises the commit event, hands the transaction's
+// occurrences to the background history consolidator (§6.3) and moves
+// the sequential-causal firings parked on it on.
 func (l *txnListener) AfterCommit(t *txn.Txn) {
 	e := l.engine()
 	if !t.IsTop() {
@@ -47,12 +47,13 @@ func (l *txnListener) AfterCommit(t *txn.Txn) {
 	}
 	e.endTxnComposition(t.ID(), true)
 	e.emitTxnEvent(event.Commit, t)
-	e.handOffHistory(t)
+	e.endTxn(t)
 }
 
 // AfterAbort discards the transaction's semi-composed events (their
-// life-span ended without completion), raises the abort event, and
-// consolidates history.
+// life-span ended without completion), raises the abort event,
+// consolidates history and drops the sequential-causal firings parked
+// on it.
 func (l *txnListener) AfterAbort(t *txn.Txn) {
 	e := l.engine()
 	if !t.IsTop() {
@@ -61,7 +62,23 @@ func (l *txnListener) AfterAbort(t *txn.Txn) {
 	e.endTxnComposition(t.ID(), true)
 	e.dropDeferred(t)
 	e.emitTxnEvent(event.Abort, t)
-	e.handOffHistory(t)
+	e.endTxn(t)
+}
+
+// endTxn closes an ended top-level transaction's engine state: its
+// occurrences go to the global history and the sequential-causal
+// firings parked on it move on.
+func (e *Engine) endTxn(top *txn.Txn) {
+	st := txnStateOf(top)
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	hist, parked := st.hist, st.parked
+	st.hist, st.parked, st.ended = nil, nil, true
+	st.mu.Unlock()
+	e.handOffHistory(hist)
+	e.exec.resume(parked)
 }
 
 // emitTxnEvent raises a flow-control event for t. Rule transactions

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"sync"
 	"unsafe"
-
-	"repro/internal/obs"
 )
 
 // LockMode is the strength of a lock request.
@@ -73,10 +71,6 @@ type lockTable struct {
 	// Txn.waiting.
 	wfMu sync.Mutex
 
-	// contention counts stripe-mutex acquisitions that found the stripe
-	// already locked. Standalone by default; rebound by Instrument.
-	contention *obs.Counter
-
 	// bypass, set by the equivalence tests only, routes every request
 	// past the short-cuts (held-lock re-entry, wfMu skipped on states
 	// nobody waits on) so their outcomes can be compared with the full
@@ -123,7 +117,7 @@ type lockWaiter struct {
 }
 
 func newLockTable() *lockTable {
-	lt := &lockTable{contention: new(obs.Counter)}
+	lt := &lockTable{}
 	for i := range lt.stripes {
 		lt.stripes[i].locks = make(map[uint64]*lockState)
 	}
@@ -134,15 +128,6 @@ func newLockTable() *lockTable {
 // sequential OIDs (the common allocation pattern) across stripes.
 func (lt *lockTable) stripe(res uint64) *lockStripe {
 	return &lt.stripes[(res*0x9E3779B97F4A7C15)>>(64-6)]
-}
-
-// lockStripe locks st, counting the acquisitions that contended.
-func (lt *lockTable) lockStripe(st *lockStripe) {
-	if st.mu.TryLock() {
-		return
-	}
-	lt.contention.Inc()
-	st.mu.Lock()
 }
 
 // head returns the lock head of res, taking the spare when res has
@@ -249,7 +234,7 @@ func (ls *lockState) heldByAncestor(t *Txn) bool {
 
 func (lt *lockTable) acquire(t *Txn, res uint64, mode LockMode) error {
 	st := lt.stripe(res)
-	lt.lockStripe(st)
+	st.mu.Lock()
 	ls := st.head(res)
 	// Already held at sufficient strength?
 	held := ls.mode(t)
@@ -514,8 +499,9 @@ func (lt *lockTable) releaseAll(t *Txn) {
 	// be granted the lock later: cancel the request.
 	if w := t.waiting.Load(); w != nil {
 		st := lt.stripe(w.res)
-		lt.lockStripe(st)
-		if t.waiting.Load() == w { // not granted meanwhile
+		st.mu.Lock()
+		cancel := t.waiting.Load() == w // not granted meanwhile
+		if cancel {
 			lt.wfMu.Lock()
 			ls := w.ls
 			i := slices.Index(ls.queue, w)
@@ -523,15 +509,18 @@ func (lt *lockTable) releaseAll(t *Txn) {
 			t.waiting.Store(nil)
 			lt.wakeLocked(ls, w.res)
 			lt.wfMu.Unlock()
-			w.grant <- ErrWaitCancelled
 			st.retire(w.res, ls)
 		}
 		st.mu.Unlock()
+		if cancel {
+			// The request left the queue above, so this is its one send.
+			w.grant <- ErrWaitCancelled
+		}
 	}
 
 	for _, l := range t.takeHeld() {
 		st := lt.stripe(l.res)
-		lt.lockStripe(st)
+		st.mu.Lock()
 		if ls := st.locks[l.res]; ls != nil {
 			waits := lt.lockWaits(ls)
 			ls.drop(t)
@@ -552,7 +541,7 @@ func (lt *lockTable) releaseAll(t *Txn) {
 func (lt *lockTable) inherit(child, parent *Txn) {
 	for _, l := range child.takeHeld() {
 		st := lt.stripe(l.res)
-		lt.lockStripe(st)
+		st.mu.Lock()
 		if ls := st.locks[l.res]; ls != nil {
 			waits := lt.lockWaits(ls)
 			ls.drop(child)

@@ -162,8 +162,6 @@ func (m *Manager) Instrument(reg *obs.Registry) {
 	m.lockWaitX = reg.Histogram(lwName, lwHelp, "mode", "X")
 	m.durableDur = reg.Histogram("reach_txn_durable_commit_seconds",
 		"Durability callback latency (WAL append + fsync) at top-level commit.")
-	m.locks.contention = reg.Counter("reach_lock_stripe_contention_total",
-		"Lock-table stripe acquisitions that found the stripe already locked.")
 }
 
 // SetTracer installs the tracer that receives lock-wait and wal-fsync
