@@ -1,7 +1,7 @@
 GO ?= go
 SOAK ?= 60s
 
-.PHONY: build test race race-procs repeat vet lint analyze crash stress soak all
+.PHONY: build test race race-procs repeat poison vet lint analyze crash stress soak all
 
 all: build vet test
 
@@ -50,13 +50,27 @@ repeat:
 	$(GO) test -race -timeout 240s -count=20 -run 'TestRecycledComposerMatchesFresh$$' ./internal/algebra
 	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$' ./internal/eca
 
+# poison builds with -tags poison, under which memory the engine
+# reclaims traps instead of reading as zero: a firing set returned to
+# its free list carries transactions with an impossible status, a
+# poison ID and nil manager and parent, and nil rule contexts and queue
+# entries; a recycled event instance carries poison IDs and keys. It
+# runs the rule engine, the transaction manager, the assembled system,
+# the object layer and the root tests under the race detector, so a
+# read of reclaimed memory panics instead of passing quietly.
+poison:
+	$(GO) test -tags poison -race -timeout 240s -count=1 ./internal/eca ./internal/txn ./internal/core ./internal/oodb .
+
 vet:
 	$(GO) vet ./...
 
-# lint runs the REACH-specific analyzers (reachvet) over the module
-# and the semantic rule-language pass (rulec -vet) over every shipped
-# rule file. Both exit nonzero on findings.
+# lint fails when gofmt would reformat any Go file, then runs the
+# REACH-specific analyzers (reachvet) over the module and the semantic
+# rule-language pass (rulec -vet) over every shipped rule file. All
+# three exit nonzero on findings.
 lint:
+	@unformatted="$$(gofmt -l ./internal ./cmd ./examples . | sort -u)"; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/reachvet
 	$(GO) run ./cmd/rulec -vet examples/*/rules/*.rules
 
@@ -82,7 +96,9 @@ crash:
 # their own goroutines, histogram scrapes racing single and batched
 # observations, and storage commits and aborts sharing pages (per-frame
 # steal counts, recycled transaction state) beside the background
-# checkpointer, five times under the race detector.
+# checkpointer, and the three hazards of recycling a firing set (a
+# deadlock search, a parent's abort and a retained occurrence reaching
+# a reused subtransaction), five times under the race detector.
 # The executor stress and the storage growth and checkpoint tests run
 # under the race detector in race-procs.
 stress:
@@ -90,7 +106,7 @@ stress:
 		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
 		./internal/txn
 	$(GO) test -race -timeout 120s -count=5 \
-		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution|TestPhaseHistogramsMatchSpans/parallel' \
+		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution|TestPhaseHistogramsMatchSpans/parallel|TestSetRecyclingRacesDeadlockSearch|TestSetRecyclingRacesParentAbort|TestRetainedOriginOutlivesRecycling' \
 		./internal/eca
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestHistogramExpositionConsistentUnderWrites' \

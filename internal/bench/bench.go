@@ -39,8 +39,12 @@ func SensorResetAfter() string {
 
 // sensorClass builds the benchmark class; monitored selects whether
 // the sentry traps it.
-func sensorClass(monitored bool) *oodb.Class {
-	c := oodb.NewClass("Sensor",
+func sensorClass(monitored bool) *oodb.Class { return namedSensorClass("Sensor", monitored) }
+
+// namedSensorClass is sensorClass under another class name, whose
+// events have keys of their own.
+func namedSensorClass(name string, monitored bool) *oodb.Class {
+	c := oodb.NewClass(name,
 		oodb.Attr{Name: "val", Type: oodb.TInt},
 		oodb.Attr{Name: "hits", Type: oodb.TInt},
 	)

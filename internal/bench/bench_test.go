@@ -44,7 +44,7 @@ func TestReproducerSmoke(t *testing.T) {
 		{"E6", RunE6(n), 4},
 		{"E7", RunE7(2, 4), 3},
 		{"E8", RunE8(2, n), 2},
-		{"E9", RunE9(2, n), 2},
+		{"E9", RunE9(2, n), 4},
 		{"E10", RunE10([]int{10}, n), 2},
 		{"E11", RunE11(n), 2},
 		{"E12", RunE12(n), 3},

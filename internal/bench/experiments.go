@@ -431,48 +431,70 @@ func RunE8(k, events int) []Row {
 
 // RunE9 compares the distributed per-manager histories against a
 // central log under concurrent event streams (§6.3's bottleneck
-// argument).
+// argument), in two arms. In the first every worker raises Sensor.ping,
+// so all of them share one ECA-manager and, in both modes, one history
+// mutex per occurrence. In the second each worker raises the ping of a
+// class of its own: the distributed mode logs each occurrence in its
+// worker's manager, and only the central log is shared — the
+// bottleneck §6.3 argues about.
 func RunE9(workers, eventsPer int) []Row {
 	var rows []Row
-	for _, mode := range []eca.HistoryMode{eca.DistributedHistory, eca.CentralHistory} {
-		name := "distributed (REACH)"
-		if mode == eca.CentralHistory {
-			name = "central log"
-		}
-		vc := clock.NewVirtual(Epoch)
-		db, _ := oodb.Open(oodb.Options{Clock: vc})
-		db.Dictionary().Register(sensorClass(true))
-		engine := eca.New(db, eca.Options{History: mode})
-		// Every worker raises Sensor.ping: all share one ECA-manager.
-		var sensors []*oodb.Object
-		setup := db.Begin()
-		for w := 0; w < workers; w++ {
-			obj, _ := db.NewObject(setup, "Sensor")
-			sensors = append(sensors, obj)
-		}
-		setup.Commit()
-		engine.AddRule(&eca.Rule{
-			Name: "touch", EventKey: SensorPingAfter(), ActionMode: eca.Immediate,
-			Action: func(*eca.RuleCtx) error { return nil },
-		})
-		rows = append(rows, measure("E9-history", name, workers*eventsPer, func() {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					tx := db.Begin()
-					for i := 0; i < eventsPer; i++ {
-						db.Invoke(tx, sensors[w], "ping", int64(i))
-					}
-					tx.Commit()
-				}()
+	for _, perWorker := range []bool{false, true} {
+		for _, mode := range []eca.HistoryMode{eca.DistributedHistory, eca.CentralHistory} {
+			name := "distributed (REACH)"
+			if mode == eca.CentralHistory {
+				name = "central log"
 			}
-			wg.Wait()
-		}))
-		engine.Close()
-		db.Close()
+			if perWorker {
+				name += ", class per worker"
+			} else {
+				name += ", one class"
+			}
+			vc := clock.NewVirtual(Epoch)
+			db, _ := oodb.Open(oodb.Options{Clock: vc})
+			engine := eca.New(db, eca.Options{History: mode})
+			classes := []string{"Sensor"}
+			if perWorker {
+				classes = classes[:0]
+				for w := 0; w < workers; w++ {
+					classes = append(classes, fmt.Sprintf("Sensor%d", w))
+				}
+			}
+			for _, class := range classes {
+				db.Dictionary().Register(namedSensorClass(class, true))
+				engine.AddRule(&eca.Rule{
+					Name:       "touch-" + class,
+					EventKey:   event.MethodSpec{Class: class, Method: "ping", When: event.After}.Key(),
+					ActionMode: eca.Immediate,
+					Action:     func(*eca.RuleCtx) error { return nil },
+				})
+			}
+			var sensors []*oodb.Object
+			setup := db.Begin()
+			for w := 0; w < workers; w++ {
+				obj, _ := db.NewObject(setup, classes[w%len(classes)])
+				sensors = append(sensors, obj)
+			}
+			setup.Commit()
+			rows = append(rows, measure("E9-history", name, workers*eventsPer, func() {
+				var wg sync.WaitGroup
+				for w := 0; w < workers; w++ {
+					w := w
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						tx := db.Begin()
+						for i := 0; i < eventsPer; i++ {
+							db.Invoke(tx, sensors[w], "ping", int64(i))
+						}
+						tx.Commit()
+					}()
+				}
+				wg.Wait()
+			}))
+			engine.Close()
+			db.Close()
+		}
 	}
 	return rows
 }

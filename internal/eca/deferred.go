@@ -96,17 +96,21 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		// rules may queue the next round's work while they run.
 		st.mu.Lock()
 		batch := st.deferred
+		if len(batch) == 0 {
+			st.mu.Unlock()
+			return nil
+		}
 		e.orderDeferred(batch)
-		set := make([]ruleFiring, len(batch))
+		// The round's set is the first rule's manager's: a queued rule
+		// was registered, and a registered key's manager and plan stay.
+		sets := &e.planFor(batch[0].rule.EventKey).m.sets
+		set := sets.take(len(batch))
 		for i := range batch {
 			set[i].queued = batch[i]
 		}
 		clear(batch)
 		st.deferred = batch[:0]
 		st.mu.Unlock()
-		if len(set) == 0 {
-			return nil
-		}
 		e.met.deferredDepth.Add(-int64(len(set)))
 		// The governor's second shed rung: from the shedding state on,
 		// the whole batch is dead-lettered instead of executed and the
@@ -119,6 +123,7 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 			for i := range set {
 				e.shed(governor.ClassDeferred, set[i].rule, set[i].in)
 			}
+			sets.release(top, set)
 			continue
 		}
 		e.met.rounds.Inc()
@@ -128,6 +133,7 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 		start := e.after(set[0].at)
 		mark := start
 		ran, err := e.fireSet(top, set, &mark)
+		sets.release(top, set)
 		e.met.firedDeferred.Add(uint64(ran))
 		e.met.latDeferred.Observe(mark.Sub(start))
 		if err != nil {

@@ -544,6 +544,9 @@ type Manager struct {
 	// built from; Engine.mu guards them.
 	rules     []*Rule
 	composers []*compositeMgr
+	// sets are the free lists of the firing sets the manager's rules
+	// run in (firingset.go).
+	sets firingSets
 }
 
 // LocalHistory returns the manager's local event history, oldest
@@ -892,25 +895,16 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 	if len(p.immediate) == 0 {
 		return nil
 	}
-	set := make([]ruleFiring, len(p.immediate))
+	set := p.m.sets.take(len(p.immediate))
 	for i, r := range p.immediate {
 		set[i].rule, set[i].in = r, in
 	}
 	mark := start
 	ran, err := e.fireSet(trigger, set, &mark)
+	p.m.sets.release(trigger, set)
 	e.met.firedImmediate.Add(uint64(ran))
 	e.met.latImmediate.Observe(mark.Sub(start))
 	return err
-}
-
-// ruleFiring is one firing of a rule set: the immediate rules one
-// occurrence fires, or the deferred ones an EOT round runs. The set is
-// one backing array, which also holds each firing's rule context and
-// subtransaction, so a firing is never copied.
-type ruleFiring struct {
-	queued
-	rc  RuleCtx
-	sub txn.Txn // the subtransaction of the trigger the firing runs in
 }
 
 // fireSet runs a set of firings, each in a transaction of its own

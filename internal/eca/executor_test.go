@@ -1011,7 +1011,7 @@ func TestSequentialCausalUnderConcurrentTriggers(t *testing.T) {
 	}
 	var mu sync.Mutex
 	detected := map[uint64]map[uint64]bool{} // composite Seq → its trigger transactions
-	ran := map[uint64]int{}                   // composite Seq → sequential-causal runs
+	ran := map[uint64]int{}                  // composite Seq → sequential-causal runs
 	committed := map[uint64]bool{}
 	for _, r := range []*Rule{
 		{Name: "all", EventKey: comp.Key(), ActionMode: Detached, Action: func(rc *RuleCtx) error {

@@ -66,9 +66,11 @@ func TestFiredCountsOnlyRulesThatRan(t *testing.T) {
 }
 
 // A rule set's firings, their rule contexts and their subtransactions
-// share one allocation, and deferred firings queue on the transaction's
-// inline room: a transaction whose one call fires eight immediate and
-// eight deferred rules costs what one that fires one of each does.
+// share one array, which goes back to a free list when the set is done,
+// and deferred firings queue on the transaction's inline room: a
+// transaction whose one call fires eight immediate and eight deferred
+// rules costs what one that fires one of each does, and neither
+// allocates a set.
 func TestRuleSetAllocationsFlat(t *testing.T) {
 	allocs := func(n int) float64 {
 		e, db, _ := newTestEngine(t, Options{})
@@ -101,6 +103,9 @@ func TestRuleSetAllocationsFlat(t *testing.T) {
 	one, eight := allocs(1), allocs(8)
 	if one != eight {
 		t.Fatalf("transaction firing 1+1 rules: %.0f allocations; 8+8 rules: %.0f; want the same", one, eight)
+	}
+	if one > 7 {
+		t.Fatalf("transaction firing 1+1 rules: %.0f allocations, ceiling 7", one)
 	}
 }
 

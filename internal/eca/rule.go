@@ -21,7 +21,13 @@ import (
 // A context is valid only for the call it is passed to: the engine
 // hands each firing its own element of a per-set backing array, and a
 // rule must not keep the pointer, or the *oodb.Ctx from Ctx, after
-// its condition or action returns.
+// its condition or action returns. For immediate and deferred coupling
+// the same holds for Txn: the subtransaction lives in that array,
+// which goes back to a free list once the set is done and begins other
+// subtransactions there. An occurrence the rule raises carries Txn as
+// its Origin, and an engine consumer that keeps the occurrence (a
+// deferred queue, the detached executor, a composer) pins Txn so that
+// its memory is not reused; a rule body's own copy pins nothing.
 type RuleCtx struct {
 	Engine  *Engine
 	DB      *oodb.DB

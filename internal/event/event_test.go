@@ -132,3 +132,25 @@ func TestInstanceString(t *testing.T) {
 		t.Fatal("distinct instances print identically")
 	}
 }
+
+type pinCounter struct{ pins int }
+
+func (p *pinCounter) Pin() { p.pins++ }
+
+// Retain pins an Origin that can be pinned, once per call; Recycle
+// leaves a retained instance alone.
+func TestRetainPinsOrigin(t *testing.T) {
+	origin := &pinCounter{}
+	in := Get()
+	in.Origin = origin
+	in.Retain()
+	if origin.pins != 1 {
+		t.Fatalf("Retain pinned the Origin %d times, want 1", origin.pins)
+	}
+	Recycle(in)
+	if in.Origin != origin {
+		t.Fatal("Recycle cleared a retained instance")
+	}
+	plain := &Instance{Origin: "not a pinner"}
+	plain.Retain() // an Origin that cannot be pinned is left alone
+}

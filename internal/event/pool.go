@@ -31,7 +31,21 @@ func Get() *Instance {
 // Emit returns, which happens-before the raiser's Recycle call, and on
 // the raising goroutine except where parallel sibling rules queue
 // their deferred actions, which serialize on the queue's lock.
-func (in *Instance) Retain() { in.retained = true }
+//
+// Retain also pins the instance's Origin, when it is a pinner: the
+// consumer reads the originating transaction's ID and outcome through
+// it, so its owner must not reuse that transaction's memory.
+func (in *Instance) Retain() {
+	in.retained = true
+	if p, ok := in.Origin.(pinner); ok {
+		p.Pin()
+	}
+}
+
+// pinner is an Origin whose memory its owner may reuse once it has
+// resolved, unless it is pinned: a rule subtransaction (txn.Txn). The
+// interface keeps this package free of the transaction manager.
+type pinner interface{ Pin() }
 
 // Recycle returns an instance obtained from Get to the pool, unless a
 // consumer retained it. Safe to call with instances that did not come
@@ -44,6 +58,10 @@ func Recycle(in *Instance) {
 	if args != nil {
 		args = args[:0]
 	}
-	*in = Instance{Args: args}
+	if poisonBuild {
+		poison(in, args)
+	} else {
+		*in = Instance{Args: args}
+	}
 	pool.Put(in)
 }

@@ -186,8 +186,8 @@ func TestShutdownRefusesAndReleasesWaiters(t *testing.T) {
 func TestShouldShedLadder(t *testing.T) {
 	g, _, load := testGov(t, Options{})
 	cases := []struct {
-		v                           int64
-		detached, deferred, writer  bool
+		v                          int64
+		detached, deferred, writer bool
 	}{
 		{0, false, false, false},
 		{10, true, false, false},

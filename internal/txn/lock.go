@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic" //lint:allow rawatomics in-flight deadlock-search count, not a metric
 	"unsafe"
 )
 
@@ -70,6 +71,10 @@ type lockTable struct {
 	// wfMu guards every lock state with a non-empty queue and
 	// Txn.waiting.
 	wfMu sync.Mutex
+	// searches counts the deadlock searches in flight: a search holds
+	// pointers to other transactions' children, which their owners may
+	// reclaim only while it is 0 (ChildrenReclaimable).
+	searches atomic.Int32
 
 	// bypass, set by the equivalence tests only, routes every request
 	// past the short-cuts (held-lock re-entry, wfMu skipped on states
@@ -348,6 +353,8 @@ func waitsFor(t *Txn, fn func(*Txn)) {
 // for itself. The graphs are a handful of transactions: the visited set
 // is a slice on the stack. The caller holds wfMu.
 func (lt *lockTable) deadlockLocked(start *Txn) bool {
+	lt.searches.Add(1)
+	defer lt.searches.Add(-1)
 	var seenBuf, stackBuf [16]*Txn
 	seen, stack := append(seenBuf[:0], start), append(stackBuf[:0], start)
 	cycle := false

@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic" //lint:allow rawatomics transaction-id allocator and lock-free status/tag/attachment reads, not metrics
+	"sync/atomic" //lint:allow rawatomics transaction-id allocator and lock-free status/tag/pin/attachment reads, not metrics
 	"time"
 
 	"repro/internal/clock"
@@ -259,6 +259,10 @@ type Txn struct {
 	// aborting is set when an abort of t begins: from then on no child
 	// of t begins, and none commits into it.
 	aborting bool
+	// pinned marks a transaction something still reaches after it
+	// resolves (Pin), so that its owner must not reuse its memory. It is
+	// atomic, not guarded by mu; it sits here to fill aborting's padding.
+	pinned atomic.Bool
 	// undo is the before-images run LIFO on abort, t's own and those
 	// its committed children handed up. It starts on undoInline (a
 	// top-level transaction's on topTxn.undo).
@@ -384,9 +388,11 @@ func (t *Txn) BeginChild() (*Txn, error) {
 }
 
 // BeginChildIn starts a nested subtransaction of t in c, a zero Txn the
-// caller owns and never copies or reuses: the rule engine keeps a
-// firing's subtransaction in the firing, so that beginning it
-// allocates nothing.
+// caller owns and never copies: the rule engine keeps a firing's
+// subtransaction in the firing, so that beginning it allocates nothing.
+// c may be memory an earlier subtransaction occupied, zeroed once it
+// resolved, provided nothing can reach that one any more: it is not
+// Pinned, and its parent reported ChildrenReclaimable after it resolved.
 func (t *Txn) BeginChildIn(c *Txn) error {
 	c.m, c.parent = t.m, t
 	c.undo, c.held.locks = c.undoInline[:0], c.heldInline[:0]
@@ -451,7 +457,45 @@ func (t *Txn) Depth() int {
 }
 
 // Status reports the current lifecycle state.
-func (t *Txn) Status() Status { return Status(t.status.Load()) }
+func (t *Txn) Status() Status {
+	st := Status(t.status.Load())
+	if poisonBuild && st == poisonStatus {
+		panic(fmt.Sprintf("txn: status of a reclaimed transaction (id %#x)", t.id))
+	}
+	return st
+}
+
+// Pin marks t, and each of its ancestors, as reachable after it
+// resolves: an event occurrence raised in t outlives the raise (the
+// engine's deferred queue, detached executor or a composer keeps it),
+// and reads its outcome, its ID and its top-level ancestor through t.
+// An ancestor is pinned too because those reads walk up from t. Pin is
+// final for the transaction's lifetime.
+func (t *Txn) Pin() {
+	for ; t != nil && !t.pinned.Load(); t = t.parent {
+		t.pinned.Store(true)
+	}
+}
+
+// Pinned reports whether Pin was called on t or on a descendant of t.
+func (t *Txn) Pinned() bool { return t.pinned.Load() }
+
+// ChildrenReclaimable reports whether t's resolved children can no
+// longer be reached by the transaction manager, so that an owner of
+// their memory (BeginChildIn) may zero it and begin other children
+// there, provided no child is Pinned. Call it after the children
+// resolved. It holds when t is active, no abort of t has begun — an
+// abort cascades to the children it listed when it began, from its own
+// goroutine — and no deadlock search is in flight: a search lists a
+// transaction's active children and locks them one by one after it
+// let go of the parent. A search that begins later cannot find a child
+// that resolved before this call.
+func (t *Txn) ChildrenReclaimable() bool {
+	t.mu.Lock()
+	ok := t.Status() == Active && !t.aborting
+	t.mu.Unlock()
+	return ok && t.m.locks.searches.Load() == 0
+}
 
 // Done returns a channel closed when the transaction resolves. The
 // channel is created on first use: most subtransactions are never

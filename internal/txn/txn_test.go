@@ -423,6 +423,61 @@ func TestResolvedChildrenAreNotRetained(t *testing.T) {
 	}
 }
 
+// Pin marks a transaction and its ancestors. ChildrenReclaimable holds
+// while the parent is active, no abort of it has begun and no deadlock
+// search is in flight; a child begun in reclaimed memory is a fresh
+// transaction.
+func TestPinAndChildrenReclaimable(t *testing.T) {
+	m := NewManager()
+	top := m.Begin()
+	var c, g Txn
+	if err := top.BeginChildIn(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.BeginChildIn(&g); err != nil {
+		t.Fatal(err)
+	}
+	g.Pin()
+	if !g.Pinned() || !c.Pinned() || !top.Pinned() {
+		t.Fatalf("pinned: grandchild %v, child %v, top %v; want all", g.Pinned(), c.Pinned(), top.Pinned())
+	}
+	if g.Commit() != nil || c.Commit() != nil {
+		t.Fatal("child commit failed")
+	}
+
+	if !top.ChildrenReclaimable() {
+		t.Fatal("active parent with resolved children: not reclaimable")
+	}
+	m.locks.searches.Add(1)
+	if top.ChildrenReclaimable() {
+		t.Fatal("reclaimable while a deadlock search is in flight")
+	}
+	m.locks.searches.Add(-1)
+
+	c = Txn{}
+	if err := top.BeginChildIn(&c); err != nil {
+		t.Fatal(err)
+	}
+	if c.Pinned() || c.Status() != Active || c.Parent() != top {
+		t.Fatalf("child begun in reclaimed memory: pinned %v, %v, parent %p", c.Pinned(), c.Status(), c.Parent())
+	}
+	top.mu.Lock()
+	top.aborting = true // an abort that listed its children and let go of mu
+	top.mu.Unlock()
+	if top.ChildrenReclaimable() {
+		t.Fatal("reclaimable while an abort of the parent is under way")
+	}
+	top.mu.Lock()
+	top.aborting = false
+	top.mu.Unlock()
+	if err := top.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if top.ChildrenReclaimable() {
+		t.Fatal("aborted parent: reclaimable")
+	}
+}
+
 func TestDoneAfterResolutionIsClosed(t *testing.T) {
 	m := NewManager()
 	for _, resolve := range []func(*Txn) error{(*Txn).Commit, (*Txn).Abort} {
