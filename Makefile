@@ -42,13 +42,15 @@ race-procs:
 # staying out of a transaction that delivered after it, two
 # composites sharing one primitive occurrence on their own goroutines,
 # the event histories under four concurrent raisers on one hot key
-# (Seq order, eviction and byte count while a reader polls), and
+# (Seq order, eviction and byte count while a reader polls),
 # sequential-causal firings parking on transactions that other
-# goroutines commit and abort.
+# goroutines commit and abort, and the powerplant and quickstart
+# examples, whose output must match their goldens on every run.
 repeat:
 	$(GO) test -timeout 240s -count=300 -run 'TestCompositeOfComposite$$' ./internal/eca
 	$(GO) test -race -timeout 240s -count=20 -run 'TestRecycledComposerMatchesFresh$$' ./internal/algebra
 	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$' ./internal/eca
+	$(GO) test -race -timeout 240s -count=20 -run 'TestPowerplantGolden$$|TestQuickstartGolden$$' ./examples/powerplant ./examples/quickstart
 
 # poison builds with -tags poison, under which memory the engine
 # reclaims traps instead of reading as zero: a firing set returned to

@@ -12,13 +12,14 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"os"
 
 	reach "repro"
 )
 
-func registerSchema(sys *reach.System) error {
+func registerSchema(sys *reach.System, w io.Writer) error {
 	river := reach.NewClass("River",
 		reach.Attr{Name: "name", Type: reach.TString},
 		reach.Attr{Name: "level", Type: reach.TInt},
@@ -48,7 +49,7 @@ func registerSchema(sys *reach.System) error {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  [action] reducing planned power of %v by %.0f%%\n", self, frac*100)
+		fmt.Fprintf(w, "  [action] reducing planned power of %v by %.0f%%\n", self, frac*100)
 		return nil, ctx.Set(self, "plannedPower", p*(1-frac))
 	})
 	reactor.Method("raiseAlert", func(ctx *reach.Ctx, self *reach.Object, args []any) (any, error) {
@@ -56,7 +57,7 @@ func registerSchema(sys *reach.System) error {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Printf("  [action] ALERT #%d on %v: sustained low water\n", n+1, self)
+		fmt.Fprintf(w, "  [action] ALERT #%d on %v: sustained low water\n", n+1, self)
 		return nil, ctx.Set(self, "alerts", n+1)
 	})
 	for _, c := range []*reach.Class{river, reactor} {
@@ -93,18 +94,26 @@ rule SustainedLowWater {
 `
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the scenarios against a fresh plant, writing what happens
+// to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "reach-powerplant")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 	sys, err := reach.Open(reach.Options{Dir: dir})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
-	if err := registerSchema(sys); err != nil {
-		log.Fatal(err)
+	if err := registerSchema(sys, w); err != nil {
+		return err
 	}
 
 	// Plant setup.
@@ -117,75 +126,76 @@ func main() {
 	sys.DB.Set(tx, reactor, "heatOutput", 1_800_000.0)
 	sys.DB.Set(tx, reactor, "plannedPower", 1200.0)
 	if err := sys.DB.SetRoot(tx, "BlockA", reactor); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.DB.SetRoot(tx, "Rhine", river)
 	if err := tx.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	loaded, err := sys.LoadRules(plantRules)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer loaded.Stop()
-	fmt.Printf("loaded %d rules, %d composite events\n", len(loaded.Rules), len(loaded.Composites))
+	fmt.Fprintf(w, "loaded %d rules, %d composite events\n", len(loaded.Rules), len(loaded.Composites))
 
 	// Scenario 1: one low reading — WaterLevel fires immediately.
-	fmt.Println("\n-- sensor reports level 30 (low, warm river, hot reactor)")
+	fmt.Fprintln(w, "\n-- sensor reports level 30 (low, warm river, hot reactor)")
 	tx1 := sys.Begin()
 	if _, err := sys.DB.Invoke(tx1, river, "updateWaterLevel", int64(30)); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := tx1.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Scenario 2: high reading — condition false, nothing fires.
-	fmt.Println("\n-- sensor reports level 80 (normal)")
+	fmt.Fprintln(w, "\n-- sensor reports level 80 (normal)")
 	tx2 := sys.Begin()
 	sys.DB.Invoke(tx2, river, "updateWaterLevel", int64(80))
 	if err := tx2.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Scenario 3: three low readings in one control transaction — the
 	// composite SustainedLowWater fires deferred at EOT (after the
 	// three immediate reductions).
-	fmt.Println("\n-- control transaction with three low readings")
+	fmt.Fprintln(w, "\n-- control transaction with three low readings")
 	tx3 := sys.Begin()
 	for _, lvl := range []int64{35, 33, 31} {
 		if _, err := sys.DB.Invoke(tx3, river, "updateWaterLevel", lvl); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := tx3.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Scenario 4: an aborted control transaction leaves no trace —
 	// the immediate reduction is rolled back with it, and the
 	// half-composed sequence is discarded (life-span = transaction).
-	fmt.Println("\n-- aborted control transaction (two low readings, then abort)")
+	fmt.Fprintln(w, "\n-- aborted control transaction (two low readings, then abort)")
 	before := currentPower(sys, reactor)
 	tx4 := sys.Begin()
 	sys.DB.Invoke(tx4, river, "updateWaterLevel", int64(20))
 	sys.DB.Invoke(tx4, river, "updateWaterLevel", int64(21))
 	_ = tx4.Abort() // the abort is the demonstration; it cannot fail here
 	after := currentPower(sys, reactor)
-	fmt.Printf("  planned power before/after abort: %.2f / %.2f (unchanged)\n", before, after)
+	fmt.Fprintf(w, "  planned power before/after abort: %.2f / %.2f (unchanged)\n", before, after)
 
 	sys.Engine.WaitDetached()
 	tx5 := sys.Begin()
 	power, _ := sys.DB.Get(tx5, reactor, "plannedPower")
 	alerts, _ := sys.DB.Get(tx5, reactor, "alerts")
 	if err := tx5.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nfinal planned power: %.2f MW, alerts raised: %d\n", power, alerts)
+	fmt.Fprintf(w, "\nfinal planned power: %.2f MW, alerts raised: %d\n", power, alerts)
 	st := sys.Engine.Stats()
-	fmt.Printf("engine: %d events, %d immediate, %d deferred, %d composites detected\n",
+	fmt.Fprintf(w, "engine: %d events, %d immediate, %d deferred, %d composites detected\n",
 		st.Events, st.ImmediateFired, st.DeferredFired, st.CompositesDetected)
+	return nil
 }
 
 func currentPower(sys *reach.System, reactor *reach.Object) float64 {

@@ -5,7 +5,9 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -13,15 +15,23 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run walks through the quickstart on a fresh database, writing what
+// happens to w.
+func run(w io.Writer) error {
 	dir, err := os.MkdirTemp("", "reach-quickstart")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
 
 	sys, err := reach.Open(reach.Options{Dir: dir})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
 
@@ -47,22 +57,22 @@ func main() {
 		return nil, ctx.Set(self, "balance", b-args[0].(int64))
 	})
 	if err := sys.RegisterClass(account); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Create and persist an account under a root name.
 	tx := sys.Begin()
 	acct, err := sys.DB.NewObject(tx, "Account")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.DB.Set(tx, acct, "owner", "ada")
 	sys.DB.Set(tx, acct, "balance", 100)
 	if err := sys.DB.SetRoot(tx, "ada-account", acct); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := tx.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// An integrity rule in the REACH rule language: withdrawals that
@@ -77,31 +87,32 @@ rule NoOverdraft {
 };
 `)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer loaded.Stop()
 
 	tx2 := sys.Begin()
 	if _, err := sys.DB.Invoke(tx2, acct, "withdraw", int64(30)); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("withdraw 30: ok")
+	fmt.Fprintln(w, "withdraw 30: ok")
 	if _, err := sys.DB.Invoke(tx2, acct, "withdraw", int64(500)); err != nil {
-		fmt.Println("withdraw 500:", err)
+		fmt.Fprintln(w, "withdraw 500:", err)
 	} else {
-		log.Fatal("overdraft was not vetoed")
+		return errors.New("overdraft was not vetoed")
 	}
 	if err := tx2.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tx3 := sys.Begin()
 	balance, _ := sys.DB.Get(tx3, acct, "balance")
-	fmt.Printf("final balance: %d\n", balance)
+	fmt.Fprintf(w, "final balance: %d\n", balance)
 	if err := tx3.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	st := sys.Engine.Stats()
-	fmt.Printf("engine: %d events, %d immediate rule firings\n", st.Events, st.ImmediateFired)
+	fmt.Fprintf(w, "engine: %d events, %d immediate rule firings\n", st.Events, st.ImmediateFired)
+	return nil
 }

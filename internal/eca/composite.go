@@ -215,23 +215,19 @@ func (cm *compositeMgr) takeLocked() *algebra.Composer {
 
 // send enqueues one message on the composer channel, counting the
 // stall when the channel is full (back pressure that was previously
-// invisible) and sampling the queue depth. It reports false when the
-// composer shut down instead of accepting the message.
+// invisible). It reports false when the composer shut down instead of
+// accepting the message.
 func (cm *compositeMgr) send(msg compMsg) bool {
-	met := &cm.engine.met
 	select {
 	case cm.in <- msg:
 	default:
-		met.backpressure.Inc()
+		cm.engine.met.backpressure.Inc()
 		select {
 		case cm.in <- msg:
 		case <-cm.closed:
 			return false
 		}
 	}
-	depth := int64(len(cm.in))
-	met.queueDepth.Set(depth)
-	met.queueHigh.SetMax(depth)
 	return true
 }
 

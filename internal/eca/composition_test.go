@@ -414,3 +414,51 @@ func TestNoComposerOutlivesItsTransaction(t *testing.T) {
 		})
 	}
 }
+
+// TestComposerBackpressureCounted: a delivery that finds its composer's
+// channel full stalls until the composer drains it, and counts in
+// reach_composer_backpressure_total. With a one-slot channel and the
+// composer held on its first occurrence, the third of three deliveries
+// must stall; the second stalls too if it arrives before the composer
+// took the first.
+func TestComposerBackpressureCounted(t *testing.T) {
+	e, db, _ := newTestEngine(t, Options{ComposerBuffer: 1})
+	obj := newSensor(t, db)
+	comp := seqComposite("bp", algebra.ScopeGlobal)
+	if err := e.DefineComposite(comp); err != nil {
+		t.Fatal(err)
+	}
+	cm := e.composites[comp.Key()]
+	cm.mu.Lock() // the composer goroutine stalls in process
+	raised := make(chan error, 1)
+	go func() {
+		for i := int64(1); i <= 3; i++ {
+			tx := db.Begin()
+			if _, err := db.Invoke(tx, obj, "ping", i); err != nil {
+				raised <- err
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				raised <- err
+				return
+			}
+		}
+		raised <- nil
+	}()
+	bound := time.After(5 * time.Second)
+	for e.met.backpressure.Value() == 0 {
+		select {
+		case <-bound:
+			cm.mu.Unlock()
+			t.Fatal("no delivery stalled on the full composer channel")
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cm.mu.Unlock()
+	if err := <-raised; err != nil {
+		t.Fatal(err)
+	}
+	if got := e.met.backpressure.Value(); got < 1 || got > 2 {
+		t.Fatalf("reach_composer_backpressure_total = %d, want 1 or 2", got)
+	}
+}

@@ -91,7 +91,7 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 	if st == nil {
 		return nil
 	}
-	for round := 0; ; round++ {
+	for {
 		// The set is built before the queue gets its room back: the set's
 		// rules may queue the next round's work while they run.
 		st.mu.Lock()
@@ -127,7 +127,6 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 			continue
 		}
 		e.met.rounds.Inc()
-		e.met.roundDepth.SetMax(int64(round + 1))
 		// A queued instant is an earlier boundary of this transaction,
 		// so the round's start is derived from it, not read afresh.
 		start := e.after(set[0].at)

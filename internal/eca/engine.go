@@ -143,9 +143,6 @@ type engineMetrics struct {
 	composites   *obs.Counter
 	gced         *obs.Counter
 	rounds       *obs.Counter
-	roundDepth   *obs.Gauge
-	queueDepth   *obs.Gauge
-	queueHigh    *obs.Gauge
 	backpressure *obs.Counter
 
 	firedImmediate *obs.Counter
@@ -177,7 +174,6 @@ type engineMetrics struct {
 	breakerOpen  *obs.Gauge
 	deadLetters  *obs.Counter
 	deadDepth    *obs.Gauge
-	execQueue    *obs.Gauge
 
 	// overload-governor resource series: live accounting the governor
 	// reads on its evaluation interval, plus the shed rejections.
@@ -205,12 +201,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Semi-composed occurrences discarded when their transaction ended or their validity lapsed."),
 		rounds: reg.Counter("reach_deferred_rounds_total",
 			"Deferred execution rounds run at EOT."),
-		roundDepth: reg.Gauge("reach_deferred_round_depth",
-			"High-water mark of cascading deferred rounds in one EOT."),
-		queueDepth: reg.Gauge("reach_composer_queue_depth",
-			"Async composer channel depth at last delivery."),
-		queueHigh: reg.Gauge("reach_composer_queue_highwater",
-			"High-water mark of async composer channel depth."),
 		backpressure: reg.Counter("reach_composer_backpressure_total",
 			"Deliveries that found a composer channel full and stalled."),
 		firedImmediate: reg.Counter(fired, firedHelp, "mode", "immediate"),
@@ -245,8 +235,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Detached firings recorded in the dead-letter queue."),
 		deadDepth: reg.Gauge("reach_rule_deadletter_depth",
 			"Current dead-letter queue depth."),
-		execQueue: reg.Gauge("reach_executor_queue_depth",
-			"Detached executor queue depth at last submit/dequeue."),
 		deferredDepth: reg.Gauge("reach_deferred_queue_depth",
 			"Deferred firings queued across all live transactions."),
 		execInflight: reg.Gauge("reach_executor_inflight",
@@ -519,18 +507,6 @@ func (e *Engine) Stats() Stats {
 		SemiComposedGCed:   e.met.gced.Value(),
 		DeferredRounds:     e.met.rounds.Value(),
 	}
-}
-
-// ResetStats zeroes the engine counters (the registry series backing
-// Stats; histograms and gauges are left alone).
-func (e *Engine) ResetStats() {
-	e.met.events.Reset()
-	e.met.firedImmediate.Reset()
-	e.met.firedDeferred.Reset()
-	e.met.firedDetached.Reset()
-	e.met.composites.Reset()
-	e.met.gced.Reset()
-	e.met.rounds.Reset()
 }
 
 // Manager is an ECA-manager: it is dedicated to one event type, knows

@@ -168,7 +168,6 @@ func (x *executor) enqueue(job ruleJob, stop <-chan struct{}) error {
 		}
 		select {
 		case x.queue <- job:
-			x.e.met.execQueue.Set(int64(len(x.queue)))
 			return nil
 		case <-stop:
 			x.jobDone()
@@ -256,7 +255,6 @@ func (x *executor) jobDone() {
 func (x *executor) worker() {
 	defer x.workers.Done()
 	for job := range x.queue {
-		x.e.met.execQueue.Set(int64(len(x.queue)))
 		x.runJob(job)
 		x.jobDone()
 	}

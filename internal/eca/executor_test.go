@@ -250,6 +250,9 @@ func TestBreakerTripAndRearm(t *testing.T) {
 	if len(dl) != 3 || dl[2].Reason != "breaker-open" {
 		t.Fatalf("dead letters = %+v, want third with reason breaker-open", dl)
 	}
+	if recorded, depth := e.met.deadLetters.Value(), e.met.deadDepth.Value(); recorded != 3 || depth != 3 {
+		t.Fatalf("reach_rule_deadletter_total = %d, reach_rule_deadletter_depth = %d, want 3 and 3", recorded, depth)
+	}
 
 	if e.RearmRule("ghost") {
 		t.Fatal("RearmRule invented a breaker record for an unknown rule")

@@ -137,11 +137,9 @@ func TestSetRecyclingRacesDeadlockSearch(t *testing.T) {
 // on a sensor of its own meanwhile, taking sets from the same free
 // lists: none of its firings may be aborted by the other trigger's
 // cascade, and each of its committed writes stays. Rule i writes the
-// trigger's argument to counter i of the sensor's owner.
-//
-// The aborted triggers' counters are not checked: a rule write that
-// lands after the cascade took the child's undo log survives the abort
-// (CHANGES.md, FOUND), with or without recycling.
+// trigger's argument to counter i of the sensor's owner. Every aborted
+// trigger's counters keep their initial value: a rule write racing the
+// cascade is either undone by it or refused.
 func TestSetRecyclingRacesParentAbort(t *testing.T) {
 	for _, x := range execModes {
 		t.Run(x.name, func(t *testing.T) {
@@ -227,6 +225,9 @@ func TestSetRecyclingRacesParentAbort(t *testing.T) {
 			for i := 0; i < rules; i++ {
 				if v, err := ctx.GetInt(counters[bystander][i], "val"); err != nil || v != lastCommitted {
 					t.Fatalf("bystander's counter %d = %d (%v), want its last committed argument %d", i, v, err, lastCommitted)
+				}
+				if v, err := ctx.GetInt(counters[aborted][i], "val"); err != nil || v != 0 {
+					t.Fatalf("aborted triggers' counter %d = %d (%v), want its initial 0: an aborted rule's write was kept", i, v, err)
 				}
 			}
 		})

@@ -24,8 +24,7 @@ import (
 	"time"
 )
 
-// Counter is a monotonically increasing counter. Reset exists only to
-// preserve the ResetStats semantics of the pre-registry Stats APIs.
+// Counter is a monotonically increasing counter.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -38,9 +37,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
 
 // Gauge is an instantaneous signed value.
 type Gauge struct {
@@ -67,20 +63,17 @@ func (g *Gauge) SetMax(v int64) {
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Reset zeroes the gauge.
-func (g *Gauge) Reset() { g.v.Store(0) }
-
 // histBuckets is the number of power-of-two buckets. Bucket i counts
 // observations v with 2^i <= v < 2^(i+1) (bucket 0 additionally takes
 // v <= 1), in nanoseconds: bucket 0 is ~1ns, bucket 47 ~39 hours.
 const histBuckets = 48
 
 // Histogram is a log2-bucketed histogram of durations. Observations
-// are lock-free atomic increments; snapshots are mergeable and
-// support quantile estimation. There is no count of its own: the count
-// is the sum of the buckets, so a snapshot taken beside concurrent
-// observations is always a consistent histogram (cumulative buckets
-// never exceed the count).
+// are lock-free atomic increments; snapshots support quantile
+// estimation. There is no count of its own: the count is the sum of
+// the buckets, so a snapshot taken beside concurrent observations is
+// always a consistent histogram (cumulative buckets never exceed the
+// count).
 type Histogram struct {
 	sum     atomic.Uint64 // total nanoseconds
 	buckets [histBuckets]atomic.Uint64
@@ -145,14 +138,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Reset zeroes the histogram.
-func (h *Histogram) Reset() {
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
-
 // Batch gathers observations bound for one Histogram in plain memory
 // — a sum and bucket counts, typically on the stack of the goroutine
 // that makes them — and publishes them with Flush: one atomic add for
@@ -190,21 +175,11 @@ func (b *Batch) Flush(h *Histogram) {
 	b.sum, b.touched = 0, 0
 }
 
-// HistogramSnapshot is a consistent-enough copy of a histogram,
-// mergeable with others (e.g. across shards or processes).
+// HistogramSnapshot is a consistent-enough copy of a histogram.
 type HistogramSnapshot struct {
 	Count   uint64
 	Sum     uint64 // nanoseconds
 	Buckets [histBuckets]uint64
-}
-
-// Merge adds other into s.
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	s.Count += other.Count
-	s.Sum += other.Sum
-	for i := range s.Buckets {
-		s.Buckets[i] += other.Buckets[i]
-	}
 }
 
 // bucketBounds returns the [lo, hi) nanosecond range of bucket i.

@@ -126,11 +126,12 @@ func (sl *SlowLog) Snapshot() []SlowEntry {
 	return out
 }
 
-// Len reports the number of promoted traces currently retained.
+// Len reports the number of promoted traces currently retained, as
+// the reach_slowlog_depth gauge does.
 func (sl *SlowLog) Len() int {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return len(sl.entries)
+	return int(sl.depth.Value())
 }
 
 // Clear empties the log and returns how many entries were dropped.

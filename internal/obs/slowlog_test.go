@@ -260,8 +260,8 @@ func TestRegisterBuildInfo(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "reach_build_info{") {
-		t.Fatalf("reach_build_info missing from exposition:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "reach_build_info{") || !strings.Contains(buf.String(), "\"} 1\n") {
+		t.Fatalf("reach_build_info missing from exposition, or not 1:\n%s", buf.String())
 	}
 }
 

@@ -241,13 +241,12 @@ func (db *DB) Set(t *txn.Txn, obj *Object, attr string, v any) error {
 	if err := t.Lock(uint64(obj.oid), txn.LockExclusive); err != nil {
 		return err
 	}
-	top := t.Top()
-	old, first, err := obj.write(idx, val, top.ID())
+	old, err := t.Write(obj, idx, val)
 	if err != nil {
 		return err
 	}
-	t.LogUndo(obj, idx, old)
-	if first {
+	top := t.Top()
+	if obj.markDirty(top.ID()) {
 		db.writeSet(top).add(obj)
 	}
 	if obj.class.Monitored {
@@ -336,12 +335,8 @@ func (db *DB) Persist(t *txn.Txn, obj *Object) error {
 	if err := t.Lock(uint64(obj.oid), txn.LockExclusive); err != nil {
 		return err
 	}
-	obj.mu.Lock()
-	was := obj.persistent
-	obj.persistent = true
-	obj.mu.Unlock()
-	if !was {
-		t.LogUndo(obj, undoPersist, nil)
+	if _, err := t.Write(obj, undoPersist, nil); err != nil {
+		return err
 	}
 	if top := t.Top(); obj.markDirty(top.ID()) {
 		db.writeSet(top).add(obj)
@@ -463,14 +458,9 @@ func (db *DB) Delete(t *txn.Txn, obj *Object) error {
 	if err := t.Lock(uint64(obj.oid), txn.LockExclusive); err != nil {
 		return err
 	}
-	obj.mu.Lock()
-	if obj.deleted {
-		obj.mu.Unlock()
-		return fmt.Errorf("%w: %v", ErrDeleted, obj)
+	if _, err := t.Write(obj, undoDelete, nil); err != nil {
+		return err
 	}
-	obj.deleted = true
-	obj.mu.Unlock()
-	t.LogUndo(obj, undoDelete, nil)
 	ws := db.writeSet(t.Top())
 	ws.mu.Lock()
 	if ws.deleted == nil {

@@ -3,6 +3,7 @@ package oodb
 import (
 	"fmt"
 	"sync"
+	"sync/atomic" //lint:allow rawatomics write-set membership mark, not a metric
 )
 
 // Object is one instance of a class. Attribute slots follow the
@@ -24,7 +25,7 @@ type Object struct {
 	// set lists the object. The X lock a writer holds serializes the
 	// transactions that set it, so the write set needs no map to list
 	// each object once.
-	dirtyIn uint64
+	dirtyIn atomic.Uint64
 }
 
 // Undo slots other than attribute indexes (see Undo).
@@ -71,28 +72,33 @@ func (o *Object) read(idx int) (any, error) {
 	return o.values[idx], nil
 }
 
-// write sets attribute slot idx of a live object to v and returns the
-// value it replaces, and whether o is new to the write set of the
-// top-level transaction top: the caller holds o's X lock.
-func (o *Object) write(idx int, v any, top uint64) (old any, first bool, err error) {
+// Write makes the change Undo(idx, old) reverts (it makes *Object a
+// txn.Writer, so that a transaction writes and logs the before-image
+// in one step): attribute slot idx of a live object gets v, the slot
+// undoPersist persists o and undoDelete deletes it. It returns the
+// replaced value and whether anything changed. The caller holds o's X
+// lock.
+func (o *Object) Write(idx int, v any) (old any, changed bool, err error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.deleted {
+	switch {
+	case idx == undoPersist:
+		changed, o.persistent = !o.persistent, true
+		return nil, changed, nil
+	case o.deleted:
 		return nil, false, fmt.Errorf("%w: %v", ErrDeleted, o)
+	case idx == undoDelete:
+		o.deleted = true
+		return nil, true, nil
 	}
 	old, o.values[idx] = o.values[idx], v
-	first, o.dirtyIn = o.dirtyIn != top, top
-	return old, first, nil
+	return old, true, nil
 }
 
 // markDirty records that the write set of the top-level transaction
 // top lists o, and reports whether it did not already.
 func (o *Object) markDirty(top uint64) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	first := o.dirtyIn != top
-	o.dirtyIn = top
-	return first
+	return o.dirtyIn.Swap(top) != top
 }
 
 // Undo reverts a change of an aborted transaction (it makes *Object a

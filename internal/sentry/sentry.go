@@ -219,13 +219,6 @@ func (d *Dispatcher) Stats() (useful, useless, potentially uint64) {
 	return d.useful.Value(), d.useless.Value(), d.potentially.Value()
 }
 
-// ResetStats zeroes the overhead counters.
-func (d *Dispatcher) ResetStats() {
-	d.useful.Reset()
-	d.useless.Reset()
-	d.potentially.Reset()
-}
-
 // Subscriptions reports the number of live subscription keys.
 func (d *Dispatcher) Subscriptions() int {
 	d.mu.Lock()

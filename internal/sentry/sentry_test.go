@@ -88,18 +88,6 @@ func TestEmitPropagatesConsumerError(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	d := New(ConsumerFunc(func(*event.Instance) error { return nil }))
-	d.Subscribe("k")
-	d.Wants("k")
-	d.Wants("other")
-	d.ResetStats()
-	u, ul, p := d.Stats()
-	if u != 0 || ul != 0 || p != 0 {
-		t.Fatalf("stats after reset = %d/%d/%d", u, ul, p)
-	}
-}
-
 func TestConcurrentWants(t *testing.T) {
 	d := New(ConsumerFunc(func(*event.Instance) error { return nil }))
 	d.Subscribe("hot")
@@ -147,5 +135,32 @@ func TestEmitTraceStartsAtEventTime(t *testing.T) {
 	if got, _ := tr.Get(bare.Trace); !bare.Time.Equal(stamp) || !got.Start.Equal(stamp) || reads != 1 {
 		t.Fatalf("event without a Time: Time %v, trace start %v, %d clock reads; want %v twice and one read",
 			bare.Time, got.Start, reads, stamp)
+	}
+}
+
+// TestShedProbeSkipsTraces: while the shed probe reports overload,
+// Emit delivers the event without minting a trace and counts the skip
+// in reach_sentry_traces_shed_total; once it clears, traces are minted
+// again.
+func TestShedProbeSkipsTraces(t *testing.T) {
+	delivered := 0
+	d := New(ConsumerFunc(func(*event.Instance) error { delivered++; return nil }))
+	reg := obs.NewRegistry()
+	d.Instrument(reg, obs.NewTracer(8), nil)
+	shed := true
+	d.SetShedProbe(func() bool { return shed })
+	for i := 0; i < 3; i++ {
+		in := &event.Instance{SpecKey: "k", Time: time.Unix(1, 0)}
+		if err := d.Emit(in); err != nil || in.Trace != 0 {
+			t.Fatalf("emit under overload: err %v, trace %d; want delivery without a trace", err, in.Trace)
+		}
+	}
+	shed = false
+	in := &event.Instance{SpecKey: "k", Time: time.Unix(1, 0)}
+	if err := d.Emit(in); err != nil || in.Trace == 0 {
+		t.Fatalf("emit after overload: err %v, trace %d; want a trace", err, in.Trace)
+	}
+	if got := reg.Counter("reach_sentry_traces_shed_total", "").Value(); got != 3 || d.TracesShed() != 3 || delivered != 4 {
+		t.Fatalf("traces shed = %d (TracesShed %d), delivered %d; want 3, 3, 4", got, d.TracesShed(), delivered)
 	}
 }

@@ -36,10 +36,8 @@ type BufferPool struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 
-	// evictions counts frames evicted; evictStall is the time a Pin
-	// or PinNew stalled writing a dirty victim back to the pager.
-	evictions  *obs.Counter
-	evictStall *obs.Histogram
+	// evictions counts frames evicted.
+	evictions *obs.Counter
 }
 
 // frame is one resident page. The page bytes are a separate,
@@ -68,13 +66,12 @@ func NewBufferPool(pager *Pager, capacity int) *BufferPool {
 		capacity = 1
 	}
 	bp := &BufferPool{
-		pager:      pager,
-		capacity:   capacity,
-		frames:     make(map[PageID]*frame),
-		hits:       new(obs.Counter),
-		misses:     new(obs.Counter),
-		evictions:  new(obs.Counter),
-		evictStall: new(obs.Histogram),
+		pager:     pager,
+		capacity:  capacity,
+		frames:    make(map[PageID]*frame),
+		hits:      new(obs.Counter),
+		misses:    new(obs.Counter),
+		evictions: new(obs.Counter),
 	}
 	bp.ring.newer, bp.ring.older = &bp.ring, &bp.ring
 	return bp
@@ -88,8 +85,6 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 	bp.misses = reg.Counter(name, help, "result", "miss")
 	bp.evictions = reg.Counter("reach_buffer_evictions_total",
 		"Buffer-pool frames evicted to make room.")
-	bp.evictStall = reg.Histogram("reach_buffer_evict_stall_seconds",
-		"Time a page fetch stalled writing a dirty eviction victim back.")
 }
 
 // Stats reports cumulative hit and miss counts.
@@ -202,10 +197,7 @@ func (bp *BufferPool) victimLocked() (*frame, error) {
 				if fp := fault.Hit(fault.SiteBufferEvict); fp != nil {
 					return nil, fmt.Errorf("storage: evict page %d: %w", fr.id, fp.Err)
 				}
-				stop := bp.evictStall.Time()
-				err := bp.pager.Write(fr.id, fr.page)
-				stop()
-				if err != nil {
+				if err := bp.pager.Write(fr.id, fr.page); err != nil {
 					return nil, err
 				}
 			}

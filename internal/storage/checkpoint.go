@@ -75,10 +75,10 @@ func (s *Store) Checkpoint() error {
 	defer s.ckptMu.Unlock()
 	stop := s.ckptDur.Time()
 	err := s.checkpointOnce()
-	stop()
 	if errors.Is(err, errCkptIdle) {
 		return nil
 	}
+	stop()
 	s.noteCheckpoint(err)
 	return err
 }
@@ -221,17 +221,13 @@ func (s *Store) noteCheckpoint(err error) {
 		s.ckptOK.Inc()
 		s.ckptConsecFails = 0
 		s.ckptLastErr = ""
-		if s.ckptDegradedFlag {
-			s.ckptDegradedFlag = false
-			s.ckptDegraded.Set(0)
-		}
+		s.ckptDegraded.Set(0)
 		return
 	}
 	s.ckptErr.Inc()
 	s.ckptConsecFails++
 	s.ckptLastErr = err.Error()
-	if s.ckptConsecFails >= checkpointDegradedAfter && !s.ckptDegradedFlag {
-		s.ckptDegradedFlag = true
+	if s.ckptConsecFails >= checkpointDegradedAfter {
 		s.ckptDegraded.Set(1)
 	}
 }
@@ -334,7 +330,7 @@ func (s *Store) CheckpointHealth() CheckpointHealth {
 		Checkpoints:         s.ckptOK.Value(),
 		Failures:            s.ckptErr.Value(),
 		ConsecutiveFailures: s.ckptConsecFails,
-		Degraded:            s.ckptDegradedFlag,
+		Degraded:            s.ckptDegraded.Value() == 1,
 		LastError:           s.ckptLastErr,
 		LastRedoLSN:         s.lastCkpt.RedoLSN,
 		LastEndLSN:          s.lastCkpt.EndLSN,

@@ -77,6 +77,13 @@ func TestGroupCommitSubLinearFsyncs(t *testing.T) {
 	if syncs > n/2 {
 		t.Fatalf("WAL syncs = %d for %d concurrent commits; group commit should batch (want <= %d)", syncs, n, n/2)
 	}
+	// Each batch is released by a leader's round after its fsync.
+	st := s.Stats()
+	if st.GroupCommitBatches == 0 || st.GroupCommitBatches > syncs ||
+		st.GroupBatchHighwater < 1 || st.GroupBatchHighwater >= n {
+		t.Fatalf("group commit released %d batches, the largest of %d followers, over %d fsyncs; want 1..%d batches of 1..%d",
+			st.GroupCommitBatches, st.GroupBatchHighwater, syncs, syncs, n-1)
+	}
 	t.Logf("%d concurrent commits -> %d fsyncs", n, syncs)
 }
 

@@ -16,7 +16,7 @@ type Options struct {
 	// Zero selects a default of 256 pages (2 MiB).
 	BufferPoolPages int
 	// Metrics, when set, binds the store's counters (buffer hits and
-	// misses, WAL syncs and flush/fsync latency) into a shared registry.
+	// misses, WAL syncs and fsync latency) into a shared registry.
 	Metrics *obs.Registry
 	// FS is the filesystem the store's data file and write-ahead log
 	// are opened through. Nil selects the real filesystem; the
@@ -91,11 +91,10 @@ type Store struct {
 	ckptBaseBytes uint64 // wal.AppendedBytes at the last completed checkpoint (byte trigger)
 	lastCkpt      CheckpointInfo
 
-	// Health: consecutive failures flip the degraded flag; any success
-	// clears it. Guarded by s.mu.
-	ckptConsecFails  int
-	ckptDegradedFlag bool
-	ckptLastErr      string
+	// Health: consecutive failures set the ckptDegraded gauge; any
+	// success clears it. Guarded by s.mu.
+	ckptConsecFails int
+	ckptLastErr     string
 
 	// Background checkpointer plumbing; nil channels when Auto is off.
 	ckptNotify   chan struct{}
@@ -747,7 +746,7 @@ func (s *Store) Stats() Stats {
 		Checkpoints:         s.ckptOK.Value(),
 		Failures:            s.ckptErr.Value(),
 		ConsecutiveFailures: s.ckptConsecFails,
-		Degraded:            s.ckptDegradedFlag,
+		Degraded:            s.ckptDegraded.Value() == 1,
 		LastError:           s.ckptLastErr,
 		LastRedoLSN:         s.lastCkpt.RedoLSN,
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func openTestStore(t testing.TB, opts Options) (*Store, string) {
@@ -414,6 +416,44 @@ func TestStoreStats(t *testing.T) {
 	}
 	if st.Pages == 0 {
 		t.Fatal("Pages = 0 after an insert")
+	}
+}
+
+// TestStoreTimesCheckpointsAndRecovery: reach_checkpoint_seconds holds
+// one observation per attempt reach_checkpoint_total counts, an idle
+// no-op being neither, and reach_recovery_seconds one per open.
+func TestStoreTimesCheckpointsAndRecovery(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	s, err := Open(dir, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Begin(1)
+	s.Insert(1, []byte("x"))
+	if err := s.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second checkpoint finds nothing new
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, Options{Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ok := reg.Counter("reach_checkpoint_total", "", "result", "ok").Value()
+	timed := reg.Histogram("reach_checkpoint_seconds", "").Count()
+	if ok != 1 || timed != ok {
+		t.Fatalf("checkpoints: %d ok, %d timed; want 1 and 1", ok, timed)
+	}
+	if n := reg.Histogram("reach_recovery_seconds", "").Count(); n != 2 {
+		t.Fatalf("recoveries timed = %d, want one per open (2)", n)
 	}
 }
 

@@ -153,11 +153,9 @@ type WAL struct {
 	pending *syncBatch // followers parked for the leader's next round
 
 	// syncs counts fsyncs so Stats can report the effect of group
-	// commit; flushDur/fsyncDur split a Sync into its buffered-flush
-	// and stable-storage halves. All standalone by default and rebound
-	// by Instrument.
+	// commit; fsyncDur times the stable-storage half of a Sync. All
+	// standalone by default and rebound by Instrument.
 	syncs    *obs.Counter
-	flushDur *obs.Histogram
 	fsyncDur *obs.Histogram
 
 	// Group-commit accounting: requests satisfied, follower batches
@@ -171,7 +169,6 @@ type WAL struct {
 	rotations *obs.Counter
 	prunes    *obs.Counter
 	segGauge  *obs.Gauge
-	sizeGauge *obs.Gauge
 }
 
 // syncBatch parks SyncTo followers while a leader runs fsync rounds.
@@ -248,7 +245,6 @@ func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (
 	w := &WAL{
 		fs: fs, path: path, segBytes: segBytes,
 		syncs:        new(obs.Counter),
-		flushDur:     new(obs.Histogram),
 		fsyncDur:     new(obs.Histogram),
 		groupReqs:    new(obs.Counter),
 		groupBatches: new(obs.Counter),
@@ -256,7 +252,6 @@ func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (
 		rotations:    new(obs.Counter),
 		prunes:       new(obs.Counter),
 		segGauge:     new(obs.Gauge),
-		sizeGauge:    new(obs.Gauge),
 	}
 	w.nextLSN = 1
 	seqs, err := listSegments(fs, path)
@@ -371,8 +366,6 @@ func (w *WAL) Instrument(reg *obs.Registry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.syncs = reg.Counter("reach_wal_syncs_total", "WAL fsyncs issued.")
-	w.flushDur = reg.Histogram("reach_wal_flush_seconds",
-		"WAL buffered-writer flush latency during Sync.")
 	w.fsyncDur = reg.Histogram("reach_wal_fsync_seconds",
 		"WAL fsync (force to stable storage) latency during Sync.")
 	w.groupReqs = reg.Counter("reach_wal_group_commit_requests_total",
@@ -386,17 +379,11 @@ func (w *WAL) Instrument(reg *obs.Registry) {
 	w.prunes = reg.Counter("reach_wal_segment_prunes_total",
 		"WAL segments deleted because a completed checkpoint covered them.")
 	w.segGauge = reg.Gauge("reach_wal_segments", "Live WAL segment files.")
-	w.sizeGauge = reg.Gauge("reach_wal_segment_bytes", "Total bytes across live WAL segments.")
 	w.updateSegMetricsLocked()
 }
 
 func (w *WAL) updateSegMetricsLocked() {
 	w.segGauge.Set(int64(len(w.segs)))
-	var total int64
-	for _, s := range w.segs {
-		total += s.size
-	}
-	w.sizeGauge.Set(total)
 }
 
 // Append writes rec to the log, assigning and returning its LSN. The
@@ -636,10 +623,7 @@ func (w *WAL) flushLocked() error {
 	if fp := fault.Hit(fault.SiteWALFlush); fp != nil {
 		return fmt.Errorf("storage: wal flush: %w", fp.Err)
 	}
-	stopFlush := w.flushDur.Time()
-	err := w.w.Flush()
-	stopFlush()
-	return err
+	return w.w.Flush()
 }
 
 // fsync forces f to stable storage. It needs no lock: the caller must
@@ -706,7 +690,7 @@ func (w *WAL) SegmentStats() (segments int, bytes int64, rotations, prunes uint6
 	for _, s := range w.segs {
 		bytes += s.size
 	}
-	return len(w.segs), bytes, w.rotations.Value(), w.prunes.Value()
+	return int(w.segGauge.Value()), bytes, w.rotations.Value(), w.prunes.Value()
 }
 
 // RecoveryWindow reports how many segments the opening scan read and

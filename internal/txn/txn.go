@@ -320,6 +320,14 @@ type Undoer interface {
 	Undo(idx int, old any)
 }
 
+// A Writer is an Undoer that also makes the change its Undo reverts:
+// Write changes slot idx to v and returns the before-image that
+// Undo(idx, old) puts back, and whether there is a change to undo.
+type Writer interface {
+	Undoer
+	Write(idx int, v any) (old any, changed bool, err error)
+}
+
 // undoRecord is one before-image: target.Undo(idx, old) reverts it.
 type undoRecord struct {
 	target Undoer
@@ -539,21 +547,37 @@ func (t *Txn) Wait() Status {
 	return t.Status()
 }
 
-// LogUndo records a before-image: if the transaction aborts,
+// Write has target change slot idx to v and logs the before-image in
+// the same step, under t's mutex: if the transaction aborts,
 // target.Undo(idx, old) runs, in LIFO order with every other
-// compensation it owns, its committed children's included. The record
-// is a value in the transaction's log, not a closure, and costs no
-// allocation while the log fits its inline room.
-func (t *Txn) LogUndo(target Undoer, idx int, old any) {
+// compensation it owns, its committed children's included. An abort
+// takes the log under that mutex, so it either finds the before-image
+// or finds the change refused: once an abort of t has begun, Write
+// changes nothing and returns ErrNotActive. The record is a value in
+// the transaction's log, not a closure, and costs no allocation while
+// the log fits its inline room.
+func (t *Txn) Write(target Writer, idx int, v any) (old any, err error) {
 	t.mu.Lock()
-	t.undo = append(t.undo, undoRecord{target, idx, old})
+	if t.aborting {
+		t.mu.Unlock()
+		return nil, ErrNotActive
+	}
+	old, changed, err := target.Write(idx, v)
+	if changed {
+		t.undo = append(t.undo, undoRecord{target, idx, old})
+	}
 	t.mu.Unlock()
+	return old, err
 }
 
 // OnAbort registers a compensation run (LIFO, among the before-images)
 // if the transaction aborts: for undo that is not one slot's old value,
 // such as an index entry or a catalog change.
-func (t *Txn) OnAbort(fn func()) { t.LogUndo(undoFunc(fn), 0, nil) }
+func (t *Txn) OnAbort(fn func()) {
+	t.mu.Lock()
+	t.undo = append(t.undo, undoRecord{undoFunc(fn), 0, nil})
+	t.mu.Unlock()
+}
 
 // SetValue attaches a value to the transaction under key.
 func (t *Txn) SetValue(key, val any) {

@@ -7,7 +7,49 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
+	"repro/internal/obs"
 )
+
+// TestOutcomeSeries: reach_txn_total counts top-level outcomes only,
+// reach_txn_duration_seconds times each top-level transaction from
+// begin to resolution, and reach_txn_active returns to zero.
+func TestOutcomeSeries(t *testing.T) {
+	m := NewManager()
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	m.SetClock(clk)
+	reg := obs.NewRegistry()
+	m.Instrument(reg)
+
+	committed := m.Begin()
+	child, err := committed.BeginChild()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(3 * time.Millisecond)
+	if err := committed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	aborted := m.Begin()
+	clk.Advance(5 * time.Millisecond)
+	if err := aborted.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	const name = "reach_txn_total"
+	commits := reg.Counter(name, "", "outcome", "commit").Value()
+	aborts := reg.Counter(name, "", "outcome", "abort").Value()
+	dur := reg.Histogram("reach_txn_duration_seconds", "").Snapshot()
+	active := reg.Gauge("reach_txn_active", "").Value()
+	if commits != 1 || aborts != 1 || dur.Count != 2 || time.Duration(dur.Sum) != 8*time.Millisecond || active != 0 {
+		t.Fatalf("commits %d, aborts %d, durations %d summing to %v, active %d; want 1, 1, 2 summing to 8ms, 0",
+			commits, aborts, dur.Count, time.Duration(dur.Sum), active)
+	}
+}
 
 func TestBeginCommitTopLevel(t *testing.T) {
 	m := NewManager()
