@@ -44,13 +44,14 @@ race-procs:
 # the event histories under four concurrent raisers on one hot key
 # (Seq order, eviction and byte count while a reader polls),
 # sequential-causal firings parking on transactions that other
-# goroutines commit and abort, and the powerplant and quickstart
-# examples, whose output must match their goldens on every run.
+# goroutines commit and abort, and the powerplant, quickstart, trading
+# and workflow examples, whose output (workflow: its totals) must match
+# their goldens on every run.
 repeat:
 	$(GO) test -timeout 240s -count=300 -run 'TestCompositeOfComposite$$' ./internal/eca
 	$(GO) test -race -timeout 240s -count=20 -run 'TestRecycledComposerMatchesFresh$$' ./internal/algebra
 	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$' ./internal/eca
-	$(GO) test -race -timeout 240s -count=20 -run 'TestPowerplantGolden$$|TestQuickstartGolden$$' ./examples/powerplant ./examples/quickstart
+	$(GO) test -race -timeout 240s -count=20 -run 'TestPowerplantGolden$$|TestQuickstartGolden$$|TestTradingGolden$$|TestWorkflowGolden$$' ./examples/powerplant ./examples/quickstart ./examples/trading ./examples/workflow
 
 # poison builds with -tags poison, under which memory the engine
 # reclaims traps instead of reading as zero: a firing set returned to

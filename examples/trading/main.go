@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync/atomic" //lint:allow rawatomics demo-local signal counter, not an engine metric
 	"time"
 
@@ -20,10 +22,18 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run feeds index ticks through the v-shape monitor on a fresh
+// database under a virtual clock, writing what happens to w.
+func run(w io.Writer) error {
 	vc := reach.NewVirtualClock(time.Date(1995, 3, 6, 9, 30, 0, 0, time.UTC))
 	sys, err := reach.Open(reach.Options{Clock: vc})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
 
@@ -36,7 +46,7 @@ func main() {
 		return nil, ctx.Set(self, "value", args[0])
 	})
 	if err := sys.RegisterClass(index); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	tx := sys.Begin()
@@ -45,7 +55,7 @@ func main() {
 	sys.DB.Set(tx, dow, "value", 4000.0)
 	sys.DB.SetRoot(tx, "DJIA", dow)
 	if err := tx.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Composite event: a drop tick then a rise tick, across feed
@@ -63,7 +73,7 @@ func main() {
 		Validity: 5 * time.Minute,
 	}
 	if err := sys.Engine.DefineComposite(vshape); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	var signals atomic.Int64
@@ -80,13 +90,13 @@ func main() {
 		Action: func(rc *reach.RuleCtx) error {
 			parts := rc.Trigger.Flatten()
 			signals.Add(1)
-			fmt.Printf("  [signal] pair %.1f -> %.1f across txns %v\n",
-				parts[0].Args[0], parts[1].Args[0], keys(rc.Trigger.Transactions()))
+			fmt.Fprintf(w, "  [signal] pair %.1f -> %.1f across %d feed txns\n",
+				parts[0].Args[0], parts[1].Args[0], len(rc.Trigger.Transactions()))
 			return nil
 		},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Feed: each tick in its own transaction, time advancing.
@@ -94,41 +104,34 @@ func main() {
 	for _, v := range feed {
 		tx := sys.Begin()
 		if _, err := sys.DB.Invoke(tx, dow, "tick", v); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := tx.Commit(); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		vc.Advance(time.Minute)
 	}
 	sys.Engine.DrainComposers()
 	sys.Engine.WaitDetached()
-	fmt.Printf("signals after first feed: %d\n", signals.Load())
+	fmt.Fprintf(w, "signals after first feed: %d\n", signals.Load())
 
 	// Validity: after 10 quiet minutes the pending windows expire and
 	// a late rise does not pair with stale drops.
 	vc.Advance(10 * time.Minute)
 	dropped := sys.Engine.GCExpired()
-	fmt.Printf("semi-composed occurrences garbage-collected after validity lapse: %d\n", dropped)
+	fmt.Fprintf(w, "semi-composed occurrences garbage-collected after validity lapse: %d\n", dropped)
 
 	tx2 := sys.Begin()
 	sys.DB.Invoke(tx2, dow, "tick", 4050.0)
 	if err := tx2.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Engine.DrainComposers()
 	sys.Engine.WaitDetached()
-	fmt.Printf("signals after late tick: %d (stale windows must not fire)\n", signals.Load())
+	fmt.Fprintf(w, "signals after late tick: %d (stale windows must not fire)\n", signals.Load())
 
 	st := sys.Engine.Stats()
-	fmt.Printf("engine: %d events, %d composites detected, %d detached firings, %d GCed\n",
+	fmt.Fprintf(w, "engine: %d events, %d composites detected, %d detached firings, %d GCed\n",
 		st.Events, st.CompositesDetected, st.DetachedFired, st.SemiComposedGCed)
-}
-
-func keys(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
+	return nil
 }

@@ -12,18 +12,28 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
-	"sync/atomic" //lint:allow rawatomics demo-local escalation counter, not an engine metric
+	"os"
+	"sync/atomic" //lint:allow rawatomics demo-local outcome counters, not engine metrics
 	"time"
 
 	reach "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run takes three orders through the workflow on a fresh database
+// under a virtual clock, writing what happens to w.
+func run(w io.Writer) error {
 	vc := reach.NewVirtualClock(time.Date(1995, 3, 6, 8, 0, 0, 0, time.UTC))
 	sys, err := reach.Open(reach.Options{Clock: vc})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer sys.Close()
 
@@ -39,7 +49,7 @@ func main() {
 		})
 	}
 	if err := sys.RegisterClass(order); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Composite: the full receive;pack;ship chain within one order
@@ -60,14 +70,14 @@ func main() {
 		Scope:  reach.ScopeTransaction,
 	}
 	if err := sys.Engine.DefineComposite(chain); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var fulfilled atomic.Int64
 	sys.Engine.AddRule(&reach.Rule{
 		Name: "Fulfilled", EventKey: chain.Key(), ActionMode: reach.Deferred,
 		Action: func(rc *reach.RuleCtx) error {
 			fulfilled.Add(1)
-			fmt.Println("  [deferred] order fulfilled inside its transaction")
+			fmt.Fprintln(w, "  [deferred] order fulfilled inside its transaction")
 			return nil
 		},
 	})
@@ -86,7 +96,7 @@ func main() {
 				st := t.Wait()
 				if st == reach.TxnCommitted {
 					compensations.Add(1)
-					fmt.Println("  [exclusive-causal] compensation COMMITTED (trigger aborted)")
+					fmt.Fprintln(w, "  [exclusive-causal] compensation COMMITTED (trigger aborted)")
 				}
 				compDone <- st
 			}()
@@ -98,17 +108,22 @@ func main() {
 	// 30 simulated minutes after its receive step, escalate.
 	milestone := reach.TemporalSpec{Name: "order-deadline", Temporal: reach.MilestoneKind, Delay: 30 * time.Minute}
 	var escalations atomic.Int64
+	escalated := make(chan struct{}, 1)
 	sys.Engine.AddRule(&reach.Rule{
 		Name: "Escalate", EventKey: milestone.Key(), ActionMode: reach.Detached,
 		Action: func(rc *reach.RuleCtx) error {
 			escalations.Add(1)
-			fmt.Printf("  [contingency] txn %v missed its milestone — escalating\n", rc.Trigger.Args[0])
+			fmt.Fprintf(w, "  [contingency] txn %v missed its milestone — escalating\n", rc.Trigger.Args[0])
+			select {
+			case escalated <- struct{}{}:
+			default:
+			}
 			return nil
 		},
 	})
 
 	// --- Order 1: completes in time. -------------------------------
-	fmt.Println("-- order A: received, packed, shipped, committed in time")
+	fmt.Fprintln(w, "-- order A: received, packed, shipped, committed in time")
 	txA := sys.Begin()
 	a, _ := sys.DB.NewObject(txA, "Order")
 	sys.DB.Set(txA, a, "id", "A")
@@ -119,12 +134,12 @@ func main() {
 	vc.Advance(5 * time.Minute)
 	sys.DB.Invoke(txA, a, "ship")
 	if err := txA.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	hA.Stop()
 
 	// --- Order 2: aborted — compensation commits. ------------------
-	fmt.Println("-- order B: received, then the transaction aborts")
+	fmt.Fprintln(w, "-- order B: received, then the transaction aborts")
 	txB := sys.Begin()
 	b, _ := sys.DB.NewObject(txB, "Order")
 	sys.DB.Set(txB, b, "id", "B")
@@ -135,7 +150,7 @@ func main() {
 	<-compDone // order B's compensation resolved (committed)
 
 	// --- Order 3: stalls past its milestone. ------------------------
-	fmt.Println("-- order C: received, then stalls past the 30-minute milestone")
+	fmt.Fprintln(w, "-- order C: received, then stalls past the 30-minute milestone")
 	txC := sys.Begin()
 	c, _ := sys.DB.NewObject(txC, "Order")
 	sys.DB.Set(txC, c, "id", "C")
@@ -144,21 +159,20 @@ func main() {
 	vc.Advance(45 * time.Minute) // deadline passes while still active
 	// Note: WaitDetached here would deadlock — the exclusive-causal
 	// compensation is itself waiting for txC to resolve. Wait only for
-	// the escalation to be observed.
-	for escalations.Load() == 0 {
-		time.Sleep(time.Millisecond) //lint:allow clockusage demo pacing against the real scheduler, not engine time
-	}
+	// the escalation.
+	<-escalated
 	sys.DB.Invoke(txC, c, "pack")
 	sys.DB.Invoke(txC, c, "ship")
 	if err := txC.Commit(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sys.Engine.WaitDetached()
 	<-compDone // order C's compensation resolved (aborted)
 
-	fmt.Printf("\nfulfilled: %d, compensations committed: %d, escalations: %d\n",
+	fmt.Fprintf(w, "\nfulfilled: %d, compensations committed: %d, escalations: %d\n",
 		fulfilled.Load(), compensations.Load(), escalations.Load())
 	st := sys.Engine.Stats()
-	fmt.Printf("engine: %d events, %d composites, %d deferred, %d detached\n",
+	fmt.Fprintf(w, "engine: %d events, %d composites, %d deferred, %d detached\n",
 		st.Events, st.CompositesDetected, st.DeferredFired, st.DetachedFired)
+	return nil
 }

@@ -176,9 +176,6 @@ func newGovernor(opts Options, db *oodb.DB, engine *eca.Engine, reg *obs.Registr
 
 	tm.SetAdmission(gov.AdmitTxn)
 	engine.SetGovernor(gov)
-	engine.Dispatcher().SetShedProbe(func() bool {
-		return gov.State() >= governor.Degraded
-	})
 	gov.Start()
 	return gov
 }

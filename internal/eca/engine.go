@@ -144,6 +144,7 @@ type engineMetrics struct {
 	gced         *obs.Counter
 	rounds       *obs.Counter
 	backpressure *obs.Counter
+	tracesShed   *obs.Counter
 
 	firedImmediate *obs.Counter
 	firedDeferred  *obs.Counter
@@ -203,6 +204,8 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Deferred execution rounds run at EOT."),
 		backpressure: reg.Counter("reach_composer_backpressure_total",
 			"Deliveries that found a composer channel full and stalled."),
+		tracesShed: reg.Counter("reach_traces_shed_total",
+			"Lifecycle traces not minted because the overload governor reported degradation."),
 		firedImmediate: reg.Counter(fired, firedHelp, "mode", "immediate"),
 		firedDeferred:  reg.Counter(fired, firedHelp, "mode", "deferred"),
 		firedDetached:  reg.Counter(fired, firedHelp, "mode", "detached"),
@@ -325,7 +328,7 @@ func New(db *oodb.DB, opts Options) *Engine {
 	tracer.SetSlowLog(e.slowLog)
 	e.exec = newExecutor(e)
 	e.disp = sentry.New(sentry.ConsumerFunc(e.Consume))
-	e.disp.Instrument(reg, tracer, e.clk.Now)
+	e.disp.Instrument(reg)
 	db.TxnManager().Instrument(reg)
 	db.TxnManager().SetTracer(tracer)
 	db.SetSink(e.disp)
@@ -792,12 +795,17 @@ func (e *Engine) stamp(in *event.Instance) {
 // events, which are raised once their transaction has resolved.
 func (e *Engine) dispatch(p *plan, in *event.Instance, trigger, owner *txn.Txn) error {
 	start := e.after(in.Time)
-	if in.Trace == 0 && !e.shedTraces() {
-		// Flow-control and temporal events enter here without passing
-		// the sentry dispatcher; mint their trace at the engine door.
-		// Under overload, minting is skipped — same policy as the
-		// sentry's shed probe: observability is shed before work is.
-		in.Trace = e.tracer.Begin(in.SpecKey, start)
+	// Every occurrence — method and state events forwarded by the
+	// sentry, flow-control and temporal events raised by the engine —
+	// gets its lifecycle trace here and nowhere else, starting when the
+	// event occurred. Under overload the mint is skipped and counted:
+	// observability is shed before work is.
+	if in.Trace == 0 {
+		if e.shedTraces() {
+			e.met.tracesShed.Inc()
+		} else {
+			in.Trace = e.tracer.Begin(in.SpecKey, in.Time)
+		}
 	}
 	e.record(p.m, in, owner)
 	if in.Depth == 0 && trigger != nil {

@@ -100,9 +100,11 @@ type executor struct {
 	drainCh chan struct{}
 	workers sync.WaitGroup
 
+	// mu orders acceptance against draining; its cond wakes awaitIdle
+	// when the reach_executor_inflight gauge (accepted jobs not yet
+	// finished, queued or running) drops.
 	mu        sync.Mutex
 	cond      *sync.Cond
-	inflight  int // accepted jobs not yet finished (queued or running)
 	draining  bool
 	jitterSeq uint64
 	breakers  map[string]*breaker
@@ -136,9 +138,8 @@ func (x *executor) submit(job ruleJob) error {
 		x.mu.Unlock()
 		return ErrDraining
 	}
-	x.inflight++
-	x.mu.Unlock()
 	x.e.met.execInflight.Add(1)
+	x.mu.Unlock()
 	if job.mode == DetachedSequentialCausal {
 		return x.route(job, x.drainCh)
 	}
@@ -243,12 +244,13 @@ func (x *executor) resume(parked []ruleJob) {
 	}
 }
 
-// jobDone releases an in-flight reservation and wakes waiters.
+// jobDone releases an in-flight reservation and wakes waiters. Taking
+// the mutex after the release serializes with a waiter between its
+// gauge check and its park, so the broadcast cannot be lost.
 func (x *executor) jobDone() {
-	x.mu.Lock()
-	x.inflight--
-	x.mu.Unlock()
 	x.e.met.execInflight.Add(-1)
+	x.mu.Lock()
+	x.mu.Unlock()
 	x.cond.Broadcast()
 }
 
@@ -284,7 +286,7 @@ func (x *executor) awaitIdle(ctx context.Context) error {
 	defer stop()
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	for x.inflight > 0 {
+	for x.e.met.execInflight.Value() > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

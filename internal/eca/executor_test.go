@@ -325,8 +325,10 @@ func newHeldRig(t *testing.T, queue int, degraded int64) *heldRig {
 // assertOneShed checks the single shed decision's bookkeeping after two
 // accepted firings: the shed spawn is counted as governor-shed on the
 // engine and the governor, dead-lettered with that reason, and never
-// runs.
-func (r *heldRig) assertOneShed(t *testing.T) {
+// runs. The dead letter carries its occurrence's trace: a trace of the
+// tracer when the occurrence was raised before the governor degraded,
+// none (and one skipped mint counted) when it was raised after.
+func (r *heldRig) assertOneShed(t *testing.T, tracedBeforeDegrade bool) {
 	t.Helper()
 	if got := r.e.met.rejGovernor.Value(); got != 1 {
 		t.Fatalf("rejected{governor-shed} = %d, want 1", got)
@@ -341,8 +343,13 @@ func (r *heldRig) assertOneShed(t *testing.T) {
 	if len(dl) != 1 || dl[0].Reason != "governor-shed" || !strings.Contains(dl[0].Err, "overloaded") {
 		t.Fatalf("dead letters = %+v, want one governor-shed entry", dl)
 	}
-	if _, ok := r.e.Tracer().Get(dl[0].Trace); !ok {
-		t.Fatalf("governor-shed dead letter carries trace %d, not a trace of the tracer", dl[0].Trace)
+	if tracedBeforeDegrade {
+		if _, ok := r.e.Tracer().Get(dl[0].Trace); !ok {
+			t.Fatalf("governor-shed dead letter carries trace %d, not a trace of the tracer", dl[0].Trace)
+		}
+	} else if dl[0].Trace != 0 || r.e.met.tracesShed.Value() != 1 {
+		t.Fatalf("governor-shed dead letter carries trace %d after %d skipped mints; want none after one (raised while degraded)",
+			dl[0].Trace, r.e.met.tracesShed.Value())
 	}
 	r.release()
 	r.e.WaitDetached()
@@ -362,8 +369,8 @@ func TestDetachedOverloadShed(t *testing.T) {
 	if st := r.g.Evaluate(); st != governor.Degraded {
 		t.Fatalf("governor state = %v, want degraded", st)
 	}
-	fireOnce(t, r.db, r.obj) // shed
-	r.assertOneShed(t)
+	fireOnce(t, r.db, r.obj) // shed, and raised untraced
+	r.assertOneShed(t, false)
 }
 
 // TestParkedSpawnShedsOnDegrade parks a raiser on a full queue and
@@ -390,7 +397,7 @@ func TestParkedSpawnShedsOnDegrade(t *testing.T) {
 		// Close drains the executor, which unparks the raiser.
 		t.Fatal("raiser still parked on the full queue: the governor never shed its spawn")
 	}
-	r.assertOneShed(t)
+	r.assertOneShed(t, true)
 }
 
 // TestRuleDeadline gives a blocking rule a per-rule timeout and

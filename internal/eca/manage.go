@@ -75,20 +75,7 @@ func (e *Engine) SetRuleEnabled(eventKey, name string, enabled bool) bool {
 // returned timer chain with the handle.
 func (e *Engine) StartGC(interval time.Duration) *TemporalHandle {
 	h := e.newTemporalHandle()
-	var rearm func()
-	rearm = func() {
-		if e.closed.Load() {
-			return
-		}
-		e.GCExpired()
-		h.mu.Lock()
-		stopped := h.stopped
-		h.mu.Unlock()
-		if !stopped {
-			h.setTimer(e.clk.AfterFunc(interval, rearm))
-		}
-	}
-	h.setTimer(e.clk.AfterFunc(interval, rearm))
+	h.every(interval, func() { e.GCExpired() })
 	return h
 }
 

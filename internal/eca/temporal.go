@@ -3,6 +3,7 @@ package eca
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/event"
@@ -44,6 +45,21 @@ func (h *TemporalHandle) setTimer(t *clock.Timer) bool {
 	return true
 }
 
+// every runs fn once per period until the handle is stopped or its
+// engine closes: each tick re-arms after fn returns, and setTimer
+// refuses to re-arm a stopped handle.
+func (h *TemporalHandle) every(period time.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		if h.e.closed.Load() {
+			return
+		}
+		fn()
+		h.setTimer(h.e.clk.AfterFunc(period, tick))
+	}
+	h.setTimer(h.e.clk.AfterFunc(period, tick))
+}
+
 // ArmTemporal schedules a temporal event source (paper §3.1: absolute
 // or relative, periodic or aperiodic). The returned handle disarms it.
 // Rules on temporal events execute detached (Table 1); composers also
@@ -67,17 +83,7 @@ func (e *Engine) ArmTemporal(spec event.TemporalSpec) (*TemporalHandle, error) {
 		if spec.Period <= 0 {
 			return nil, fmt.Errorf("eca: periodic temporal event %q needs a positive period", spec.Name)
 		}
-		var rearm func()
-		rearm = func() {
-			e.emitTemporal(spec, 0)
-			h.mu.Lock()
-			stopped := h.stopped
-			h.mu.Unlock()
-			if !stopped {
-				h.setTimer(e.clk.AfterFunc(spec.Period, rearm))
-			}
-		}
-		h.setTimer(e.clk.AfterFunc(spec.Period, rearm))
+		h.every(spec.Period, func() { e.emitTemporal(spec, 0) })
 	default:
 		return nil, fmt.Errorf("eca: ArmTemporal cannot arm %q (use ArmMilestone for milestones)", spec.Key())
 	}

@@ -229,7 +229,7 @@ type Instance struct {
 	Parts   []*Instance // constituents, for composite instances
 
 	// Trace is the lifecycle trace the occurrence belongs to, minted
-	// by the sentry dispatcher at detection time and inherited by
+	// by the engine when it dispatches the occurrence and inherited by
 	// composite instances from their completing constituent. Zero
 	// means untraced.
 	Trace uint64

@@ -47,9 +47,6 @@ type Options struct {
 	// Clock supplies timestamps for event instances; defaults to the
 	// real clock.
 	Clock clock.Clock
-	// PersistByReachability makes commit persist every transient
-	// object reachable via references from a persistent object.
-	PersistByReachability bool
 }
 
 // DB is the database: dictionary, address spaces, transaction
@@ -59,7 +56,6 @@ type DB struct {
 	txns  *txn.Manager
 	store *storage.Store
 	clk   clock.Clock
-	opts  Options
 
 	sink atomic.Value // Sink
 
@@ -94,7 +90,6 @@ func Open(opts Options) (*DB, error) {
 		dict:     NewDictionary(),
 		txns:     txn.NewManager(),
 		clk:      opts.Clock,
-		opts:     opts,
 		cache:    make(map[OID]*Object),
 		ridOf:    make(map[OID]storage.RID),
 		roots:    make(map[string]OID),
@@ -553,10 +548,6 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		return db.store.Begin(tid)
 	}
 
-	if db.opts.PersistByReachability {
-		db.persistReachableLocked(ws)
-	}
-
 	for oid, obj := range ws.deleted {
 		if !obj.Deleted() {
 			continue // a subtransaction's abort took the Delete back
@@ -677,57 +668,6 @@ func (db *DB) publish(ws *writeSet, moved []placed) {
 	for _, obj := range ws.deleted {
 		if obj.Deleted() {
 			obj.release()
-		}
-	}
-}
-
-// persistReachableLocked extends the dirty set with every transient
-// object reachable by reference from a persistent dirty object —
-// persistence by reachability, the model O2 uses (§4). The targets are
-// not X-locked by the transaction, so their dirtyIn marks stay as they
-// are: a map of the listed objects keeps the list free of duplicates.
-func (db *DB) persistReachableLocked(ws *writeSet) {
-	queue := make([]*Object, 0, len(ws.dirty))
-	listed := make(map[OID]bool, len(ws.dirty))
-	for _, obj := range ws.dirty {
-		listed[obj.oid] = true
-		if obj.Persistent() && !obj.Deleted() {
-			queue = append(queue, obj)
-		}
-	}
-	seen := make(map[OID]bool)
-	for len(queue) > 0 {
-		obj := queue[0]
-		queue = queue[1:]
-		if seen[obj.oid] {
-			continue
-		}
-		seen[obj.oid] = true
-		for i, a := range obj.class.attrs {
-			if a.Type != TRef {
-				continue
-			}
-			ref, _ := obj.get(i).(OID)
-			if ref == 0 {
-				continue
-			}
-			db.mu.Lock()
-			target := db.cache[ref]
-			db.mu.Unlock()
-			if target == nil || target.Deleted() {
-				continue
-			}
-			target.mu.Lock()
-			fresh := !target.persistent
-			target.persistent = true
-			target.mu.Unlock()
-			if !listed[ref] {
-				listed[ref] = true
-				ws.dirty = append(ws.dirty, target)
-				queue = append(queue, target)
-			} else if fresh {
-				queue = append(queue, target)
-			}
 		}
 	}
 }

@@ -319,68 +319,6 @@ func TestFaultingAfterEviction(t *testing.T) {
 	db.Close()
 }
 
-func TestPersistenceByReachability(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{Dir: dir, PersistByReachability: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := NewClass("Node",
-		Attr{Name: "val", Type: TInt},
-		Attr{Name: "next", Type: TRef},
-	)
-	if err := db.Dictionary().Register(node); err != nil {
-		t.Fatal(err)
-	}
-	tx := db.Begin()
-	a, _ := db.NewObject(tx, "Node")
-	b, _ := db.NewObject(tx, "Node")
-	c, _ := db.NewObject(tx, "Node")
-	db.Set(tx, a, "val", 1)
-	db.Set(tx, b, "val", 2)
-	db.Set(tx, c, "val", 3)
-	db.Set(tx, a, "next", b)
-	db.Set(tx, b, "next", c)
-	db.SetRoot(tx, "head", a) // only a persisted explicitly
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2, err := Open(Options{Dir: dir, PersistByReachability: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	db2.Dictionary().Register(NewClass("Node",
-		Attr{Name: "val", Type: TInt},
-		Attr{Name: "next", Type: TRef},
-	))
-	tx2 := db2.Begin()
-	head, err := db2.Root(tx2, "head")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := int64(0)
-	for cur := head; cur != nil; {
-		v, _ := db2.Get(tx2, cur, "val")
-		sum += v.(int64)
-		ref, _ := db2.Get(tx2, cur, "next")
-		if ref.(OID) == 0 {
-			break
-		}
-		next, err := db2.Load(tx2, ref.(OID))
-		if err != nil {
-			t.Fatalf("chain broken at %v: %v", ref, err)
-		}
-		cur = next
-	}
-	if sum != 6 {
-		t.Fatalf("reachable chain sum = %d, want 6", sum)
-	}
-	tx2.Commit()
-}
-
 type captureSink struct {
 	events []*event.Instance
 	veto   map[string]bool

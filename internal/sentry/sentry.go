@@ -15,12 +15,13 @@
 //     currently disabled — the lookup plus a state check.
 //
 // Counters for each class feed the sentry-overhead experiment (E1).
+// Everything after the filter — stamping, trace minting, rule firing —
+// belongs to the ECA engine the dispatcher forwards to (Figure 2).
 package sentry
 
 import (
 	"sync"
 	"sync/atomic" //lint:allow rawatomics copy-on-write subscription snapshot, not metrics
-	"time"
 
 	"repro/internal/event"
 	"repro/internal/obs"
@@ -60,18 +61,6 @@ type Dispatcher struct {
 	useful      *obs.Counter
 	useless     *obs.Counter
 	potentially *obs.Counter
-
-	// tracer, when set, mints a lifecycle trace for every event
-	// delivered through Emit, starting at the event's Time; now stamps
-	// an event that arrives without one.
-	tracer *obs.Tracer
-	now    func() time.Time
-
-	// shedProbe, when set, is consulted before minting a trace; a true
-	// report skips the mint (counted in tracesShed). Observability is
-	// the first thing a degrading system gives up — before any work is.
-	shedProbe  func() bool
-	tracesShed *obs.Counter
 }
 
 type subscription struct {
@@ -87,31 +76,17 @@ func New(consumer Consumer) *Dispatcher {
 		useful:      new(obs.Counter),
 		useless:     new(obs.Counter),
 		potentially: new(obs.Counter),
-		tracesShed:  new(obs.Counter),
 	}
 }
 
 // Instrument binds the dispatcher's overhead counters into reg (as
-// reach_sentry_checks_total{class=...}) and installs tracer so Emit
-// mints a lifecycle trace per delivered event, starting at the event's
-// Time; now stamps an event delivered without one. Call it before the
-// dispatcher sees traffic; it is not synchronized against Wants/Emit.
-func (d *Dispatcher) Instrument(reg *obs.Registry, tracer *obs.Tracer, now func() time.Time) {
-	if reg != nil {
-		const name, help = "reach_sentry_checks_total", "Sentry firings by overhead class (WSTR93)."
-		d.useful = reg.Counter(name, help, "class", "useful")
-		d.useless = reg.Counter(name, help, "class", "useless")
-		d.potentially = reg.Counter(name, help, "class", "potential")
-		d.tracesShed = reg.Counter("reach_sentry_traces_shed_total",
-			"Lifecycle traces skipped because the overload governor reported degradation.")
-	}
-	if tracer != nil {
-		d.tracer = tracer
-		d.now = now
-		if d.now == nil {
-			d.now = time.Now
-		}
-	}
+// reach_sentry_checks_total{class=...}). Call it before the dispatcher
+// sees traffic; it is not synchronized against Wants.
+func (d *Dispatcher) Instrument(reg *obs.Registry) {
+	const name, help = "reach_sentry_checks_total", "Sentry firings by overhead class (WSTR93)."
+	d.useful = reg.Counter(name, help, "class", "useful")
+	d.useless = reg.Counter(name, help, "class", "useless")
+	d.potentially = reg.Counter(name, help, "class", "potential")
 }
 
 // refreshLocked republishes the read-side snapshot; the caller holds
@@ -185,34 +160,10 @@ func (d *Dispatcher) Wants(specKey string) bool {
 	return true
 }
 
-// SetShedProbe installs the overload probe consulted before trace
-// minting (nil removes it). Call it at wiring time, before traffic.
-func (d *Dispatcher) SetShedProbe(p func() bool) { d.shedProbe = p }
-
-// TracesShed reports how many lifecycle traces the shed probe skipped.
-func (d *Dispatcher) TracesShed() uint64 { return d.tracesShed.Value() }
-
-// Emit implements the database Sink delivery path. It is the origin
-// of the event's lifecycle trace: every occurrence entering the
-// system through a sentry gets its trace ID minted here. Under
-// overload (shed probe reports true) the mint is skipped — event
-// delivery itself is never shed here; that is the engine's decision,
-// per coupling mode.
-func (d *Dispatcher) Emit(in *event.Instance) error {
-	if d.tracer != nil && in.Trace == 0 {
-		if p := d.shedProbe; p != nil && p() {
-			d.tracesShed.Inc()
-		} else {
-			// The trace starts when the event occurred: no second clock
-			// read for the same instant.
-			if in.Time.IsZero() {
-				in.Time = d.now()
-			}
-			in.Trace = d.tracer.Begin(in.SpecKey, in.Time)
-		}
-	}
-	return d.consumer.Consume(in)
-}
+// Emit implements the database Sink delivery path: the occurrence
+// passed the filter, so it goes to the consumer, whose return is the
+// go-ahead signal.
+func (d *Dispatcher) Emit(in *event.Instance) error { return d.consumer.Consume(in) }
 
 // Stats reports how many sentry firings fell into each overhead class.
 func (d *Dispatcher) Stats() (useful, useless, potentially uint64) {

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/event"
-	"repro/internal/obs"
 )
 
 func TestWantsUnsubscribedIsUseless(t *testing.T) {
@@ -106,61 +104,5 @@ func TestConcurrentWants(t *testing.T) {
 	useful, useless, _ := d.Stats()
 	if useful != 8000 || useless != 8000 {
 		t.Fatalf("stats = %d/%d, want 8000/8000", useful, useless)
-	}
-}
-
-// TestEmitTraceStartsAtEventTime: the trace Emit mints starts at the
-// event's Time, without asking the clock again; an event without a
-// Time is stamped from the clock first.
-func TestEmitTraceStartsAtEventTime(t *testing.T) {
-	d := New(ConsumerFunc(func(*event.Instance) error { return nil }))
-	tr := obs.NewTracer(8)
-	stamp := time.Date(2024, 1, 1, 0, 0, 1, 0, time.UTC)
-	reads := 0
-	d.Instrument(nil, tr, func() time.Time { reads++; return stamp })
-
-	at := time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
-	in := &event.Instance{SpecKey: "k", Time: at}
-	if err := d.Emit(in); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := tr.Get(in.Trace); !ok || !got.Start.Equal(at) || reads != 0 {
-		t.Fatalf("trace start %v (found %v) after %d clock reads, want %v and none", got.Start, ok, reads, at)
-	}
-
-	bare := &event.Instance{SpecKey: "k"}
-	if err := d.Emit(bare); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := tr.Get(bare.Trace); !bare.Time.Equal(stamp) || !got.Start.Equal(stamp) || reads != 1 {
-		t.Fatalf("event without a Time: Time %v, trace start %v, %d clock reads; want %v twice and one read",
-			bare.Time, got.Start, reads, stamp)
-	}
-}
-
-// TestShedProbeSkipsTraces: while the shed probe reports overload,
-// Emit delivers the event without minting a trace and counts the skip
-// in reach_sentry_traces_shed_total; once it clears, traces are minted
-// again.
-func TestShedProbeSkipsTraces(t *testing.T) {
-	delivered := 0
-	d := New(ConsumerFunc(func(*event.Instance) error { delivered++; return nil }))
-	reg := obs.NewRegistry()
-	d.Instrument(reg, obs.NewTracer(8), nil)
-	shed := true
-	d.SetShedProbe(func() bool { return shed })
-	for i := 0; i < 3; i++ {
-		in := &event.Instance{SpecKey: "k", Time: time.Unix(1, 0)}
-		if err := d.Emit(in); err != nil || in.Trace != 0 {
-			t.Fatalf("emit under overload: err %v, trace %d; want delivery without a trace", err, in.Trace)
-		}
-	}
-	shed = false
-	in := &event.Instance{SpecKey: "k", Time: time.Unix(1, 0)}
-	if err := d.Emit(in); err != nil || in.Trace == 0 {
-		t.Fatalf("emit after overload: err %v, trace %d; want a trace", err, in.Trace)
-	}
-	if got := reg.Counter("reach_sentry_traces_shed_total", "").Value(); got != 3 || d.TracesShed() != 3 || delivered != 4 {
-		t.Fatalf("traces shed = %d (TracesShed %d), delivered %d; want 3, 3, 4", got, d.TracesShed(), delivered)
 	}
 }
