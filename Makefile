@@ -57,7 +57,9 @@ repeat:
 # reclaims traps instead of reading as zero: a firing set returned to
 # its free list carries transactions with an impossible status, a
 # poison ID and nil manager and parent, and nil rule contexts and queue
-# entries; a recycled event instance carries poison IDs and keys. It
+# entries; a recycled event instance carries poison IDs and keys; a
+# transaction's engine state handed back to its pool has a poisoned
+# owner, and a deferred-queue path reaching it panics. It
 # runs the rule engine, the transaction manager, the assembled system,
 # the object layer and the root tests under the race detector, so a
 # read of reclaimed memory panics instead of passing quietly.
@@ -99,9 +101,12 @@ crash:
 # their own goroutines, histogram scrapes racing single and batched
 # observations, and storage commits and aborts sharing pages (per-frame
 # steal counts, recycled transaction state) beside the background
-# checkpointer, and the three hazards of recycling a firing set (a
+# checkpointer, the three hazards of recycling a firing set (a
 # deadlock search, a parent's abort and a retained occurrence reaching
-# a reused subtransaction), five times under the race detector.
+# a reused subtransaction) and the two of recycling a transaction's
+# engine state (a late occurrence and a parking sequential-causal
+# firing reaching the state its ended transaction handed on), five
+# times under the race detector.
 # The executor stress and the storage growth and checkpoint tests run
 # under the race detector in race-procs.
 stress:
@@ -109,7 +114,7 @@ stress:
 		-run 'TestLockHeadRecyclingHammer|TestChildCommitRacingParentAbort' \
 		./internal/txn
 	$(GO) test -race -timeout 120s -count=5 \
-		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution|TestPhaseHistogramsMatchSpans/parallel|TestSetRecyclingRacesDeadlockSearch|TestSetRecyclingRacesParentAbort|TestRetainedOriginOutlivesRecycling' \
+		-run 'TestParallelExecRunsSiblings|TestParallelDeferredExecution|TestPhaseHistogramsMatchSpans/parallel|TestSetRecyclingRacesDeadlockSearch|TestSetRecyclingRacesParentAbort|TestRetainedOriginOutlivesRecycling|TestLateRecordAfterStateRecycled|TestParkedFiringAfterStateRecycled' \
 		./internal/eca
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestHistogramExpositionConsistentUnderWrites' \

@@ -241,17 +241,26 @@ func TestRaisePathAllocationCeilings(t *testing.T) {
 	}
 
 	// Eight immediate rules that fire, each loading the trigger's object:
-	// no array for the set, no per-firing context or subtransaction.
+	// no array for the set, no per-firing context or subtransaction, no
+	// engine state for the transaction (it comes from its pool).
 	fire8 := fireImmediate8(t)
 	i := 0
 	body := func() { fire8(i); i++ }
-	if n := testing.AllocsPerRun(100, body); n > 6 {
-		t.Errorf("BenchmarkFireImmediate8 body: %.0f allocations, ceiling 6", n)
+	// The race detector makes sync.Pool drop a quarter of its puts, so
+	// there the pooled state and event instances add up to about one
+	// allocation the path does not make.
+	ceiling := 5.0
+	if raceEnabled {
+		ceiling = 6
+	}
+	if n := testing.AllocsPerRun(100, body); n > ceiling {
+		t.Errorf("BenchmarkFireImmediate8 body: %.0f allocations, ceiling %.0f", n, ceiling)
 	}
 
 	// And in bytes: the eight firings' set (8 × 496 bytes) alone would
-	// break the ceiling. The race detector makes sync.Pool drop puts,
-	// so the event instances' bytes are not the path's own there.
+	// break the ceiling, and so would a 704-byte txnState per
+	// transaction. The race detector makes sync.Pool drop puts, so the
+	// event instances' and states' bytes are not the path's own there.
 	if raceEnabled {
 		return
 	}
@@ -262,7 +271,7 @@ func TestRaisePathAllocationCeilings(t *testing.T) {
 		body()
 	}
 	runtime.ReadMemStats(&after)
-	if b := (after.TotalAlloc - before.TotalAlloc) / txns; b > 2048 {
-		t.Errorf("BenchmarkFireImmediate8 body: %d bytes per transaction, ceiling 2048", b)
+	if b := (after.TotalAlloc - before.TotalAlloc) / txns; b > 1280 {
+		t.Errorf("BenchmarkFireImmediate8 body: %d bytes per transaction, ceiling 1280", b)
 	}
 }

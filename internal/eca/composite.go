@@ -88,7 +88,8 @@ func (e *Engine) DefineComposite(decl *algebra.Composite) error {
 	}
 	cm.mgr = e.managerLocked(key)
 	e.composites[key] = cm
-	e.txnComposites = innerFirst(e.composites)
+	cms := innerFirst(e.composites)
+	e.txnComposites.Store(&cms)
 	// Wire each constituent's manager to propagate to this composite.
 	// Sentry subscriptions happen after e.mu is released: the
 	// dispatcher takes its own lock and must never nest inside ours

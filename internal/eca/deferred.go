@@ -1,6 +1,7 @@
 package eca
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"time"
@@ -15,16 +16,22 @@ import (
 // occurrences raised in its tree, waiting for the hand-off to the
 // global history when it ends, and the sequential-causal firings
 // waiting for it to end. The first two start on inline room.
+//
+// A state is recycled when its transaction ends (endTxn), while the
+// transaction, which callers hold after Commit, still points at it: a
+// late user — an occurrence recorded after the end, a firing parking
+// on a trigger that is ending — reaches the state through its
+// transaction and must find out, under mu, that the state serves it no
+// longer (owner), and leave it alone.
 type txnState struct {
-	mu       sync.Mutex
+	mu sync.Mutex
+	// owner is the top-level transaction the state serves; another
+	// transaction, or releasedOwner, once the state was handed back at
+	// its owner's end. Written under mu.
+	owner    *txn.Txn
 	deferred []queued
 	hist     []HistoryEntry
 	parked   []ruleJob
-	// ended is set when the transaction's end hands off hist and
-	// parked: an occurrence recorded later (an asynchronous completion
-	// racing the commit) stays local, and a firing finding it set no
-	// longer parks here.
-	ended bool
 
 	deferredInline [deferredRoom]queued
 	histInline     [histRoom]HistoryEntry
@@ -38,6 +45,11 @@ const (
 	histRoom     = 4
 )
 
+// txnStates holds the states of ended transactions for the next ones.
+// A per-P pool, not a mutex-guarded free list: every transaction that
+// raises takes one and gives one back.
+var txnStates = sync.Pool{New: func() any { return new(txnState) }}
+
 // queued is one deferred firing waiting for its transaction's EOT: the
 // whole rule, or only its action when the condition was evaluated
 // immediately and held (imm/def split).
@@ -49,35 +61,74 @@ type queued struct {
 }
 
 // txnStateOf returns the engine's state on top, nil when the
-// transaction has raised nothing and queued nothing.
+// transaction has raised nothing and queued nothing. Once top ended
+// the state may serve another transaction: see txnState.
 func txnStateOf(top *txn.Txn) *txnState {
 	st, _ := top.Attachment(txn.SlotRules).(*txnState)
 	return st
 }
 
-// ensureTxnState returns the engine's state on top, creating it on
-// first use.
+// ensureTxnState returns the engine's state on top, taking one from
+// the pool on first use.
 func ensureTxnState(top *txn.Txn) *txnState {
 	if st := txnStateOf(top); st != nil {
 		return st
 	}
-	st := &txnState{}
+	st := txnStates.Get().(*txnState)
+	st.mu.Lock()
+	st.owner = top
 	st.deferred, st.hist = st.deferredInline[:0], st.histInline[:0]
-	return top.Attach(txn.SlotRules, st).(*txnState)
+	st.mu.Unlock()
+	if won := top.Attach(txn.SlotRules, st).(*txnState); won != st {
+		st.release() // a concurrent first user attached its own
+		return won
+	}
+	return st
+}
+
+// lockLive locks st when it still serves top and reports whether it
+// does; a state handed on at top's end is left unlocked. Only a live
+// transaction's deferred queue is touched, and the check is what keeps
+// a use after the end out of the queue of the transaction the state
+// serves now.
+func (st *txnState) lockLive(top *txn.Txn) bool {
+	st.mu.Lock()
+	if st.owner != top {
+		st.mu.Unlock()
+		return false
+	}
+	return true
+}
+
+// release hands st back to the pool: what it holds is dropped, its
+// inline room cleared, and its owner becomes releasedOwner, so its
+// last owner's late users find it serves them no longer.
+func (st *txnState) release() {
+	st.mu.Lock()
+	st.owner = releasedOwner
+	clear(st.deferredInline[:])
+	clear(st.histInline[:])
+	st.deferred, st.hist, st.parked = nil, nil, nil
+	st.mu.Unlock()
+	txnStates.Put(st)
 }
 
 // enqueueDeferred queues a rule — the whole rule, or only its action
 // when the condition was evaluated immediately and held — for
-// execution at the top-level transaction's EOT.
-func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance, at time.Time, actionOnly bool) {
+// execution at the top-level transaction's EOT. It fails once top has
+// ended: there is no EOT left to run it at.
+func (e *Engine) enqueueDeferred(top *txn.Txn, r *Rule, in *event.Instance, at time.Time, actionOnly bool) error {
 	st := ensureTxnState(top)
-	st.mu.Lock()
+	if !st.lockLive(top) {
+		return fmt.Errorf("eca: rule %s: deferred coupling but transaction %d has ended", r.Name, top.ID())
+	}
 	// Read again at EOT, after the raiser's Recycle. Under st.mu because
 	// parallel sibling rules queue the deferred actions of one instance.
 	in.Retain()
 	st.deferred = append(st.deferred, queued{rule: r, in: in, at: at, actionOnly: actionOnly})
 	st.mu.Unlock()
 	e.met.deferredDepth.Add(1)
+	return nil
 }
 
 // runDeferred drains the top-level transaction's deferred queue at
@@ -94,7 +145,9 @@ func (e *Engine) runDeferred(top *txn.Txn) error {
 	for {
 		// The set is built before the queue gets its room back: the set's
 		// rules may queue the next round's work while they run.
-		st.mu.Lock()
+		if !st.lockLive(top) {
+			return nil
+		}
 		batch := st.deferred
 		if len(batch) == 0 {
 			st.mu.Unlock()
@@ -166,7 +219,9 @@ func (e *Engine) dropDeferred(top *txn.Txn) {
 	if st == nil {
 		return
 	}
-	st.mu.Lock()
+	if !st.lockLive(top) {
+		return
+	}
 	n := len(st.deferred)
 	clear(st.deferred)
 	st.deferred = st.deferred[:0]

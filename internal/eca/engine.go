@@ -8,7 +8,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic" //lint:allow rawatomics event sequence allocator and shutdown flag, not metrics
+	"sync/atomic" //lint:allow rawatomics event sequence allocator, shutdown flag and copy-on-write snapshots, not metrics
 	"time"
 
 	"repro/internal/algebra"
@@ -263,11 +263,13 @@ type Engine struct {
 	mu         sync.RWMutex
 	managers   map[string]*Manager
 	composites map[string]*compositeMgr
+	ruleSeq    uint64
+
 	// txnComposites lists the transaction-scoped composites, each after
 	// every composite it is built from: EOT flushes them in this order.
-	// Replaced, never mutated, under mu.
-	txnComposites []*compositeMgr
-	ruleSeq       uint64
+	// Replaced, never mutated, under mu, and read without it: every
+	// transaction's EOT and end load it.
+	txnComposites atomic.Pointer[[]*compositeMgr]
 
 	// plans is the published dispatch table, one plan per key with a
 	// manager, replaced (copy-on-write) under mu by every registration
@@ -821,7 +823,9 @@ func (e *Engine) dispatch(p *plan, in *event.Instance, trigger, owner *txn.Txn) 
 
 // record appends the occurrence to the appropriate history (§6.3): in
 // distributed mode the manager's local ring and, for the hand-off at
-// the end of the transaction, the list on owner's top-level.
+// the end of the transaction, the list on owner's top-level. An
+// occurrence recorded once that transaction ended (its state serves
+// another one, or none) stays in the local ring.
 func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	entry := HistoryEntry{Seq: in.Seq, Txn: in.Txn, Key: in.SpecKey, Time: in.Time}
 	if e.opts.History == CentralHistory {
@@ -832,9 +836,10 @@ func (e *Engine) record(m *Manager, in *event.Instance, owner *txn.Txn) {
 	if owner == nil {
 		return
 	}
-	st := ensureTxnState(owner.Top())
+	top := owner.Top()
+	st := ensureTxnState(top)
 	st.mu.Lock()
-	if !st.ended {
+	if st.owner == top {
 		// Only the newest globalHistorySize occurrences can survive the
 		// hand-off; a transaction raising more keeps memory bounded by
 		// shedding the older half now.
@@ -871,7 +876,9 @@ func (e *Engine) fireRules(p *plan, in *event.Instance, trigger *txn.Txn, start 
 		if trigger == nil {
 			return fmt.Errorf("eca: rule %s: deferred coupling but no active transaction", r.Name)
 		}
-		e.enqueueDeferred(trigger.Top(), r, in, start, false)
+		if err := e.enqueueDeferred(trigger.Top(), r, in, start, false); err != nil {
+			return err
+		}
 	}
 	for _, r := range p.detached {
 		e.spawnDetached(r, in)
@@ -1029,11 +1036,21 @@ func (e *Engine) fire(ctx context.Context, t *txn.Txn, q *queued, rc *RuleCtx, s
 		}
 		if r.condMode() == Immediate && r.ActionMode == Deferred {
 			top := t.Top()
+			if top == t {
+				// A rule transaction of its own (no trigger): its EOT, which
+				// the commit runs, is where the action belongs. Queued after
+				// the commit, the action would reach the state t's end
+				// handed on.
+				if err := e.enqueueDeferred(top, r, in, f.last, true); err != nil {
+					f.abort(t, err, sb)
+					return err
+				}
+				return f.commit(t, sb)
+			}
 			if err := f.commit(t, sb); err != nil {
 				return err
 			}
-			e.enqueueDeferred(top, r, in, f.last, true)
-			return nil
+			return e.enqueueDeferred(top, r, in, f.last, true)
 		}
 	}
 	aerr := r.Action(rc)

@@ -214,7 +214,8 @@ func (x *executor) route(job ruleJob, stop <-chan struct{}) error {
 // park queues job on the top-level transaction t until t ends, unless
 // it already ended. The status is read after the state is attached: a
 // t still active then ends later, and its end (endTxn) finds the state
-// and either takes the job or has set ended first.
+// and either takes the job or has handed the state on first, which
+// the owner check sees.
 func park(t *txn.Txn, job ruleJob) bool {
 	st := ensureTxnState(t)
 	if t.Status() != txn.Active {
@@ -222,7 +223,7 @@ func park(t *txn.Txn, job ruleJob) bool {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.ended {
+	if st.owner != t {
 		return false
 	}
 	st.parked = append(st.parked, job)

@@ -66,18 +66,25 @@ func (l *txnListener) AfterAbort(t *txn.Txn) {
 }
 
 // endTxn closes an ended top-level transaction's engine state: its
-// occurrences go to the global history and the sequential-causal
-// firings parked on it move on.
+// occurrences go to the global history, the sequential-causal firings
+// parked on it move on, and the state goes back to its pool. From the
+// owner's change on, a late record or park leaves the state alone, and
+// so does a second end.
 func (e *Engine) endTxn(top *txn.Txn) {
 	st := txnStateOf(top)
 	if st == nil {
 		return
 	}
 	st.mu.Lock()
+	if st.owner != top {
+		st.mu.Unlock()
+		return
+	}
 	hist, parked := st.hist, st.parked
-	st.hist, st.parked, st.ended = nil, nil, true
+	st.owner = releasedOwner // hist is handed off outside mu
 	st.mu.Unlock()
 	e.handOffHistory(hist)
+	st.release()
 	e.exec.resume(parked)
 }
 
@@ -117,10 +124,11 @@ func (e *Engine) emitTxnEvent(phase event.TxnPhase, t *txn.Txn) error {
 // the transaction there — before it acknowledges, so a
 // composite-of-composites sees every constituent completed at EOT.
 func (e *Engine) endTxnComposition(id uint64, discard bool) {
-	e.mu.RLock()
-	cms := e.txnComposites
-	e.mu.RUnlock()
-	for _, cm := range cms {
+	cms := e.txnComposites.Load()
+	if cms == nil {
+		return
+	}
+	for _, cm := range *cms {
 		cm.mu.Lock()
 		_, fed := cm.perTxn[id]
 		cm.mu.Unlock()

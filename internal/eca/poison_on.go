@@ -2,8 +2,11 @@
 
 package eca
 
+import "repro/internal/txn"
+
 // poisonBuild makes a firing set returned to its free list trap instead
-// of reading as a zero one, until take zeroes it for its next use.
+// of reading as a zero one, until take zeroes it for its next use, and
+// gives a recycled txnState a poisoned owner, whose Status panics.
 const poisonBuild = true
 
 // scrub overwrites a set returned to its free list with poison values:
@@ -17,3 +20,11 @@ func scrub(set []ruleFiring) {
 		rf.sub.Poison()
 	}
 }
+
+// releasedOwner is the owner of a txnState handed back to its pool: a
+// poisoned transaction, whose Status panics.
+var releasedOwner = func() *txn.Txn {
+	t := new(txn.Txn)
+	t.Poison()
+	return t
+}()

@@ -33,7 +33,7 @@ func within(t *testing.T, what string, fn func() error) {
 		}
 	case <-time.After(5 * time.Second):
 		buf := make([]byte, 1<<20)
-		t.Fatalf("%s did not finish within 5 s (a firing set reused while still reachable?):\n%s",
+		t.Fatalf("%s did not finish within 5 s (recycled memory reused while still reachable?):\n%s",
 			what, buf[:runtime.Stack(buf, true)])
 	}
 }

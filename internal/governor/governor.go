@@ -41,6 +41,7 @@ import (
 	"errors"
 	"net/http"
 	"sync"
+	"sync/atomic" //lint:allow rawatomics shutdown flag read by every admission, not a metric
 	"time"
 
 	"repro/internal/clock"
@@ -206,7 +207,9 @@ type Governor struct {
 	resources   []resource
 	state       State
 	betterSince time.Time // start of the current below-state streak
-	shutdown    bool
+	// shutdown is written under mu and read without it: AdmitTxn's
+	// fast path reads it and stateG, and writes no shared line.
+	shutdown atomic.Bool
 	// waiters is closed and replaced on every state change or
 	// shutdown, broadcasting to writers parked in AdmitTxn.
 	waiters chan struct{}
@@ -323,7 +326,7 @@ func (g *Governor) Evaluate() State {
 		return Healthy
 	}
 	g.mu.Lock()
-	if g.shutdown {
+	if g.shutdown.Load() {
 		st := g.state
 		g.mu.Unlock()
 		return st
@@ -344,7 +347,7 @@ func (g *Governor) Evaluate() State {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.shutdown {
+	if g.shutdown.Load() {
 		return g.state
 	}
 	switch {
@@ -378,14 +381,24 @@ func (g *Governor) setStateLocked(s State) {
 // then rejects with ErrOverloaded — the queue-then-reject contract
 // that turns a thundering herd into bounded, retriable backpressure.
 // A nil or disabled governor admits everything.
+//
+// Below Shedding, admission is two atomic loads (the shutdown flag and
+// the state gauge) and takes no lock: every BeginTxn passes here, and
+// g.mu's cache line would otherwise move between the cores on each.
 func (g *Governor) AdmitTxn() error {
 	if g == nil || g.opts.Disabled {
+		return nil
+	}
+	if g.shutdown.Load() {
+		return ErrShutdown
+	}
+	if g.State() < Shedding {
 		return nil
 	}
 	var deadline time.Time
 	for {
 		g.mu.Lock()
-		if g.shutdown {
+		if g.shutdown.Load() {
 			g.mu.Unlock()
 			return ErrShutdown
 		}
@@ -439,8 +452,8 @@ func (g *Governor) BeginShutdown() {
 		return
 	}
 	g.mu.Lock()
-	if !g.shutdown {
-		g.shutdown = true
+	if !g.shutdown.Load() {
+		g.shutdown.Store(true)
 		close(g.waiters)
 		g.waiters = make(chan struct{})
 	}
@@ -452,9 +465,7 @@ func (g *Governor) ShuttingDown() bool {
 	if g == nil {
 		return false
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.shutdown
+	return g.shutdown.Load()
 }
 
 // Start runs the background evaluation loop. Idempotent; a disabled
@@ -529,12 +540,11 @@ func (g *Governor) Snapshot() Snapshot {
 	}
 	g.mu.Lock()
 	res := append([]resource(nil), g.resources...)
-	shutdown := g.shutdown
 	g.mu.Unlock()
 	snap := Snapshot{
 		State:       g.State().String(),
 		Disabled:    g.opts.Disabled,
-		Shutdown:    shutdown,
+		Shutdown:    g.shutdown.Load(),
 		Sheds:       make(map[string]uint64, 3),
 		Transitions: make(map[string]uint64, 4),
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -398,4 +399,30 @@ func waitPending(t *testing.T, clk *clock.Virtual) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// Below Shedding, admission reads the state and the shutdown flag
+// without g.mu: with the mutex held elsewhere, a healthy AdmitTxn still
+// returns at once, and after BeginShutdown it refuses with ErrShutdown.
+func TestAdmitTxnTakesNoLock(t *testing.T) {
+	g, _, _ := testGov(t, Options{})
+	admit := func(what string, want error) {
+		t.Helper()
+		errc := make(chan error, 1)
+		g.mu.Lock()
+		go func() { errc <- g.AdmitTxn() }()
+		select {
+		case err := <-errc:
+			g.mu.Unlock()
+			if !errors.Is(err, want) {
+				t.Fatalf("%s: AdmitTxn = %v, want %v", what, err, want)
+			}
+		case <-time.After(5 * time.Second):
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: AdmitTxn waited for g.mu:\n%s", what, buf[:runtime.Stack(buf, true)])
+		}
+	}
+	admit("healthy", nil)
+	g.BeginShutdown()
+	admit("shutting down", ErrShutdown)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Span is one recorded stage of an event's life: sentry detection,
@@ -36,18 +37,26 @@ const maxSpansPerTrace = 128
 // traceStripes is the number of lock stripes; a power of two.
 const traceStripes = 16
 
+// cacheLine is the size the tracer's stripes and ring slots are padded
+// to: every traced occurrence writes its stripe's mutex and its slot,
+// and two cores tracing neighbouring IDs would otherwise write one line.
+const cacheLine = 64
+
 // Tracer mints trace IDs and records spans into a bounded ring: slot
 // i holds the most recent trace with ID ≡ i (mod capacity), so memory
 // is fixed and old traces are overwritten by new ones — a slot keeps
 // its span array for the next occupant when the last one filled more
 // than half of it, so steady-state tracing allocates nothing and holds
-// no more than the traces in the ring need. An unused slot has ID 0. Stripes keep concurrent recorders
-// off each other's locks.
+// no more than the traces in the ring need. An unused slot has ID 0.
+// Stripes keep concurrent recorders off each other's locks, and the
+// padding keeps them off each other's cache lines.
 type Tracer struct {
-	next    atomic.Uint64
+	next atomic.Uint64
+	_    [cacheLine - 8]byte // next is written by every Begin
+
 	cap     uint64
-	stripes [traceStripes]sync.Mutex
-	slots   []Trace
+	stripes [traceStripes]traceStripe
+	slots   []traceSlot
 
 	// slow, when set, receives traces whose end-to-end duration
 	// crosses the slow log's threshold. Stored atomically so SetSlowLog
@@ -61,11 +70,23 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Tracer{cap: uint64(capacity), slots: make([]Trace, capacity)}
+	return &Tracer{cap: uint64(capacity), slots: make([]traceSlot, capacity)}
+}
+
+// traceStripe is one of the tracer's locks, padded to a cache line.
+type traceStripe struct {
+	mu sync.Mutex
+	_  [cacheLine - unsafe.Sizeof(sync.Mutex{})%cacheLine]byte
+}
+
+// traceSlot is one place in the ring, padded to whole cache lines.
+type traceSlot struct {
+	Trace
+	_ [cacheLine - unsafe.Sizeof(Trace{})%cacheLine]byte
 }
 
 func (tr *Tracer) lock(slot uint64) *sync.Mutex {
-	return &tr.stripes[slot%traceStripes]
+	return &tr.stripes[slot%traceStripes].mu
 }
 
 // Begin mints a new trace rooted at key and returns its ID (never 0).
@@ -74,7 +95,7 @@ func (tr *Tracer) Begin(root string, now time.Time) uint64 {
 	slot := id % tr.cap
 	mu := tr.lock(slot)
 	mu.Lock()
-	t := &tr.slots[slot]
+	t := &tr.slots[slot].Trace
 	spans := t.Spans[:0]
 	if 2*len(t.Spans) <= cap(t.Spans) {
 		spans = nil // grown for an earlier, longer trace: do not pin it
@@ -110,7 +131,7 @@ func (tr *Tracer) Spans(id uint64, spans ...Span) {
 	slot := id % tr.cap
 	mu := tr.lock(slot)
 	mu.Lock()
-	t := &tr.slots[slot]
+	t := &tr.slots[slot].Trace
 	var promoted Trace
 	var total time.Duration
 	if t.ID == id {
@@ -154,7 +175,7 @@ func (tr *Tracer) Get(id uint64) (Trace, bool) {
 	mu := tr.lock(slot)
 	mu.Lock()
 	defer mu.Unlock()
-	t := &tr.slots[slot]
+	t := &tr.slots[slot].Trace
 	if t.ID != id {
 		return Trace{}, false
 	}
@@ -177,7 +198,7 @@ func (tr *Tracer) Recent(n int) []Trace {
 	for i := range tr.slots {
 		mu := tr.lock(uint64(i))
 		mu.Lock()
-		if t := &tr.slots[i]; t.ID != 0 {
+		if t := &tr.slots[i].Trace; t.ID != 0 {
 			out = append(out, t.copy())
 		}
 		mu.Unlock()

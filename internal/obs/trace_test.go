@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 var t0 = time.Date(1995, 3, 6, 0, 0, 0, 0, time.UTC)
@@ -121,5 +122,22 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if tr.Len() != 16 {
 		t.Fatalf("len = %d, want full ring of 16", tr.Len())
+	}
+}
+
+// Every traced occurrence writes its stripe's mutex and its ring slot:
+// each stripe fills one cache line and each slot whole lines, and Begin's
+// ID counter has a line of its own, so two cores tracing neighbouring
+// IDs write no common line.
+func TestTracerWritesOwnCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(traceStripe{}); n != cacheLine {
+		t.Errorf("stripe is %d bytes, want one %d-byte line", n, cacheLine)
+	}
+	if n := unsafe.Sizeof(traceSlot{}); n%cacheLine != 0 {
+		t.Errorf("ring slot is %d bytes, want whole %d-byte lines", n, cacheLine)
+	}
+	var tr Tracer
+	if off := unsafe.Offsetof(tr.cap); off < cacheLine {
+		t.Errorf("the fields after the ID counter start at byte %d, want its line to itself", off)
 	}
 }

@@ -177,11 +177,15 @@ func (db *DB) NewObject(t *txn.Txn, className string) (*Object, error) {
 		return nil, err
 	}
 	oid := OID(atomic.AddUint64(&db.nextOID, 1))
-	values := make([]any, len(class.attrs))
-	for i, a := range class.attrs {
-		values[i] = a.Type.zero()
+	obj := &Object{oid: oid, class: class}
+	if len(class.attrs) <= len(obj.room) {
+		obj.values = obj.room[:len(class.attrs)]
+	} else {
+		obj.values = make([]any, len(class.attrs))
 	}
-	obj := &Object{oid: oid, class: class, values: values}
+	for i, a := range class.attrs {
+		obj.values[i] = a.Type.zero()
+	}
 	if err := t.Lock(uint64(oid), txn.LockExclusive); err != nil {
 		return nil, err
 	}

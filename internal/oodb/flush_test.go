@@ -159,3 +159,41 @@ func TestCommittedDeleteReleasesValues(t *testing.T) {
 		db.Close()
 	}
 }
+
+// TestOneAttributeObjectInOnePiece: a one-attribute object's slot sits
+// inside the object, and a committed delete clears it there too, so a
+// handle kept after the delete pins no payload.
+func TestOneAttributeObjectInOnePiece(t *testing.T) {
+	db := openMem(t)
+	blob := NewClass("Blob", Attr{Name: "payload", Type: TString})
+	if err := db.Dictionary().Register(blob); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	obj, err := db.NewObject(tx, "Blob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &obj.values[0] != &obj.room[0] {
+		t.Fatal("one-attribute object's slot is not inside the object")
+	}
+	if err := db.Set(tx, obj, "payload", string(make([]byte, 512))); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Persist(tx, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx = db.Begin()
+	if err := db.Delete(tx, obj); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if obj.values != nil || obj.room[0] != nil {
+		t.Fatalf("committed delete kept the payload alive: values %d, room %v", len(obj.values), obj.room[0] != nil)
+	}
+}

@@ -26,6 +26,12 @@ type Object struct {
 	// transactions that set it, so the write set needs no map to list
 	// each object once.
 	dirtyIn atomic.Uint64
+	// room holds the attribute slot of a one-attribute class created by
+	// NewObject (values then points into it): object and slot are one
+	// allocation. Only NewObject uses it: a multi-attribute object, and
+	// an object loaded from storage, which keeps the slice its decoding
+	// allocated, leave it empty.
+	room [1]any
 }
 
 // Undo slots other than attribute indexes (see Undo).
@@ -129,11 +135,12 @@ func (o *Object) appendRecord(buf []byte) ([]byte, error) {
 
 // release drops the attribute values of an object whose delete has
 // committed: handles held elsewhere (event arguments, user code) no
-// longer keep them alive. Get and Invoke already refuse a deleted
-// object, so nothing reads the slots again.
+// longer keep them alive, inline room included. Get and Invoke already
+// refuse a deleted object, so nothing reads the slots again.
 func (o *Object) release() {
 	o.mu.Lock()
 	o.values = nil
+	o.room = [1]any{}
 	o.mu.Unlock()
 }
 
