@@ -154,6 +154,9 @@ func printTable1() {
 	fmt.Println("(all commit / all abort range over the constituents with a transaction: temporal")
 	fmt.Println(" constituents contribute nothing, and no occurrence from before a restart reaches")
 	fmt.Println(" a composer after it, since semi-composed state lives only in memory)")
+	fmt.Println("(a parallel- or exclusive-causal rule waits at commit for its trigger as a lock wait;")
+	fmt.Println(" when a cycle passes through that wait, the rule is the deadlock victim, never the")
+	fmt.Println(" trigger, and retries once the trigger has resolved)")
 }
 
 func printFigure1() {

@@ -157,9 +157,10 @@ func run(w io.Writer) error {
 	sys.Engine.ArmMilestone(txC, milestone)
 	sys.DB.Invoke(txC, c, "receive")
 	vc.Advance(45 * time.Minute) // deadline passes while still active
-	// Note: WaitDetached here would deadlock — the exclusive-causal
-	// compensation is itself waiting for txC to resolve. Wait only for
-	// the escalation.
+	// Note: WaitDetached here would block until txC resolves — the
+	// exclusive-causal compensation waits at commit for txC, and
+	// WaitDetached does not yet refuse to wait on an open causal
+	// trigger. Wait only for the escalation.
 	<-escalated
 	sys.DB.Invoke(txC, c, "pack")
 	sys.DB.Invoke(txC, c, "ship")

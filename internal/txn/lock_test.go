@@ -420,14 +420,15 @@ func request(t *testing.T, tx *Txn, res uint64, mode LockMode) <-chan error {
 }
 
 // answer waits up to wedgeBound for a request's outcome; on timeout it
-// fails with the lock table's holders and queues.
+// fails with the lock table's holders and queues and every goroutine's
+// stack.
 func answer(t *testing.T, m *Manager, got <-chan error, what string) error {
 	t.Helper()
 	select {
 	case err := <-got:
 		return err
 	case <-time.After(wedgeBound):
-		t.Fatalf("%s: neither granted nor ErrDeadlock within %v — wedged:\n%s", what, wedgeBound, lockDump(m))
+		t.Fatalf("%s: neither granted nor ErrDeadlock within %v — wedged:\n%s\n%s", what, wedgeBound, lockDump(m), stacks())
 		return nil
 	}
 }
