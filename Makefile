@@ -92,11 +92,13 @@ analyze:
 	$(GO) run ./cmd/rulec -analyze examples/*/rules/*.rules
 	$(GO) run ./cmd/rulec -analyze cmd/rulec/testdata/cycle_suppressed.rules
 
-# crash runs a short fuzz of the WAL record decoder. The crash matrix,
-# its self-test and the checkpoint-site fault sweep run in test, and
-# under the race detector in race-procs.
+# crash runs a short fuzz of the WAL record decoder, then of restart:
+# page-ordered redo against a log-order reference redo on the same
+# crash image. The crash matrix, its self-test and the checkpoint-site
+# fault sweep run in test, and under the race detector in race-procs.
 crash:
 	$(GO) test -timeout 120s ./internal/storage -run FuzzReadRecord -fuzz FuzzReadRecord -fuzztime 10s
+	$(GO) test -timeout 120s ./internal/storage -run FuzzRecoverMatchesLogOrder -fuzz FuzzRecoverMatchesLogOrder -fuzztime 10s
 
 # stress repeats the lock-head recycling hammer (grant, release,
 # inherit, park, wake, deadlock victims and cancellation by another

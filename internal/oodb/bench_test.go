@@ -1,6 +1,12 @@
 package oodb
 
-import "testing"
+import (
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/storage"
+)
 
 // setAndCommit is one attribute write to a persistent object and its
 // commit: codec encode, store update and log force.
@@ -43,5 +49,57 @@ func TestFlushCommitAllocationCeiling(t *testing.T) {
 		setAndCommit(t, db, obj, level)
 	}); n > 2 {
 		t.Errorf("Set + Commit of a persistent object: %.0f allocations, ceiling 2", n)
+	}
+}
+
+// TestCatalogRebuildAllocationCeiling: reopening a store rebuilds the
+// catalog from each object record's head, read in place in the buffer
+// pool: the allocations per object are the catalog's own entries,
+// not a copy of the record or its decoded values.
+func TestCatalogRebuildAllocationCeiling(t *testing.T) {
+	const n, ceiling = 10000, 256
+	// A 16-frame pool: its frames are a fixed cost, not a per-object one.
+	opts := Options{Dir: t.TempDir(), Storage: storage.Options{BufferPoolPages: 16}}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerRiver(t, db, false)
+	name := strings.Repeat("r", 512)
+	tx := db.Begin()
+	for i := 0; i < n; i++ {
+		obj, err := db.NewObject(tx, "River")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Set(tx, obj, "name", name); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Persist(tx, obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	db2, err := Open(opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if got := len(db2.ridOf); got != n {
+		t.Fatalf("catalog holds %d objects, want %d", got, n)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("Open allocated %d B per object", per)
+	if per >= ceiling {
+		t.Errorf("Open allocated %d B per object, want < %d", per, ceiling)
 	}
 }

@@ -54,20 +54,27 @@ func appendObject(buf []byte, oid OID, class string, values []any) ([]byte, erro
 	return buf, nil
 }
 
+// decodeObjectHead reads an object record's OID and class name without
+// decoding its values. class and values (the encoded value section)
+// alias rec.
+func decodeObjectHead(rec []byte) (oid OID, class, values []byte, err error) {
+	if len(rec) < 1+8+2 || rec[0] != recObject {
+		return 0, nil, nil, errCorruptRecord
+	}
+	oid = OID(binary.LittleEndian.Uint64(rec[1:]))
+	n := int(binary.LittleEndian.Uint16(rec[9:]))
+	p := rec[11:]
+	if len(p) < n {
+		return 0, nil, nil, errCorruptRecord
+	}
+	return oid, p[:n], p[n:], nil
+}
+
 // decodeObject translates a storage record back into (oid, class,
 // values). The class's declared attribute count governs slot layout;
 // missing trailing slots (schema grew) are zero-filled by the caller.
 func decodeObject(rec []byte) (OID, string, []any, error) {
-	if len(rec) < 1 || rec[0] != recObject {
-		return 0, "", nil, errCorruptRecord
-	}
-	p := rec[1:]
-	if len(p) < 8 {
-		return 0, "", nil, errCorruptRecord
-	}
-	oid := OID(binary.LittleEndian.Uint64(p))
-	p = p[8:]
-	class, p, err := readString(p)
+	oid, class, p, err := decodeObjectHead(rec)
 	if err != nil {
 		return 0, "", nil, err
 	}
@@ -83,7 +90,7 @@ func decodeObject(rec []byte) (OID, string, []any, error) {
 			return 0, "", nil, err
 		}
 	}
-	return oid, class, values, nil
+	return oid, string(class), values, nil
 }
 
 // encodeRoots translates the named-roots directory.

@@ -112,7 +112,9 @@ func Open(opts Options) (*DB, error) {
 }
 
 // loadCatalog rebuilds the object table, roots and OID counter by
-// scanning the store (the persistent address space).
+// scanning the store (the persistent address space). It reads each
+// object record's head in place: the values stay encoded until the
+// object is first loaded, and no record is copied.
 func (db *DB) loadCatalog() error {
 	return db.store.Scan(func(rid storage.RID, rec []byte) {
 		if len(rec) == 0 {
@@ -125,12 +127,12 @@ func (db *DB) loadCatalog() error {
 				db.rootsRID = rid
 			}
 		case recObject:
-			if oid, class, _, err := decodeObject(rec); err == nil {
+			if oid, class, _, err := decodeObjectHead(rec); err == nil {
 				db.ridOf[oid] = rid
-				ext := db.extents[class]
+				ext := db.extents[string(class)]
 				if ext == nil {
 					ext = make(map[OID]bool)
-					db.extents[class] = ext
+					db.extents[string(class)] = ext
 				}
 				ext[oid] = true
 				if uint64(oid) > db.nextOID {

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fault"
 )
@@ -237,7 +239,7 @@ func TestDurablePathAllocationCeilings(t *testing.T) {
 }
 
 // TestReplayDecodeAllocationFree: decoding allocates per scan, never
-// per record.
+// per record. scanFile is the one read of the log restart makes.
 func TestReplayDecodeAllocationFree(t *testing.T) {
 	scanAllocs := func(records int) float64 {
 		w := benchWAL(t)
@@ -246,15 +248,18 @@ func TestReplayDecodeAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
 		return testing.AllocsPerRun(5, func() {
 			n := 0
-			if err := w.replay(func(*LogRecord) { n++ }); err != nil || n != records {
-				t.Fatalf("replay saw %d records, err %v; want %d", n, err, records)
+			if err := scanFile(w.active().f, func(*LogRecord, int64) { n++ }); err != nil || n != records {
+				t.Fatalf("scan saw %d records, err %v; want %d", n, err, records)
 			}
 		})
 	}
 	if few, many := scanAllocs(10), scanAllocs(2000); many != few {
-		t.Errorf("replay allocations: %.0f for 10 records, %.0f for 2000; want the same", few, many)
+		t.Errorf("scan allocations: %.0f for 10 records, %.0f for 2000; want the same", few, many)
 	}
 }
 
@@ -351,10 +356,11 @@ func TestRecoverLogWithBeforeImages(t *testing.T) {
 	}
 }
 
-// countingFS counts the bytes read from log segments.
+// countingFS counts the bytes read from log segments and from the
+// data file.
 type countingFS struct {
 	fault.FS
-	read *atomic.Int64
+	log, data *atomic.Int64
 }
 
 type countingFile struct {
@@ -364,10 +370,15 @@ type countingFile struct {
 
 func (fs countingFS) OpenFile(path string) (fault.File, error) {
 	f, err := fs.FS.OpenFile(path)
-	if err != nil || !strings.Contains(filepath.Base(path), "wal.log.0") {
+	switch name := filepath.Base(path); {
+	case err != nil:
 		return f, err
+	case strings.HasPrefix(name, "wal.log.0"):
+		return countingFile{f, fs.log}, nil
+	case name == "data.db":
+		return countingFile{f, fs.data}, nil
 	}
-	return countingFile{f, fs.read}, nil
+	return f, nil
 }
 
 func (f countingFile) ReadAt(p []byte, off int64) (int, error) {
@@ -382,37 +393,101 @@ func (f countingFile) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// TestRecoveryReadsLogTwice: restart reads the replay window once to
-// find its frontier and committed transactions, and once to redo.
-func TestRecoveryReadsLogTwice(t *testing.T) {
+// TestRecoveryReadsLogOnce: restart reads the replay window once, then
+// only the after-images it redoes (and the frame heads between images
+// it reads in one piece); it reads each data page at most once although
+// the pool holds 4 of them and the log visits the pages out of order;
+// and its redo index holds positions, not images.
+func TestRecoveryReadsLogOnce(t *testing.T) {
+	if size := unsafe.Sizeof(redoEntry{}) + 8; size > 64 { // entry + sort key
+		t.Errorf("redo index costs %d bytes per record, want ≤ 64", size)
+	}
+	const n, image = 2000, 2048
 	dir := t.TempDir()
-	s, rids := fillStore(t, dir, 4, 300)
-	for i, rid := range rids[:100] {
-		txn := uint64(1000 + i)
-		if err := s.Begin(txn); err != nil {
+	// The pool holds every page, so none reaches the data file before
+	// the crash and restart redoes every record.
+	s, err := Open(dir, Options{BufferPoolPages: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rids := make([]RID, n)
+	for i := range rids {
+		if i%100 == 0 {
+			if err := s.Begin(uint64(1 + i/100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rids[i], err = s.Insert(uint64(1+i/100), make([]byte, image)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Update(txn, rid, []byte("updated")); err != nil {
+		if i%100 == 99 {
+			if err := s.Commit(uint64(1 + i/100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	updated := bytes.Repeat([]byte{'u'}, image)
+	for i := 0; i < n; i++ {
+		txn := uint64(1000 + i/100)
+		if i%100 == 0 {
+			if err := s.Begin(txn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k := i * 257 % n // strided: consecutive records on different pages
+		if rids[k], err = s.Update(txn, rids[k], updated); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Commit(txn); err != nil {
-			t.Fatal(err)
+		if i%100 == 99 {
+			if err := s.Commit(txn); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	var images int64
+	records := 0
+	pages := map[PageID]bool{}
+	if err := s.wal.Records(func(r LogRecord) {
+		if r.Kind == LogInsert || r.Kind == LogUpdate || r.Kind == LogDelete {
+			images += int64(len(r.After))
+			records++
+			pages[r.RID.Page] = true
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 	_, logBytes, _, _ := s.wal.SegmentStats()
 	crash(s)
 
-	read := new(atomic.Int64)
-	s2, err := Open(dir, Options{FS: countingFS{fault.OS{}, read}})
+	logRead, dataRead := new(atomic.Int64), new(atomic.Int64)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s2, err := Open(dir, Options{BufferPoolPages: 4, FS: countingFS{fault.OS{}, logRead, dataRead}})
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := read.Load(); got != 2*logBytes {
-		t.Fatalf("recovery read %d log bytes, want 2 × %d", got, logBytes)
+	if got := s2.Stats().RecoveryRecordsReplayed; got != records {
+		t.Fatalf("recovery replayed %d records, want all %d", got, records)
 	}
-	if got, err := s2.Get(rids[0]); err != nil || string(got) != "updated" {
-		t.Fatalf("Get after recovery = %q, %v", got, err)
+	// Images of records logged back to back are read in one piece with
+	// the frame heads between them: at most one head per record.
+	heads := int64(records * (recHeadLen + 4))
+	if got := logRead.Load(); got < logBytes+images || got > logBytes+images+heads {
+		t.Errorf("recovery read %d log bytes, want the log (%d) + the redone after-images (%d) + at most %d of frame heads",
+			got, logBytes, images, heads)
+	}
+	if got, limit := dataRead.Load(), int64(PageSize*len(pages)); got > limit {
+		t.Errorf("recovery read %d data-file bytes, want ≤ %d: one read of each of the %d pages redone", got, limit, len(pages))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(images)/4 {
+		t.Errorf("Open allocated %d bytes, want < %d: a quarter of the window's after-images", got, images/4)
+	}
+	t.Logf("log %d B + images %d B, read %d B; data read %d B over %d pages; Open allocated %d B",
+		logBytes, images, logRead.Load(), dataRead.Load(), len(pages), after.TotalAlloc-before.TotalAlloc)
+	if got, err := s2.Get(rids[0]); err != nil || !bytes.Equal(got, updated) {
+		t.Fatalf("Get after recovery = %.8q…, %v", got, err)
 	}
 }
 

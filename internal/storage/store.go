@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/fault"
@@ -207,16 +208,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The log's open-time tail scan also finds what recovery needs to
-	// know before redo: which transactions committed.
-	committed := map[uint64]bool{sysTxn: true} // system records always replay
-	scanned := 0
-	wal, err := openWAL(fs, filepath.Join(dir, "wal.log"), opts.WALSegmentBytes, func(rec *LogRecord) {
-		scanned++
-		if rec.Kind == LogCommit {
-			committed[rec.Txn] = true
-		}
-	})
+	// The log's open-time tail scan is restart's only read of the log:
+	// it finds which transactions committed and indexes where every
+	// data record's after-image lies, and redo reads back only those.
+	idx := redoIndex{committed: map[uint64]bool{sysTxn: true}} // system records always replay
+	wal, err := openWAL(fs, filepath.Join(dir, "wal.log"), opts.WALSegmentBytes, idx.add)
 	if err != nil {
 		_ = pager.Close() // opening the WAL failed; the close is best-effort cleanup
 		return nil, err
@@ -242,7 +238,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.instrument(opts.Metrics)
 	}
 	stopRecover := s.recoverDur.Time()
-	err = s.recover(committed, scanned)
+	err = s.recover(&idx)
 	stopRecover()
 	if err != nil {
 		_ = wal.Close()   // recovery failed; the closes are best-effort cleanup
@@ -647,9 +643,12 @@ func (s *Store) releaseStealLocked(st *txnState) {
 	}
 }
 
-// Scan calls fn for every live record in the store. It must not be
-// called with transactions in flight whose effects should be hidden;
-// the layers above arrange isolation.
+// Scan calls fn for every live record in the store, page by page. data
+// is the record's bytes in its pinned buffer frame: it is valid only
+// during the call, fn must copy whatever it keeps, and fn must not call
+// back into the store. Scan must not be called with transactions in
+// flight whose effects should be hidden; the layers above arrange
+// isolation.
 func (s *Store) Scan(fn func(rid RID, data []byte)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -660,8 +659,7 @@ func (s *Store) Scan(fn func(rid RID, data []byte)) error {
 			return err
 		}
 		p.Slots(func(slot uint16, data []byte) {
-			cp := append([]byte(nil), data...)
-			fn(RID{Page: id, Slot: slot}, cp)
+			fn(RID{Page: id, Slot: slot}, data[:len(data):len(data)])
 		})
 		s.pool.Unpin(id, false, false)
 	}
@@ -785,15 +783,58 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// recover replays the write-ahead log: effects of committed
+// redoEntry locates one data record of the replay window: the slot it
+// changes, its transaction, and where its after-image lies in the log.
+// It holds no image; redo reads the image back. With the sort key
+// recover builds beside it, it costs 48 bytes per record.
+type redoEntry struct {
+	lsn  uint64
+	txn  uint64
+	off  int64  // after-image offset in segment seg
+	n    uint32 // after-image length
+	seg  uint32 // segment index in the replay window
+	page PageID
+	slot uint16
+	kind LogKind
+}
+
+// redoIndex is what the log's open-time tail scan collects for redo:
+// the committed set and, in log order, a redoEntry per data record.
+type redoIndex struct {
+	committed map[uint64]bool
+	entries   []redoEntry
+	scanned   int
+}
+
+// add is openWAL's visit callback.
+func (x *redoIndex) add(rec *LogRecord, seg int, end int64) {
+	x.scanned++
+	switch rec.Kind {
+	case LogCommit:
+		x.committed[rec.Txn] = true
+	case LogInsert, LogUpdate, LogDelete:
+		x.entries = append(x.entries, redoEntry{
+			lsn: rec.LSN, txn: rec.Txn, off: end - int64(len(rec.After)), n: uint32(len(rec.After)),
+			seg: uint32(seg), page: rec.RID.Page, slot: rec.RID.Slot, kind: rec.Kind,
+		})
+	}
+}
+
+// recover redoes the write-ahead log: effects of committed
 // transactions are redone against the data file; uncommitted effects
 // never reached it (no-steal) and are simply discarded, so there is
-// no undo pass. committed and scanned come from the log's open-time
-// tail scan, which leaves this one redo pass as the second and last
-// read of the window. The scan is bounded: the WAL open already
+// no undo pass. The log's open-time tail scan was the one scan of the
+// window; it left the committed set and an index of every data
+// record's position. The window is bounded: the WAL open already
 // skipped every segment the master record covers, and redo skips
 // records below the last completed checkpoint's redoLSN (their
 // effects are certified durable).
+//
+// Redo runs page by page. Every record changes one page only, so a
+// page's state depends on its own records alone, applied in LSN order:
+// sorting the keys page<<32|ordinal keeps that order within each page
+// (ordinals follow the log), and each page is pinned, redone and
+// unpinned once.
 //
 // Recovery deliberately appends nothing and takes no checkpoint: its
 // write cost must stay constant so that a crash during recovery,
@@ -801,32 +842,30 @@ func (s *Store) Stats() Stats {
 // no new durable debris for the next one to clean up). The first
 // regular checkpoint after open — background, manual, or the one
 // Close takes — seals the replayed window instead.
-func (s *Store) recover(committed map[uint64]bool, scanned int) error {
+func (s *Store) recover(x *redoIndex) error {
 	info, haveCkpt := s.wal.LastCheckpoint()
-	replayed := 0
-	var applyErr error
-	err := s.wal.replay(func(rec *LogRecord) {
-		if applyErr != nil || !committed[rec.Txn] {
-			return
+	keys := make([]uint64, 0, len(x.entries))
+	for i, e := range x.entries {
+		if x.committed[e.txn] && (!haveCkpt || e.lsn >= info.RedoLSN) {
+			keys = append(keys, uint64(e.page)<<32|uint64(i))
 		}
-		if haveCkpt && rec.LSN < info.RedoLSN {
-			return // durably applied before the checkpoint completed
-		}
-		switch rec.Kind {
-		case LogInsert, LogUpdate, LogDelete:
-			replayed++
-			applyErr = s.redo(rec)
-		}
-	})
-	if err != nil {
-		return err
 	}
-	if applyErr != nil {
-		return applyErr
+	slices.Sort(keys)
+	var buf []byte
+	for rest := keys; len(rest) > 0; {
+		page := PageID(rest[0] >> 32)
+		n := 1
+		for n < len(rest) && PageID(rest[n]>>32) == page {
+			n++
+		}
+		if err := s.redoPage(page, x.entries, rest[:n], &buf); err != nil {
+			return err
+		}
+		rest = rest[n:]
 	}
 	s.recSegsScanned, s.recSegsSkipped = s.wal.RecoveryWindow()
-	s.recRecords, s.recReplayed = scanned, replayed
-	if scanned == 0 {
+	s.recRecords, s.recReplayed = x.scanned, len(keys)
+	if x.scanned == 0 {
 		// Fresh (or fully checkpointed empty) log: nothing to seal, so
 		// the first checkpoint can report idle instead of running.
 		s.ckptLastNext = s.wal.NextLSN()
@@ -834,25 +873,59 @@ func (s *Store) recover(committed map[uint64]bool, scanned int) error {
 	return nil
 }
 
-// redo applies one committed record to its page unless the page LSN
-// shows the page already reflects it.
-func (s *Store) redo(rec *LogRecord) error {
-	if err := s.pager.EnsureAllocated(rec.RID.Page); err != nil {
+// maxRedoRead caps one read-back of after-images: a run of records
+// logged back to back is split at this many bytes.
+const maxRedoRead = 64 << 10
+
+// redoPage redoes page id. keys select, in LSN order, the window's
+// committed records that change it; the page LSN shows which prefix of
+// them the page already reflects, and the rest are applied in order
+// with their after-images read back from the log into *buf. Records
+// logged back to back (consecutive LSNs: adjacent frames in one
+// segment) are read back in one piece, with the frame heads between
+// their images, so a page filled by one transaction costs one read.
+func (s *Store) redoPage(id PageID, entries []redoEntry, keys []uint64, buf *[]byte) error {
+	if err := s.pager.EnsureAllocated(id); err != nil {
 		return err
 	}
-	p, err := s.pool.Pin(rec.RID.Page)
+	p, err := s.pool.Pin(id)
 	if err != nil {
 		return err
 	}
-	if p.LSN() >= rec.LSN {
-		s.pool.Unpin(rec.RID.Page, false, false)
-		return nil // page already reflects this record
+	for len(keys) > 0 && entries[uint32(keys[0])].lsn <= p.LSN() {
+		keys = keys[1:]
 	}
-	err = applyRedo(p, rec)
-	if err == nil {
-		p.SetLSN(rec.LSN)
+	dirty := len(keys) > 0
+	for len(keys) > 0 && err == nil {
+		first := &entries[uint32(keys[0])]
+		run, end := 1, first.off+int64(first.n)
+		for ; run < len(keys); run++ {
+			e := &entries[uint32(keys[run])]
+			if e.lsn != first.lsn+uint64(run) || e.seg != first.seg || e.off+int64(e.n)-first.off > maxRedoRead {
+				break
+			}
+			end = e.off + int64(e.n)
+		}
+		*buf = slices.Grow((*buf)[:0], int(end-first.off))[:end-first.off]
+		if len(*buf) > 0 {
+			if err = s.wal.readImage(int(first.seg), first.off, *buf); err != nil {
+				break
+			}
+		}
+		for _, k := range keys[:run] {
+			e := &entries[uint32(k)]
+			rec := LogRecord{LSN: e.lsn, Txn: e.txn, Kind: e.kind, RID: RID{Page: id, Slot: e.slot}}
+			if e.n > 0 {
+				rec.After = (*buf)[e.off-first.off : e.off-first.off+int64(e.n)]
+			}
+			if err = applyRedo(p, &rec); err != nil {
+				break
+			}
+			p.SetLSN(e.lsn)
+		}
+		keys = keys[run:]
 	}
-	s.pool.Unpin(rec.RID.Page, err == nil, false)
+	s.pool.Unpin(id, dirty, false)
 	return err
 }
 

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,9 +114,9 @@ type WAL struct {
 	segs     []*walSegment // ascending seq; last is active
 	w        *bufio.Writer // over the active segment
 
-	// replayFrom is the index into segs where Records starts: segments
-	// before it are fully covered by the last completed checkpoint
-	// (per the master record) and awaiting pruning.
+	// replayFrom is the index into segs where the replay window starts:
+	// segments before it are fully covered by the last completed
+	// checkpoint (per the master record) and awaiting pruning.
 	replayFrom int
 	// stale holds paths of covered segments discovered at open that
 	// were never handed a live handle (resurrected after a crash lost
@@ -235,10 +234,13 @@ func OpenWALSegmented(fs fault.FS, path string, segBytes int64) (*WAL, error) {
 }
 
 // openWAL is OpenWALSegmented where visit, when non-nil, sees every
-// valid record of the replay window during the open-time tail scan
-// (images alias the scan buffer): the store collects its committed
-// set there, so restart reads the window twice, not three times.
-func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (*WAL, error) {
+// valid record of the replay window during the open-time tail scan,
+// with the index of its segment in the window and the offset just past
+// its frame (the record and its images alias the scan buffer and are
+// valid only during the call). The store builds its redo index there,
+// so restart reads the window once; redo reads an after-image back
+// with readImage at end-len(After).
+func openWAL(fs fault.FS, path string, segBytes int64, visit func(rec *LogRecord, seg int, end int64)) (*WAL, error) {
 	if segBytes <= 0 {
 		segBytes = DefaultSegmentBytes
 	}
@@ -318,7 +320,7 @@ func openWAL(fs fault.FS, path string, segBytes int64, visit func(*LogRecord)) (
 				}
 			}
 			if visit != nil {
-				visit(rec)
+				visit(rec, i, end)
 			}
 		})
 		if err != nil {
@@ -701,31 +703,13 @@ func (w *WAL) RecoveryWindow() (scanned, skipped int) {
 	return w.openScanned, w.openSkipped
 }
 
-// Records calls fn for every valid record in the replay window (the
-// segments at or after the last completed checkpoint's start), in LSN
-// order. Each record's images are fn's own copies.
-func (w *WAL) Records(fn func(LogRecord)) error {
-	return w.replay(func(rec *LogRecord) {
-		r := *rec
-		r.Before, r.After = bytes.Clone(rec.Before), bytes.Clone(rec.After)
-		fn(r)
-	})
-}
-
-// replay is Records without the copies: the record and its images
-// alias the scan buffer and are valid only for the duration of fn.
-func (w *WAL) replay(fn func(*LogRecord)) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.w != nil {
-		if err := w.w.Flush(); err != nil {
-			return err
-		}
-	}
-	for i := w.replayFrom; i < len(w.segs); i++ {
-		if err := scanFile(w.segs[i].f, func(rec *LogRecord, _ int64) { fn(rec) }); err != nil {
-			return err
-		}
+// readImage fills p with the log bytes at off in segment seg of the
+// replay window, as openWAL's visit reported them. Restart calls it
+// before the log sees any append, so the segment chain is the one the
+// tail scan read.
+func (w *WAL) readImage(seg int, off int64, p []byte) error {
+	if _, err := w.segs[seg].f.ReadAt(p, off); err != nil {
+		return fmt.Errorf("storage: read log image at %s+%d: %w", w.segs[seg].path, off, err)
 	}
 	return nil
 }

@@ -9,6 +9,27 @@ import (
 	"repro/internal/fault"
 )
 
+// Records calls fn for every valid record in the replay window (the
+// segments at or after the last completed checkpoint's start), in LSN
+// order. Each record's images are fn's own copies.
+func (w *WAL) Records(fn func(LogRecord)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.w.Flush(); err != nil {
+		return err
+	}
+	for _, seg := range w.segs[w.replayFrom:] {
+		if err := scanFile(seg.f, func(rec *LogRecord, _ int64) {
+			r := *rec
+			r.Before, r.After = bytes.Clone(rec.Before), bytes.Clone(rec.After)
+			fn(r)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func openTestWAL(t *testing.T) (*WAL, string) {
 	t.Helper()
 	dir := t.TempDir()
