@@ -94,11 +94,13 @@ analyze:
 
 # crash runs a short fuzz of the WAL record decoder, then of restart:
 # page-ordered redo against a log-order reference redo on the same
-# crash image. The crash matrix, its self-test and the checkpoint-site
-# fault sweep run in test, and under the race detector in race-procs.
+# crash image. Minimising a new input is bounded at 2s (the default is
+# 60s), so a 10s smoke spends its time fuzzing. The crash matrix, its
+# self-test and the checkpoint-site fault sweep run in test, and under
+# the race detector in race-procs.
 crash:
-	$(GO) test -timeout 120s ./internal/storage -run FuzzReadRecord -fuzz FuzzReadRecord -fuzztime 10s
-	$(GO) test -timeout 120s ./internal/storage -run FuzzRecoverMatchesLogOrder -fuzz FuzzRecoverMatchesLogOrder -fuzztime 10s
+	$(GO) test -timeout 120s ./internal/storage -run FuzzReadRecord -fuzz FuzzReadRecord -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test -timeout 120s ./internal/storage -run FuzzRecoverMatchesLogOrder -fuzz FuzzRecoverMatchesLogOrder -fuzztime 10s -fuzzminimizetime 2s
 
 # stress repeats the lock-head recycling hammer (grant, release,
 # inherit, park, wake, deadlock victims and cancellation by another
@@ -112,8 +114,11 @@ crash:
 # deadlock search, a parent's abort and a retained occurrence reaching
 # a reused subtransaction) and the two of recycling a transaction's
 # engine state (a late occurrence and a parking sequential-causal
-# firing reaching the state its ended transaction handed on), five
-# times under the race detector.
+# firing reaching the state its ended transaction handed on), and the
+# striped object catalog and the roots snapshot under concurrent
+# clients (loads beside an abort that relocates a record, creates,
+# deletes and failed flushes, root writes and their aborts beside a
+# reader), five times under the race detector.
 # The executor stress and the storage growth and checkpoint tests run
 # under the race detector in race-procs.
 stress:
@@ -129,6 +134,9 @@ stress:
 	$(GO) test -race -timeout 120s -count=5 \
 		-run 'TestConcurrentCommitsSharePages|TestStealProtectionCountsTransactions' \
 		./internal/storage
+	$(GO) test -race -timeout 120s -count=5 \
+		-run 'TestCatalogUnderConcurrentClients|TestRootSnapshotFollowsSetRootAndAbort' \
+		./internal/oodb
 
 # soak runs the fault-armed overload soak under the race detector:
 # writers hammer a slow detached rule through the governor's full

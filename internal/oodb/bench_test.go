@@ -1,8 +1,10 @@
 package oodb
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -94,7 +96,7 @@ func TestCatalogRebuildAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if got := len(db2.ridOf); got != n {
+	if got := len(db2.objectTable()); got != n {
 		t.Fatalf("catalog holds %d objects, want %d", got, n)
 	}
 	per := (after.TotalAlloc - before.TotalAlloc) / n
@@ -102,4 +104,72 @@ func TestCatalogRebuildAllocationCeiling(t *testing.T) {
 	if per >= ceiling {
 		t.Errorf("Open allocated %d B per object, want < %d", per, ceiling)
 	}
+}
+
+// parallelObjects commits n persistent River objects, each named as a
+// root, for the parallel access benchmarks.
+func parallelObjects(b *testing.B, db *DB, n int) []*Object {
+	objs := make([]*Object, n)
+	tx := db.Begin()
+	for i := range objs {
+		obj, err := db.NewObject(tx, "River")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := db.SetRoot(tx, fmt.Sprintf("r%d", i), obj); err != nil {
+			b.Fatal(err)
+		}
+		objs[i] = obj
+	}
+	if err := tx.Commit(); err != nil {
+		b.Fatal(err)
+	}
+	return objs
+}
+
+// BenchmarkLoadParallel loads a cached object per goroutine, each its
+// own, inside the goroutine's own transaction: nothing conflicts, so
+// what the goroutines still pass between cores belongs to the catalog.
+func BenchmarkLoadParallel(b *testing.B) {
+	db := openDisk(b, b.TempDir())
+	defer db.Close()
+	registerRiver(b, db, false)
+	objs := parallelObjects(b, db, 8)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		oid := objs[int(next.Add(1)-1)%len(objs)].OID()
+		tx := db.Begin()
+		defer tx.Commit()
+		for pb.Next() {
+			if _, err := db.Load(tx, oid); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkRootParallel fetches a root per goroutine, each its own, as
+// a rule condition does (OpenOODB->fetch, §6.1).
+func BenchmarkRootParallel(b *testing.B) {
+	db := openDisk(b, b.TempDir())
+	defer db.Close()
+	registerRiver(b, db, false)
+	parallelObjects(b, db, 8)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		name := fmt.Sprintf("r%d", (next.Add(1)-1)%8)
+		tx := db.Begin()
+		defer tx.Commit()
+		for pb.Next() {
+			if _, err := db.Root(tx, name); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }

@@ -3,8 +3,10 @@ package oodb
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
-	"sync/atomic" //lint:allow rawatomics OID allocator and sink pointer, not metrics
+	"sync/atomic" //lint:allow rawatomics OID allocator, sink and roots pointers, not metrics
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/event"
@@ -51,6 +53,13 @@ type Options struct {
 
 // DB is the database: dictionary, address spaces, transaction
 // integration, and the persistence policy manager.
+//
+// Every Load and Root of a rule condition reads the catalog, and two
+// clients doing so must not pass a written cache line between their
+// cores: the object table and the transient address space are striped
+// by OID over shards with lines of their own, the roots directory is an
+// immutable snapshot, and what every operation only reads sits a line
+// away from what creation and root writes write.
 type DB struct {
 	dict  *Dictionary
 	txns  *txn.Manager
@@ -59,14 +68,47 @@ type DB struct {
 
 	sink atomic.Value // Sink
 
-	mu       sync.Mutex
-	cache    map[OID]*Object // transient address space
-	ridOf    map[OID]storage.RID
-	roots    map[string]OID
+	// roots is the roots directory, replaced whole under mu by each
+	// change and read without a lock.
+	roots atomic.Pointer[map[string]OID]
+
+	_ [cacheLine]byte
+
+	mu       sync.Mutex // guards rootsRID, extents and root writes
 	rootsRID storage.RID
 	extents  map[string]map[OID]bool
 	nextOID  uint64
+
+	_ [cacheLine]byte
+
+	shards [catalogShards]catalogShard
 }
+
+// cacheLine is the size the catalog's shards and the DB's groups of
+// fields are padded to.
+const cacheLine = 64
+
+// catalogShards is the number of shards the catalog is striped over.
+const catalogShards = 16
+
+// catalogShard holds the catalog entries of the OIDs that map to it:
+// each OID's record in the object table (ridOf) and its object while it
+// is in the transient address space (cache). It fills two lines, so
+// that the words two shards' users write are a line apart wherever the
+// DB lands.
+type catalogShard struct {
+	mu    sync.Mutex
+	cache map[OID]*Object
+	ridOf map[OID]storage.RID
+	_     [2*cacheLine - unsafe.Sizeof(sync.Mutex{}) - 2*unsafe.Sizeof(map[OID]bool(nil))]byte
+}
+
+// shard returns the catalog shard of oid.
+func (db *DB) shard(oid OID) *catalogShard { return &db.shards[oid%catalogShards] }
+
+// setRoots publishes roots as the roots directory. The caller holds mu
+// or, opening the database, has it to itself.
+func (db *DB) setRoots(roots map[string]OID) { db.roots.Store(&roots) }
 
 // rootsLock is the lock-manager resource of the roots directory; no
 // object has OID 0.
@@ -90,12 +132,14 @@ func Open(opts Options) (*DB, error) {
 		dict:     NewDictionary(),
 		txns:     txn.NewManager(),
 		clk:      opts.Clock,
-		cache:    make(map[OID]*Object),
-		ridOf:    make(map[OID]storage.RID),
-		roots:    make(map[string]OID),
 		rootsRID: storage.InvalidRID,
 		extents:  make(map[string]map[OID]bool),
 	}
+	for i := range db.shards {
+		db.shards[i].cache = make(map[OID]*Object)
+		db.shards[i].ridOf = make(map[OID]storage.RID)
+	}
+	db.setRoots(make(map[string]OID))
 	if opts.Dir != "" {
 		st, err := storage.Open(opts.Dir, opts.Storage)
 		if err != nil {
@@ -123,12 +167,12 @@ func (db *DB) loadCatalog() error {
 		switch rec[0] {
 		case recRoots:
 			if roots, err := decodeRoots(rec); err == nil {
-				db.roots = roots
+				db.setRoots(roots)
 				db.rootsRID = rid
 			}
 		case recObject:
 			if oid, class, _, err := decodeObjectHead(rec); err == nil {
-				db.ridOf[oid] = rid
+				db.shard(oid).ridOf[oid] = rid
 				ext := db.extents[string(class)]
 				if ext == nil {
 					ext = make(map[OID]bool)
@@ -191,8 +235,11 @@ func (db *DB) NewObject(t *txn.Txn, className string) (*Object, error) {
 	if err := t.Lock(uint64(oid), txn.LockExclusive); err != nil {
 		return nil, err
 	}
+	sh := db.shard(oid)
+	sh.mu.Lock()
+	sh.cache[oid] = obj
+	sh.mu.Unlock()
 	db.mu.Lock()
-	db.cache[oid] = obj
 	ext := db.extents[className]
 	if ext == nil {
 		ext = make(map[OID]bool)
@@ -202,11 +249,13 @@ func (db *DB) NewObject(t *txn.Txn, className string) (*Object, error) {
 	db.mu.Unlock()
 	t.OnAbort(func() {
 		db.mu.Lock()
-		delete(db.cache, oid)
 		if ext := db.extents[className]; ext != nil {
 			delete(ext, oid)
 		}
 		db.mu.Unlock()
+		sh.mu.Lock()
+		delete(sh.cache, oid)
+		sh.mu.Unlock()
 	})
 	if class.Monitored {
 		if err := db.emitMethod(t, obj, MethodCreate, class.createKey, nil, nil); err != nil {
@@ -356,16 +405,20 @@ func (db *DB) SetRoot(t *txn.Txn, name string, obj *Object) error {
 		return err
 	}
 	db.mu.Lock()
-	old, had := db.roots[name]
-	db.roots[name] = obj.oid
+	roots := maps.Clone(*db.roots.Load())
+	old, had := roots[name]
+	roots[name] = obj.oid
+	db.setRoots(roots)
 	db.mu.Unlock()
 	t.OnAbort(func() {
 		db.mu.Lock()
+		roots := maps.Clone(*db.roots.Load())
 		if had {
-			db.roots[name] = old
+			roots[name] = old
 		} else {
-			delete(db.roots, name)
+			delete(roots, name)
 		}
+		db.setRoots(roots)
 		db.mu.Unlock()
 	})
 	ws := db.writeSet(t.Top())
@@ -378,9 +431,7 @@ func (db *DB) SetRoot(t *txn.Txn, name string, obj *Object) error {
 // Root fetches the object registered under name — the OpenOODB->fetch
 // of the paper's condition-function example (§6.1).
 func (db *DB) Root(t *txn.Txn, name string) (*Object, error) {
-	db.mu.Lock()
-	oid, ok := db.roots[name]
-	db.mu.Unlock()
+	oid, ok := (*db.roots.Load())[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchRoot, name)
 	}
@@ -389,10 +440,9 @@ func (db *DB) Root(t *txn.Txn, name string) (*Object, error) {
 
 // RootNames lists the registered root names.
 func (db *DB) RootNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.roots))
-	for n := range db.roots {
+	roots := *db.roots.Load()
+	out := make([]string, 0, len(roots))
+	for n := range roots {
 		out = append(out, n)
 	}
 	return out
@@ -405,16 +455,17 @@ func (db *DB) Load(t *txn.Txn, oid OID) (*Object, error) {
 	if err := t.Lock(uint64(oid), txn.LockShared); err != nil {
 		return nil, err
 	}
-	db.mu.Lock()
-	if obj, ok := db.cache[oid]; ok {
-		db.mu.Unlock()
+	sh := db.shard(oid)
+	sh.mu.Lock()
+	if obj, ok := sh.cache[oid]; ok {
+		sh.mu.Unlock()
 		if obj.Deleted() {
 			return nil, fmt.Errorf("%w: %v", ErrDeleted, obj)
 		}
 		return obj, nil
 	}
-	rid, ok := db.ridOf[oid]
-	db.mu.Unlock()
+	rid, ok := sh.ridOf[oid]
+	sh.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %v", ErrNoSuchObject, oid)
 	}
@@ -438,13 +489,13 @@ func (db *DB) Load(t *txn.Txn, oid OID) (*Object, error) {
 		values = append(values, class.attrs[len(values)].Type.zero())
 	}
 	obj := &Object{oid: oid, class: class, values: values, persistent: true}
-	db.mu.Lock()
-	if existing, ok := db.cache[oid]; ok {
+	sh.mu.Lock()
+	if existing, ok := sh.cache[oid]; ok {
 		obj = existing // lost the race; use the resident copy
 	} else {
-		db.cache[oid] = obj
+		sh.cache[oid] = obj
 	}
-	db.mu.Unlock()
+	sh.mu.Unlock()
 	return obj, nil
 }
 
@@ -558,9 +609,7 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		if !obj.Deleted() {
 			continue // a subtransaction's abort took the Delete back
 		}
-		db.mu.Lock()
-		rid, had := db.ridOf[oid]
-		db.mu.Unlock()
+		rid, had := db.lookupRID(oid)
 		if had {
 			if err := begin(); err != nil {
 				return err
@@ -592,9 +641,7 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 		if err := begin(); err != nil {
 			return err
 		}
-		db.mu.Lock()
-		rid, had := db.ridOf[oid]
-		db.mu.Unlock()
+		rid, had := db.lookupRID(oid)
 		newRID, err := db.put(tid, rid, had, rec)
 		if err != nil {
 			return err
@@ -610,7 +657,7 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 			return err
 		}
 		db.mu.Lock()
-		roots := encodeRoots(db.roots)
+		roots := encodeRoots(*db.roots.Load())
 		rid := db.rootsRID
 		db.mu.Unlock()
 		var err error
@@ -633,6 +680,15 @@ func (db *DB) flushCommit(t *txn.Txn) error {
 	return nil
 }
 
+// lookupRID returns oid's entry in the object table.
+func (db *DB) lookupRID(oid OID) (storage.RID, bool) {
+	sh := db.shard(oid)
+	sh.mu.Lock()
+	rid, ok := sh.ridOf[oid]
+	sh.mu.Unlock()
+	return rid, ok
+}
+
 // placed is a record's RID that a flush created or moved.
 type placed struct {
 	oid OID
@@ -653,28 +709,31 @@ func (db *DB) put(tid uint64, rid storage.RID, had bool, rec []byte) (storage.RI
 // their extent and release their values; created and relocated
 // records are entered under their new RIDs.
 func (db *DB) publish(ws *writeSet, moved []placed) {
-	if len(ws.deleted) == 0 && len(moved) == 0 {
-		return
+	if len(ws.deleted) > 0 {
+		db.mu.Lock()
+		for oid, obj := range ws.deleted {
+			if ext := db.extents[obj.class.Name]; ext != nil && obj.Deleted() {
+				delete(ext, oid)
+			}
+		}
+		db.mu.Unlock()
 	}
-	db.mu.Lock()
 	for oid, obj := range ws.deleted {
 		if !obj.Deleted() {
 			continue
 		}
-		delete(db.ridOf, oid)
-		delete(db.cache, oid)
-		if ext := db.extents[obj.class.Name]; ext != nil {
-			delete(ext, oid)
-		}
+		sh := db.shard(oid)
+		sh.mu.Lock()
+		delete(sh.ridOf, oid)
+		delete(sh.cache, oid)
+		sh.mu.Unlock()
+		obj.release()
 	}
 	for _, m := range moved {
-		db.ridOf[m.oid] = m.rid
-	}
-	db.mu.Unlock()
-	for _, obj := range ws.deleted {
-		if obj.Deleted() {
-			obj.release()
-		}
+		sh := db.shard(m.oid)
+		sh.mu.Lock()
+		sh.ridOf[m.oid] = m.rid
+		sh.mu.Unlock()
 	}
 }
 
@@ -692,12 +751,17 @@ func (db *DB) flushAbort(t *txn.Txn) error {
 		return err
 	}
 	if len(reloc) > 0 {
-		db.mu.Lock()
-		for oid, rid := range db.ridOf {
-			if nr, ok := reloc[rid]; ok {
-				db.ridOf[oid] = nr
+		for i := range db.shards {
+			sh := &db.shards[i]
+			sh.mu.Lock()
+			for oid, rid := range sh.ridOf {
+				if nr, ok := reloc[rid]; ok {
+					sh.ridOf[oid] = nr
+				}
 			}
+			sh.mu.Unlock()
 		}
+		db.mu.Lock()
 		if nr, ok := reloc[db.rootsRID]; ok {
 			db.rootsRID = nr
 		}
@@ -709,12 +773,15 @@ func (db *DB) flushAbort(t *txn.Txn) error {
 // EvictClean drops unpinned clean objects from the transient address
 // space (used by tests to force faulting).
 func (db *DB) EvictClean() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for oid, obj := range db.cache {
-		if obj.Persistent() && !obj.Deleted() {
-			delete(db.cache, oid)
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for oid, obj := range sh.cache {
+			if obj.Persistent() && !obj.Deleted() {
+				delete(sh.cache, oid)
+			}
 		}
+		sh.mu.Unlock()
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/event"
+	"repro/internal/storage"
 	"repro/internal/txn"
 )
 
@@ -37,6 +38,34 @@ func openMem(t *testing.T) *DB {
 		t.Fatal(err)
 	}
 	return db
+}
+
+// objectTable collects the object table over every catalog shard.
+func (db *DB) objectTable() map[OID]storage.RID {
+	out := make(map[OID]storage.RID)
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for oid, rid := range sh.ridOf {
+			out[oid] = rid
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+// cached collects the transient address space over every catalog shard.
+func (db *DB) cached() map[OID]*Object {
+	out := make(map[OID]*Object)
+	for i := range db.shards {
+		sh := &db.shards[i]
+		sh.mu.Lock()
+		for oid, obj := range sh.cache {
+			out[oid] = obj
+		}
+		sh.mu.Unlock()
+	}
+	return out
 }
 
 func openDisk(t testing.TB, dir string) *DB {

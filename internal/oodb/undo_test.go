@@ -118,17 +118,13 @@ func newUndoScript(t *testing.T, seed int64) *undoScript {
 func (s *undoScript) actual() undoState {
 	st := undoState{values: map[*Object][2]int64{}, persistent: map[*Object]bool{},
 		deleted: map[*Object]bool{}, extent: map[OID]bool{}}
+	st.roots = maps.Clone(*s.db.roots.Load())
 	s.db.mu.Lock()
-	st.roots = maps.Clone(s.db.roots)
 	for oid := range s.db.extents["Cell"] {
 		st.extent[oid] = true
 	}
-	objs := make([]*Object, 0, len(s.db.cache))
-	for _, obj := range s.db.cache {
-		objs = append(objs, obj)
-	}
 	s.db.mu.Unlock()
-	for _, obj := range objs {
+	for _, obj := range s.db.cached() {
 		obj.mu.RLock()
 		if obj.values != nil {
 			st.values[obj] = [2]int64{obj.values[0].(int64), obj.values[1].(int64)}

@@ -69,3 +69,39 @@ func BenchmarkLockUncontended(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBeginChildParallel begins a child of each goroutine's own
+// top-level transaction, locks the resource its parent holds in it and
+// commits it: no two goroutines share a transaction or a lock, so what
+// they still pass between cores belongs to the manager.
+func BenchmarkBeginChildParallel(b *testing.B) {
+	m := NewManager()
+	var next atomic.Uint64
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		r := next.Add(1)
+		top := m.Begin()
+		if err := top.Lock(r, LockExclusive); err != nil {
+			b.Error(err)
+			return
+		}
+		for pb.Next() {
+			c, err := top.BeginChild()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if err := c.Lock(r, LockExclusive); err != nil {
+				b.Error(err)
+				return
+			}
+			if err := c.Commit(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		if err := top.Commit(); err != nil {
+			b.Error(err)
+		}
+	})
+}

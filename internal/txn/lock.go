@@ -35,7 +35,8 @@ const lockStripes = 64
 const inlineHolders = 4
 
 // cacheLine is the size a stripe is padded to, so that two stripes'
-// mutexes do not share a line.
+// mutexes do not share a line, and the padding on each side of the
+// Manager's ID counter.
 const cacheLine = 64
 
 // lockTable is a strict two-phase lock manager with Moss-style rules

@@ -85,7 +85,14 @@ type Listener interface {
 
 // Manager creates and tracks transactions.
 type Manager struct {
-	nextID   atomic.Uint64
+	// nextID is written by every begin, top-level and nested. Padding
+	// on both sides gives it a line of its own: the fields below are read
+	// by every Lock, Commit and BeginChildIn, and a begin on one core
+	// must not take their line from another.
+	_      [cacheLine]byte
+	nextID atomic.Uint64
+	_      [cacheLine]byte
+
 	locks    *lockTable
 	listener Listener
 

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -92,6 +93,28 @@ func TestIDsMonotone(t *testing.T) {
 	c, _ := a.BeginChild()
 	if !(a.ID() < b.ID() && b.ID() < c.ID()) {
 		t.Fatalf("IDs not monotone: %d %d %d", a.ID(), b.ID(), c.ID())
+	}
+}
+
+// Every begin writes the ID counter, and every Lock, Commit and
+// BeginChildIn reads the Manager's other fields: a field within a line
+// of the counter would move between two cores that begin and lock.
+func TestManagerIDCounterOwnsItsCacheLine(t *testing.T) {
+	typ := reflect.TypeOf((*Manager)(nil)).Elem()
+	id, _ := typ.FieldByName("nextID")
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "_" || f.Name == id.Name {
+			continue
+		}
+		// gap is the number of bytes between the two fields.
+		gap := int64(f.Offset) - int64(id.Offset+id.Type.Size())
+		if f.Offset < id.Offset {
+			gap = int64(id.Offset) - int64(f.Offset+f.Type.Size())
+		}
+		if gap < cacheLine {
+			t.Errorf("%s is %d bytes from nextID, want at least %d", f.Name, gap, cacheLine)
+		}
 	}
 }
 
