@@ -94,13 +94,19 @@ analyze:
 
 # crash runs a short fuzz of the WAL record decoder, then of restart:
 # page-ordered redo against a log-order reference redo on the same
-# crash image. Minimising a new input is bounded at 2s (the default is
-# 60s), so a 10s smoke spends its time fuzzing. The crash matrix, its
-# self-test and the checkpoint-site fault sweep run in test, and under
-# the race detector in race-procs.
+# crash image, then of the event algebra: the composer, fresh and
+# recycled, against the reference interpreter on the same script. It
+# first empties the fuzz cache, so every smoke starts from the committed
+# seed corpora (a grown cache slows the restart fuzz many times over).
+# Minimising a new input is bounded at 2s (the default is 60s), so a 10s
+# smoke spends its time fuzzing. The crash matrix, its self-test and the
+# checkpoint-site fault sweep run in test, and under the race detector
+# in race-procs.
 crash:
+	$(GO) clean -fuzzcache
 	$(GO) test -timeout 120s ./internal/storage -run FuzzReadRecord -fuzz FuzzReadRecord -fuzztime 10s -fuzzminimizetime 2s
 	$(GO) test -timeout 120s ./internal/storage -run FuzzRecoverMatchesLogOrder -fuzz FuzzRecoverMatchesLogOrder -fuzztime 10s -fuzzminimizetime 2s
+	$(GO) test -timeout 120s ./internal/algebra -run FuzzComposerMatchesReference -fuzz FuzzComposerMatchesReference -fuzztime 10s -fuzzminimizetime 2s
 
 # stress repeats the lock-head recycling hammer (grant, release,
 # inherit, park, wake, deadlock victims and cancellation by another

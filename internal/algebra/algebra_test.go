@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -59,262 +61,6 @@ func TestSeqBasicFiresInOrder(t *testing.T) {
 	}
 }
 
-func TestSeqOutOfOrderDoesNotFire(t *testing.T) {
-	cp := mustComposer(t, seq2(Chronicle))
-	if got := cp.Feed(ev("E2", 1, 1)); len(got) != 0 {
-		t.Fatalf("E2 alone fired: %v", got)
-	}
-	if got := cp.Feed(ev("E1", 2, 1)); len(got) != 0 {
-		t.Fatalf("E1 after E2 fired: %v", got)
-	}
-	// But a later E2 completes with the stored E1.
-	if got := cp.Feed(ev("E2", 3, 1)); len(got) != 1 {
-		t.Fatalf("E1;E2 did not fire: %v", got)
-	}
-}
-
-// The paper's §3.4 example: e1, e1', e2 arrive; which e1 is used?
-func TestConsumptionPolicyPaperExample(t *testing.T) {
-	e1 := func(seq uint64) *event.Instance { return ev("E1", seq, 1) }
-	e2 := ev("E2", 3, 1)
-
-	t.Run("recent uses e1'", func(t *testing.T) {
-		cp := mustComposer(t, seq2(Recent))
-		cp.Feed(e1(1))
-		cp.Feed(e1(2))
-		got := cp.Feed(e2)
-		if len(got) != 1 || got[0].Parts[0].Seq != 2 {
-			t.Fatalf("recent picked seq %d, want 2 (the most recent)", got[0].Parts[0].Seq)
-		}
-	})
-	t.Run("chronicle uses e1", func(t *testing.T) {
-		cp := mustComposer(t, seq2(Chronicle))
-		cp.Feed(e1(1))
-		cp.Feed(e1(2))
-		got := cp.Feed(e2)
-		if len(got) != 1 || got[0].Parts[0].Seq != 1 {
-			t.Fatalf("chronicle picked seq %d, want 1 (chronological)", got[0].Parts[0].Seq)
-		}
-	})
-	t.Run("continuous fires one window per initiator", func(t *testing.T) {
-		cp := mustComposer(t, seq2(Continuous))
-		cp.Feed(e1(1))
-		cp.Feed(e1(2))
-		got := cp.Feed(e2)
-		if len(got) != 2 {
-			t.Fatalf("continuous fired %d, want 2", len(got))
-		}
-	})
-	t.Run("cumulative carries both", func(t *testing.T) {
-		cp := mustComposer(t, seq2(Cumulative))
-		cp.Feed(e1(1))
-		cp.Feed(e1(2))
-		got := cp.Feed(e2)
-		if len(got) != 1 || len(got[0].Parts) != 3 {
-			t.Fatalf("cumulative parts = %d, want 3 (e1, e1', e2)", len(got[0].Parts))
-		}
-	})
-}
-
-func TestChronicleConsumesInOrder(t *testing.T) {
-	cp := mustComposer(t, seq2(Chronicle))
-	cp.Feed(ev("E1", 1, 1))
-	cp.Feed(ev("E1", 2, 1))
-	first := cp.Feed(ev("E2", 3, 1))
-	second := cp.Feed(ev("E2", 4, 1))
-	if first[0].Parts[0].Seq != 1 || second[0].Parts[0].Seq != 2 {
-		t.Fatalf("chronicle order wrong: %d then %d", first[0].Parts[0].Seq, second[0].Parts[0].Seq)
-	}
-	if got := cp.Feed(ev("E2", 5, 1)); len(got) != 0 {
-		t.Fatalf("fired with consumed initiators: %v", got)
-	}
-}
-
-func TestRecentReusesInitiator(t *testing.T) {
-	cp := mustComposer(t, seq2(Recent))
-	cp.Feed(ev("E1", 1, 1))
-	a := cp.Feed(ev("E2", 2, 1))
-	b := cp.Feed(ev("E2", 3, 1))
-	if len(a) != 1 || len(b) != 1 {
-		t.Fatalf("recent should reuse the initiator: %d, %d", len(a), len(b))
-	}
-	if a[0].Parts[0].Seq != 1 || b[0].Parts[0].Seq != 1 {
-		t.Fatal("reused initiator changed")
-	}
-}
-
-func TestSeqThreeStage(t *testing.T) {
-	c := &Composite{
-		Name:   "s3",
-		Expr:   Seq{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}, Prim{Key: "C"}}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("B", 1, 1)) // B before A must not count
-	cp.Feed(ev("A", 2, 1))
-	if got := cp.Feed(ev("C", 3, 1)); len(got) != 0 {
-		t.Fatalf("A;B;C fired without B after A: %v", got)
-	}
-	cp.Feed(ev("B", 4, 1))
-	got := cp.Feed(ev("C", 5, 1))
-	if len(got) != 1 {
-		t.Fatalf("A;B;C fired %d, want 1", len(got))
-	}
-	seqs := []uint64{got[0].Parts[0].Seq, got[0].Parts[1].Seq, got[0].Parts[2].Seq}
-	if seqs[0] != 2 || seqs[1] != 4 || seqs[2] != 5 {
-		t.Fatalf("chain = %v, want [2 4 5]", seqs)
-	}
-}
-
-func TestConjAnyOrder(t *testing.T) {
-	c := &Composite{
-		Name:   "c",
-		Expr:   Conj{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	if got := cp.Feed(ev("B", 1, 1)); len(got) != 0 {
-		t.Fatal("conj fired with one constituent")
-	}
-	if got := cp.Feed(ev("A", 2, 1)); len(got) != 1 {
-		t.Fatalf("conj did not fire when completed: %v", got)
-	}
-}
-
-func TestDisjEitherFires(t *testing.T) {
-	c := &Composite{
-		Name:   "d",
-		Expr:   Disj{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	if got := cp.Feed(ev("A", 1, 1)); len(got) != 1 {
-		t.Fatal("disj did not fire on A")
-	}
-	if got := cp.Feed(ev("B", 2, 1)); len(got) != 1 {
-		t.Fatal("disj did not fire on B")
-	}
-	if got := cp.Feed(ev("C", 3, 1)); len(got) != 0 {
-		t.Fatal("disj fired on unrelated event")
-	}
-}
-
-func TestSeqWithNegationGuard(t *testing.T) {
-	// A; !B; C — fire on A..C without B in between.
-	c := &Composite{
-		Name:   "g",
-		Expr:   Seq{Exprs: []Expr{Prim{Key: "A"}, Neg{Of: Prim{Key: "B"}}, Prim{Key: "C"}}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("A", 1, 1))
-	cp.Feed(ev("B", 2, 1)) // poisons the pending A
-	if got := cp.Feed(ev("C", 3, 1)); len(got) != 0 {
-		t.Fatalf("guarded sequence fired despite B: %v", got)
-	}
-	cp.Feed(ev("A", 4, 1))
-	if got := cp.Feed(ev("C", 5, 1)); len(got) != 1 {
-		t.Fatalf("guarded sequence did not fire without B: %v", got)
-	}
-}
-
-func TestStandaloneNegationFiresAtFlush(t *testing.T) {
-	c := &Composite{
-		Name:   "n",
-		Expr:   Neg{Of: Prim{Key: "heartbeat"}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	if got := cp.Flush(base.Add(time.Minute)); len(got) != 1 {
-		t.Fatalf("negation without occurrence did not fire at flush: %v", got)
-	}
-	// Second span: heartbeat arrives, no firing.
-	cp.Feed(ev("heartbeat", 1, 1))
-	if got := cp.Flush(base.Add(2 * time.Minute)); len(got) != 0 {
-		t.Fatalf("negation fired despite occurrence: %v", got)
-	}
-	// Third span: poisoning was reset by the flush.
-	if got := cp.Flush(base.Add(3 * time.Minute)); len(got) != 1 {
-		t.Fatal("negation state not reset between life-spans")
-	}
-}
-
-func TestClosureCollapsesAtFlush(t *testing.T) {
-	c := &Composite{
-		Name:   "cl",
-		Expr:   Closure{Of: Prim{Key: "tick"}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	for i := uint64(1); i <= 5; i++ {
-		if got := cp.Feed(ev("tick", i, 1)); len(got) != 0 {
-			t.Fatalf("closure fired before flush: %v", got)
-		}
-	}
-	got := cp.Flush(base.Add(time.Minute))
-	if len(got) != 1 || len(got[0].Parts) != 5 {
-		t.Fatalf("closure flush = %v", got)
-	}
-	if got := cp.Flush(base.Add(2 * time.Minute)); len(got) != 0 {
-		t.Fatal("empty closure fired")
-	}
-}
-
-func TestHistoryCountFires(t *testing.T) {
-	c := &Composite{
-		Name:   "h",
-		Expr:   History{Of: Prim{Key: "alarm"}, Count: 3},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("alarm", 1, 1))
-	cp.Feed(ev("alarm", 2, 1))
-	got := cp.Feed(ev("alarm", 3, 1))
-	if len(got) != 1 || len(got[0].Parts) != 3 {
-		t.Fatalf("history(3) = %v", got)
-	}
-	// Counter restarts.
-	cp.Feed(ev("alarm", 4, 1))
-	cp.Feed(ev("alarm", 5, 1))
-	if got := cp.Feed(ev("alarm", 6, 1)); len(got) != 1 {
-		t.Fatal("history did not restart")
-	}
-}
-
-func TestNestedComposition(t *testing.T) {
-	// (A & B); C
-	c := &Composite{
-		Name: "nested",
-		Expr: Seq{Exprs: []Expr{
-			Conj{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}}},
-			Prim{Key: "C"},
-		}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
-	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("B", 1, 1))
-	if got := cp.Feed(ev("C", 2, 1)); len(got) != 0 {
-		t.Fatal("fired before conjunction complete")
-	}
-	cp.Feed(ev("A", 3, 1))
-	got := cp.Feed(ev("C", 4, 1))
-	if len(got) != 1 {
-		t.Fatalf("nested fired %d, want 1", len(got))
-	}
-	flat := got[0].Flatten()
-	if len(flat) != 3 {
-		t.Fatalf("nested flatten = %d parts, want 3", len(flat))
-	}
-}
-
 func TestMultiTxnCompositeTxnZero(t *testing.T) {
 	c := &Composite{
 		Name:     "x",
@@ -335,45 +81,6 @@ func TestMultiTxnCompositeTxnZero(t *testing.T) {
 	txns := got[0].Transactions()
 	if !txns[7] || !txns[8] {
 		t.Fatalf("constituent txns = %v", txns)
-	}
-}
-
-func TestFlushDiscardsSemiComposed(t *testing.T) {
-	cp := mustComposer(t, seq2(Chronicle))
-	cp.Feed(ev("E1", 1, 1))
-	if cp.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", cp.Pending())
-	}
-	cp.Flush(base)
-	if cp.Pending() != 0 {
-		t.Fatalf("Pending after flush = %d, want 0", cp.Pending())
-	}
-	if got := cp.Feed(ev("E2", 2, 1)); len(got) != 0 {
-		t.Fatal("stale initiator survived flush")
-	}
-}
-
-func TestValidityExpiry(t *testing.T) {
-	c := &Composite{
-		Name:     "v",
-		Expr:     Seq{Exprs: []Expr{Prim{Key: "E1"}, Prim{Key: "E2"}}},
-		Policy:   Chronicle,
-		Scope:    ScopeGlobal,
-		Validity: 10 * time.Second,
-	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("E1", 1, 1)) // at base+1s
-	dropped := cp.Expire(base.Add(30 * time.Second))
-	if dropped != 1 {
-		t.Fatalf("Expire dropped %d, want 1", dropped)
-	}
-	if got := cp.Feed(ev("E2", 2, 2)); len(got) != 0 {
-		t.Fatal("expired initiator completed a composite")
-	}
-	// Within validity nothing is dropped.
-	cp.Feed(ev("E1", 40, 3))
-	if dropped := cp.Expire(base.Add(45 * time.Second)); dropped != 0 {
-		t.Fatalf("Expire dropped %d, want 0", dropped)
 	}
 }
 
@@ -446,7 +153,7 @@ func TestExprStrings(t *testing.T) {
 		t.Fatal("empty String")
 	}
 	for _, sub := range []string{"A", "!B", "C", "times(2, D)", "E*"} {
-		if !contains(s, sub) {
+		if !strings.Contains(s, sub) {
 			t.Errorf("String %q missing %q", s, sub)
 		}
 	}
@@ -460,15 +167,6 @@ func TestExprStrings(t *testing.T) {
 	}
 }
 
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}
-
 func TestListensAndKeys(t *testing.T) {
 	cp := mustComposer(t, seq2(Chronicle))
 	if !cp.Listens("E1") || !cp.Listens("E2") || cp.Listens("E3") {
@@ -479,22 +177,153 @@ func TestListensAndKeys(t *testing.T) {
 	}
 }
 
-func TestClosureOfSeq(t *testing.T) {
-	// (A;B)* — collapse all A;B pairs in the life-span into one event.
-	c := &Composite{
-		Name:   "cs",
-		Expr:   Closure{Of: Seq{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}}}},
-		Policy: Chronicle,
-		Scope:  ScopeTransaction,
+func TestCompositeKeyAndValidation(t *testing.T) {
+	c := &Composite{Name: "c", Expr: Conj{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}}}, Policy: Chronicle, Scope: ScopeTransaction}
+	if want := (event.CompositeSpec{Name: "c"}).Key(); c.Key() != want {
+		t.Fatalf("Key = %q, want %q", c.Key(), want)
 	}
-	cp := mustComposer(t, c)
-	cp.Feed(ev("A", 1, 1))
-	cp.Feed(ev("B", 2, 1))
-	cp.Feed(ev("A", 3, 1))
-	cp.Feed(ev("B", 4, 1))
-	got := cp.Flush(base.Add(time.Minute))
-	if len(got) != 1 || len(got[0].Parts) != 2 {
-		t.Fatalf("closure-of-seq flush: %d fired, parts=%d; want 1 fired with 2 pairs",
-			len(got), len(got[0].Parts))
+	if err := (&Composite{Name: "", Expr: Prim{Key: "A"}, Policy: Chronicle, Scope: ScopeTransaction}).Validate(); err == nil {
+		t.Fatal("nameless composite validated")
+	}
+	if err := (&Composite{Name: "x", Expr: Prim{Key: "A"}, Policy: Chronicle}).Validate(); err == nil {
+		t.Fatal("scopeless composite validated")
+	}
+	if err := (&Composite{Name: "x", Expr: Prim{Key: "A"}, Scope: ScopeTransaction}).Validate(); err == nil {
+		t.Fatal("policyless composite validated")
 	}
 }
+
+// example is one row of the example table: a script played on the
+// reference interpreter and on a composer (play), and what it must give.
+type example struct {
+	test, sub string // the test that runs the row, and its subtest ("" for none)
+	expr      Expr
+	policy    Policy
+	validity  time.Duration // 0: transaction scope, no validity interval
+	// script lists steps: "A3" feeds an occurrence of A with Seq 3 at
+	// base+3s; "flush@60" and "expire@30" call Flush and Expire at
+	// base+60s and base+30s, "reset" calls Reset and "pending" reads
+	// Pending.
+	script string
+	// want lists the steps' outcomes (play) as step=outcome, leaving out
+	// feeds and flushes that complete nothing. A completion is the tuple
+	// of its leaves' Seq numbers; "!60" is a non-occurrence signalled at
+	// base+60s.
+	want string
+}
+
+var pa, pb, pc, pd, px Expr = Prim{Key: "A"}, Prim{Key: "B"}, Prim{Key: "C"}, Prim{Key: "D"}, Prim{Key: "X"}
+
+var (
+	seqAB  = Seq{Exprs: []Expr{pa, pb}}
+	conjAB = Conj{Exprs: []Expr{pa, pb}}
+)
+
+var examples = []example{
+	// The paper's §3.4 example: e1, e1', e2 arrive; which e1 is used?
+	{"TestConsumptionPolicyPaperExample", "recent uses e1'", seqAB, Recent, 0, "A1 A2 B3", "B3=[2 3]"},
+	{"TestConsumptionPolicyPaperExample", "chronicle uses e1", seqAB, Chronicle, 0, "A1 A2 B3", "B3=[1 3]"},
+	{"TestConsumptionPolicyPaperExample", "continuous fires one window per initiator", seqAB, Continuous, 0, "A1 A2 B3", "B3=[1 3][2 3]"},
+	{"TestConsumptionPolicyPaperExample", "cumulative carries both", seqAB, Cumulative, 0, "A1 A2 B3", "B3=[1 2 3]"},
+	{"TestSeqOutOfOrderDoesNotFire", "", seqAB, Chronicle, 0, "B1 A2 B3", "B3=[2 3]"},
+	{"TestChronicleConsumesInOrder", "", seqAB, Chronicle, 0, "A1 A2 B3 B4 B5", "B3=[1 3] B4=[2 4]"},
+	{"TestRecentReusesInitiator", "", seqAB, Recent, 0, "A1 B2 B3", "B2=[1 2] B3=[1 3]"},
+	{"TestSeqThreeStage", "", Seq{Exprs: []Expr{pa, pb, pc}}, Chronicle, 0, "B1 A2 C3 B4 C5", "C5=[2 4 5]"},
+	{"TestSeqWithNegationGuard", "", Seq{Exprs: []Expr{pa, Neg{Of: pb}, pc}}, Chronicle, 0, "A1 B2 C3 A4 C5", "C5=[4 5]"},
+	// X kills the pending A, not the B after the guard; the old B cannot
+	// follow a fresh A.
+	{"TestSeqGuardOnlyKillsProtectedPrefix", "", Seq{Exprs: []Expr{pa, Neg{Of: px}, pb, pc}}, Chronicle, 0, "A1 B2 X3 C4 A5 B6 C7", "C7=[5 6 7]"},
+	{"TestNestedComposition", "", Seq{Exprs: []Expr{conjAB, pc}}, Chronicle, 0, "B1 C2 A3 C4", "C4=[3 1 4]"},
+	{"TestFlushDiscardsSemiComposed", "", seqAB, Chronicle, 0, "A1 pending flush@0 pending B2", "pending=1 pending=0"},
+	// A40 sits exactly at the cutoff of expire@50, which keeps it.
+	{"TestValidityExpiry", "", seqAB, Chronicle, 10 * time.Second, "A1 expire@30 B2 A40 expire@45 expire@50 expire@51", "expire@30=1 expire@45=0 expire@50=0 expire@51=1"},
+	// A non-occurrence signalled at flush has no Seq: it orders before nothing.
+	{"TestNonOccurrenceOpensNoSequence", "recent", Seq{Exprs: []Expr{Disj{Exprs: []Expr{Neg{Of: pa}, pb}}, Closure{Of: pc}}}, Recent, 0, "C1 flush@60", ""},
+	{"TestNonOccurrenceOpensNoSequence", "continuous", Seq{Exprs: []Expr{Disj{Exprs: []Expr{Neg{Of: pa}, pb}}, Closure{Of: pc}}}, Continuous, 0, "C1 flush@60", ""},
+	{"TestConjAnyOrder", "", conjAB, Chronicle, 0, "B1 A2", "A2=[2 1]"},
+	{"TestConjRecentKeepsLatestOnly", "", conjAB, Recent, 0, "A1 A2 B3", "B3=[2 3]"},
+	// The closure of B completes at flush, after A: Recent takes it.
+	{"TestConjRecentKeepsLatestOnly", "at flush", Conj{Exprs: []Expr{Disj{Exprs: []Expr{pa, Closure{Of: pb}}}, Closure{Of: pc}}}, Recent, 0, "A1 B2 C3 flush@60", "flush@60=[2 3]"},
+	{"TestConjChronicleConsumesOldest", "", conjAB, Chronicle, 0, "A1 A2 B3 B4 B5", "B3=[1 3] B4=[2 4]"},
+	{"TestConjCumulativeCarriesAll", "", conjAB, Cumulative, 0, "A1 A2 A3 B4 pending", "B4=[1 2 3 4] pending=0"},
+	{"TestConjThreeWay", "", Conj{Exprs: []Expr{pa, pb, pc}}, Chronicle, 0, "C1 A2 A3 B4", "B4=[2 4 1]"},
+	{"TestNegInsideConj", "", Conj{Exprs: []Expr{pa, Neg{Of: pb}}}, Chronicle, 0, "A1 flush@60 A2 B3 flush@120", "flush@60=[1 !60]"},
+	{"TestDisjEitherFires", "", Disj{Exprs: []Expr{pa, pb}}, Chronicle, 0, "A1 B2 C3", "A1=[1] B2=[2]"},
+	{"TestDisjOfSeqs", "", Disj{Exprs: []Expr{seqAB, Seq{Exprs: []Expr{pc, pd}}}}, Chronicle, 0, "A1 C2 D3 B4", "D3=[2 3] B4=[1 4]"},
+	{"TestStandaloneNegationFiresAtFlush", "", Neg{Of: pa}, Chronicle, 0, "flush@60 A1 flush@120 flush@180", "flush@60=[!60] flush@180=[!180]"},
+	{"TestClosureCollapsesAtFlush", "", Closure{Of: pa}, Chronicle, 0, "A1 A2 A3 A4 A5 flush@60 flush@120", "flush@60=[1 2 3 4 5]"},
+	{"TestClosureOfSeq", "", Closure{Of: seqAB}, Chronicle, 0, "A1 B2 A3 B4 flush@60", "flush@60=[1 2 3 4]"},
+	{"TestHistoryCountFires", "", History{Of: pa, Count: 3}, Chronicle, 0, "A1 A2 A3 A4 A5 A6", "A3=[1 2 3] A6=[4 5 6]"},
+	{"TestHistoryOfConj", "", History{Of: conjAB, Count: 2}, Chronicle, 0, "A1 B2 B3 A4", "A4=[1 2 4 3]"},
+}
+
+// runExamples plays the example rows of the calling test.
+func runExamples(t *testing.T) {
+	ran := false
+	for _, ex := range examples {
+		if ex.test != t.Name() {
+			continue
+		}
+		ran = true
+		if ex.sub == "" {
+			ex.check(t)
+		} else {
+			t.Run(ex.sub, ex.check)
+		}
+	}
+	if !ran {
+		t.Fatal("no example rows")
+	}
+}
+
+func (ex example) check(t *testing.T) {
+	comp := &Composite{Name: "ex", Expr: ex.expr, Policy: ex.policy, Scope: ScopeTransaction}
+	if ex.validity > 0 {
+		comp.Scope, comp.Validity = ScopeGlobal, ex.validity
+	}
+	ref, cp := newReference(comp), mustComposer(t, comp)
+	var got []string
+	for _, tok := range strings.Fields(ex.script) {
+		s := step{op: tok}
+		if op, at, timed := strings.Cut(tok, "@"); timed {
+			secs, _ := strconv.Atoi(at)
+			s = step{op: op, at: base.Add(time.Duration(secs) * time.Second)}
+		} else if key := strings.TrimRight(tok, "0123456789"); key != tok {
+			s.op = key
+			s.seq, _ = strconv.ParseUint(tok[len(key):], 10, 64)
+			s.at = base.Add(time.Duration(s.seq) * time.Second)
+		}
+		if out := play(t, ref, s, cp); out != "" {
+			got = append(got, tok+"="+out)
+		}
+	}
+	if g := strings.Join(got, " "); g != ex.want {
+		t.Errorf("%v %v, %s:\n got %s\nwant %s", ex.expr, ex.policy, ex.script, g, ex.want)
+	}
+}
+
+// Each of these runs its rows of the example table.
+func TestConsumptionPolicyPaperExample(t *testing.T)    { runExamples(t) }
+func TestSeqOutOfOrderDoesNotFire(t *testing.T)         { runExamples(t) }
+func TestChronicleConsumesInOrder(t *testing.T)         { runExamples(t) }
+func TestRecentReusesInitiator(t *testing.T)            { runExamples(t) }
+func TestSeqThreeStage(t *testing.T)                    { runExamples(t) }
+func TestSeqWithNegationGuard(t *testing.T)             { runExamples(t) }
+func TestSeqGuardOnlyKillsProtectedPrefix(t *testing.T) { runExamples(t) }
+func TestNestedComposition(t *testing.T)                { runExamples(t) }
+func TestFlushDiscardsSemiComposed(t *testing.T)        { runExamples(t) }
+func TestValidityExpiry(t *testing.T)                   { runExamples(t) }
+func TestNonOccurrenceOpensNoSequence(t *testing.T)     { runExamples(t) }
+func TestConjAnyOrder(t *testing.T)                     { runExamples(t) }
+func TestConjRecentKeepsLatestOnly(t *testing.T)        { runExamples(t) }
+func TestConjChronicleConsumesOldest(t *testing.T)      { runExamples(t) }
+func TestConjCumulativeCarriesAll(t *testing.T)         { runExamples(t) }
+func TestConjThreeWay(t *testing.T)                     { runExamples(t) }
+func TestNegInsideConj(t *testing.T)                    { runExamples(t) }
+func TestDisjEitherFires(t *testing.T)                  { runExamples(t) }
+func TestDisjOfSeqs(t *testing.T)                       { runExamples(t) }
+func TestStandaloneNegationFiresAtFlush(t *testing.T)   { runExamples(t) }
+func TestClosureCollapsesAtFlush(t *testing.T)          { runExamples(t) }
+func TestClosureOfSeq(t *testing.T)                     { runExamples(t) }
+func TestHistoryCountFires(t *testing.T)                { runExamples(t) }
+func TestHistoryOfConj(t *testing.T)                    { runExamples(t) }

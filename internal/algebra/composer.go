@@ -88,8 +88,7 @@ func NewComposer(c *Composite) (*Composer, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	root := c.Expr.build()
-	setPolicy(root, c.Policy)
+	root := c.Expr.build(c.Policy)
 	keys := make(map[string]bool)
 	c.Expr.collectKeys(keys)
 	return &Composer{comp: c, key: c.Key(), root: root, keys: keys}, nil

@@ -126,7 +126,7 @@ func expireBefore(q []*event.Instance, cutoff time.Time) ([]*event.Instance, int
 
 // ---- primitive ----
 
-func (p Prim) build() detector { return &primDetector{key: p.Key} }
+func (p Prim) build(Policy) detector { return &primDetector{key: p.Key} }
 
 // primDetector matches one spec key. It returns a match in a buffer it
 // owns, so matching allocates nothing.
@@ -149,10 +149,10 @@ func (d *primDetector) expire(time.Time) int              { return 0 }
 
 // ---- disjunction ----
 
-func (x Disj) build() detector {
+func (x Disj) build(p Policy) detector {
 	subs := make([]detector, len(x.Exprs))
 	for i, e := range x.Exprs {
-		subs[i] = e.build()
+		subs[i] = e.build(p)
 	}
 	return &disjDetector{subs: subs}
 }
@@ -199,18 +199,18 @@ func (d *disjDetector) expire(cutoff time.Time) int {
 
 // ---- sequence ----
 
-func (x Seq) build() detector {
-	d := &seqDetector{}
+func (x Seq) build(p Policy) detector {
+	d := &seqDetector{policy: p}
 	for _, e := range x.Exprs {
 		if neg, ok := e.(Neg); ok {
 			// Guard between the previous and next non-guard position.
 			d.guards = append(d.guards, &seqGuard{
 				after: len(d.positions) - 1,
-				det:   neg.Of.build(),
+				det:   neg.Of.build(p),
 			})
 			continue
 		}
-		d.positions = append(d.positions, &seqPosition{det: e.build()})
+		d.positions = append(d.positions, &seqPosition{det: e.build(p)})
 	}
 	d.chain = make([]*event.Instance, 0, len(d.positions))
 	return d
@@ -219,7 +219,7 @@ func (x Seq) build() detector {
 type seqDetector struct {
 	positions []*seqPosition
 	guards    []*seqGuard
-	policy    Policy // set by the composer; zero value treated as Chronicle
+	policy    Policy
 	// chain is the scratch a completion's constituents are picked into;
 	// compose copies them out. Its capacity is at least one slot per
 	// position (Cumulative grows it).
@@ -231,18 +231,20 @@ type seqPosition struct {
 	queue []*event.Instance
 }
 
+// retain queues an intermediate occurrence under the policy's retention
+// rule: Recent keeps only the newest, every other policy keeps them all.
+func (pos *seqPosition) retain(c *event.Instance, p Policy) {
+	if p == Recent {
+		pos.queue = pos.queue[:0]
+	}
+	pos.queue = append(pos.queue, c)
+}
+
 // seqGuard invalidates pending occurrences at positions <= after when
 // the guarded event occurs (A; !B; C — B kills pending As).
 type seqGuard struct {
 	after int
 	det   detector
-}
-
-func (d *seqDetector) effPolicy() Policy {
-	if d.policy == 0 {
-		return Chronicle
-	}
-	return d.policy
 }
 
 func (d *seqDetector) feed(in *event.Instance) []*event.Instance {
@@ -263,40 +265,28 @@ func (d *seqDetector) feed(in *event.Instance) []*event.Instance {
 			if i == last {
 				fired = merge(fired, d.completeWith(c))
 			} else {
-				d.enqueue(i, c)
+				pos.retain(c, d.policy)
 			}
 		}
 	}
 	return fired
 }
 
-// enqueue stores an intermediate occurrence under the policy's
-// retention rule.
-func (d *seqDetector) enqueue(i int, c *event.Instance) {
-	pos := d.positions[i]
-	if d.effPolicy() == Recent {
-		pos.queue = pos.queue[:0]
-	}
-	pos.queue = append(pos.queue, c)
-}
-
 // completeWith attempts matches ending at terminator term.
 func (d *seqDetector) completeWith(term *event.Instance) []*event.Instance {
 	n := len(d.positions)
-	switch d.effPolicy() {
-	case Recent:
-		chain := d.pickChain(term, true)
+	switch d.policy {
+	case Recent, Chronicle:
+		// A Recent queue holds only its newest occurrence, so the oldest
+		// chain is the newest one; Recent keeps it for reuse by later
+		// terminators, Chronicle consumes it.
+		chain := d.pickChain(0, 0, term)
 		if chain == nil {
 			return nil
 		}
-		// Recent keeps constituents for reuse by later terminators.
-		return compose(append(chain, term))
-	case Chronicle:
-		chain := d.pickChain(term, false)
-		if chain == nil {
-			return nil
+		if d.policy == Chronicle {
+			d.consume(chain)
 		}
-		d.consume(chain)
 		return compose(append(chain, term))
 	case Continuous:
 		// One completion per open initiator window. Only occurrences
@@ -307,7 +297,12 @@ func (d *seqDetector) completeWith(term *event.Instance) []*event.Instance {
 		// in place and consumed after the loop.
 		var out []*event.Instance
 		for _, init := range d.positions[0].queue {
-			if chain := d.pickChainFrom(init, term); chain != nil {
+			// A bare non-occurrence (Seq 0) orders before nothing.
+			if init.Seq == 0 || init.Seq >= term.Seq {
+				continue
+			}
+			if chain := d.pickChain(1, init.Seq, term); chain != nil {
+				chain[0] = init
 				out = merge(out, compose(append(chain, term)))
 			}
 		}
@@ -318,7 +313,7 @@ func (d *seqDetector) completeWith(term *event.Instance) []*event.Instance {
 		}
 		return out
 	case Cumulative:
-		if d.pickChain(term, false) == nil {
+		if d.pickChain(0, 0, term) == nil {
 			return nil
 		}
 		// The composite carries everything accumulated before the
@@ -339,57 +334,13 @@ func (d *seqDetector) completeWith(term *event.Instance) []*event.Instance {
 	return nil
 }
 
-// pickChain selects one ascending occurrence chain ending at term into
-// the scratch: newest-first when recent is true, oldest-first
-// otherwise. It returns nil when no chain exists.
-func (d *seqDetector) pickChain(term *event.Instance, recent bool) []*event.Instance {
-	n := len(d.positions)
-	chain := d.chain[:n-1]
-	if recent {
-		upper := term.Seq
-		for i := n - 2; i >= 0; i-- {
-			var pick *event.Instance
-			for _, o := range d.positions[i].queue {
-				if o.Seq < upper && (pick == nil || o.Seq > pick.Seq) {
-					pick = o
-				}
-			}
-			if pick == nil {
-				return nil
-			}
-			chain[i] = pick
-			upper = pick.Seq
-		}
-		return chain
-	}
-	lower := uint64(0)
-	for i := 0; i < n-1; i++ {
-		var pick *event.Instance
-		for _, o := range d.positions[i].queue {
-			if o.Seq > lower && o.Seq < term.Seq && (pick == nil || o.Seq < pick.Seq) {
-				pick = o
-			}
-		}
-		if pick == nil {
-			return nil
-		}
-		chain[i] = pick
-		lower = pick.Seq
-	}
-	return chain
-}
-
-// pickChainFrom selects the oldest ascending chain that starts at a
-// specific initiator into the scratch.
-func (d *seqDetector) pickChainFrom(init, term *event.Instance) []*event.Instance {
-	n := len(d.positions)
-	if init.Seq >= term.Seq {
-		return nil
-	}
-	chain := d.chain[:n-1]
-	chain[0] = init
-	lower := init.Seq
-	for i := 1; i < n-1; i++ {
+// pickChain fills the scratch from position from on with the oldest
+// ascending chain after lower and before term, returning the whole
+// scratch, or nil when no such chain exists. Positions before from are
+// the caller's to fill.
+func (d *seqDetector) pickChain(from int, lower uint64, term *event.Instance) []*event.Instance {
+	chain := d.chain[:len(d.positions)-1]
+	for i := from; i < len(chain); i++ {
 		var pick *event.Instance
 		for _, o := range d.positions[i].queue {
 			if o.Seq > lower && o.Seq < term.Seq && (pick == nil || o.Seq < pick.Seq) {
@@ -424,7 +375,7 @@ func (d *seqDetector) flush(now time.Time) []*event.Instance {
 			if i == last {
 				fired = merge(fired, d.completeWith(c))
 			} else {
-				d.enqueue(i, c)
+				pos.retain(c, d.policy)
 			}
 		}
 	}
@@ -468,10 +419,10 @@ func (d *seqDetector) expire(cutoff time.Time) int {
 
 // ---- conjunction ----
 
-func (x Conj) build() detector {
-	d := &conjDetector{}
+func (x Conj) build(p Policy) detector {
+	d := &conjDetector{policy: p}
 	for _, e := range x.Exprs {
-		d.positions = append(d.positions, &seqPosition{det: e.build()})
+		d.positions = append(d.positions, &seqPosition{det: e.build(p)})
 	}
 	d.parts = make([]*event.Instance, 0, len(d.positions))
 	return d
@@ -483,20 +434,10 @@ type conjDetector struct {
 	parts     []*event.Instance // scratch a completion is gathered into
 }
 
-func (d *conjDetector) effPolicy() Policy {
-	if d.policy == 0 {
-		return Chronicle
-	}
-	return d.policy
-}
-
 func (d *conjDetector) feed(in *event.Instance) []*event.Instance {
 	for _, pos := range d.positions {
 		for _, c := range pos.det.feed(in) {
-			if d.effPolicy() == Recent {
-				pos.queue = pos.queue[:0]
-			}
-			pos.queue = append(pos.queue, c)
+			pos.retain(c, d.policy)
 		}
 	}
 	return d.tryComplete()
@@ -509,7 +450,7 @@ func (d *conjDetector) tryComplete() []*event.Instance {
 		}
 	}
 	parts := d.parts[:0]
-	switch d.effPolicy() {
+	switch d.policy {
 	case Cumulative:
 		for _, pos := range d.positions {
 			parts = append(parts, pos.queue...)
@@ -531,7 +472,9 @@ func (d *conjDetector) tryComplete() []*event.Instance {
 
 func (d *conjDetector) flush(now time.Time) []*event.Instance {
 	for _, pos := range d.positions {
-		pos.queue = append(pos.queue, pos.det.flush(now)...)
+		for _, c := range pos.det.flush(now) {
+			pos.retain(c, d.policy)
+		}
 	}
 	return d.tryComplete()
 }
@@ -564,7 +507,7 @@ func (d *conjDetector) expire(cutoff time.Time) int {
 
 // ---- negation (standalone) ----
 
-func (x Neg) build() detector { return &negDetector{det: x.Of.build()} }
+func (x Neg) build(p Policy) detector { return &negDetector{det: x.Of.build(p)} }
 
 type negDetector struct {
 	det      detector
@@ -598,7 +541,7 @@ func (d *negDetector) expire(cutoff time.Time) int { return d.det.expire(cutoff)
 
 // ---- closure ----
 
-func (x Closure) build() detector { return &closureDetector{det: x.Of.build()} }
+func (x Closure) build(p Policy) detector { return &closureDetector{det: x.Of.build(p)} }
 
 type closureDetector struct {
 	det  detector
@@ -635,8 +578,8 @@ func (d *closureDetector) expire(cutoff time.Time) int {
 
 // ---- history ----
 
-func (x History) build() detector {
-	return &historyDetector{det: x.Of.build(), count: x.Count}
+func (x History) build(p Policy) detector {
+	return &historyDetector{det: x.Of.build(p), count: x.Count}
 }
 
 type historyDetector struct {
@@ -670,33 +613,4 @@ func (d *historyDetector) expire(cutoff time.Time) int {
 	var n int
 	d.seen, n = expireBefore(d.seen, cutoff)
 	return n + d.det.expire(cutoff)
-}
-
-// setPolicy propagates the consumption policy through the graph.
-func setPolicy(d detector, p Policy) {
-	switch x := d.(type) {
-	case *seqDetector:
-		x.policy = p
-		for _, pos := range x.positions {
-			setPolicy(pos.det, p)
-		}
-		for _, g := range x.guards {
-			setPolicy(g.det, p)
-		}
-	case *conjDetector:
-		x.policy = p
-		for _, pos := range x.positions {
-			setPolicy(pos.det, p)
-		}
-	case *disjDetector:
-		for _, s := range x.subs {
-			setPolicy(s, p)
-		}
-	case *negDetector:
-		setPolicy(x.det, p)
-	case *closureDetector:
-		setPolicy(x.det, p)
-	case *historyDetector:
-		setPolicy(x.det, p)
-	}
 }

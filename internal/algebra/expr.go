@@ -22,8 +22,8 @@ type Expr interface {
 	fmt.Stringer
 	// collectKeys adds every primitive spec key in the expression.
 	collectKeys(set map[string]bool)
-	// build instantiates a detector for one composer.
-	build() detector
+	// build instantiates a detector for one composer under policy p.
+	build(p Policy) detector
 }
 
 // Prim matches occurrences of a primitive event spec key (or of a
