@@ -7,113 +7,6 @@ import (
 	"time"
 )
 
-// Reference model for chronicle Seq(E1,E2): each E2 consumes the
-// oldest unconsumed earlier E1.
-func chronicleModel(stream []bool) int {
-	pending, fired := 0, 0
-	for _, isE1 := range stream {
-		if isE1 {
-			pending++
-		} else if pending > 0 {
-			pending--
-			fired++
-		}
-	}
-	return fired
-}
-
-func TestChronicleSeqMatchesModelProperty(t *testing.T) {
-	f := func(pattern []bool) bool {
-		cp, err := NewComposer(seq2(Chronicle))
-		if err != nil {
-			return false
-		}
-		fired := 0
-		for i, isE1 := range pattern {
-			key := "E2"
-			if isE1 {
-				key = "E1"
-			}
-			fired += len(cp.Feed(ev(key, uint64(i+1), 1)))
-		}
-		return fired == chronicleModel(pattern)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Reference model for recent Seq(E1,E2): an E2 fires iff at least one
-// E1 has occurred before it (the most recent E1 is reused).
-func recentModel(stream []bool) int {
-	seenE1, fired := false, 0
-	for _, isE1 := range stream {
-		if isE1 {
-			seenE1 = true
-		} else if seenE1 {
-			fired++
-		}
-	}
-	return fired
-}
-
-func TestRecentSeqMatchesModelProperty(t *testing.T) {
-	f := func(pattern []bool) bool {
-		cp, err := NewComposer(seq2(Recent))
-		if err != nil {
-			return false
-		}
-		fired := 0
-		for i, isE1 := range pattern {
-			key := "E2"
-			if isE1 {
-				key = "E1"
-			}
-			fired += len(cp.Feed(ev(key, uint64(i+1), 1)))
-		}
-		return fired == recentModel(pattern)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Reference model for continuous Seq(E1,E2): each E2 completes every
-// open E1 window and closes them all.
-func continuousModel(stream []bool) int {
-	open, fired := 0, 0
-	for _, isE1 := range stream {
-		if isE1 {
-			open++
-		} else {
-			fired += open
-			open = 0
-		}
-	}
-	return fired
-}
-
-func TestContinuousSeqMatchesModelProperty(t *testing.T) {
-	f := func(pattern []bool) bool {
-		cp, err := NewComposer(seq2(Continuous))
-		if err != nil {
-			return false
-		}
-		fired := 0
-		for i, isE1 := range pattern {
-			key := "E2"
-			if isE1 {
-				key = "E1"
-			}
-			fired += len(cp.Feed(ev(key, uint64(i+1), 1)))
-		}
-		return fired == continuousModel(pattern)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: every completion of any Seq policy is internally ordered
 // (constituent Seq numbers strictly ascending for recent/chronicle).
 func TestSeqCompletionsOrderedProperty(t *testing.T) {
@@ -176,39 +69,6 @@ func TestFlushAlwaysEmptiesProperty(t *testing.T) {
 		return cp.Pending() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Expire never leaves an occurrence older than the cutoff,
-// and expiring with a zero validity does nothing.
-func TestExpireProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		c := &Composite{
-			Name:     "e",
-			Expr:     Conj{Exprs: []Expr{Prim{Key: "A"}, Prim{Key: "B"}, Prim{Key: "Z"}}},
-			Policy:   Cumulative,
-			Scope:    ScopeGlobal,
-			Validity: 10 * time.Second,
-		}
-		cp, err := NewComposer(c)
-		if err != nil {
-			return false
-		}
-		// Feed only A/B so nothing completes; occurrences accumulate.
-		for i := 0; i < 30; i++ {
-			key := "A"
-			if rng.Intn(2) == 0 {
-				key = "B"
-			}
-			cp.Feed(ev(key, uint64(i+1), 1))
-		}
-		before := cp.Pending()
-		dropped := cp.Expire(base.Add(100 * time.Second))
-		return before == 30 && dropped+cp.Pending() == before
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
