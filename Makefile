@@ -45,7 +45,9 @@ race-procs:
 # (Seq order, eviction and byte count while a reader polls),
 # sequential-causal firings parking on transactions that other
 # goroutines commit and abort, parallel- and exclusive-causal rules
-# yielding to a trigger that writes what they wrote, and dependents
+# yielding to a trigger that writes what they wrote, every admitted
+# cell of Table 1, whose detached and causal rules run on executor
+# goroutines beside the trigger under both compositions, and dependents
 # leaving their commit wait as deadlock victims or when aborted by
 # another goroutine, and a requester on a second cycle searching again
 # after its dependent victim (eca and txn), and the powerplant,
@@ -54,7 +56,7 @@ race-procs:
 repeat:
 	$(GO) test -timeout 240s -count=300 -run 'TestCompositeOfComposite$$' ./internal/eca
 	$(GO) test -race -timeout 240s -count=20 -run 'TestRecycledComposerMatchesFresh$$' ./internal/algebra
-	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$|TestCausalRuleYieldsToItsTrigger$$|TestCausalRuleDeadlineDoesNotWaitForTrigger$$' ./internal/eca
+	$(GO) test -race -timeout 240s -count=20 -run 'TestEOTSkipsUnfedComposers$$|TestTemporalSkipsLaterTransactionsComposer$$|TestCompositesShareConstituent$$|TestHistoriesUnderConcurrentRaisers$$|TestSequentialCausalUnderConcurrentTriggers$$|TestCausalRuleYieldsToItsTrigger$$|TestCausalRuleDeadlineDoesNotWaitForTrigger$$|TestTable1MatchesPaper$$' ./internal/eca
 	$(GO) test -race -timeout 240s -count=20 -run 'TestDependentIsTheDeadlockVictim$$|TestAbortedDependentLeavesCommit$$|TestDependencyWaitIsTimedAsSharedLockWait$$|TestRequesterOnTwoCyclesSearchesAgain$$' ./internal/txn
 	$(GO) test -race -timeout 240s -count=20 -run 'TestPowerplantGolden$$|TestQuickstartGolden$$|TestTradingGolden$$|TestWorkflowGolden$$' ./examples/powerplant ./examples/quickstart ./examples/trading ./examples/workflow
 

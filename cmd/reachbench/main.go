@@ -131,10 +131,6 @@ func unknownExperiments(want map[string]bool, known []string) []string {
 
 func printTable1() {
 	fmt.Println("=== Table 1: supported combinations of event categories and coupling modes ===")
-	if bad := bench.VerifyTable1(); len(bad) > 0 {
-		fmt.Fprintf(os.Stderr, "MISMATCH against the paper: %v\n", bad)
-		os.Exit(1)
-	}
 	rows := bench.Table1Rows()
 	widths := make([]int, len(rows[0]))
 	for _, r := range rows {
@@ -150,7 +146,8 @@ func printTable1() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("(regenerated from eca.Supported; verified cell-for-cell against the paper)")
+	fmt.Println("(regenerated from eca.Supported; TestTable1MatchesPaper in internal/eca pins every")
+	fmt.Println(" cell to the paper: what AddRule admits, and what each admitted rule does)")
 	fmt.Println("(all commit / all abort range over the constituents with a transaction: temporal")
 	fmt.Println(" constituents contribute nothing, and no occurrence from before a restart reaches")
 	fmt.Println(" a composer after it, since semi-composed state lives only in memory)")

@@ -273,31 +273,6 @@ func Table1Rows() [][]string {
 	return rows
 }
 
-// PaperTable1 is the expected matrix, cell for cell, for verification.
-var PaperTable1 = map[eca.Coupling][4]bool{
-	eca.Immediate:                {true, false, false, false},
-	eca.Deferred:                 {true, false, true, false},
-	eca.Detached:                 {true, true, true, true},
-	eca.DetachedParallelCausal:   {true, false, true, true},
-	eca.DetachedSequentialCausal: {true, false, true, true},
-	eca.DetachedExclusiveCausal:  {true, false, true, true},
-}
-
-// VerifyTable1 checks the engine's admission predicate against the
-// paper's matrix and returns the mismatching cells (empty = exact
-// reproduction).
-func VerifyTable1() []string {
-	var bad []string
-	for mode, row := range PaperTable1 {
-		for i, cat := range eca.Categories() {
-			if eca.Supported(cat, mode) != row[i] {
-				bad = append(bad, fmt.Sprintf("%v/%v", mode, cat))
-			}
-		}
-	}
-	return bad
-}
-
 // Figure2Trace drives the water-level scenario and returns the
 // message flow of Figure 2 as observed: method call → sentry →
 // method ECA-manager → rule firing and propagation to the composite

@@ -65,182 +65,17 @@ func newSensor(t *testing.T, db *oodb.DB) *oodb.Object {
 	return obj
 }
 
-// --- Table 1 ---
+// --- admission (Table 1 itself is table1_test.go) ---
 
-func TestTable1MatchesPaper(t *testing.T) {
-	// The paper's Table 1, row by row: Immediate, Deferred, Detached,
-	// Par.caus.dep., Seq.caus.dep., Exc.caus.dep. × columns Single
-	// Method, Purely Temporal, Composite 1 TX, Composite n TXs.
-	want := map[Coupling][4]bool{
-		Immediate:                {true, false, false, false},
-		Deferred:                 {true, false, true, false},
-		Detached:                 {true, true, true, true},
-		DetachedParallelCausal:   {true, false, true, true},
-		DetachedSequentialCausal: {true, false, true, true},
-		DetachedExclusiveCausal:  {true, false, true, true},
-	}
-	cats := Categories()
-	for mode, row := range want {
-		for i, cat := range cats {
-			if got := Supported(cat, mode); got != row[i] {
-				t.Errorf("Supported(%v, %v) = %v, want %v", cat, mode, got, row[i])
-			}
-		}
-	}
-	if len(Couplings()) != 6 || len(cats) != 4 {
-		t.Fatal("matrix dimensions wrong")
-	}
-}
-
-func TestAdmissionRejectsPerTable1(t *testing.T) {
+func TestRuleOnUndefinedCompositeRejected(t *testing.T) {
 	e, _, _ := newTestEngine(t, Options{})
-	// Purely temporal + immediate: rejected.
-	spec := event.TemporalSpec{Name: "tick", Temporal: event.Periodic, Period: time.Second}
-	err := e.AddRule(&Rule{
-		Name: "r1", EventKey: spec.Key(), ActionMode: Immediate,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err == nil {
-		t.Fatal("temporal+immediate admitted")
-	}
-	// Purely temporal + deferred: rejected.
-	err = e.AddRule(&Rule{
-		Name: "r2", EventKey: spec.Key(), ActionMode: Deferred,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err == nil {
-		t.Fatal("temporal+deferred admitted")
-	}
-	// Purely temporal + detached: admitted.
-	err = e.AddRule(&Rule{
-		Name: "r3", EventKey: spec.Key(), ActionMode: Detached,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err != nil {
-		t.Fatalf("temporal+detached rejected: %v", err)
-	}
-
-	// Composite single-txn + immediate: rejected (the "(N)" cell).
-	comp := &algebra.Composite{
-		Name:   "c1",
-		Expr:   algebra.Seq{Exprs: []algebra.Expr{algebra.Prim{Key: pingKey()}, algebra.Prim{Key: resetKey()}}},
-		Policy: algebra.Chronicle,
-		Scope:  algebra.ScopeTransaction,
-	}
-	if err := e.DefineComposite(comp); err != nil {
-		t.Fatal(err)
-	}
-	err = e.AddRule(&Rule{
-		Name: "r4", EventKey: comp.Key(), ActionMode: Immediate,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err == nil {
-		t.Fatal("composite-1tx+immediate admitted")
-	}
-	// Composite single-txn + deferred: admitted.
-	err = e.AddRule(&Rule{
-		Name: "r5", EventKey: comp.Key(), ActionMode: Deferred,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err != nil {
-		t.Fatalf("composite-1tx+deferred rejected: %v", err)
-	}
-
-	// Composite multi-txn + deferred: rejected; + parallel causal: admitted.
-	gcomp := &algebra.Composite{
-		Name:     "c2",
-		Expr:     algebra.Conj{Exprs: []algebra.Expr{algebra.Prim{Key: pingKey()}, algebra.Prim{Key: resetKey()}}},
-		Policy:   algebra.Chronicle,
-		Scope:    algebra.ScopeGlobal,
-		Validity: time.Hour,
-	}
-	if err := e.DefineComposite(gcomp); err != nil {
-		t.Fatal(err)
-	}
-	err = e.AddRule(&Rule{
-		Name: "r6", EventKey: gcomp.Key(), ActionMode: Deferred,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err == nil {
-		t.Fatal("composite-ntx+deferred admitted")
-	}
-	err = e.AddRule(&Rule{
-		Name: "r7", EventKey: gcomp.Key(), ActionMode: DetachedParallelCausal,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err != nil {
-		t.Fatalf("composite-ntx+parallel-causal rejected: %v", err)
-	}
-
-	// Rule on an undefined composite: rejected.
-	err = e.AddRule(&Rule{
-		Name: "r8", EventKey: "composite:undefined", ActionMode: Detached,
-		Action: func(*RuleCtx) error { return nil },
-	})
-	if err == nil {
+	if err := e.AddRule(&Rule{Name: "r", EventKey: "composite:undefined", ActionMode: Detached,
+		Action: func(*RuleCtx) error { return nil }}); err == nil {
 		t.Fatal("rule on undefined composite admitted")
 	}
 }
 
 // --- immediate coupling ---
-
-func TestImmediateRuleRunsInline(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	var fired atomic.Int64
-	err := e.AddRule(&Rule{
-		Name: "imm", EventKey: pingKey(), ActionMode: Immediate,
-		Cond: func(rc *RuleCtx) (bool, error) {
-			v, err := rc.Ctx().GetInt(obj, "val")
-			return v > 10, err
-		},
-		Action: func(rc *RuleCtx) error {
-			fired.Add(1)
-			a, _ := rc.Ctx().GetInt(obj, "alarms")
-			return rc.Ctx().Set(obj, "alarms", a+1)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := db.Begin()
-	if _, err := db.Invoke(tx, obj, "ping", int64(5)); err != nil {
-		t.Fatal(err)
-	}
-	if fired.Load() != 0 {
-		t.Fatal("rule fired although condition false")
-	}
-	if _, err := db.Invoke(tx, obj, "ping", int64(50)); err != nil {
-		t.Fatal(err)
-	}
-	if fired.Load() != 1 {
-		t.Fatalf("rule fired %d times, want 1 (inline)", fired.Load())
-	}
-	// The rule's subtransaction effect is visible inside the trigger.
-	if v, _ := db.Get(tx, obj, "alarms"); v != int64(1) {
-		t.Fatalf("alarms = %v, want 1", v)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestImmediateRuleEffectsUndoneOnTriggerAbort(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	e.AddRule(&Rule{
-		Name: "imm", EventKey: pingKey(), ActionMode: Immediate,
-		Action: func(rc *RuleCtx) error { return rc.Ctx().Set(obj, "alarms", int64(99)) },
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Abort()
-	tx2 := db.Begin()
-	if v, _ := db.Get(tx2, obj, "alarms"); v != int64(0) {
-		t.Fatalf("rule subtransaction effect survived trigger abort: alarms = %v", v)
-	}
-	tx2.Commit()
-}
 
 func TestImmediateRuleErrorVetoesInvocation(t *testing.T) {
 	e, db, _ := newTestEngine(t, Options{})
@@ -263,36 +98,6 @@ func TestImmediateRuleErrorVetoesInvocation(t *testing.T) {
 }
 
 // --- deferred coupling ---
-
-func TestDeferredRuleRunsAtEOT(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	var order []string
-	e.AddRule(&Rule{
-		Name: "def", EventKey: pingKey(), ActionMode: Deferred,
-		Action: func(rc *RuleCtx) error {
-			order = append(order, "rule")
-			return rc.Ctx().Set(obj, "alarms", int64(7))
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	order = append(order, "work")
-	if len(order) != 1 {
-		t.Fatal("deferred rule ran before EOT")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[1] != "rule" {
-		t.Fatalf("order = %v, want [work rule]", order)
-	}
-	tx2 := db.Begin()
-	if v, _ := db.Get(tx2, obj, "alarms"); v != int64(7) {
-		t.Fatalf("deferred effect lost: %v", v)
-	}
-	tx2.Commit()
-}
 
 func TestDeferredRuleErrorAbortsTrigger(t *testing.T) {
 	e, db, _ := newTestEngine(t, Options{})
@@ -393,157 +198,6 @@ func TestImmediateCondDeferredAction(t *testing.T) {
 	}
 }
 
-// --- detached couplings ---
-
-func TestDetachedRuleIndependent(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	done := make(chan uint64, 1)
-	e.AddRule(&Rule{
-		Name: "det", EventKey: pingKey(), ActionMode: Detached,
-		Action: func(rc *RuleCtx) error {
-			done <- rc.Txn.ID()
-			return nil
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Abort() // detached rule is unaffected
-	select {
-	case id := <-done:
-		if id == tx.ID() {
-			t.Fatal("detached rule ran inside the trigger transaction")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("detached rule never ran")
-	}
-	e.WaitDetached()
-}
-
-func TestParallelCausalAbortsWithTrigger(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	outcome := make(chan txn.Status, 1)
-	e.AddRule(&Rule{
-		Name: "pc", EventKey: pingKey(), ActionMode: DetachedParallelCausal,
-		Action: func(rc *RuleCtx) error {
-			go func() { outcome <- rc.Txn.Wait() }()
-			return nil
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Abort()
-	select {
-	case st := <-outcome:
-		if st != txn.Aborted {
-			t.Fatalf("parallel-causal rule txn = %v, want Aborted (trigger aborted)", st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parallel-causal rule txn never resolved")
-	}
-	e.WaitDetached()
-}
-
-func TestParallelCausalCommitsWithTrigger(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	outcome := make(chan txn.Status, 1)
-	e.AddRule(&Rule{
-		Name: "pc", EventKey: pingKey(), ActionMode: DetachedParallelCausal,
-		Action: func(rc *RuleCtx) error {
-			go func() { outcome <- rc.Txn.Wait() }()
-			return nil
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Commit()
-	select {
-	case st := <-outcome:
-		if st != txn.Committed {
-			t.Fatalf("parallel-causal rule txn = %v, want Committed", st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parallel-causal rule txn never resolved")
-	}
-	e.WaitDetached()
-}
-
-func TestSequentialCausalStartsAfterTriggerCommit(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	started := make(chan txn.Status, 1)
-	trigDone := make(chan struct{})
-	var trig *txn.Txn
-	e.AddRule(&Rule{
-		Name: "sc", EventKey: pingKey(), ActionMode: DetachedSequentialCausal,
-		Action: func(rc *RuleCtx) error {
-			<-trigDone // would deadlock if the rule started before commit returned
-			started <- trig.Status()
-			return nil
-		},
-	})
-	trig = db.Begin()
-	db.Invoke(trig, obj, "ping", int64(1))
-	trig.Commit()
-	close(trigDone)
-	select {
-	case st := <-started:
-		if st != txn.Committed {
-			t.Fatalf("sequential-causal rule saw trigger %v, want Committed", st)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("sequential-causal rule never started")
-	}
-	e.WaitDetached()
-}
-
-func TestSequentialCausalSkippedOnTriggerAbort(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	var ran atomic.Bool
-	e.AddRule(&Rule{
-		Name: "sc", EventKey: pingKey(), ActionMode: DetachedSequentialCausal,
-		Action: func(*RuleCtx) error { ran.Store(true); return nil },
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Abort()
-	e.WaitDetached()
-	if ran.Load() {
-		t.Fatal("sequential-causal rule ran although trigger aborted")
-	}
-}
-
-func TestExclusiveCausalContingency(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	outcome := make(chan txn.Status, 2)
-	e.AddRule(&Rule{
-		Name: "ec", EventKey: pingKey(), ActionMode: DetachedExclusiveCausal,
-		Action: func(rc *RuleCtx) error {
-			go func() { outcome <- rc.Txn.Wait() }()
-			return nil
-		},
-	})
-	// Trigger aborts: contingency commits.
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	tx.Abort()
-	if st := <-outcome; st != txn.Committed {
-		t.Fatalf("exclusive-causal after trigger abort = %v, want Committed", st)
-	}
-	// Trigger commits: contingency aborts.
-	tx2 := db.Begin()
-	db.Invoke(tx2, obj, "ping", int64(1))
-	tx2.Commit()
-	if st := <-outcome; st != txn.Aborted {
-		t.Fatalf("exclusive-causal after trigger commit = %v, want Aborted", st)
-	}
-	e.WaitDetached()
-}
-
 // --- composite events ---
 
 func seqComposite(name string, scope algebra.Scope) *algebra.Composite {
@@ -557,37 +211,6 @@ func seqComposite(name string, scope algebra.Scope) *algebra.Composite {
 		c.Validity = time.Hour
 	}
 	return c
-}
-
-func TestCompositeDeferredRuleFiresAtEOT(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	comp := seqComposite("ping-reset", algebra.ScopeTransaction)
-	if err := e.DefineComposite(comp); err != nil {
-		t.Fatal(err)
-	}
-	var fired atomic.Int64
-	var parts atomic.Int64
-	e.AddRule(&Rule{
-		Name: "onComp", EventKey: comp.Key(), ActionMode: Deferred,
-		Action: func(rc *RuleCtx) error {
-			fired.Add(1)
-			parts.Store(int64(len(rc.Trigger.Flatten())))
-			return nil
-		},
-	})
-	tx := db.Begin()
-	db.Invoke(tx, obj, "ping", int64(1))
-	db.Invoke(tx, obj, "reset")
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if fired.Load() != 1 {
-		t.Fatalf("composite rule fired %d, want 1", fired.Load())
-	}
-	if parts.Load() != 2 {
-		t.Fatalf("composite trigger had %d parts, want 2", parts.Load())
-	}
 }
 
 func TestCompositeSemiComposedDiscardedOnAbort(t *testing.T) {
@@ -614,38 +237,6 @@ func TestCompositeSemiComposedDiscardedOnAbort(t *testing.T) {
 	e.WaitDetached()
 	if fired.Load() != 0 {
 		t.Fatal("composite fired across transaction boundary in txn scope")
-	}
-}
-
-func TestGlobalCompositeAcrossTxns(t *testing.T) {
-	e, db, _ := newTestEngine(t, Options{})
-	obj := newSensor(t, db)
-	comp := seqComposite("global-pr", algebra.ScopeGlobal)
-	e.DefineComposite(comp)
-	fired := make(chan *event.Instance, 1)
-	e.AddRule(&Rule{
-		Name: "onComp", EventKey: comp.Key(), ActionMode: Detached,
-		Action: func(rc *RuleCtx) error {
-			fired <- rc.Trigger
-			return nil
-		},
-	})
-	tx1 := db.Begin()
-	db.Invoke(tx1, obj, "ping", int64(1))
-	tx1.Commit()
-	tx2 := db.Begin()
-	db.Invoke(tx2, obj, "reset")
-	tx2.Commit()
-	e.DrainComposers()
-	e.WaitDetached()
-	select {
-	case in := <-fired:
-		txns := in.Transactions()
-		if len(txns) != 2 {
-			t.Fatalf("constituent txns = %v, want 2 distinct", txns)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cross-transaction composite never fired")
 	}
 }
 
